@@ -21,7 +21,8 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor, backward, truncated_normal
 from .checkpoint import atomic_write_json, read_blob, write_blob
 from .optim import AdamState, adam_step
-from .wordpiece import CLS, MASK, PAD, SEP, Vocab, encode
+# ``encode`` is unused here, but the traced benchmark patches ``bert.encode`` by name
+from .wordpiece import CLS, MASK, PAD, SEP, Vocab, encode, encode_batch  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
@@ -325,7 +326,6 @@ class MlmBatch:
     input_ids: np.ndarray
     labels: np.ndarray
     attention_mask: np.ndarray
-    segment_ids: np.ndarray
 
 
 def mask_for_mlm(
@@ -349,12 +349,7 @@ def mask_for_mlm(
     masked = np.where(selected & (action < 0.8), MASK, input_ids)
     masked = np.where(selected & (action >= 0.8) & (action < 0.9), random_ids, masked)
     labels = np.where(selected, input_ids, IGNORE_INDEX)
-    return MlmBatch(
-        input_ids=masked,
-        labels=labels,
-        attention_mask=attention_mask,
-        segment_ids=np.zeros_like(input_ids),
-    )
+    return MlmBatch(input_ids=masked, labels=labels, attention_mask=attention_mask)
 
 
 def thread_settings() -> dict:
@@ -445,6 +440,25 @@ def _load_train_state(directory: str, model: ModelParams) -> tuple[AdamState, di
     return optimizer, state
 
 
+def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
+    """Yield ``(batch_idx, pick, dropout_rng)`` for one epoch over ``n`` rows.
+
+    ``batch_idx`` is the offset of the batch in the epoch's permutation and
+    ``pick`` the row indices it holds. The permutation derives from
+    ``(seed, epoch)`` and the dropout stream from ``(seed, epoch,
+    batch_idx)``, so a resumed run draws exactly the streams of the
+    uninterrupted one.
+    """
+    order = np.random.default_rng(
+        np.random.SeedSequence(seed, spawn_key=(0, epoch))
+    ).permutation(n)
+    for batch_idx in range(0, n, batch_size):
+        drop_rng = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(2, epoch, batch_idx))
+        )
+        yield batch_idx, order[batch_idx : batch_idx + batch_size], drop_rng
+
+
 @dataclass
 class PretrainResult:
     losses: list[float]
@@ -513,9 +527,7 @@ def pretrain(
         global_step = state.get("global_step", 0)
         logger.info("resuming at epoch %d, step %d", start_epoch, global_step)
 
-    encodings = [encode(line, vocab, max_len) for line in corpus]
-    all_ids = np.array([e.ids for e in encodings], dtype=np.int64)
-    all_masks = np.array([e.attention_mask for e in encodings], dtype=np.int64)
+    all_ids, all_masks = encode_batch(corpus, vocab, max_len)
 
     losses: list[float] = []
     cap = config.iterations
@@ -523,23 +535,18 @@ def pretrain(
     epoch = start_epoch
     wrote_checkpoint = False
     while epoch < config.epochs and not stopped:
-        order = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(0, epoch))
-        ).permutation(len(encodings))
-        for batch_idx in range(0, len(order), config.batch_size):
+        for batch_idx, pick, drop_rng in epoch_batches(
+            len(corpus), config.batch_size, seed, epoch
+        ):
             if cap is not None and global_step >= cap:
                 stopped = True
                 break
-            pick = order[batch_idx : batch_idx + config.batch_size]
             ids = all_ids[pick]
             mask = all_masks[pick]
             width = max(int(mask.sum(axis=1).max()), 3)
             ids, mask = ids[:, :width], mask[:, :width]
             mask_rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(1, epoch, batch_idx))
-            )
-            drop_rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(2, epoch, batch_idx))
             )
             batch = mask_for_mlm(ids, mask, mask_rate, mask_rng, config.vocab_size)
             seq, _ = forward(

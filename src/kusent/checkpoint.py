@@ -65,6 +65,10 @@ def read_blob(bin_path: str, manifest_path: str) -> dict[str, np.ndarray]:
         manifest = json.load(fh)
     with open(bin_path, "rb") as fh:
         payload = fh.read()
+    for i, entry in enumerate(manifest):
+        for key in ("name", "shape", "byte_offset", "byte_length"):
+            if key not in entry:
+                raise ValueError(f"{manifest_path}: entry {i} is missing key {key!r}")
     expected = sum(entry["byte_length"] for entry in manifest)
     if len(payload) != expected:
         raise ValueError(

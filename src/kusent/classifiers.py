@@ -21,12 +21,13 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, backward, truncated_normal
-from .bert import ModelParams, forward, load_checkpoint, save_checkpoint
+from .bert import ModelParams, epoch_batches, forward, load_checkpoint, save_checkpoint
 from .checkpoint import atomic_write_json, read_blob, write_blob
 from .corpus import LabeledExample, SentimentLabel
 from .normalize import NormalizationRules, normalize_text
 from .optim import AdamState, adam_step
-from .wordpiece import Vocab, encode
+# ``encode`` is unused here, but the traced benchmark patches ``classifiers.encode`` by name
+from .wordpiece import Vocab, encode, encode_batch  # noqa: F401
 
 HEAD_KINDS = ("finetune", "bilstm", "mlp")
 GATES = ("input", "forget", "cell", "output")
@@ -177,15 +178,11 @@ def _run_direction(gates, inputs: list[Tensor], step_mask: list[Tensor], d_h: in
     for t in order:
         h_new, c_new = lstm_step(gates, inputs[t], h, c)
         m = step_mask[t]
-        keep = step_mask_complement(m)
+        keep = Tensor(1.0 - m.data)
         h = ad.add(ad.mul(h_new, m), ad.mul(h, keep))
         c = ad.add(ad.mul(c_new, m), ad.mul(c, keep))
         outputs[t] = h
     return [outputs[t] for t in range(len(inputs))], h
-
-
-def step_mask_complement(m: Tensor) -> Tensor:
-    return Tensor(1.0 - m.data)
 
 
 def bilstm_summary(
@@ -275,19 +272,6 @@ def _check_labels(dataset: list[LabeledExample], labels: list[SentimentLabel]) -
             raise ValueError(f"label {ex.label.value!r} outside configured label set")
 
 
-def _encode_dataset(dataset, vocab, max_len):
-    ids = []
-    masks = []
-    for ex in dataset:
-        enc = encode(ex.text, vocab, max_len)
-        ids.append(enc.ids)
-        masks.append(enc.attention_mask)
-    ids = np.array(ids, dtype=np.int64)
-    masks = np.array(masks, dtype=np.int64)
-    width = max(int(masks.sum(axis=1).max()), 3)
-    return ids[:, :width], masks[:, :width]
-
-
 def _label_indices(dataset, labels):
     index = {label: i for i, label in enumerate(labels)}
     return np.array([index[ex.label] for ex in dataset], dtype=np.int64)
@@ -311,20 +295,12 @@ def _train_head_on_frozen(model, encoder, vocab, dataset, config):
             f"max_len {config.max_len} exceeds encoder max_position "
             f"{encoder.config.max_position}"
         )
-    ids, masks = _encode_dataset(dataset, vocab, config.max_len)
+    ids, masks = encode_batch([ex.text for ex in dataset], vocab, config.max_len)
     targets = _label_indices(dataset, model.labels)
     states, cls = _frozen_features(encoder, ids, masks)
     optimizer = AdamState(lr=config.learning_rate)
-    n = len(dataset)
     for epoch in range(config.epochs):
-        order = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(0, epoch))
-        ).permutation(n)
-        for batch_idx in range(0, n, config.batch_size):
-            pick = order[batch_idx : batch_idx + config.batch_size]
-            drop_rng = np.random.default_rng(
-                np.random.SeedSequence(config.seed, spawn_key=(2, epoch, batch_idx))
-            )
+        for _, pick, drop_rng in epoch_batches(len(dataset), config.batch_size, config.seed, epoch):
             seq_t = Tensor(states[pick])
             cls_t = Tensor(cls[pick])
             logits = head_logits(model, seq_t, cls_t, masks[pick], train=True, rng=drop_rng)
@@ -356,20 +332,12 @@ def train_finetune(
         labels=labels,
         train_config=config,
     )
-    ids, masks = _encode_dataset(dataset, vocab, config.max_len)
+    ids, masks = encode_batch([ex.text for ex in dataset], vocab, config.max_len)
     targets = _label_indices(dataset, labels)
     optimizer = AdamState(lr=config.learning_rate)
     trainable = encoder.params + head
-    n = len(dataset)
     for epoch in range(config.epochs):
-        order = np.random.default_rng(
-            np.random.SeedSequence(config.seed, spawn_key=(0, epoch))
-        ).permutation(n)
-        for batch_idx in range(0, n, config.batch_size):
-            pick = order[batch_idx : batch_idx + config.batch_size]
-            drop_rng = np.random.default_rng(
-                np.random.SeedSequence(config.seed, spawn_key=(2, epoch, batch_idx))
-            )
+        for _, pick, drop_rng in epoch_batches(len(dataset), config.batch_size, config.seed, epoch):
             seq, cls_state = forward(
                 encoder, ids[pick], masks[pick], train=True, dropout_rng=drop_rng
             )
@@ -443,11 +411,8 @@ def predict(
 ) -> tuple[SentimentLabel, np.ndarray]:
     """Normalize, encode, and classify one text; ties go to the lowest class index."""
     normalized = normalize_text(text, rules)
-    enc = encode(normalized, vocab, model.train_config.max_len)
-    ids = np.array([enc.ids], dtype=np.int64)
-    masks = np.array([enc.attention_mask], dtype=np.int64)
-    width = max(int(masks.sum()), 3)
-    probs = predict_encoded(model, ids[:, :width], masks[:, :width])[0]
+    ids, masks = encode_batch([normalized], vocab, model.train_config.max_len)
+    probs = predict_encoded(model, ids, masks)[0]
     return model.labels[int(np.argmax(probs))], probs
 
 
@@ -485,8 +450,14 @@ def save_sentiment_model(model: SentimentModel, directory: str) -> None:
 
 
 def load_sentiment_model(directory: str) -> SentimentModel:
-    with open(os.path.join(directory, "head_config.json"), encoding="utf-8") as fh:
+    config_path = os.path.join(directory, "head_config.json")
+    with open(config_path, encoding="utf-8") as fh:
         meta = json.load(fh)
+    for key in ("kind", "encoder_ref", "head_meta", "train_config"):
+        if key not in meta:
+            raise ValueError(f"{config_path}: missing key {key!r}")
+    if meta["kind"] not in HEAD_KINDS:
+        raise ValueError(f"{config_path}: unknown head kind {meta['kind']!r}")
     with open(os.path.join(directory, "labels.json"), encoding="utf-8") as fh:
         labels = [SentimentLabel(v) for v in json.load(fh)]
     encoder, _ = load_checkpoint(os.path.join(directory, meta["encoder_ref"]))

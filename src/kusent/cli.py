@@ -20,6 +20,7 @@ from . import FORMAT_VERSION, __version__
 from .bert import BertConfig, build_model, load_checkpoint, pretrain
 from .checkpoint import atomic_write_json, atomic_write_text
 from .classifiers import (
+    HEAD_KINDS,
     TrainConfig,
     default_epochs,
     load_sentiment_model,
@@ -33,13 +34,14 @@ from .classifiers import (
 from .corpus import (
     compute_stats,
     load_labeled,
+    save_labeled,
     split,
     to_binary,
     undersample,
 )
 from .metrics import confusion, report
 from .normalize import NormalizationRules, default_rules, load_rules, normalize_stream
-from .wordpiece import encode, load_vocab, save_vocab, train_wordpiece
+from .wordpiece import encode_batch, load_vocab, save_vocab, train_wordpiece
 
 logger = logging.getLogger(__name__)
 
@@ -147,23 +149,13 @@ def cmd_corpus_stats(args) -> int:
     return 0
 
 
-def _write_labeled(examples, path: str) -> None:
-    rows = []
-    for ex in examples:
-        row = [ex.text.text, ex.label.value]
-        if ex.topic is not None:
-            row.append(ex.topic)
-        rows.append("\t".join(row))
-    atomic_write_text(path, "".join(r + "\n" for r in rows))
-
-
 def cmd_split(args) -> int:
     config = load_pipeline_config(args.config)
     rules = _rules_from(args, config)
     examples = load_labeled(args.infile, rules)
     ds = split(examples, ratio=args.ratio, seed=_seed_from(args, config))
-    _write_labeled(ds.train, args.out_train)
-    _write_labeled(ds.test, args.out_test)
+    save_labeled(ds.train, args.out_train)
+    save_labeled(ds.test, args.out_test)
     print(f"split {len(examples)} examples -> {len(ds.train)} train / {len(ds.test)} test")
     return 0
 
@@ -173,7 +165,7 @@ def cmd_to_binary(args) -> int:
     rules = _rules_from(args, config)
     examples = load_labeled(args.infile, rules)
     kept = to_binary(examples)
-    _write_labeled(kept, args.out)
+    save_labeled(kept, args.out)
     print(f"kept {len(kept)} of {len(examples)} examples (neutral removed)")
     return 0
 
@@ -183,7 +175,7 @@ def cmd_undersample(args) -> int:
     rules = _rules_from(args, config)
     examples = load_labeled(args.infile, rules)
     kept = undersample(examples, seed=_seed_from(args, config))
-    _write_labeled(kept, args.out)
+    save_labeled(kept, args.out)
     print(f"kept {len(kept)} of {len(examples)} examples (balanced)")
     return 0
 
@@ -278,16 +270,7 @@ def cmd_train(args) -> int:
 
 
 def _batch_predict(model, vocab, dataset):
-    ids = []
-    masks = []
-    for ex in dataset:
-        enc = encode(ex.text, vocab, model.train_config.max_len)
-        ids.append(enc.ids)
-        masks.append(enc.attention_mask)
-    ids = np.array(ids, dtype=np.int64)
-    masks = np.array(masks, dtype=np.int64)
-    width = max(int(masks.sum(axis=1).max()), 3)
-    ids, masks = ids[:, :width], masks[:, :width]
+    ids, masks = encode_batch([ex.text for ex in dataset], vocab, model.train_config.max_len)
     preds = []
     for start in range(0, len(ids), 32):
         probs = predict_encoded(model, ids[start : start + 32], masks[start : start + 32])
@@ -399,7 +382,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
 
     p = add("train", cmd_train, "train a sentiment classifier head")
-    p.add_argument("--task", required=True, choices=("finetune", "bilstm", "mlp"))
+    p.add_argument("--task", required=True, choices=HEAD_KINDS)
     p.add_argument("--encoder")
     p.add_argument("--data")
     p.add_argument("--vocab")

@@ -15,6 +15,7 @@ from typing import Callable, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_write_text
 from .normalize import NormalizationRules, NormalizedText, normalize_text
 
 
@@ -25,10 +26,6 @@ class SentimentLabel(enum.Enum):
 
     def __str__(self) -> str:
         return self.value
-
-
-LABELS_3 = [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL]
-LABELS_2 = [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE]
 
 
 @dataclass(frozen=True)
@@ -104,12 +101,14 @@ def load_labeled(
 
 
 def save_labeled(examples: Sequence[LabeledExample], path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for ex in examples:
-            row = [ex.text.text, ex.label.value]
-            if ex.topic is not None:
-                row.append(ex.topic)
-            fh.write("\t".join(row) + "\n")
+    """Write the TSV format ``load_labeled`` reads, atomically."""
+    rows = []
+    for ex in examples:
+        row = [ex.text.text, ex.label.value]
+        if ex.topic is not None:
+            row.append(ex.topic)
+        rows.append("\t".join(row) + "\n")
+    atomic_write_text(path, "".join(rows))
 
 
 def compute_stats(

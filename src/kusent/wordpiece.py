@@ -6,12 +6,10 @@ the adjacent pair with the highest likelihood-ratio score
 lexicographically smaller merged string. Continuation pieces carry a ``##``
 prefix.
 
-Encoding is greedy longest-match-first per whitespace word. The inner
-matching loop is the hot path when tokenizing a large corpus, so it lives in
-a kernel with two interchangeable backends: the compiled
-``kusent._fastmatch`` extension when it is built, else the pure-Python
-``kusent._pymatch``. Both are byte-for-byte equivalent; see
-``benchmarks/bench_tokenizer.py`` for a comparison.
+Encoding is greedy longest-match-first per whitespace word
+(``Vocab.segment_word``), then CLS/SEP framing, truncation and padding
+(``encode``); ``encode_batch`` stacks a list of texts into id and mask
+arrays for the model.
 """
 
 from __future__ import annotations
@@ -20,14 +18,11 @@ import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
 
-try:
-    from . import _fastmatch as _match
-except ImportError:  # extension not built; fall back to the pure kernel
-    from . import _pymatch as _match  # type: ignore[no-redef]
+import numpy as np
 
-from . import _pymatch
-
-MATCH_BACKEND = _match.BACKEND
+# Recorded in the benchmark's run manifest (perfbench/worker.py); the
+# matcher below is the only one.
+MATCH_BACKEND = "python"
 
 logger = logging.getLogger(__name__)
 
@@ -75,27 +70,40 @@ class Vocab:
     def id(self, piece: str) -> int:
         return self.piece_to_id[piece]
 
-    def segment_word(self, word: str, backend=None) -> list[str] | None:
-        """Greedy longest-match pieces for one word, or None if unmatchable."""
-        impl = backend if backend is not None else _match
-        return impl.segment_word(
-            word,
-            self._initial,  # type: ignore[attr-defined]
-            self._cont,  # type: ignore[attr-defined]
-            self.continuation_prefix,
-            self._max_init,  # type: ignore[attr-defined]
-            self._max_cont,  # type: ignore[attr-defined]
-            MAX_WORD_CHARS,
-        )
+    def segment_word(self, word: str) -> list[str] | None:
+        """Greedy longest-match pieces for one word, or None if unmatchable.
+
+        Returns None when no full segmentation exists or the word is longer
+        than ``MAX_WORD_CHARS`` (the caller substitutes UNK).
+        """
+        n = len(word)
+        if n > MAX_WORD_CHARS:
+            return None
+        table = self._initial  # type: ignore[attr-defined]
+        cap = self._max_init  # type: ignore[attr-defined]
+        pieces: list[str] = []
+        start = 0
+        while start < n:
+            end = min(n, start + cap)
+            while end > start and word[start:end] not in table:
+                end -= 1
+            if end == start:
+                return None
+            piece = word[start:end]
+            pieces.append(piece if start == 0 else self.continuation_prefix + piece)
+            start = end
+            # continuation pieces are keyed without their prefix
+            table = self._cont  # type: ignore[attr-defined]
+            cap = self._max_cont  # type: ignore[attr-defined]
+        return pieces
 
 
 @dataclass(frozen=True)
 class Encoding:
-    """Fixed-length id/mask/segment triple for one text."""
+    """Fixed-length ids and attention mask for one text."""
 
     ids: list[int]
     attention_mask: list[int]
-    segment_ids: list[int]
     overflow: bool
 
 
@@ -213,9 +221,22 @@ def encode(text, vocab: Vocab, max_len: int) -> Encoding:
     n = len(ids)
     ids.extend([PAD] * (max_len - n))
     mask = [1] * n + [0] * (max_len - n)
-    return Encoding(
-        ids=ids, attention_mask=mask, segment_ids=[0] * max_len, overflow=overflow
-    )
+    return Encoding(ids=ids, attention_mask=mask, overflow=overflow)
+
+
+def encode_batch(texts: Sequence, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+    """``encode`` each text and stack the rows into int64 (ids, masks) arrays.
+
+    Columns past the longest real row are dropped, keeping at least 3 (CLS,
+    one piece, SEP), so a batch of short texts does not pay for ``max_len``.
+    """
+    if not texts:
+        raise ValueError("cannot encode an empty batch")
+    encodings = [encode(text, vocab, max_len) for text in texts]
+    ids = np.array([e.ids for e in encodings], dtype=np.int64)
+    masks = np.array([e.attention_mask for e in encodings], dtype=np.int64)
+    width = max(int(masks.sum(axis=1).max()), 3)
+    return ids[:, :width], masks[:, :width]
 
 
 def decode(ids: Sequence[int], vocab: Vocab) -> str:

@@ -10,6 +10,7 @@ from kusent.bert import (
     BertConfig,
     build_model,
     count_params,
+    epoch_batches,
     expected_shapes,
     forward,
     load_checkpoint,
@@ -293,6 +294,24 @@ def toy_vocab_corpus(n_lines=60, n_words=24, seed=0):
 
 
 class TestPretrain:
+    @pytest.mark.parametrize("n, batch_size", [(10, 4), (8, 8), (3, 5)])
+    def test_epoch_batches_streams(self, n, batch_size):
+        seed, epoch = 13, 2
+        batches = list(epoch_batches(n, batch_size, seed, epoch))
+        order = np.random.default_rng(
+            np.random.SeedSequence(seed, spawn_key=(0, epoch))
+        ).permutation(n)
+        picks = np.concatenate([pick for _, pick, _ in batches])
+        assert sorted(picks.tolist()) == list(range(n))  # each index exactly once
+        np.testing.assert_array_equal(picks, order)
+        for batch_idx, pick, drop_rng in batches:
+            assert len(pick) == min(batch_size, n - batch_idx)
+            expected = np.random.default_rng(
+                np.random.SeedSequence(seed, spawn_key=(2, epoch, batch_idx))
+            )
+            assert drop_rng.random(4).tolist() == expected.random(4).tolist()
+        assert [b for b, _, _ in batches] == list(range(0, n, batch_size))
+
     def test_empty_corpus_rejected(self, tmp_path):
         vocab, _ = toy_vocab_corpus()
         cfg = tiny_config(vocab_size=len(vocab))

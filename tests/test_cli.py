@@ -1,4 +1,5 @@
 import json
+import shutil
 
 import numpy as np
 import pytest
@@ -271,3 +272,32 @@ class TestPipeline:
         ]) == 0
         meta = json.loads((model / "head_config.json").read_text())
         assert meta["kind"] == "bilstm"
+
+    @pytest.mark.parametrize(
+        "rel, key, value",
+        [
+            ("head_config.json", "kind", None),  # None: delete the key
+            ("head_config.json", "kind", "gru"),
+            ("head_manifest.json", "shape", None),
+            ("encoder/manifest.json", "shape", None),
+        ],
+    )
+    def test_bad_artifact_is_one_error_line(self, pipeline, tmp_path, capsys, rel, key, value):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["model"], model)
+        path = model / rel
+        raw = json.loads(path.read_text())
+        entry = raw[0] if isinstance(raw, list) else raw
+        if value is None:
+            del entry[key]
+        else:
+            entry[key] = value
+        path.write_text(json.dumps(raw))
+        capsys.readouterr()
+        rc = main([
+            "predict", "--model", str(model), "--vocab", str(pipeline["vocab"]), "--text", "good0",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert rel.split("/")[-1] in err and repr(value or key) in err

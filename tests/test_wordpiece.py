@@ -1,9 +1,9 @@
 import logging
 import random
 
+import numpy as np
 import pytest
 
-from kusent import _pymatch
 from kusent.wordpiece import (
     CLS,
     MASK,
@@ -15,15 +15,11 @@ from kusent.wordpiece import (
     Vocab,
     decode,
     encode,
+    encode_batch,
     load_vocab,
     save_vocab,
     train_wordpiece,
 )
-
-try:
-    from kusent import _fastmatch
-except ImportError:
-    _fastmatch = None
 
 
 def make_vocab(*pieces):
@@ -87,17 +83,6 @@ class TestSegmentOracle:
             if vocab.segment_word(word) != oracle_segment(word, vocab.pieces):
                 mismatches += 1
         assert mismatches == 0
-
-    def test_backends_equivalent(self):
-        if _fastmatch is None:
-            pytest.skip("compiled matcher not built")
-        rng = random.Random(77)
-        vocab = make_vocab("a", "b", "ab", "ba", "##a", "##b", "##ab", "##bb")
-        for _ in range(500):
-            word = "".join(rng.choice("ab") for _ in range(rng.randint(0, 25)))
-            assert vocab.segment_word(word, backend=_fastmatch) == vocab.segment_word(
-                word, backend=_pymatch
-            )
 
     def test_long_word_becomes_unmatchable(self):
         vocab = make_vocab("a", "##a")
@@ -169,7 +154,6 @@ class TestEncode:
         enc = encode("abc", vocab, max_len=8)
         assert enc.ids == [CLS, vocab.id("ab"), vocab.id("##c"), SEP, PAD, PAD, PAD, PAD]
         assert enc.attention_mask == [1, 1, 1, 1, 0, 0, 0, 0]
-        assert enc.segment_ids == [0] * 8
         assert enc.overflow is False
 
     def test_unknown_word_is_single_unk(self):
@@ -218,6 +202,27 @@ class TestEncode:
         vocab = make_vocab("a")
         enc = encode(normalize_text("a"), vocab, max_len=4)
         assert enc.ids == [CLS, vocab.id("a"), SEP, PAD]
+
+    @pytest.mark.parametrize(
+        "texts, width",
+        [
+            (["a", "a a a", "q"], 5),
+            (["", ""], 3),  # CLS SEP only: still 3 columns
+            (["a a a a a a a a a a", "a"], 6),  # overflowing row fills max_len
+        ],
+    )
+    def test_batch_stacks_rows_trimmed_to_longest(self, texts, width):
+        vocab = make_vocab("a")
+        ids, masks = encode_batch(texts, vocab, max_len=6)
+        encodings = [encode(t, vocab, max_len=6) for t in texts]
+        assert ids.dtype == masks.dtype == np.int64
+        assert ids.shape == masks.shape == (len(texts), width)
+        np.testing.assert_array_equal(ids, [e.ids[:width] for e in encodings])
+        np.testing.assert_array_equal(masks, [e.attention_mask[:width] for e in encodings])
+
+    def test_empty_batch_rejected(self):
+        with pytest.raises(ValueError, match="empty batch"):
+            encode_batch([], make_vocab("a"), max_len=6)
 
 
 class TestDecode:
