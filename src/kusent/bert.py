@@ -321,6 +321,21 @@ def mlm_logits(model: ModelParams, sequence_states: Tensor) -> Tensor:
     return ad.reshape(logits, (batch, seq_len, model.config.vocab_size))
 
 
+def mlm_loss(model: ModelParams, sequence_states: Tensor, labels: np.ndarray) -> Tensor:
+    """Mean MLM cross-entropy over the positions whose label is not IGNORE_INDEX.
+
+    Those rows are gathered from the (B*T, H) states before the head, as
+    BERT's ``masked_lm_positions`` does, so the H x V logit GEMM skips every
+    unmasked position. Equals ``cross_entropy(mlm_logits(model, states),
+    labels)``; 0 with zero gradients when nothing is masked.
+    """
+    labels = np.asarray(labels).reshape(-1)
+    rows = np.flatnonzero(labels != IGNORE_INDEX)[None, :]
+    flat = ad.reshape(sequence_states, (labels.size, sequence_states.shape[-1]))
+    masked = ad.embedding_lookup(flat, rows)
+    return ad.cross_entropy(mlm_logits(model, masked), labels[rows])
+
+
 @dataclass
 class MlmBatch:
     input_ids: np.ndarray
@@ -459,6 +474,14 @@ def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
         yield batch_idx, order[batch_idx : batch_idx + batch_size], drop_rng
 
 
+def finite_loss(loss: Tensor, epoch: int, step: int) -> float:
+    """The loss value; a NaN or infinite loss stops training with a ValueError."""
+    value = loss.item()
+    if not math.isfinite(value):
+        raise ValueError(f"non-finite training loss {value} at epoch {epoch}, step {step}")
+    return value
+
+
 @dataclass
 class PretrainResult:
     losses: list[float]
@@ -552,11 +575,11 @@ def pretrain(
             seq, _ = forward(
                 model, batch.input_ids, batch.attention_mask, train=True, dropout_rng=drop_rng
             )
-            loss = ad.cross_entropy(mlm_logits(model, seq), batch.labels, IGNORE_INDEX)
+            loss = mlm_loss(model, seq, batch.labels)
+            global_step += 1
+            losses.append(finite_loss(loss, epoch, global_step))
             backward(loss)
             adam_step(model.params, optimizer)
-            losses.append(loss.item())
-            global_step += 1
             if global_step % log_every == 0:
                 logger.info("step %d: mlm loss %.4f", global_step, losses[-1])
         if not stopped:

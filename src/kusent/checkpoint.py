@@ -65,7 +65,11 @@ def read_blob(bin_path: str, manifest_path: str) -> dict[str, np.ndarray]:
         manifest = json.load(fh)
     with open(bin_path, "rb") as fh:
         payload = fh.read()
+    if not isinstance(manifest, list):
+        raise ValueError(f"{manifest_path}: expected a list of tensor entries")
     for i, entry in enumerate(manifest):
+        if not isinstance(entry, dict):
+            raise ValueError(f"{manifest_path}: entry {i} is not an object")
         for key in ("name", "shape", "byte_offset", "byte_length"):
             if key not in entry:
                 raise ValueError(f"{manifest_path}: entry {i} is missing key {key!r}")

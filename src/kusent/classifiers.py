@@ -15,13 +15,20 @@ from __future__ import annotations
 
 import json
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, backward, truncated_normal
-from .bert import ModelParams, epoch_batches, forward, load_checkpoint, save_checkpoint
+from .bert import (
+    ModelParams,
+    epoch_batches,
+    finite_loss,
+    forward,
+    load_checkpoint,
+    save_checkpoint,
+)
 from .checkpoint import atomic_write_json, read_blob, write_blob
 from .corpus import LabeledExample, SentimentLabel
 from .normalize import NormalizationRules, normalize_text
@@ -29,7 +36,9 @@ from .optim import AdamState, adam_step
 # ``encode`` is unused here, but the traced benchmark patches ``classifiers.encode`` by name
 from .wordpiece import Vocab, encode, encode_batch  # noqa: F401
 
-HEAD_KINDS = ("finetune", "bilstm", "mlp")
+# head kind -> the head_config.json "head_meta" keys it needs
+HEAD_META_KEYS = {"finetune": (), "bilstm": ("lstm_hidden", "num_layers"), "mlp": ("hidden_sizes",)}
+HEAD_KINDS = tuple(HEAD_META_KEYS)
 GATES = ("input", "forget", "cell", "output")
 LABEL_ORDERS = {
     2: [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE],
@@ -305,9 +314,9 @@ def _train_head_on_frozen(model, encoder, vocab, dataset, config):
             cls_t = Tensor(cls[pick])
             logits = head_logits(model, seq_t, cls_t, masks[pick], train=True, rng=drop_rng)
             loss = ad.cross_entropy(logits, targets[pick])
+            model.train_losses.append(finite_loss(loss, epoch, len(model.train_losses) + 1))
             backward(loss)
             adam_step(model.head_params, optimizer)
-            model.train_losses.append(loss.item())
     return model
 
 
@@ -343,9 +352,9 @@ def train_finetune(
             )
             logits = head_logits(model, seq, cls_state, masks[pick], train=True, rng=drop_rng)
             loss = ad.cross_entropy(logits, targets[pick])
+            model.train_losses.append(finite_loss(loss, epoch, len(model.train_losses) + 1))
             backward(loss)
             adam_step(trainable, optimizer)
-            model.train_losses.append(loss.item())
     return model
 
 
@@ -458,6 +467,18 @@ def load_sentiment_model(directory: str) -> SentimentModel:
             raise ValueError(f"{config_path}: missing key {key!r}")
     if meta["kind"] not in HEAD_KINDS:
         raise ValueError(f"{config_path}: unknown head kind {meta['kind']!r}")
+    train_config, head_meta = meta["train_config"], meta["head_meta"]
+    if not isinstance(train_config, dict) or not isinstance(head_meta, dict):
+        raise ValueError(f"{config_path}: 'train_config' and 'head_meta' must be objects")
+    known = {f.name for f in fields(TrainConfig)}
+    for key in train_config:
+        if key not in known:
+            raise ValueError(f"{config_path}: unknown train_config key {key!r}")
+    if "epochs" not in train_config:
+        raise ValueError(f"{config_path}: train_config is missing key 'epochs'")
+    for key in HEAD_META_KEYS[meta["kind"]]:
+        if key not in head_meta:
+            raise ValueError(f"{config_path}: head_meta is missing key {key!r}")
     with open(os.path.join(directory, "labels.json"), encoding="utf-8") as fh:
         labels = [SentimentLabel(v) for v in json.load(fh)]
     encoder, _ = load_checkpoint(os.path.join(directory, meta["encoder_ref"]))
@@ -465,14 +486,13 @@ def load_sentiment_model(directory: str) -> SentimentModel:
         os.path.join(directory, "head.bin"), os.path.join(directory, "head_manifest.json")
     )
     head_params = [Parameter(name, arr) for name, arr in arrays.items()]
-    config = TrainConfig(**meta["train_config"])
     model = SentimentModel(
         encoder=encoder,
         head_kind=meta["kind"],
         head_params=head_params,
         labels=labels,
-        train_config=config,
-        head_meta=meta["head_meta"],
+        train_config=TrainConfig(**train_config),
+        head_meta=head_meta,
     )
     _validate_head_width(model)
     return model

@@ -21,7 +21,12 @@ class AdamState:
 
 
 def adam_step(params: list[Parameter], state: AdamState) -> None:
-    """One update: theta -= lr * m_hat / (sqrt(v_hat) + eps); grads are zeroed after."""
+    """One update: theta -= lr * m_hat / (sqrt(v_hat) + eps); grads are zeroed after.
+
+    Runs in place through ``out=`` buffers, with the gradient array doubling
+    as scratch before it is zeroed; every value equals the plain expression
+    ``(lr / bc1) * m / (sqrt(v / bc2) + eps)`` bit for bit.
+    """
     state.step_count += 1
     bc1 = 1.0 - state.beta1**state.step_count
     bc2 = 1.0 - state.beta2**state.step_count
@@ -32,9 +37,17 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
             m = state.m[p.name] = np.zeros_like(p.data)
             state.v[p.name] = np.zeros_like(p.data)
         v = state.v[p.name]
+        buf = np.multiply(g, 1.0 - state.beta1)
         m *= state.beta1
-        m += (1.0 - state.beta1) * g
+        m += buf
+        np.multiply(g, g, out=g)
+        g *= 1.0 - state.beta2
         v *= state.beta2
-        v += (1.0 - state.beta2) * (g * g)
-        p.data -= (state.lr / bc1) * m / (np.sqrt(v / bc2) + state.eps)
+        v += g
+        np.divide(v, bc2, out=g)
+        np.sqrt(g, out=g)
+        g += state.eps
+        np.multiply(m, state.lr / bc1, out=buf)
+        buf /= g
+        p.data -= buf
         p.zero_grad()

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from kusent import autodiff as ad
+from kusent import bert
 from kusent.autodiff import backward
 from kusent.bert import (
     IGNORE_INDEX,
@@ -16,6 +17,7 @@ from kusent.bert import (
     load_checkpoint,
     mask_for_mlm,
     mlm_logits,
+    mlm_loss,
     preset_config,
     pretrain,
     save_checkpoint,
@@ -230,6 +232,58 @@ class TestForward:
         assert report.passed, str(report)
 
 
+class TestMlmLoss:
+    def _setup(self, mask_prob):
+        cfg = BertConfig(
+            hidden_size=8, num_hidden_layers=1, num_attention_heads=2, vocab_size=12,
+            max_position=8, dropout_rate=0.0,
+        )
+        model = build_model(cfg, seed=14, dtype=np.float64)
+        rng = np.random.default_rng(15)
+        ids, mask = batch_of(cfg, rng, batch=3, seq_len=7, n_pad=2)
+        labels = np.where(rng.random(ids.shape) < mask_prob, ids, IGNORE_INDEX)
+        return model, ids, mask, labels
+
+    def _loss_and_grads(self, model, loss_fn):
+        for p in model.params:
+            p.zero_grad()
+        loss = loss_fn()
+        backward(loss)
+        return loss.item(), {p.name: p.grad.copy() for p in model.params}
+
+    def test_gathered_rows_equal_full_logits(self):
+        model, ids, mask, labels = self._setup(0.4)
+        assert 0 < (labels != IGNORE_INDEX).sum() < labels.size
+
+        def full():
+            seq, _ = forward(model, ids, mask)
+            return ad.cross_entropy(mlm_logits(model, seq), labels, IGNORE_INDEX)
+
+        def gathered():
+            seq, _ = forward(model, ids, mask)
+            return mlm_loss(model, seq, labels)
+
+        want, want_grads = self._loss_and_grads(model, full)
+        got, got_grads = self._loss_and_grads(model, gathered)
+        assert abs(got - want) <= 1e-10 * abs(want)
+        for name, grad in want_grads.items():
+            np.testing.assert_allclose(got_grads[name], grad, rtol=1e-10, atol=1e-12)
+        report = grad_check(gathered, model.params, tolerance=1e-4, max_elements_per_param=4)
+        assert report.passed, str(report)
+
+    def test_no_masked_position_is_zero_loss_and_zero_grads(self):
+        model, ids, mask, _ = self._setup(0.0)
+        labels = np.full(ids.shape, IGNORE_INDEX)
+
+        def loss_fn():
+            seq, _ = forward(model, ids, mask)
+            return mlm_loss(model, seq, labels)
+
+        loss, grads = self._loss_and_grads(model, loss_fn)
+        assert loss == 0.0
+        assert not any(g.any() for g in grads.values())
+
+
 class TestMasking:
     def test_specials_never_selected(self):
         ids = np.array([[CLS, SEP, PAD, PAD]])
@@ -368,6 +422,36 @@ class TestPretrain:
         for pa, pb in zip(a.params, b.params):
             np.testing.assert_array_equal(pa.data, pb.data)
 
+    def test_mlm_head_sees_only_masked_rows(self, tmp_path, monkeypatch):
+        vocab, lines = toy_vocab_corpus(n_lines=20)
+        cfg = tiny_config(vocab_size=len(vocab), epochs=2, batch_size=6)
+        masked_counts, head_shapes = [], []
+        real_mask, real_logits = bert.mask_for_mlm, bert.mlm_logits
+
+        def recording_mask(*args, **kwargs):
+            batch = real_mask(*args, **kwargs)
+            masked_counts.append(int((batch.labels != IGNORE_INDEX).sum()))
+            return batch
+
+        def recording_logits(model, states):
+            head_shapes.append(states.shape)
+            return real_logits(model, states)
+
+        monkeypatch.setattr(bert, "mask_for_mlm", recording_mask)
+        monkeypatch.setattr(bert, "mlm_logits", recording_logits)
+        result = pretrain(build_model(cfg, seed=16), lines, vocab, cfg, seed=6,
+                          checkpoint_dir=str(tmp_path / "ck"), max_len=12)
+        assert result.steps == len(head_shapes) == 8
+        assert head_shapes == [(1, n, cfg.hidden_size) for n in masked_counts]
+
+    def test_non_finite_loss_stops_naming_epoch_and_step(self, tmp_path):
+        vocab, lines = toy_vocab_corpus(n_lines=12)
+        cfg = tiny_config(vocab_size=len(vocab), epochs=2, batch_size=4)
+        model = build_model(cfg, seed=17)
+        model["layer1.ffn.w2"].data[3, 2] = np.nan
+        with pytest.raises(ValueError, match=r"non-finite training loss nan at epoch 0, step 1"):
+            pretrain(model, lines, vocab, cfg, seed=7, checkpoint_dir=str(tmp_path / "ck"))
+
     def test_deterministic_checkpoint_bytes(self, tmp_path):
         vocab, lines = toy_vocab_corpus(n_lines=16)
         cfg = tiny_config(vocab_size=len(vocab), epochs=1, batch_size=4)
@@ -394,6 +478,17 @@ class TestCheckpoint:
         blob = tmp_path / "ck" / "params.bin"
         blob.write_bytes(blob.read_bytes()[:-8])
         with pytest.raises(ValueError, match="bytes"):
+            load_checkpoint(str(tmp_path / "ck"))
+
+    @pytest.mark.parametrize("manifest, message", [
+        ([1, 2], "entry 0 is not an object"),
+        ({"name": "x"}, "expected a list"),
+    ])
+    def test_malformed_manifest_rejected_naming_file(self, tmp_path, manifest, message):
+        model = build_model(tiny_config(), seed=11)
+        save_checkpoint(str(tmp_path / "ck"), model)
+        (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match=f"manifest.json: {message}"):
             load_checkpoint(str(tmp_path / "ck"))
 
     def test_wrong_config_rejected_naming_tensor(self, tmp_path):

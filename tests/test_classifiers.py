@@ -1,3 +1,4 @@
+import json
 import tempfile
 
 import numpy as np
@@ -243,6 +244,16 @@ class TestTrainingContracts:
         for p in encoder.params:
             np.testing.assert_array_equal(before[p.name], p.data)
 
+    @pytest.mark.parametrize("train_fn", [train_finetune, train_mlp])
+    def test_non_finite_loss_stops_naming_epoch_and_step(self, train_fn):
+        vocab = synthetic_vocab()
+        dataset = synthetic_dataset(n_per_class=4)
+        encoder = tiny_encoder(seed=2)
+        encoder["layer0.attn.v.weight"].data[1, 5] = np.nan
+        config = TrainConfig(epochs=2, max_len=10, learning_rate=1e-2, batch_size=8, seed=0)
+        with pytest.raises(ValueError, match=r"non-finite training loss nan at epoch 0, step 1"):
+            train_fn(encoder, vocab, dataset, config)
+
     def test_two_class_on_neutral_data_names_to_binary(self):
         vocab = synthetic_vocab()
         dataset = synthetic_dataset(n_per_class=3, classes=3)
@@ -372,6 +383,20 @@ class TestSaveLoad:
         np.testing.assert_array_equal(
             predict(model, text, vocab)[1], predict(loaded, text, vocab)[1]
         )
+
+    @pytest.mark.parametrize("key", ["num_layers", "lstm_hidden"])
+    def test_bilstm_head_meta_missing_key_named(self, tmp_path, key):
+        vocab = synthetic_vocab()
+        dataset = synthetic_dataset(n_per_class=2)
+        config = TrainConfig(epochs=1, max_len=10, batch_size=8)
+        model = train_bilstm(tiny_encoder(seed=11), vocab, dataset, config, lstm_hidden=4, num_layers=1)
+        save_sentiment_model(model, str(tmp_path / "model"))
+        path = tmp_path / "model" / "head_config.json"
+        meta = json.loads(path.read_text())
+        del meta["head_meta"][key]
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=f"head_config.json: head_meta is missing key '{key}'"):
+            load_sentiment_model(str(tmp_path / "model"))
 
     def test_width_mismatch_rejected(self, tmp_path):
         vocab = synthetic_vocab()

@@ -280,6 +280,10 @@ class TestPipeline:
             ("head_config.json", "kind", "gru"),
             ("head_manifest.json", "shape", None),
             ("encoder/manifest.json", "shape", None),
+            # a dotted key edits a nested object
+            ("head_config.json", "train_config.warmup", 3),
+            ("head_config.json", "train_config.epochs", None),
+            ("head_config.json", "head_meta.hidden_sizes", None),
         ],
     )
     def test_bad_artifact_is_one_error_line(self, pipeline, tmp_path, capsys, rel, key, value):
@@ -288,6 +292,9 @@ class TestPipeline:
         path = model / rel
         raw = json.loads(path.read_text())
         entry = raw[0] if isinstance(raw, list) else raw
+        *parents, key = key.split(".")
+        for parent in parents:
+            entry = entry[parent]
         if value is None:
             del entry[key]
         else:
@@ -300,4 +307,38 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
-        assert rel.split("/")[-1] in err and repr(value or key) in err
+        named = value if isinstance(value, str) else key
+        assert rel.split("/")[-1] in err and repr(named) in err
+
+    def test_manifest_of_non_objects_is_one_error_line(self, pipeline, tmp_path, capsys):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["model"], model)
+        (model / "head_manifest.json").write_text("[1, 2]")
+        capsys.readouterr()
+        rc = main([
+            "predict", "--model", str(model), "--vocab", str(pipeline["vocab"]), "--text", "good0",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "head_manifest.json: entry 0 is not an object" in err
+
+    def test_nan_encoder_stops_training_with_one_error_line(self, pipeline, tmp_path, capsys):
+        encoder = tmp_path / "encoder"
+        shutil.copytree(pipeline["encoder"], encoder)
+        entry = next(
+            e for e in json.loads((encoder / "manifest.json").read_text())
+            if e["name"] == "embeddings.norm.gain"
+        )
+        blob = bytearray((encoder / "params.bin").read_bytes())
+        blob[entry["byte_offset"] : entry["byte_offset"] + 4] = np.float32(np.nan).tobytes()
+        (encoder / "params.bin").write_bytes(bytes(blob))
+        capsys.readouterr()
+        rc = main([
+            "train", "--task", "mlp", "--config", str(pipeline["cfg"]), "--encoder", str(encoder),
+            "--data", str(pipeline["labeled"]), "--vocab", str(pipeline["vocab"]),
+            "--out", str(tmp_path / "model"),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == "error: non-finite training loss nan at epoch 0, step 1\n"

@@ -1,4 +1,5 @@
 import math
+import zlib
 
 import numpy as np
 import pytest
@@ -12,7 +13,8 @@ RNG = np.random.default_rng(42)
 
 
 def fparam(name, shape, rng=None, lo=-1.0, hi=1.0):
-    rng = rng or np.random.default_rng(abs(hash(name)) % 2**32)
+    # crc32, not hash(): str hashes change with PYTHONHASHSEED from run to run
+    rng = rng or np.random.default_rng(zlib.crc32(name.encode()))
     return Parameter(name, rng.uniform(lo, hi, size=shape).astype(np.float64))
 
 
@@ -47,6 +49,17 @@ class TestForwardValues:
             expected = 0.5 * x * (1 + math.tanh(math.sqrt(2 / math.pi) * (x + 0.044715 * x**3)))
             got = ad.gelu(Tensor(np.array([x]))).data[0]
             assert abs(got - expected) < 1e-12
+
+    def test_gelu_values_on_all_negative_inputs(self):
+        xs = -np.geomspace(1e-3, 8.0, 40)
+        expected = np.array(
+            [0.5 * x * (1 + math.tanh(math.sqrt(2 / math.pi) * (x + 0.044715 * x**3))) for x in xs]
+        )
+        np.testing.assert_allclose(ad.gelu(Tensor(xs)).data, expected, rtol=1e-12, atol=1e-15)
+        got32 = ad.gelu(Tensor(xs.astype(np.float32))).data
+        assert got32.dtype == np.float32
+        # 1 + tanh(.) cancels for large negative x, so float32 keeps only |x| * 2^-24 absolute
+        np.testing.assert_allclose(got32, expected, rtol=1e-5, atol=1e-6)
 
     def test_matmul_shape_error_names_shapes(self):
         with pytest.raises(ValueError, match=r"matmul.*\(2, 3\).*\(2, 3\)"):
@@ -118,6 +131,24 @@ class TestGradCheckPerOp:
         w = Tensor(np.random.default_rng(1).normal(size=(2, 3, 5)))
         check(lambda: ad.reduce_sum(ad.mul(ad.matmul(a, b), w)), [a, b])
 
+    def test_four_d_matmul_two_d_weight(self):
+        a, b = fparam("a", (2, 3, 2, 4)), fparam("b", (4, 3))
+        w = Tensor(np.random.default_rng(9).normal(size=(2, 3, 2, 3)))
+        check(lambda: ad.reduce_sum(ad.mul(ad.matmul(a, b), w)), [a, b])
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((2, 3, 4), (4, 5)), ((2, 3, 2, 4), (4, 5))])
+    def test_two_d_gemm_grads_equal_batched_unbroadcast(self, a_shape, b_shape):
+        rng = np.random.default_rng(10)
+        a, b = Parameter("a", rng.normal(size=a_shape)), Parameter("b", rng.normal(size=b_shape))
+        g = rng.normal(size=a_shape[:-1] + b_shape[-1:])
+        backward(ad.reduce_sum(ad.mul(ad.matmul(a, b), Tensor(g))))
+        # the rule before the 2-D path: batched products summed down by _unbroadcast
+        old_ga = ad._unbroadcast(g @ np.swapaxes(b.data, -1, -2), a_shape)
+        old_gb = ad._unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b_shape)
+        np.testing.assert_allclose(a.grad, old_ga, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(b.grad, old_gb, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(ad.matmul(a, b).data, a.data @ b.data, rtol=0, atol=1e-12)
+
     def test_broadcast_add(self):
         a, b = fparam("a", (3, 4)), fparam("b", (4,))
         w = Tensor(np.random.default_rng(2).normal(size=(3, 4)))
@@ -134,6 +165,10 @@ class TestGradCheckPerOp:
 
     def test_gelu(self):
         a = fparam("a", (3, 5))
+        check(lambda: ad.reduce_sum(ad.gelu(a)), [a])
+
+    def test_gelu_all_negative(self):
+        a = fparam("a", (4, 6), lo=-4.0, hi=-0.05)
         check(lambda: ad.reduce_sum(ad.gelu(a)), [a])
 
     def test_tanh_sigmoid(self):
@@ -257,6 +292,33 @@ class TestAdam:
             p.grad[:] = g
             adam_step([p], state)
         np.testing.assert_allclose(p.data, [x], rtol=0, atol=1e-15)
+
+    def test_in_place_update_matches_plain_expression_bit_for_bit(self):
+        rng = np.random.default_rng(21)
+        shapes = [(7, 5), (5,), (3, 4, 2)]
+        params = [Parameter(f"p{i}", rng.normal(size=s).astype(np.float32)) for i, s in enumerate(shapes)]
+        state = AdamState(lr=3e-3)
+        ref = {p.name: p.data.copy() for p in params}
+        ref_m = {p.name: np.zeros_like(p.data) for p in params}
+        ref_v = {p.name: np.zeros_like(p.data) for p in params}
+        b1, b2, eps = state.beta1, state.beta2, state.eps
+        for t in range(1, 6):
+            bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
+            for p in params:
+                g = rng.normal(size=p.shape).astype(np.float32)
+                p.grad[...] = g
+                m, v = ref_m[p.name], ref_v[p.name]
+                m *= b1
+                m += (1.0 - b1) * g
+                v *= b2
+                v += (1.0 - b2) * (g * g)
+                ref[p.name] -= (state.lr / bc1) * m / (np.sqrt(v / bc2) + eps)
+            adam_step(params, state)
+            for p in params:
+                assert p.data.tobytes() == ref[p.name].tobytes()
+                assert state.m[p.name].tobytes() == ref_m[p.name].tobytes()
+                assert state.v[p.name].tobytes() == ref_v[p.name].tobytes()
+                assert not p.grad.any()
 
     def test_zero_grad_is_fixed_point(self):
         p = Parameter("p", np.array([1.0, -2.0]))
