@@ -9,10 +9,45 @@ input dtype.
 
 from __future__ import annotations
 
+import ctypes
+import functools
 import math
+import sys
 from typing import Callable, Sequence
 
 import numpy as np
+
+# glibc mallopt parameters (malloc.h)
+_M_TRIM_THRESHOLD = -1
+_M_MMAP_THRESHOLD = -3
+
+
+@functools.cache
+def _keep_freed_memory() -> None:
+    """Keep memory freed by one pass in the process for the next (glibc only).
+
+    A forward pass allocates every activation of its graph and frees them all
+    when the graph is dropped. With glibc's default thresholds, which slide
+    with the sizes seen so far, the freed memory is handed back to the kernel
+    whenever enough of it ends up at the top of the heap, and the next pass
+    page-faults it all in again: 15-30% of a pretraining job and of a
+    classifier evaluation, more or less from run to run with the heap's
+    layout. Here blocks under 32 MiB (every activation of the model1 shape)
+    come from the heap, and the heap is trimmed only when more than 2 GiB at
+    its top is free, the most mallopt takes. It runs once, on the first graph
+    node, so a process that builds no graph (normalizing text, training a
+    tokenizer) keeps glibc's defaults and their smaller footprint.
+    """
+    if not sys.platform.startswith("linux"):
+        return
+    try:
+        mallopt = ctypes.CDLL(None).mallopt
+    except (OSError, AttributeError):
+        return
+    mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
+    mallopt.restype = ctypes.c_int
+    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_TRIM_THRESHOLD, (1 << 31) - 1)
 
 
 class Tensor:
@@ -51,7 +86,8 @@ class Parameter(Tensor):
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
-        self.grad = np.zeros_like(self.data)
+        # np.zeros, not zeros_like: its pages stay untouched until a gradient lands
+        self.grad = np.zeros(self.data.shape, self.data.dtype)
 
     def zero_grad(self) -> None:
         self.grad[...] = 0
@@ -61,6 +97,7 @@ class Parameter(Tensor):
 
 
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+    _keep_freed_memory()
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)
@@ -76,6 +113,24 @@ def _unbroadcast(grad: np.ndarray, shape: tuple[int, ...]) -> np.ndarray:
         if size == 1 and grad.shape[axis] != 1:
             grad = grad.sum(axis=axis, keepdims=True)
     return grad
+
+
+# Elementwise chains (GELU, softmax, layer norm, dropout) run over blocks of
+# rows of about this many values, so their intermediates stay in cache
+# instead of every pass streaming the whole array through memory.
+_BLOCK_VALUES = 1 << 16
+
+
+def _row_blocks(*arrays: np.ndarray):
+    """Matching blocks of leading rows of arrays with the same leading shape.
+
+    Each block is a (rows, last axis) view; blocks of a C-contiguous output
+    can be written in place. A non-contiguous input is copied once.
+    """
+    rows = [a.reshape(-1, a.shape[-1] if a.ndim else 1) for a in arrays]
+    step = max(1, _BLOCK_VALUES // max(1, rows[0].shape[1]))
+    for start in range(0, rows[0].shape[0], step):
+        yield [r[start : start + step] for r in rows]
 
 
 def _binary_data(op: str, a: Tensor, b: Tensor, fn) -> np.ndarray:
@@ -119,7 +174,13 @@ def scale(a: Tensor, s: float) -> Tensor:
     return _node(a.data * s, (a,), lambda g: (g * s,))
 
 
-def matmul(a: Tensor, b: Tensor) -> Tensor:
+def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
+    """a @ b, plus ``bias`` when given (any shape that broadcasts to the product's).
+
+    The bias is added in place into the fresh product, so ``matmul(a, b,
+    bias)`` equals ``add(matmul(a, b), bias)`` bit for bit, values and
+    gradients, without a second product-sized array.
+    """
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ValueError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
@@ -134,15 +195,30 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
             g2 = g.reshape(-1, g.shape[-1])
             return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
 
+    else:
+        data = a.data @ b.data
+
+        def backward(g):
+            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
+            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            return ga, gb
+
+    if bias is None:
         return _node(data, (a, b), backward)
-    data = a.data @ b.data
+    try:
+        fits = np.broadcast_shapes(data.shape, bias.shape) == data.shape
+    except ValueError:
+        fits = False
+    if not fits:
+        raise ValueError(
+            f"matmul: bias {bias.shape} does not broadcast to the product {data.shape}"
+        )
+    data += bias.data
 
-    def backward(g):
-        ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-        gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
-        return ga, gb
+    def backward_with_bias(g):
+        return backward(g) + (_unbroadcast(g, bias.shape) if bias.requires_grad else None,)
 
-    return _node(data, (a, b), backward)
+    return _node(data, (a, b, bias), backward_with_bias)
 
 
 def relu(x: Tensor) -> Tensor:
@@ -156,15 +232,40 @@ _GELU_C = math.sqrt(2.0 / math.pi)
 def gelu(x: Tensor) -> Tensor:
     """tanh-approximation GELU: 0.5x(1 + tanh(c(x + 0.044715 x^3)))."""
     xd = x.data
-    # xd * xd * xd, not xd**3: float32 powf is ~50x slower on negative inputs
-    inner = _GELU_C * (xd + 0.044715 * (xd * xd * xd))
-    t = np.tanh(inner)
-    data = 0.5 * xd * (1.0 + t)
+    t = np.empty(xd.shape, xd.dtype)
+    data = np.empty(xd.shape, xd.dtype)
+    # In place, block by block, in the order of the formula above. The cube is
+    # x * x * x, not x**3 (float32 powf is ~50x slower on negative inputs), and
+    # halving is exact, so 0.5(1 + t) * x equals 0.5x * (1 + t).
+    for xb, tb, db in _row_blocks(xd, t, data):
+        np.multiply(xb, xb, out=tb)
+        tb *= xb
+        tb *= 0.044715
+        tb += xb
+        tb *= _GELU_C
+        np.tanh(tb, out=tb)
+        np.add(tb, 1.0, out=db)
+        db *= 0.5
+        db *= xb
 
     def backward(g):
-        dinner = _GELU_C * (1.0 + 3 * 0.044715 * xd**2)
-        dx = 0.5 * (1.0 + t) + 0.5 * xd * (1.0 - t**2) * dinner
-        return (g * dx,)
+        # g * (0.5(1 + t) + 0.5x(1 - t^2) * c(1 + 3 * 0.044715 x^2))
+        dx = np.empty(xd.shape, xd.dtype)
+        for xb, tb, gb, db in _row_blocks(xd, t, g, dx):
+            dinner = xb * xb
+            dinner *= 3 * 0.044715
+            dinner += 1.0
+            dinner *= _GELU_C
+            np.multiply(tb, tb, out=db)
+            np.subtract(1.0, db, out=db)
+            db *= 0.5
+            db *= xb
+            db *= dinner
+            np.add(tb, 1.0, out=dinner)
+            dinner *= 0.5
+            db += dinner
+            db *= gb
+        return (dx,)
 
     return _node(data, (x,), backward)
 
@@ -181,12 +282,20 @@ def sigmoid(x: Tensor) -> Tensor:
 
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
-    shifted = x.data - x.data.max(axis=-1, keepdims=True)
-    e = np.exp(shifted)
-    s = e / e.sum(axis=-1, keepdims=True)
+    s = np.empty(x.shape, x.dtype)
+    for xb, sb in _row_blocks(x.data, s):
+        np.subtract(xb, xb.max(axis=-1, keepdims=True), out=sb)
+        np.exp(sb, out=sb)
+        sb /= sb.sum(axis=-1, keepdims=True)
 
     def backward(g):
-        return ((g - (g * s).sum(axis=-1, keepdims=True)) * s,)
+        # (g - sum(g * s)) * s
+        dx = np.empty(s.shape, s.dtype)
+        for gb, sb, db in _row_blocks(g, s, dx):
+            np.multiply(gb, sb, out=db)
+            np.subtract(gb, db.sum(axis=-1, keepdims=True), out=db)
+            db *= sb
+        return (dx,)
 
     return _node(s, (x,), backward)
 
@@ -197,12 +306,16 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-12) -> Te
         raise ValueError(
             f"layer_norm: scale/shift must be ({x.shape[-1]},), got {gain.shape} and {shift.shape}"
         )
-    mu = x.data.mean(axis=-1, keepdims=True)
-    centered = x.data - mu
-    var = (centered**2).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = centered * inv
-    data = xhat * gain.data + shift.data
+    xhat = np.empty(x.shape, x.dtype)
+    data = np.empty(x.shape, x.dtype)
+    inv = np.empty(x.shape[:-1] + (1,), x.dtype)
+    for xb, hb, ib, db in _row_blocks(x.data, xhat, inv, data):
+        np.subtract(xb, xb.mean(axis=-1, keepdims=True), out=hb)
+        var = (hb**2).mean(axis=-1, keepdims=True)
+        np.divide(1.0, np.sqrt(var + eps), out=ib)
+        hb *= ib
+        np.multiply(hb, gain.data, out=db)
+        db += shift.data
 
     def backward(g):
         axes = tuple(range(g.ndim - 1))
@@ -227,10 +340,22 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
         return x
     if rng is None:
         raise ValueError("dropout: training mode needs a random generator")
-    keep = (rng.random(x.shape) >= rate).astype(x.dtype)
+    keep = np.empty(x.shape, dtype=bool)
+    data = np.empty(x.shape, x.dtype)
     factor = 1.0 / (1.0 - rate)
-    data = x.data * keep * factor
-    return _node(data, (x,), lambda g: (g * keep * factor,))
+    # the uniforms are drawn block by block in C order, the same values one
+    # rng.random(x.shape) call would give
+    for xb, kb, db in _row_blocks(x.data, keep, data):
+        np.greater_equal(rng.random(kb.shape), rate, out=kb)
+        np.multiply(xb, kb, out=db)
+        db *= factor
+
+    def backward(g):
+        dx = g * keep
+        dx *= factor
+        return (dx,)
+
+    return _node(data, (x,), backward)
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
@@ -262,27 +387,33 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100)
     flat_targets = targets.reshape(-1)
     valid = flat_targets != ignore_index
     n_valid = int(valid.sum())
-    if n_valid and (
-        flat_targets[valid].min() < 0 or flat_targets[valid].max() >= logits.shape[-1]
-    ):
-        raise ValueError("cross_entropy: target class out of range")
-    shifted = flat_logits - flat_logits.max(axis=-1, keepdims=True)
-    logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + flat_logits.max(axis=-1)
     if n_valid == 0:
         data = np.zeros((), dtype=logits.dtype)
         return _node(data, (logits,), lambda g: (np.zeros_like(logits.data),))
-    picked = flat_logits[np.arange(flat_logits.shape[0]), np.where(valid, flat_targets, 0)]
-    losses = np.where(valid, logsumexp - picked, 0.0)
-    data = np.asarray(losses.sum() / n_valid, dtype=logits.dtype)
+    picked_targets = flat_targets[valid]
+    if picked_targets.min() < 0 or picked_targets.max() >= logits.shape[-1]:
+        raise ValueError("cross_entropy: target class out of range")
+    # ignored rows take no part in the loss, so only the others are normalized
+    all_valid = n_valid == flat_targets.size
+    rows = flat_logits if all_valid else flat_logits[valid]
+    row_max = rows.max(axis=-1, keepdims=True)
+    shifted = rows - row_max
+    logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + row_max[:, 0]
+    picked = rows[np.arange(n_valid), picked_targets]
+    data = np.asarray((logsumexp - picked).sum() / n_valid, dtype=logits.dtype)
 
     def backward(g):
         probs = np.exp(shifted)
         probs /= probs.sum(axis=-1, keepdims=True)
-        probs[np.arange(probs.shape[0]), np.where(valid, flat_targets, 0)] -= np.where(
-            valid, 1.0, 0.0
-        )
-        probs *= (valid / n_valid)[:, None]
-        return (float(g) * probs.reshape(logits.shape).astype(logits.dtype),)
+        probs[np.arange(n_valid), picked_targets] -= 1.0
+        # a float64 weight, as the old per-row weights were: one rounding per value
+        probs *= np.float64(1.0 / n_valid)
+        probs = float(g) * probs
+        if all_valid:
+            return (probs.reshape(logits.shape),)
+        grad = np.zeros(flat_logits.shape, dtype=logits.dtype)
+        grad[valid] = probs
+        return (grad.reshape(logits.shape),)
 
     return _node(data, (logits,), backward)
 

@@ -265,24 +265,25 @@ def forward(
         def proj(name, inp):
             w = model[f"{prefix}.attn.{name}.weight"]
             b = model[f"{prefix}.attn.{name}.bias"]
-            out = ad.add(ad.matmul(inp, w), b)
+            out = ad.matmul(inp, w, b)
             out = ad.reshape(out, (batch, seq_len, heads, head_dim))
             return ad.transpose(out, (0, 2, 1, 3))
 
-        q = proj("q", x)
+        # q is scaled by 1/sqrt(head_dim) before the product, and the padding
+        # mask is added into the product, so the B x A x T x T scores are
+        # written once
+        q = ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim))
         k = proj("k", x)
         v = proj("v", x)
-        scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2))), 1.0 / math.sqrt(head_dim))
-        scores = ad.add(scores, mask_add)
+        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)), mask_add)
         probs = ad.softmax(scores)
         if attn_sink is not None:
             attn_sink.append(probs.data)
         probs = ad.dropout(probs, rate, dropout_rng, train)
         ctx = ad.matmul(probs, v)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, seq_len, config.hidden_size))
-        attn_out = ad.add(
-            ad.matmul(ctx, model[f"{prefix}.attn.o.weight"]),
-            model[f"{prefix}.attn.o.bias"],
+        attn_out = ad.matmul(
+            ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"]
         )
         attn_out = ad.dropout(attn_out, rate, dropout_rng, train)
         x = ad.layer_norm(
@@ -290,8 +291,8 @@ def forward(
             model[f"{prefix}.attn.norm.gain"],
             model[f"{prefix}.attn.norm.bias"],
         )
-        hidden = ad.gelu(ad.add(ad.matmul(x, model[f"{prefix}.ffn.w1"]), model[f"{prefix}.ffn.b1"]))
-        ffn_out = ad.add(ad.matmul(hidden, model[f"{prefix}.ffn.w2"]), model[f"{prefix}.ffn.b2"])
+        hidden = ad.gelu(ad.matmul(x, model[f"{prefix}.ffn.w1"], model[f"{prefix}.ffn.b1"]))
+        ffn_out = ad.matmul(hidden, model[f"{prefix}.ffn.w2"], model[f"{prefix}.ffn.b2"])
         ffn_out = ad.dropout(ffn_out, rate, dropout_rng, train)
         x = ad.layer_norm(
             ad.add(x, ffn_out),
@@ -307,16 +308,14 @@ def mlm_logits(model: ModelParams, sequence_states: Tensor) -> Tensor:
     """Vocabulary logits from sequence states, tied to the token embeddings."""
     batch, seq_len, hidden = sequence_states.shape
     h = ad.gelu(
-        ad.add(
-            ad.matmul(sequence_states, model["mlm.transform.weight"]),
-            model["mlm.transform.bias"],
+        ad.matmul(
+            sequence_states, model["mlm.transform.weight"], model["mlm.transform.bias"]
         )
     )
     h = ad.layer_norm(h, model["mlm.norm.gain"], model["mlm.norm.bias"])
     flat = ad.reshape(h, (batch * seq_len, hidden))
-    logits = ad.add(
-        ad.matmul(flat, ad.transpose(model["embeddings.token"], (1, 0))),
-        model["mlm.out_bias"],
+    logits = ad.matmul(
+        flat, ad.transpose(model["embeddings.token"], (1, 0)), model["mlm.out_bias"]
     )
     return ad.reshape(logits, (batch, seq_len, model.config.vocab_size))
 

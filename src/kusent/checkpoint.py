@@ -16,12 +16,18 @@ import numpy as np
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
+    atomic_write_chunks(path, [payload])
+
+
+def atomic_write_chunks(path: str, chunks) -> None:
+    """Write the bytes-like ``chunks`` one after another to ``path``, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, prefix=".tmp-", suffix=os.path.basename(path))
     try:
         with os.fdopen(fd, "wb") as fh:
-            fh.write(payload)
+            for chunk in chunks:
+                fh.write(chunk)
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
@@ -40,22 +46,21 @@ def atomic_write_json(path: str, obj) -> None:
 def write_blob(
     named_arrays: Sequence[tuple[str, np.ndarray]], bin_path: str, manifest_path: str
 ) -> None:
-    chunks: list[bytes] = []
+    # each tensor is written straight from its own buffer, with no joined copy
+    arrays = [np.ascontiguousarray(arr, dtype="<f4") for _, arr in named_arrays]
     manifest: list[dict] = []
     offset = 0
-    for name, arr in named_arrays:
-        raw = np.ascontiguousarray(arr, dtype="<f4").tobytes()
+    for (name, original), arr in zip(named_arrays, arrays):
         manifest.append(
             {
                 "name": name,
-                "shape": list(arr.shape),
+                "shape": list(np.shape(original)),
                 "byte_offset": offset,
-                "byte_length": len(raw),
+                "byte_length": arr.nbytes,
             }
         )
-        chunks.append(raw)
-        offset += len(raw)
-    atomic_write_bytes(bin_path, b"".join(chunks))
+        offset += arr.nbytes
+    atomic_write_chunks(bin_path, [arr.reshape(-1).view(np.uint8) for arr in arrays])
     atomic_write_json(manifest_path, manifest)
 
 
@@ -64,7 +69,8 @@ def read_blob(bin_path: str, manifest_path: str) -> dict[str, np.ndarray]:
     with open(manifest_path, encoding="utf-8") as fh:
         manifest = json.load(fh)
     with open(bin_path, "rb") as fh:
-        payload = fh.read()
+        payload = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        size = fh.readinto(payload)
     if not isinstance(manifest, list):
         raise ValueError(f"{manifest_path}: expected a list of tensor entries")
     for i, entry in enumerate(manifest):
@@ -74,10 +80,8 @@ def read_blob(bin_path: str, manifest_path: str) -> dict[str, np.ndarray]:
             if key not in entry:
                 raise ValueError(f"{manifest_path}: entry {i} is missing key {key!r}")
     expected = sum(entry["byte_length"] for entry in manifest)
-    if len(payload) != expected:
-        raise ValueError(
-            f"{bin_path}: expected {expected} bytes per manifest, found {len(payload)}"
-        )
+    if size != expected:
+        raise ValueError(f"{bin_path}: expected {expected} bytes per manifest, found {size}")
     out: dict[str, np.ndarray] = {}
     for entry in manifest:
         name = entry["name"]
@@ -88,6 +92,8 @@ def read_blob(bin_path: str, manifest_path: str) -> dict[str, np.ndarray]:
             raise ValueError(
                 f"{manifest_path}: tensor {name!r} byte_length {length} does not match shape {shape}"
             )
-        arr = np.frombuffer(payload, dtype="<f4", count=n_values, offset=start)
-        out[name] = arr.reshape(shape).copy()
+        if start < 0 or start + length > size:
+            raise ValueError(f"{manifest_path}: tensor {name!r} lies outside {bin_path}")
+        # views of the one buffer the file was read into, not copies
+        out[name] = payload[start : start + length].view("<f4").reshape(shape)
     return out

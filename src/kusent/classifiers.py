@@ -241,12 +241,12 @@ def head_logits(
     rate = model.train_config.dropout_rate
     if model.head_kind == "finetune":
         x = ad.dropout(cls_state, rate, rng, train)
-        return ad.add(ad.matmul(x, by_name["head.weight"]), by_name["head.bias"])
+        return ad.matmul(x, by_name["head.weight"], by_name["head.bias"])
     if model.head_kind == "mlp":
         sizes = model.head_meta["hidden_sizes"]
         x = cls_state
         for i in range(1, len(sizes) + 2):
-            x = ad.add(ad.matmul(x, by_name[f"head.w{i}"]), by_name[f"head.b{i}"])
+            x = ad.matmul(x, by_name[f"head.w{i}"], by_name[f"head.b{i}"])
             if i <= len(sizes):
                 x = ad.relu(x)
             if i == 1:
@@ -263,7 +263,7 @@ def head_logits(
             rng,
             train,
         )
-        return ad.add(ad.matmul(summary, by_name["head.weight"]), by_name["head.bias"])
+        return ad.matmul(summary, by_name["head.weight"], by_name["head.bias"])
     raise ValueError(f"unknown head kind {model.head_kind!r}")
 
 

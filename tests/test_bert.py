@@ -22,6 +22,7 @@ from kusent.bert import (
     pretrain,
     save_checkpoint,
 )
+from kusent.checkpoint import read_blob, write_blob
 from kusent.gradcheck import grad_check
 from kusent.wordpiece import CLS, MASK, PAD, SEP, Vocab, SPECIAL_TOKENS, encode
 
@@ -490,6 +491,34 @@ class TestCheckpoint:
         (tmp_path / "ck" / "manifest.json").write_text(json.dumps(manifest))
         with pytest.raises(ValueError, match=f"manifest.json: {message}"):
             load_checkpoint(str(tmp_path / "ck"))
+
+    @pytest.mark.parametrize("offset", [-4, 10**9])
+    def test_tensor_outside_blob_rejected(self, tmp_path, offset):
+        model = build_model(tiny_config(), seed=11)
+        save_checkpoint(str(tmp_path / "ck"), model)
+        path = tmp_path / "ck" / "manifest.json"
+        manifest = json.loads(path.read_text())
+        manifest[1]["byte_offset"] = offset
+        path.write_text(json.dumps(manifest))
+        name = manifest[1]["name"]
+        with pytest.raises(ValueError, match=f"tensor '{name}' lies outside .*params.bin"):
+            load_checkpoint(str(tmp_path / "ck"))
+
+    def test_blob_is_the_tensors_bytes_in_manifest_order(self, tmp_path):
+        arrays = [("a", np.arange(6, dtype=np.float64).reshape(2, 3)),
+                  ("b", np.float32(2.5) * np.ones((4,), dtype=np.float32)[::2]),
+                  ("c", np.array(7.0, dtype=np.float32))]
+        write_blob(arrays, str(tmp_path / "x.bin"), str(tmp_path / "x.json"))
+        expected = b"".join(np.ascontiguousarray(a, dtype="<f4").tobytes() for _, a in arrays)
+        assert (tmp_path / "x.bin").read_bytes() == expected
+        manifest = json.loads((tmp_path / "x.json").read_text())
+        assert [(e["shape"], e["byte_offset"], e["byte_length"]) for e in manifest] == [
+            ([2, 3], 0, 24), ([2], 24, 8), ([], 32, 4)]
+        loaded = read_blob(str(tmp_path / "x.bin"), str(tmp_path / "x.json"))
+        for name, arr in arrays:
+            np.testing.assert_array_equal(loaded[name], arr.astype(np.float32))
+        loaded["a"] += 1  # the loaded tensors are writable
+        assert loaded["a"][0, 0] == 1.0
 
     def test_wrong_config_rejected_naming_tensor(self, tmp_path):
         model = build_model(tiny_config(hidden_size=16), seed=12)

@@ -1,3 +1,4 @@
+import ctypes
 import math
 import zlib
 
@@ -113,6 +114,137 @@ class TestBackward:
         x = Parameter("x", np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="scalar"):
             backward(ad.mul(x, x))
+
+
+class TestFusedAndBlockedOps:
+    """Bias fused into matmul and the block-by-block elementwise chains give
+    the plain expressions' results bit for bit."""
+
+    @pytest.mark.parametrize("a_shape, b_shape, bias_shape", [
+        ((5, 3), (3, 4), (4,)),
+        ((2, 5, 3), (3, 4), (4,)),
+        ((2, 3, 5, 6), (2, 3, 6, 5), (2, 1, 1, 5)),  # an attention mask on the scores
+    ])
+    def test_matmul_bias_equals_add_bit_for_bit(self, a_shape, b_shape, bias_shape):
+        rng = np.random.default_rng(20)
+
+        def params():
+            r = np.random.default_rng(21)
+            return [Parameter(n, r.normal(size=sh).astype(np.float32))
+                    for n, sh in (("a", a_shape), ("b", b_shape), ("bias", bias_shape))]
+
+        g = Tensor(rng.normal(size=np.broadcast_shapes(a_shape[:-1] + b_shape[-1:], bias_shape))
+                   .astype(np.float32))
+        fused, plain = params(), params()
+        out_fused = ad.matmul(*fused)
+        out_plain = ad.add(ad.matmul(plain[0], plain[1]), plain[2])
+        np.testing.assert_array_equal(out_fused.data, out_plain.data)
+        backward(ad.reduce_sum(ad.mul(out_fused, g)))
+        backward(ad.reduce_sum(ad.mul(out_plain, g)))
+        for f, p in zip(fused, plain):
+            np.testing.assert_array_equal(f.grad, p.grad)
+
+    def test_matmul_constant_bias_gets_no_gradient(self):
+        a, b = fparam("a", (2, 3, 4)), fparam("b", (4, 5))
+        mask = Tensor(np.zeros((2, 1, 5)))
+        backward(ad.reduce_sum(ad.matmul(a, b, mask)))
+        assert mask.grad is None
+        assert a.grad.any() and b.grad.any()
+
+    @pytest.mark.parametrize("a_shape, b_shape", [((3, 4), (4, 5)), ((2, 3, 4), (4, 5)),
+                                                  ((2, 2, 3, 4), (2, 2, 4, 5))])
+    def test_matmul_bias_gradcheck(self, a_shape, b_shape):
+        a, b, bias = fparam("a", a_shape), fparam("b", b_shape), fparam("bias", (b_shape[-1],))
+        w = Tensor(np.random.default_rng(22).normal(size=a_shape[:-1] + b_shape[-1:]))
+        check(lambda: ad.reduce_sum(ad.mul(ad.matmul(a, b, bias), w)), [a, b, bias])
+
+    def test_matmul_bias_that_does_not_broadcast_rejected(self):
+        a, b = Tensor(np.zeros((2, 3))), Tensor(np.zeros((3, 4)))
+        with pytest.raises(ValueError, match=r"bias \(3,\) does not broadcast"):
+            ad.matmul(a, b, Tensor(np.zeros(3)))
+        with pytest.raises(ValueError, match="does not broadcast"):
+            ad.matmul(a, b, Tensor(np.zeros((5, 2, 4))))
+
+    def test_blocked_ops_equal_whole_array_expressions(self):
+        # 210 rows of 500 values: several blocks, the last one short
+        rng = np.random.default_rng(23)
+        x = rng.normal(scale=3.0, size=(3, 70, 500)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        gain = rng.normal(size=500).astype(np.float32)
+        shift = rng.normal(size=500).astype(np.float32)
+        c = math.sqrt(2.0 / math.pi)
+
+        t = np.tanh(c * (x + 0.044715 * (x * x * x)))
+        out = ad.gelu(Parameter("x", x))
+        np.testing.assert_array_equal(out.data, 0.5 * x * (1.0 + t))
+        dinner = c * (1.0 + 3 * 0.044715 * x**2)
+        dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
+        np.testing.assert_array_equal(out._backward(g)[0], g * dx)
+
+        shifted = x - x.max(axis=-1, keepdims=True)
+        s = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
+        out = ad.softmax(Parameter("x", x))
+        np.testing.assert_array_equal(out.data, s)
+        np.testing.assert_array_equal(
+            out._backward(g)[0], (g - (g * s).sum(axis=-1, keepdims=True)) * s
+        )
+
+        centered = x - x.mean(axis=-1, keepdims=True)
+        xhat = centered * (1.0 / np.sqrt((centered**2).mean(axis=-1, keepdims=True) + 1e-12))
+        out = ad.layer_norm(Tensor(x), Tensor(gain), Tensor(shift))
+        np.testing.assert_array_equal(out.data, xhat * gain + shift)
+
+    def test_blocked_ops_gradcheck_with_one_row_blocks(self, monkeypatch):
+        monkeypatch.setattr(ad, "_BLOCK_VALUES", 1)
+        x, gain, shift = fparam("x", (2, 3, 5)), fparam("g", (5,)), fparam("s", (5,))
+        w = Tensor(np.random.default_rng(24).normal(size=(2, 3, 5)))
+        check(lambda: ad.reduce_sum(ad.mul(ad.gelu(x), w)), [x])
+        check(lambda: ad.reduce_sum(ad.mul(ad.softmax(x), w)), [x])
+        check(lambda: ad.reduce_sum(ad.mul(ad.layer_norm(x, gain, shift), w)), [x, gain, shift])
+
+    def test_dropout_mask_equals_one_draw_over_the_whole_array(self):
+        x = np.random.default_rng(26).normal(size=(3, 70, 500)).astype(np.float32)
+        out = ad.dropout(Parameter("x", x), 0.1, np.random.default_rng(27), train=True)
+        keep = np.random.default_rng(27).random(x.shape) >= 0.1
+        np.testing.assert_array_equal(out.data, x * keep.astype(np.float32) * (1.0 / 0.9))
+        g = np.ones_like(x)
+        np.testing.assert_array_equal(out._backward(g)[0], g * keep * (1.0 / 0.9))
+
+    def test_cross_entropy_never_reads_ignored_rows(self):
+        rng = np.random.default_rng(25)
+        logits = Parameter("logits", rng.normal(size=(4, 6)))
+        logits.data[1] = np.inf
+        logits.data[3] = np.nan
+        targets = np.array([2, -100, 5, -100])
+        loss = ad.cross_entropy(logits, targets)
+        kept = ad.cross_entropy(Tensor(logits.data[[0, 2]]), targets[[0, 2]])
+        assert loss.item() == kept.item() and math.isfinite(loss.item())
+        backward(loss)
+        assert not logits.grad[[1, 3]].any()
+        assert np.isfinite(logits.grad).all()
+
+
+class _MallInfo2(ctypes.Structure):
+    _fields_ = [(name, ctypes.c_size_t) for name in (
+        "arena", "ordblks", "smblks", "hblks", "hblkhd",
+        "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
+
+
+def test_freed_activations_stay_in_the_process():
+    try:
+        mallinfo2 = ctypes.CDLL(None).mallinfo2
+    except (OSError, AttributeError):
+        pytest.skip("needs glibc's mallinfo2")
+    mallinfo2.restype = _MallInfo2
+    ad.add(Tensor(np.ones(2)), Tensor(np.ones(2)))  # the first graph node sets the policy
+    before = mallinfo2()
+    block = np.ones(24 << 18, dtype=np.float32)  # 24 MiB, an activation-sized array
+    during = mallinfo2()
+    del block
+    after = mallinfo2()
+    # from the heap, not a private mapping, and not handed back when freed
+    assert during.hblks == before.hblks
+    assert after.arena == during.arena
 
 
 def check(loss_fn, params, tol=1e-4):
