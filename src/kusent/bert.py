@@ -9,7 +9,6 @@ and an optional iteration cap, whichever is reached first.
 from __future__ import annotations
 
 import dataclasses
-import json
 import logging
 import math
 import os
@@ -19,7 +18,9 @@ import numpy as np
 
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, backward, truncated_normal
-from .checkpoint import atomic_write_json, read_blob, write_blob
+from .checkpoint import (
+    atomic_write_json, check_fields, field_types, from_dict, read_blob, read_json, write_blob
+)
 from .optim import AdamState, adam_step
 # ``encode`` is unused here, but the traced benchmark patches ``bert.encode`` by name
 from .wordpiece import CLS, MASK, PAD, SEP, Vocab, encode, encode_batch  # noqa: F401
@@ -32,6 +33,9 @@ N_RESERVED_IDS = 5  # PAD, UNK, CLS, SEP, MASK
 
 # Aliases as the pretraining config tables spell them
 _CONFIG_ALIASES = {"Itrations": "iterations", "batch_szie": "batch_size"}
+# state.json beside a checkpoint that holds training state: key -> type
+_ADAM_STATE = {"lr": float, "beta1": float, "beta2": float, "eps": float, "step_count": int}
+_TRAIN_STATE = {"adam": dict, "next_epoch": int, "global_step": int, "seed": int, "threads": dict}
 
 
 @dataclass(frozen=True)
@@ -50,19 +54,10 @@ class BertConfig:
     def __post_init__(self) -> None:
         if self.intermediate_size is None:
             object.__setattr__(self, "intermediate_size", 4 * self.hidden_size)
-        positives = {
-            "hidden_size": self.hidden_size,
-            "num_hidden_layers": self.num_hidden_layers,
-            "num_attention_heads": self.num_attention_heads,
-            "vocab_size": self.vocab_size,
-            "max_position": self.max_position,
-            "intermediate_size": self.intermediate_size,
-            "epochs": self.epochs,
-            "batch_size": self.batch_size,
-        }
-        for field_name, value in positives.items():
-            if value <= 0:
-                raise ValueError(f"{field_name} must be positive, got {value}")
+        for name in ("hidden_size", "num_hidden_layers", "num_attention_heads", "vocab_size",
+                     "max_position", "intermediate_size", "epochs", "batch_size"):
+            if getattr(self, name) <= 0:
+                raise ValueError(f"{name} must be positive, got {getattr(self, name)}")
         if self.hidden_size % self.num_attention_heads != 0:
             raise ValueError(
                 f"hidden_size {self.hidden_size} is not divisible by "
@@ -81,28 +76,26 @@ class BertConfig:
         return dataclasses.asdict(self)
 
     @classmethod
-    def from_dict(cls, raw: dict) -> "BertConfig":
-        known = {f.name for f in dataclasses.fields(cls)}
+    def from_dict(cls, raw: dict, where: str = "BertConfig") -> "BertConfig":
+        """Build from a JSON object that may use the table spellings and ``GPU``;
+        ``where`` starts any error message, e.g. the file the object came from."""
         cleaned: dict = {}
-        for key, value in raw.items():
+        for key, value in check_fields(raw, BERT_CONFIG_TYPES, where).items():
             if key == "GPU":
                 logger.warning("config field 'GPU' is parsed but ignored: CPU execution only")
                 continue
             name = _CONFIG_ALIASES.get(key, key)
-            if name not in known:
-                raise ValueError(f"unknown config key {key!r}")
             if name in cleaned and cleaned[name] != value:
-                raise ValueError(f"conflicting values for config key {name!r}")
+                raise ValueError(f"{where}: conflicting values for config key {name!r}")
             cleaned[name] = value
-        missing = [
-            k
-            for k in ("hidden_size", "num_hidden_layers", "num_attention_heads", "vocab_size")
-            if k not in cleaned
-        ]
-        if missing:
-            raise ValueError(f"missing required config keys: {', '.join(missing)}")
-        return cls(**cleaned)
+        return from_dict(cls, cleaned, where)
 
+
+# key -> type of a bert config: the fields, their table spellings, and GPU
+BERT_CONFIG_TYPES = field_types(BertConfig)
+BERT_CONFIG_TYPES.update(
+    {alias: BERT_CONFIG_TYPES[name] for alias, name in _CONFIG_ALIASES.items()}, GPU=object
+)
 
 # The four pretraining presets (hidden 384/768 x epochs 10/20)
 PRETRAIN_PRESETS = {
@@ -398,21 +391,15 @@ def save_checkpoint(
             os.path.join(directory, "optim_manifest.json"),
         )
         state = dict(train_state or {})
-        state["adam"] = {
-            "lr": optimizer.lr,
-            "beta1": optimizer.beta1,
-            "beta2": optimizer.beta2,
-            "eps": optimizer.eps,
-            "step_count": optimizer.step_count,
-        }
+        state["adam"] = {key: getattr(optimizer, key) for key in _ADAM_STATE}
         state["threads"] = thread_settings()
         atomic_write_json(os.path.join(directory, "state.json"), state)
 
 
 def load_checkpoint(directory: str) -> tuple[ModelParams, BertConfig]:
     """Load a checkpoint, validating every tensor shape against its config."""
-    with open(os.path.join(directory, "config.json"), encoding="utf-8") as fh:
-        config = BertConfig.from_dict(json.load(fh))
+    config_path = os.path.join(directory, "config.json")
+    config = BertConfig.from_dict(read_json(config_path), config_path)
     arrays = read_blob(
         os.path.join(directory, "params.bin"), os.path.join(directory, "manifest.json")
     )
@@ -434,16 +421,9 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, BertConfig]:
 
 
 def _load_train_state(directory: str, model: ModelParams) -> tuple[AdamState, dict]:
-    with open(os.path.join(directory, "state.json"), encoding="utf-8") as fh:
-        state = json.load(fh)
-    adam_meta = state["adam"]
-    optimizer = AdamState(
-        lr=adam_meta["lr"],
-        beta1=adam_meta["beta1"],
-        beta2=adam_meta["beta2"],
-        eps=adam_meta["eps"],
-        step_count=adam_meta["step_count"],
-    )
+    path = os.path.join(directory, "state.json")
+    state = check_fields(read_json(path), _TRAIN_STATE, path, ("adam",))
+    optimizer = AdamState(**check_fields(state["adam"], _ADAM_STATE, f"{path}: adam", _ADAM_STATE))
     arrays = read_blob(
         os.path.join(directory, "optim.bin"), os.path.join(directory, "optim_manifest.json")
     )
@@ -511,6 +491,10 @@ def pretrain(
     """
     if not corpus:
         raise ValueError("cannot pretrain on an empty corpus")
+    if lr <= 0:
+        raise ValueError(f"pretrain.learning_rate must be > 0, got {lr}")
+    if log_every < 1:
+        raise ValueError(f"pretrain.log_every must be >= 1, got {log_every}")
     if len(vocab) != config.vocab_size:
         logger.warning(
             "vocab has %d pieces but config.vocab_size is %d; ids must stay in range",

@@ -13,9 +13,8 @@ their features are precomputed once per dataset.
 
 from __future__ import annotations
 
-import json
 import os
-from dataclasses import dataclass, field, fields
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -29,16 +28,20 @@ from .bert import (
     load_checkpoint,
     save_checkpoint,
 )
-from .checkpoint import atomic_write_json, read_blob, write_blob
+from .checkpoint import (
+    atomic_write_json, check_fields, from_dict, read_blob, read_json, write_blob
+)
 from .corpus import LabeledExample, SentimentLabel
 from .normalize import NormalizationRules, normalize_text
 from .optim import AdamState, adam_step
 # ``encode`` is unused here, but the traced benchmark patches ``classifiers.encode`` by name
 from .wordpiece import Vocab, encode, encode_batch  # noqa: F401
 
-# head kind -> the head_config.json "head_meta" keys it needs
-HEAD_META_KEYS = {"finetune": (), "bilstm": ("lstm_hidden", "num_layers"), "mlp": ("hidden_sizes",)}
-HEAD_KINDS = tuple(HEAD_META_KEYS)
+# head kind -> the head_config.json "head_meta" it needs: key -> type
+HEAD_META_TYPES = {
+    "finetune": {}, "bilstm": {"lstm_hidden": int, "num_layers": int}, "mlp": {"hidden_sizes": list[int]}
+}
+_HEAD_CONFIG = {"kind": str, "encoder_ref": str, "head_meta": dict, "train_config": dict}
 GATES = ("input", "forget", "cell", "output")
 LABEL_ORDERS = {
     2: [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE],
@@ -58,8 +61,11 @@ class TrainConfig:
     num_classes: int = 3
 
     def __post_init__(self) -> None:
-        if self.epochs < 1:
-            raise ValueError(f"epochs must be >= 1, got {self.epochs}")
+        for name in ("epochs", "batch_size"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.learning_rate <= 0:
+            raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.num_classes not in (2, 3):
             raise ValueError(f"num_classes must be 2 or 3, got {self.num_classes}")
         if self.max_len < 3:
@@ -267,7 +273,8 @@ def head_logits(
     raise ValueError(f"unknown head kind {model.head_kind!r}")
 
 
-def _check_labels(dataset: list[LabeledExample], labels: list[SentimentLabel]) -> None:
+def _check_inputs(dataset, labels, config: TrainConfig, encoder: ModelParams) -> None:
+    """A non-empty dataset with labels in ``labels`` and a ``max_len`` the encoder fits."""
     if not dataset:
         raise ValueError("cannot train on an empty dataset")
     allowed = set(labels)
@@ -279,6 +286,11 @@ def _check_labels(dataset: list[LabeledExample], labels: list[SentimentLabel]) -
                     "apply to_binary (CLI: to-binary) first"
                 )
             raise ValueError(f"label {ex.label.value!r} outside configured label set")
+    if config.max_len > encoder.config.max_position:
+        raise ValueError(
+            f"max_len {config.max_len} exceeds encoder max_position "
+            f"{encoder.config.max_position}"
+        )
 
 
 def _label_indices(dataset, labels):
@@ -298,12 +310,7 @@ def _frozen_features(encoder, ids, masks, batch_size=32):
 
 def _train_head_on_frozen(model, encoder, vocab, dataset, config):
     """Shared loop for the bilstm and mlp heads: cache features, train head only."""
-    _check_labels(dataset, model.labels)
-    if config.max_len > encoder.config.max_position:
-        raise ValueError(
-            f"max_len {config.max_len} exceeds encoder max_position "
-            f"{encoder.config.max_position}"
-        )
+    _check_inputs(dataset, model.labels, config, encoder)
     ids, masks = encode_batch([ex.text for ex in dataset], vocab, config.max_len)
     targets = _label_indices(dataset, model.labels)
     states, cls = _frozen_features(encoder, ids, masks)
@@ -325,12 +332,7 @@ def train_finetune(
 ) -> SentimentModel:
     """Joint training of all encoder parameters plus a linear head on CLS."""
     labels = LABEL_ORDERS[config.num_classes]
-    _check_labels(dataset, labels)
-    if config.max_len > encoder.config.max_position:
-        raise ValueError(
-            f"max_len {config.max_len} exceeds encoder max_position "
-            f"{encoder.config.max_position}"
-        )
+    _check_inputs(dataset, labels, config, encoder)
     rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(9,)))
     dtype = encoder.params[0].data.dtype
     head = init_finetune_head(encoder.config.hidden_size, config.num_classes, rng, dtype)
@@ -438,49 +440,30 @@ def save_sentiment_model(model: SentimentModel, directory: str) -> None:
     atomic_write_json(
         os.path.join(directory, "labels.json"), [label.value for label in model.labels]
     )
-    config = model.train_config
     atomic_write_json(
         os.path.join(directory, "head_config.json"),
         {
             "kind": model.head_kind,
             "encoder_ref": "encoder",
             "head_meta": model.head_meta,
-            "train_config": {
-                "epochs": config.epochs,
-                "max_len": config.max_len,
-                "learning_rate": config.learning_rate,
-                "dropout_rate": config.dropout_rate,
-                "batch_size": config.batch_size,
-                "seed": config.seed,
-                "num_classes": config.num_classes,
-            },
+            "train_config": asdict(model.train_config),
         },
     )
 
 
 def load_sentiment_model(directory: str) -> SentimentModel:
     config_path = os.path.join(directory, "head_config.json")
-    with open(config_path, encoding="utf-8") as fh:
-        meta = json.load(fh)
-    for key in ("kind", "encoder_ref", "head_meta", "train_config"):
-        if key not in meta:
-            raise ValueError(f"{config_path}: missing key {key!r}")
-    if meta["kind"] not in HEAD_KINDS:
+    meta = check_fields(read_json(config_path), _HEAD_CONFIG, config_path, _HEAD_CONFIG)
+    if meta["kind"] not in HEAD_META_TYPES:
         raise ValueError(f"{config_path}: unknown head kind {meta['kind']!r}")
-    train_config, head_meta = meta["train_config"], meta["head_meta"]
-    if not isinstance(train_config, dict) or not isinstance(head_meta, dict):
-        raise ValueError(f"{config_path}: 'train_config' and 'head_meta' must be objects")
-    known = {f.name for f in fields(TrainConfig)}
-    for key in train_config:
-        if key not in known:
-            raise ValueError(f"{config_path}: unknown train_config key {key!r}")
-    if "epochs" not in train_config:
-        raise ValueError(f"{config_path}: train_config is missing key 'epochs'")
-    for key in HEAD_META_KEYS[meta["kind"]]:
-        if key not in head_meta:
-            raise ValueError(f"{config_path}: head_meta is missing key {key!r}")
-    with open(os.path.join(directory, "labels.json"), encoding="utf-8") as fh:
-        labels = [SentimentLabel(v) for v in json.load(fh)]
+    head_types = HEAD_META_TYPES[meta["kind"]]
+    head_meta = check_fields(meta["head_meta"], head_types, f"{config_path}: head_meta", head_types)
+    train_config = from_dict(TrainConfig, meta["train_config"], f"{config_path}: train_config")
+    # the head's outputs are LABEL_ORDERS' classes; labels.json repeats them for readers
+    labels = LABEL_ORDERS[train_config.num_classes]
+    labels_path = os.path.join(directory, "labels.json")
+    if read_json(labels_path) != [label.value for label in labels]:
+        raise ValueError(f"{labels_path}: expected {[label.value for label in labels]}")
     encoder, _ = load_checkpoint(os.path.join(directory, meta["encoder_ref"]))
     arrays = read_blob(
         os.path.join(directory, "head.bin"), os.path.join(directory, "head_manifest.json")
@@ -491,23 +474,30 @@ def load_sentiment_model(directory: str) -> SentimentModel:
         head_kind=meta["kind"],
         head_params=head_params,
         labels=labels,
-        train_config=TrainConfig(**train_config),
+        train_config=train_config,
         head_meta=head_meta,
     )
-    _validate_head_width(model)
+    _validate_head(model, directory)
     return model
 
 
-def _validate_head_width(model: SentimentModel) -> None:
-    hidden = model.encoder.config.hidden_size
+def _validate_head(model: SentimentModel, directory: str) -> None:
+    """Input width: the encoder's hidden size; output width: ``num_classes``."""
     by_name = model.head_by_name
     if model.head_kind == "finetune":
-        width = by_name["head.weight"].data.shape[0]
+        first = last = "head.weight"
     elif model.head_kind == "mlp":
-        width = by_name["head.w1"].data.shape[0]
+        first, last = "head.w1", f"head.w{len(model.head_meta['hidden_sizes']) + 1}"
     else:
-        width = by_name["lstm0.fwd.input.w_x"].data.shape[0]
+        first, last = "lstm0.fwd.input.w_x", "head.weight"
+    head_path = os.path.join(directory, "head.bin")
+    for name in (first, last):
+        if name not in by_name:
+            raise ValueError(f"{head_path}: no tensor {name!r}")
+    hidden = model.encoder.config.hidden_size
+    width = by_name[first].data.shape[0]
     if width != hidden:
-        raise ValueError(
-            f"head input width {width} does not match encoder hidden size {hidden}"
-        )
+        raise ValueError(f"head input width {width} does not match encoder hidden size {hidden}")
+    outputs, classes = by_name[last].data.shape[-1], model.train_config.num_classes
+    if outputs != classes:
+        raise ValueError(f"{head_path}: {outputs} outputs, train_config.num_classes is {classes}")

@@ -1,15 +1,16 @@
 """Command-line entry point exposing the whole pipeline as subcommands.
 
-Hyperparameters live in a strict sectioned JSON config (unknown keys are
-rejected, missing required keys are named); paths can come from the config's
-``paths`` section or from flags, with flags winning. Every file output is
-written atomically, and all randomness is seeded from the config, so reruns
-are byte-identical.
+Hyperparameters live in a strict sectioned JSON config (an unknown key, a
+missing required key or a wrong-typed value is named); paths can come from
+the config's ``paths`` section or from flags, with flags winning. Every file
+output is written atomically, and all randomness is seeded from the config,
+so reruns are byte-identical.
 """
 
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import json
 import logging
 import sys
@@ -17,10 +18,10 @@ import sys
 import numpy as np
 
 from . import FORMAT_VERSION, __version__
-from .bert import BertConfig, build_model, load_checkpoint, pretrain
-from .checkpoint import atomic_write_json, atomic_write_text
+from .bert import BERT_CONFIG_TYPES, BertConfig, build_model, load_checkpoint, pretrain
+from .checkpoint import atomic_write_text, check_fields, field_types, from_dict, read_json
 from .classifiers import (
-    HEAD_KINDS,
+    HEAD_META_TYPES,
     TrainConfig,
     default_epochs,
     load_sentiment_model,
@@ -45,52 +46,31 @@ from .wordpiece import encode_batch, load_vocab, save_vocab, train_wordpiece
 
 logger = logging.getLogger(__name__)
 
-_SECTION_KEYS = {
-    "normalizer": {"rules", "final_heh_ae"},
-    "tokenizer": {"vocab_size", "min_freq"},
-    "train": {
-        "epochs",
-        "max_len",
-        "learning_rate",
-        "dropout_rate",
-        "batch_size",
-        "seed",
-        "num_classes",
-        "lstm_hidden",
-        "hidden_sizes",
-    },
-    "pretrain": {"max_len", "learning_rate", "mask_rate", "log_every"},
-    "paths": {
-        "corpus",
-        "labeled",
-        "vocab",
-        "encoder",
-        "model",
-        "out",
-        "out_train",
-        "out_test",
-    },
+# section -> key -> type; every section is optional
+_SECTION_TYPES = {
+    "normalizer": {"rules": str | None, "final_heh_ae": bool},
+    "tokenizer": {"vocab_size": int, "min_freq": int},
+    "bert": BERT_CONFIG_TYPES,
+    # TrainConfig's fields plus the head_meta keys a config may set
+    "train": dict(
+        field_types(TrainConfig),
+        lstm_hidden=HEAD_META_TYPES["bilstm"]["lstm_hidden"],
+        hidden_sizes=HEAD_META_TYPES["mlp"]["hidden_sizes"],
+    ),
+    "pretrain": {"max_len": int, "learning_rate": float, "mask_rate": float, "log_every": int},
+    "paths": dict.fromkeys(
+        ("corpus", "labeled", "vocab", "encoder", "model", "out", "out_train", "out_test"), str
+    ),
 }
 
 
 def load_pipeline_config(path: str | None) -> dict:
+    """The config file at ``path`` as read (``{}`` for none), once each section and key is checked."""
     if path is None:
         return {}
-    with open(path, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    if not isinstance(raw, dict):
-        raise ValueError(f"{path}: config must be a JSON object")
-    known_top = set(_SECTION_KEYS) | {"seed", "bert"}
-    for key in raw:
-        if key not in known_top:
-            raise ValueError(f"{path}: unknown config key {key!r}")
-    for section, keys in _SECTION_KEYS.items():
-        body = raw.get(section, {})
-        if not isinstance(body, dict):
-            raise ValueError(f"{path}: section {section!r} must be an object")
-        for key in body:
-            if key not in keys:
-                raise ValueError(f"{path}: unknown key {key!r} in section {section!r}")
+    raw = check_fields(read_json(path), dict.fromkeys(_SECTION_TYPES, dict) | {"seed": int}, path)
+    for section, types in _SECTION_TYPES.items():
+        check_fields(raw.get(section, {}), types, f"{path}: {section}")
     return raw
 
 
@@ -105,16 +85,16 @@ def _resolve(flag_value, config: dict, section: str, key: str, required_as: str 
     return value
 
 
+def _given(**values) -> dict:
+    """The values a flag or the config sets; the library's defaults fill the rest."""
+    return {key: value for key, value in values.items() if value is not None}
+
+
 def _rules_from(args, config) -> NormalizationRules:
     rules_path = _resolve(getattr(args, "rules", None), config, "normalizer", "rules")
     rules = load_rules(rules_path) if rules_path else default_rules()
     if config.get("normalizer", {}).get("final_heh_ae") or getattr(args, "final_heh_ae", False):
-        rules = NormalizationRules(
-            char_map=rules.char_map,
-            strip_set=rules.strip_set,
-            digit_policy=rules.digit_policy,
-            final_heh_to_ae=True,
-        )
+        rules = dataclasses.replace(rules, final_heh_to_ae=True)
     return rules
 
 
@@ -183,10 +163,10 @@ def cmd_undersample(args) -> int:
 def cmd_train_tokenizer(args) -> int:
     config = load_pipeline_config(args.config)
     vocab_size = _resolve(args.vocab_size, config, "tokenizer", "vocab_size", "--vocab-size")
-    min_freq = _resolve(args.min_freq, config, "tokenizer", "min_freq") or 1
+    min_freq = _resolve(args.min_freq, config, "tokenizer", "min_freq")
     with open(args.infile, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
-    vocab = train_wordpiece(lines, vocab_size=vocab_size, min_freq=min_freq)
+    vocab = train_wordpiece(lines, vocab_size, **_given(min_freq=min_freq))
     save_vocab(vocab, args.out)
     print(f"trained {len(vocab)}-piece vocabulary -> {args.out}")
     return 0
@@ -196,12 +176,11 @@ def cmd_pretrain(args) -> int:
     config = load_pipeline_config(args.config)
     if "bert" not in config:
         raise ValueError("config missing required section 'bert'")
-    bert_config = BertConfig.from_dict(config["bert"])
+    bert_config = BertConfig.from_dict(config["bert"], f"{args.config}: bert")
     corpus_path = _resolve(args.corpus, config, "paths", "corpus", "--corpus")
     vocab_path = _resolve(args.vocab, config, "paths", "vocab", "--vocab")
     out_dir = _resolve(args.out, config, "paths", "out", "--out")
     seed = _seed_from(args, config)
-    knobs = config.get("pretrain", {})
     vocab = load_vocab(vocab_path)
     with open(corpus_path, encoding="utf-8") as fh:
         corpus = [line.rstrip("\n") for line in fh if line.strip()]
@@ -213,11 +192,13 @@ def cmd_pretrain(args) -> int:
         bert_config,
         seed=seed,
         checkpoint_dir=out_dir,
-        max_len=args.max_len or knobs.get("max_len", 128),
-        lr=args.lr or knobs.get("learning_rate", 1e-4),
-        mask_rate=knobs.get("mask_rate", 0.15),
-        log_every=knobs.get("log_every", 50),
         resume=args.resume,
+        **_given(
+            max_len=_resolve(args.max_len, config, "pretrain", "max_len"),
+            lr=_resolve(args.lr, config, "pretrain", "learning_rate"),
+            mask_rate=_resolve(None, config, "pretrain", "mask_rate"),
+            log_every=_resolve(None, config, "pretrain", "log_every"),
+        ),
     )
     final = result.losses[-1] if result.losses else float("nan")
     print(f"pretrained {result.steps} steps (final loss {final:.4f}) -> {out_dir}")
@@ -225,18 +206,11 @@ def cmd_pretrain(args) -> int:
 
 
 def _train_config_from(config: dict, args, encoder_hidden: int) -> TrainConfig:
-    section = dict(config.get("train", {}))
-    section.pop("lstm_hidden", None)
-    section.pop("hidden_sizes", None)
-    if "epochs" not in section:
-        section["epochs"] = default_epochs(args.task, encoder_hidden)
-    if "seed" not in section:
-        section["seed"] = _seed_from(args, config)
-    if args.epochs is not None:
-        section["epochs"] = args.epochs
-    if args.num_classes is not None:
-        section["num_classes"] = args.num_classes
-    return TrainConfig(**section)
+    section = {k: v for k, v in config.get("train", {}).items() if k in field_types(TrainConfig)}
+    section.setdefault("epochs", default_epochs(args.task, encoder_hidden))
+    section.setdefault("seed", _seed_from(args, config))
+    section.update(_given(epochs=args.epochs, num_classes=args.num_classes))
+    return from_dict(TrainConfig, section, f"{args.config}: train" if args.config else "train")
 
 
 def cmd_train(args) -> int:
@@ -250,19 +224,10 @@ def cmd_train(args) -> int:
     train_config = _train_config_from(config, args, bert_config.hidden_size)
     vocab = load_vocab(vocab_path)
     dataset = load_labeled(data_path, rules)
-    section = config.get("train", {})
-    if args.task == "finetune":
-        model = train_finetune(encoder, vocab, dataset, train_config)
-    elif args.task == "bilstm":
-        model = train_bilstm(
-            encoder, vocab, dataset, train_config,
-            lstm_hidden=section.get("lstm_hidden", 128),
-        )
-    else:
-        model = train_mlp(
-            encoder, vocab, dataset, train_config,
-            hidden_sizes=tuple(section.get("hidden_sizes", (256, 64))),
-        )
+    # the head's own keys (lstm_hidden, hidden_sizes) as the config sets them
+    head_args = {k: v for k, v in config.get("train", {}).items() if k in HEAD_META_TYPES[args.task]}
+    trainers = {"finetune": train_finetune, "bilstm": train_bilstm, "mlp": train_mlp}
+    model = trainers[args.task](encoder, vocab, dataset, train_config, **head_args)
     save_sentiment_model(model, out_dir)
     final = model.train_losses[-1] if model.train_losses else float("nan")
     print(f"trained {args.task} head ({len(dataset)} examples, final loss {final:.4f}) -> {out_dir}")
@@ -382,7 +347,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--resume", action="store_true")
 
     p = add("train", cmd_train, "train a sentiment classifier head")
-    p.add_argument("--task", required=True, choices=HEAD_KINDS)
+    p.add_argument("--task", required=True, choices=tuple(HEAD_META_TYPES))
     p.add_argument("--encoder")
     p.add_argument("--data")
     p.add_argument("--vocab")

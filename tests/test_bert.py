@@ -22,7 +22,7 @@ from kusent.bert import (
     pretrain,
     save_checkpoint,
 )
-from kusent.checkpoint import read_blob, write_blob
+from kusent.checkpoint import check_fields, read_blob, write_blob
 from kusent.gradcheck import grad_check
 from kusent.wordpiece import CLS, MASK, PAD, SEP, Vocab, SPECIAL_TOKENS, encode
 
@@ -90,6 +90,12 @@ class TestConfig:
         )
         assert cfg.iterations == 100
         assert cfg.batch_size == 4
+
+    @pytest.mark.parametrize("key, value", [("hidden_size", "32"), ("Itrations", 1.5), ("epochs", True)])
+    def test_from_dict_wrong_type_named(self, key, value):
+        raw = {"hidden_size": 8, "num_hidden_layers": 1, "num_attention_heads": 2, "vocab_size": 10}
+        with pytest.raises(ValueError, match=f"^cfg.json key '{key}' must be "):
+            BertConfig.from_dict(dict(raw, **{key: value}), "cfg.json")
 
     def test_round_trip_dict(self):
         cfg = tiny_config()
@@ -519,6 +525,28 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded[name], arr.astype(np.float32))
         loaded["a"] += 1  # the loaded tensors are writable
         assert loaded["a"][0, 0] == 1.0
+
+    @pytest.mark.parametrize("hint, value, ok", [
+        (float, 1, True),  # an int passes for a float
+        (int, 1.0, False),
+        (int, True, False),  # a bool never passes for an int
+        (float, False, False),
+        (bool, True, True),
+        (str, 3, False),
+        (int | None, None, True),
+        (int | None, "3", False),
+        (list[int], [1, 2], True),
+        (list[int], [1, "a"], False),
+        (tuple[int, ...], [], True),
+        (tuple[int, ...], 5, False),
+    ])
+    def test_check_fields_value_types(self, hint, value, ok):
+        raw = {"k": value}
+        if ok:
+            assert check_fields(raw, {"k": hint}, "x.json") is raw
+        else:
+            with pytest.raises(ValueError, match=r"^x.json key 'k' must be "):
+                check_fields(raw, {"k": hint}, "x.json")
 
     def test_wrong_config_rejected_naming_tensor(self, tmp_path):
         model = build_model(tiny_config(hidden_size=16), seed=12)

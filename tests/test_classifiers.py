@@ -8,6 +8,7 @@ from kusent import autodiff as ad
 from kusent.autodiff import Parameter, Tensor
 from kusent.bert import BertConfig, build_model, load_checkpoint, pretrain
 from kusent.classifiers import (
+    LABEL_ORDERS,
     TrainConfig,
     bilstm_summary,
     default_epochs,
@@ -217,6 +218,14 @@ class TestGradChecks:
 
 
 class TestTrainingContracts:
+    @pytest.mark.parametrize("field, value, message", [
+        ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("learning_rate", -1.0, "learning_rate must be > 0, got -1.0"),
+    ])
+    def test_train_config_range_checked(self, field, value, message):
+        with pytest.raises(ValueError, match=message):
+            TrainConfig(epochs=1, **{field: value})
+
     def test_finetune_updates_encoder(self):
         vocab = synthetic_vocab()
         dataset = synthetic_dataset(n_per_class=4)
@@ -396,6 +405,24 @@ class TestSaveLoad:
         del meta["head_meta"][key]
         path.write_text(json.dumps(meta))
         with pytest.raises(ValueError, match=f"head_config.json: head_meta is missing key '{key}'"):
+            load_sentiment_model(str(tmp_path / "model"))
+
+    @pytest.mark.parametrize("section, key, value, message", [
+        ("train_config", "num_classes", 2, "head.bin: 3 outputs, train_config.num_classes is 2"),
+        ("head_meta", "hidden_sizes", [4, 4, 4], "head.bin: no tensor 'head.w4'"),
+    ])
+    def test_head_not_matching_its_config_rejected(self, tmp_path, section, key, value, message):
+        config = TrainConfig(epochs=1, max_len=10)
+        dataset = synthetic_dataset(n_per_class=2)
+        model = train_mlp(tiny_encoder(seed=12), synthetic_vocab(), dataset, config, hidden_sizes=(4, 4))
+        save_sentiment_model(model, str(tmp_path / "model"))
+        path = tmp_path / "model" / "head_config.json"
+        meta = json.loads(path.read_text())
+        meta[section][key] = value
+        path.write_text(json.dumps(meta))
+        labels = [label.value for label in LABEL_ORDERS[meta["train_config"]["num_classes"]]]
+        (tmp_path / "model" / "labels.json").write_text(json.dumps(labels))
+        with pytest.raises(ValueError, match=message):
             load_sentiment_model(str(tmp_path / "model"))
 
     def test_width_mismatch_rejected(self, tmp_path):

@@ -1,10 +1,15 @@
 import json
+import pathlib
+import re
 import shutil
 
 import numpy as np
 import pytest
 
-from kusent.cli import build_parser, main
+from kusent.bert import BertConfig
+from kusent.checkpoint import field_types, from_dict
+from kusent.classifiers import TrainConfig
+from kusent.cli import build_parser, load_pipeline_config, main
 from kusent.corpus import SentimentLabel, load_labeled
 
 WORDS = {
@@ -284,6 +289,12 @@ class TestPipeline:
             ("head_config.json", "train_config.warmup", 3),
             ("head_config.json", "train_config.epochs", None),
             ("head_config.json", "head_meta.hidden_sizes", None),
+            # values of the wrong type
+            ("head_config.json", "train_config.epochs", "3"),
+            ("head_config.json", "train_config.max_len", "10"),
+            ("head_config.json", "head_meta.hidden_sizes", 5),
+            ("encoder/config.json", "hidden_size", "32"),
+            ("head_manifest.json", "shape", ["a", 2]),
         ],
     )
     def test_bad_artifact_is_one_error_line(self, pipeline, tmp_path, capsys, rel, key, value):
@@ -309,6 +320,97 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1
         named = value if isinstance(value, str) else key
         assert rel.split("/")[-1] in err and repr(named) in err
+
+    @pytest.mark.parametrize(
+        "rel, text, named",
+        [
+            ("head_config.json", '{"kind": "mlp", "encoder_ref": "enc', "head_config.json"),
+            ("encoder/config.json", '{"hidden_size": 3', "config.json"),
+            ("head_manifest.json", "[{", "head_manifest.json"),
+            ("labels.json", "[", "labels.json"),
+            ("labels.json", '"positive"', "labels.json"),
+            # three classes in the head, two labels beside it, or the three out of order
+            ("labels.json", '["positive", "negative"]', "labels.json"),
+            ("labels.json", '["negative", "positive", "neutral"]', "labels.json"),
+        ],
+    )
+    def test_truncated_or_mismatched_artifact_is_one_error_line(
+        self, pipeline, tmp_path, capsys, rel, text, named
+    ):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["model"], model)
+        (model / rel).write_text(text)
+        capsys.readouterr()
+        rc = main([
+            "predict", "--model", str(model), "--vocab", str(pipeline["vocab"]), "--text", "good0",
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{named}: " in err
+
+    @pytest.mark.parametrize(
+        "argv, rel, key, value",
+        [
+            (["train", "--task", "mlp"], "cfg.json", "train.epochs", "1"),
+            (["train", "--task", "mlp"], "cfg.json", "train.hidden_sizes", 5),
+            (["train", "--task", "bilstm"], "cfg.json", "train.lstm_hidden", "8"),
+            (["train", "--task", "mlp"], "cfg.json", "train.batch_size", 0),
+            (["pretrain"], "cfg.json", "bert.hidden_size", "32"),
+            (["pretrain"], "cfg.json", "bert", []),
+            (["pretrain"], "cfg.json", "pretrain.max_len", "10"),
+            (["pretrain"], "cfg.json", "pretrain.mask_rate", "x"),
+            (["pretrain"], "cfg.json", "pretrain.log_every", 0),
+            (["pretrain", "--lr", "0"], "cfg.json", "pretrain.learning_rate", None),
+            (["pretrain"], "cfg.json", "seed", "1"),
+            (["pretrain"], "encoder/state.json", "adam", None),
+            (["train-tokenizer"], "cfg.json", "tokenizer.vocab_size", "60"),
+        ],
+    )
+    def test_bad_input_value_is_one_error_line(
+        self, pipeline, tmp_path, capsys, argv, rel, key, value
+    ):
+        """Each case exits 1 with one error line naming the file or section.key."""
+        root = pipeline["root"]
+        shutil.copy(pipeline["cfg"], tmp_path / "cfg.json")
+        shutil.copytree(pipeline["encoder"], tmp_path / "encoder")
+        path = tmp_path / rel
+        raw = json.loads(path.read_text())
+        entry = raw
+        *parents, name = key.split(".")
+        for parent in parents:
+            entry = entry.setdefault(parent, {})
+        if value is None:
+            del entry[name]
+        else:
+            entry[name] = value
+        path.write_text(json.dumps(raw))
+        paths = {
+            "train": ["--encoder", str(tmp_path / "encoder"), "--data", str(pipeline["labeled"]),
+                      "--vocab", str(pipeline["vocab"]), "--out", str(tmp_path / "model")],
+            "pretrain": ["--corpus", str(root / "corpus.txt"), "--vocab", str(pipeline["vocab"]),
+                         "--out", str(tmp_path / "encoder"), "--resume"],
+            "train-tokenizer": ["--in", str(root / "corpus.txt"), "--out", str(tmp_path / "v.txt")],
+        }[argv[0]]
+        capsys.readouterr()
+        rc = main(argv + ["--config", str(tmp_path / "cfg.json")] + paths)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert name in err
+        assert path.name in err or key in err
+
+    def test_readme_config_example_loads(self, tmp_path):
+        readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
+        example = re.search(r"## Config file\n.*?```json\n(.*?)```", readme, re.S).group(1)
+        path = tmp_path / "config.json"
+        path.write_text(example, encoding="utf-8")
+        config = load_pipeline_config(str(path))
+        assert config == json.loads(example)
+        BertConfig.from_dict(config["bert"])
+        train = {k: v for k, v in config["train"].items() if k in field_types(TrainConfig)}
+        assert set(config["train"]) - set(train) == {"lstm_hidden", "hidden_sizes"}
+        from_dict(TrainConfig, train, "README train")
 
     def test_manifest_of_non_objects_is_one_error_line(self, pipeline, tmp_path, capsys):
         model = tmp_path / "model"
