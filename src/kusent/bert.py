@@ -19,7 +19,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, backward, truncated_normal
 from .checkpoint import (
-    atomic_write_json, check_fields, field_types, from_dict, read_blob, read_json, write_blob
+    atomic_write_json, check_fields, check_tensors, field_types, from_dict, read_blob, read_json,
+    write_blob,
 )
 from .optim import AdamState, adam_step
 # ``encode`` is unused here, but the traced benchmark patches ``bert.encode`` by name
@@ -173,25 +174,25 @@ class ModelParams:
         return sum(p.data.size for p in self.params)
 
 
-def build_model(config: BertConfig, seed: int, dtype=np.float32) -> ModelParams:
-    """Allocate and initialize all tensors; deterministic for a given seed."""
-    rng = np.random.default_rng(np.random.SeedSequence(seed))
-    params: list[Parameter] = []
-    for name, shape in expected_shapes(config).items():
-        if name.endswith(".norm.gain"):
+def init_params(shapes: dict[str, tuple[int, ...]], rng, dtype) -> list[Parameter]:
+    """One Parameter per entry of ``shapes``, in order: a ``gain`` is ones, any other 1-D
+    tensor zeros, every other tensor truncated normal drawn from ``rng``."""
+    params = []
+    for name, shape in shapes.items():
+        if name.endswith("gain"):
             data = np.ones(shape, dtype=dtype)
-        elif (
-            name.endswith(".bias")
-            or name.endswith(".norm.bias")
-            or name.endswith(".b1")
-            or name.endswith(".b2")
-            or name == "mlm.out_bias"
-        ):
+        elif len(shape) == 1:
             data = np.zeros(shape, dtype=dtype)
         else:
             data = truncated_normal(shape, INIT_STD, rng, dtype=dtype)
         params.append(Parameter(name, data))
-    return ModelParams(config, params)
+    return params
+
+
+def build_model(config: BertConfig, seed: int, dtype=np.float32) -> ModelParams:
+    """Allocate and initialize all tensors; deterministic for a given seed."""
+    rng = np.random.default_rng(np.random.SeedSequence(seed))
+    return ModelParams(config, init_params(expected_shapes(config), rng, dtype))
 
 
 def count_params(config: BertConfig) -> int:
@@ -400,37 +401,26 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, BertConfig]:
     """Load a checkpoint, validating every tensor shape against its config."""
     config_path = os.path.join(directory, "config.json")
     config = BertConfig.from_dict(read_json(config_path), config_path)
-    arrays = read_blob(
-        os.path.join(directory, "params.bin"), os.path.join(directory, "manifest.json")
-    )
+    params_path = os.path.join(directory, "params.bin")
+    arrays = read_blob(params_path, os.path.join(directory, "manifest.json"))
     shapes = expected_shapes(config)
-    missing = sorted(set(shapes) - set(arrays))
-    if missing:
-        raise ValueError(f"checkpoint missing tensor {missing[0]!r}")
-    extra = sorted(set(arrays) - set(shapes))
-    if extra:
-        raise ValueError(f"checkpoint has unexpected tensor {extra[0]!r}")
-    params = []
-    for name, shape in shapes.items():
-        if arrays[name].shape != shape:
-            raise ValueError(
-                f"tensor {name!r} has shape {arrays[name].shape}, config requires {shape}"
-            )
-        params.append(Parameter(name, arrays[name]))
-    return ModelParams(config, params), config
+    check_tensors(arrays, shapes, params_path)
+    return ModelParams(config, [Parameter(name, arrays[name]) for name in shapes]), config
 
 
 def _load_train_state(directory: str, model: ModelParams) -> tuple[AdamState, dict]:
     path = os.path.join(directory, "state.json")
     state = check_fields(read_json(path), _TRAIN_STATE, path, ("adam",))
     optimizer = AdamState(**check_fields(state["adam"], _ADAM_STATE, f"{path}: adam", _ADAM_STATE))
-    arrays = read_blob(
-        os.path.join(directory, "optim.bin"), os.path.join(directory, "optim_manifest.json")
-    )
-    for p in model.params:
-        if f"m.{p.name}" in arrays:
-            optimizer.m[p.name] = arrays[f"m.{p.name}"]
-            optimizer.v[p.name] = arrays[f"v.{p.name}"]
+    optim_path = os.path.join(directory, "optim.bin")
+    arrays = read_blob(optim_path, os.path.join(directory, "optim_manifest.json"))
+    # Adam's moments exist for every parameter once a step ran, for none before
+    trained = model.params if optimizer.step_count else []
+    moments = {f"{m}.{p.name}": p.data.shape for m in ("m", "v") for p in trained}
+    check_tensors(arrays, moments, optim_path)
+    for p in trained:
+        optimizer.m[p.name] = arrays[f"m.{p.name}"]
+        optimizer.v[p.name] = arrays[f"v.{p.name}"]
     return optimizer, state
 
 

@@ -141,6 +141,8 @@ def read_blob(bin_path: str, manifest_path: str) -> dict[str, np.ndarray]:
     out: dict[str, np.ndarray] = {}
     for entry in manifest:
         name = entry["name"]
+        if name in out:
+            raise ValueError(f"{manifest_path}: tensor {name!r} is listed twice")
         shape = tuple(entry["shape"])
         start, length = entry["byte_offset"], entry["byte_length"]
         n_values = int(np.prod(shape)) if shape else 1
@@ -153,3 +155,17 @@ def read_blob(bin_path: str, manifest_path: str) -> dict[str, np.ndarray]:
         # views of the one buffer the file was read into, not copies
         out[name] = payload[start : start + length].view("<f4").reshape(shape)
     return out
+
+
+def check_tensors(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], where: str) -> None:
+    """Pass when ``arrays`` holds exactly the tensors named in ``shapes``, each of that shape; else
+    a ValueError naming ``where`` and a missing, else an unexpected, else a wrong-shaped tensor."""
+    for name in shapes:
+        if name not in arrays:
+            raise ValueError(f"{where}: no tensor {name!r}")
+    for name in arrays:
+        if name not in shapes:
+            raise ValueError(f"{where}: unexpected tensor {name!r}")
+    for name, shape in shapes.items():
+        if arrays[name].shape != shape:
+            raise ValueError(f"{where}: tensor {name!r} has shape {arrays[name].shape}, expected {shape}")

@@ -19,17 +19,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor, backward, truncated_normal
+from .autodiff import Parameter, Tensor, backward
 from .bert import (
     ModelParams,
     epoch_batches,
     finite_loss,
     forward,
+    init_params,
     load_checkpoint,
     save_checkpoint,
 )
 from .checkpoint import (
-    atomic_write_json, check_fields, from_dict, read_blob, read_json, write_blob
+    atomic_write_json, check_fields, check_tensors, from_dict, read_blob, read_json, write_blob
 )
 from .corpus import LabeledExample, SentimentLabel
 from .normalize import NormalizationRules, normalize_text
@@ -47,7 +48,6 @@ LABEL_ORDERS = {
     2: [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE],
     3: [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL],
 }
-INIT_STD = 0.02
 
 
 @dataclass(frozen=True)
@@ -100,53 +100,60 @@ class SentimentModel:
         return {p.name: p for p in self.head_params}
 
 
-def _head_param(name: str, shape, rng, dtype, zero=False) -> Parameter:
-    if zero:
-        return Parameter(name, np.zeros(shape, dtype=dtype))
-    return Parameter(name, truncated_normal(shape, INIT_STD, rng, dtype=dtype))
+def check_widths(head_meta: dict, where: str) -> dict:
+    """Return ``head_meta`` unchanged once each width in it (``lstm_hidden``, ``num_layers``,
+    every ``hidden_sizes`` entry) is >= 1; else a ValueError naming ``where`` and the key."""
+    for key, value in head_meta.items():
+        if min(value if isinstance(value, list) else [value], default=1) < 1:
+            raise ValueError(f"{where} key {key!r} must be >= 1, got {value!r}")
+    return head_meta
 
 
-def init_finetune_head(hidden: int, num_classes: int, rng, dtype=np.float32):
-    return [
-        _head_param("head.weight", (hidden, num_classes), rng, dtype),
-        _head_param("head.bias", (num_classes,), rng, dtype, zero=True),
-    ]
+def head_shapes(kind: str, hidden: int, num_classes: int, head_meta: dict) -> dict[str, tuple[int, ...]]:
+    """Head tensor name -> shape, in allocation order, over a ``hidden``-wide encoder.
 
-
-def init_mlp_head(hidden: int, num_classes: int, hidden_sizes, rng, dtype=np.float32):
-    params = []
-    widths = [hidden] + list(hidden_sizes) + [num_classes]
-    for i, (d_in, d_out) in enumerate(zip(widths, widths[1:]), start=1):
-        params.append(_head_param(f"head.w{i}", (d_in, d_out), rng, dtype))
-        params.append(_head_param(f"head.b{i}", (d_out,), rng, dtype, zero=True))
-    return params
-
-
-def init_lstm_direction(prefix: str, d_in: int, d_h: int, rng, dtype=np.float32):
-    """Four gates, each with input weights (D_in x D_h), recurrent weights
-    (D_h x D_h), and a bias."""
-    params = []
-    for gate in GATES:
-        params.append(_head_param(f"{prefix}.{gate}.w_x", (d_in, d_h), rng, dtype))
-        params.append(_head_param(f"{prefix}.{gate}.w_h", (d_h, d_h), rng, dtype))
-        params.append(_head_param(f"{prefix}.{gate}.b", (d_h,), rng, dtype, zero=True))
-    return params
-
-
-def init_bilstm_head(
-    hidden: int, num_classes: int, lstm_hidden: int, num_layers: int, rng, dtype=np.float32
-):
-    params = []
+    mlp: a weight and a bias per layer; bilstm: per layer, direction and gate,
+    input weights (D_in x D_h), recurrent weights (D_h x D_h) and a bias, then
+    the linear layer on the concatenated final states that finetune has alone.
+    """
+    check_widths(head_meta, "head_meta")
+    shapes: dict[str, tuple[int, ...]] = {}
+    if kind == "mlp":
+        widths = [hidden, *head_meta["hidden_sizes"], num_classes]
+        for i, (d_in, d_out) in enumerate(zip(widths, widths[1:]), start=1):
+            shapes[f"head.w{i}"] = (d_in, d_out)
+            shapes[f"head.b{i}"] = (d_out,)
+        return shapes
     d_in = hidden
-    for layer in range(num_layers):
-        for direction in ("fwd", "bwd"):
-            params.extend(
-                init_lstm_direction(f"lstm{layer}.{direction}", d_in, lstm_hidden, rng, dtype)
-            )
-        d_in = 2 * lstm_hidden
-    params.append(_head_param("head.weight", (2 * lstm_hidden, num_classes), rng, dtype))
-    params.append(_head_param("head.bias", (num_classes,), rng, dtype, zero=True))
-    return params
+    if kind == "bilstm":
+        d_h = head_meta["lstm_hidden"]
+        for layer in range(head_meta["num_layers"]):
+            for direction in ("fwd", "bwd"):
+                for gate in GATES:
+                    prefix = f"lstm{layer}.{direction}.{gate}"
+                    shapes[f"{prefix}.w_x"] = (d_in, d_h)
+                    shapes[f"{prefix}.w_h"] = (d_h, d_h)
+                    shapes[f"{prefix}.b"] = (d_h,)
+            d_in = 2 * d_h
+    elif kind != "finetune":
+        raise ValueError(f"unknown head kind {kind!r}")
+    shapes["head.weight"] = (d_in, num_classes)
+    shapes["head.bias"] = (num_classes,)
+    return shapes
+
+
+def init_model(kind: str, encoder: ModelParams, config: TrainConfig, head_meta: dict) -> SentimentModel:
+    """An untrained ``kind`` head over ``encoder``, its tensors drawn from ``config.seed``."""
+    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(9,)))
+    shapes = head_shapes(kind, encoder.config.hidden_size, config.num_classes, head_meta)
+    return SentimentModel(
+        encoder=encoder,
+        head_kind=kind,
+        head_params=init_params(shapes, rng, encoder.params[0].data.dtype),
+        labels=LABEL_ORDERS[config.num_classes],
+        train_config=config,
+        head_meta=head_meta,
+    )
 
 
 def lstm_step(
@@ -331,22 +338,12 @@ def train_finetune(
     encoder: ModelParams, vocab: Vocab, dataset: list[LabeledExample], config: TrainConfig
 ) -> SentimentModel:
     """Joint training of all encoder parameters plus a linear head on CLS."""
-    labels = LABEL_ORDERS[config.num_classes]
-    _check_inputs(dataset, labels, config, encoder)
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(9,)))
-    dtype = encoder.params[0].data.dtype
-    head = init_finetune_head(encoder.config.hidden_size, config.num_classes, rng, dtype)
-    model = SentimentModel(
-        encoder=encoder,
-        head_kind="finetune",
-        head_params=head,
-        labels=labels,
-        train_config=config,
-    )
+    model = init_model("finetune", encoder, config, {})
+    _check_inputs(dataset, model.labels, config, encoder)
     ids, masks = encode_batch([ex.text for ex in dataset], vocab, config.max_len)
-    targets = _label_indices(dataset, labels)
+    targets = _label_indices(dataset, model.labels)
     optimizer = AdamState(lr=config.learning_rate)
-    trainable = encoder.params + head
+    trainable = encoder.params + model.head_params
     for epoch in range(config.epochs):
         for _, pick, drop_rng in epoch_batches(len(dataset), config.batch_size, config.seed, epoch):
             seq, cls_state = forward(
@@ -368,19 +365,7 @@ def train_bilstm(
     lstm_hidden: int = 128,
     num_layers: int = 3,
 ) -> SentimentModel:
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(9,)))
-    dtype = encoder.params[0].data.dtype
-    head = init_bilstm_head(
-        encoder.config.hidden_size, config.num_classes, lstm_hidden, num_layers, rng, dtype
-    )
-    model = SentimentModel(
-        encoder=encoder,
-        head_kind="bilstm",
-        head_params=head,
-        labels=LABEL_ORDERS[config.num_classes],
-        train_config=config,
-        head_meta={"lstm_hidden": lstm_hidden, "num_layers": num_layers},
-    )
+    model = init_model("bilstm", encoder, config, {"lstm_hidden": lstm_hidden, "num_layers": num_layers})
     return _train_head_on_frozen(model, encoder, vocab, dataset, config)
 
 
@@ -391,19 +376,7 @@ def train_mlp(
     config: TrainConfig,
     hidden_sizes: tuple[int, ...] = (256, 64),
 ) -> SentimentModel:
-    rng = np.random.default_rng(np.random.SeedSequence(config.seed, spawn_key=(9,)))
-    dtype = encoder.params[0].data.dtype
-    head = init_mlp_head(
-        encoder.config.hidden_size, config.num_classes, hidden_sizes, rng, dtype
-    )
-    model = SentimentModel(
-        encoder=encoder,
-        head_kind="mlp",
-        head_params=head,
-        labels=LABEL_ORDERS[config.num_classes],
-        train_config=config,
-        head_meta={"hidden_sizes": list(hidden_sizes)},
-    )
+    model = init_model("mlp", encoder, config, {"hidden_sizes": list(hidden_sizes)})
     return _train_head_on_frozen(model, encoder, vocab, dataset, config)
 
 
@@ -457,7 +430,8 @@ def load_sentiment_model(directory: str) -> SentimentModel:
     if meta["kind"] not in HEAD_META_TYPES:
         raise ValueError(f"{config_path}: unknown head kind {meta['kind']!r}")
     head_types = HEAD_META_TYPES[meta["kind"]]
-    head_meta = check_fields(meta["head_meta"], head_types, f"{config_path}: head_meta", head_types)
+    where = f"{config_path}: head_meta"
+    head_meta = check_widths(check_fields(meta["head_meta"], head_types, where, head_types), where)
     train_config = from_dict(TrainConfig, meta["train_config"], f"{config_path}: train_config")
     # the head's outputs are LABEL_ORDERS' classes; labels.json repeats them for readers
     labels = LABEL_ORDERS[train_config.num_classes]
@@ -465,39 +439,15 @@ def load_sentiment_model(directory: str) -> SentimentModel:
     if read_json(labels_path) != [label.value for label in labels]:
         raise ValueError(f"{labels_path}: expected {[label.value for label in labels]}")
     encoder, _ = load_checkpoint(os.path.join(directory, meta["encoder_ref"]))
-    arrays = read_blob(
-        os.path.join(directory, "head.bin"), os.path.join(directory, "head_manifest.json")
-    )
-    head_params = [Parameter(name, arr) for name, arr in arrays.items()]
-    model = SentimentModel(
+    head_path = os.path.join(directory, "head.bin")
+    arrays = read_blob(head_path, os.path.join(directory, "head_manifest.json"))
+    shapes = head_shapes(meta["kind"], encoder.config.hidden_size, train_config.num_classes, head_meta)
+    check_tensors(arrays, shapes, head_path)
+    return SentimentModel(
         encoder=encoder,
         head_kind=meta["kind"],
-        head_params=head_params,
+        head_params=[Parameter(name, arrays[name]) for name in shapes],
         labels=labels,
         train_config=train_config,
         head_meta=head_meta,
     )
-    _validate_head(model, directory)
-    return model
-
-
-def _validate_head(model: SentimentModel, directory: str) -> None:
-    """Input width: the encoder's hidden size; output width: ``num_classes``."""
-    by_name = model.head_by_name
-    if model.head_kind == "finetune":
-        first = last = "head.weight"
-    elif model.head_kind == "mlp":
-        first, last = "head.w1", f"head.w{len(model.head_meta['hidden_sizes']) + 1}"
-    else:
-        first, last = "lstm0.fwd.input.w_x", "head.weight"
-    head_path = os.path.join(directory, "head.bin")
-    for name in (first, last):
-        if name not in by_name:
-            raise ValueError(f"{head_path}: no tensor {name!r}")
-    hidden = model.encoder.config.hidden_size
-    width = by_name[first].data.shape[0]
-    if width != hidden:
-        raise ValueError(f"head input width {width} does not match encoder hidden size {hidden}")
-    outputs, classes = by_name[last].data.shape[-1], model.train_config.num_classes
-    if outputs != classes:
-        raise ValueError(f"{head_path}: {outputs} outputs, train_config.num_classes is {classes}")

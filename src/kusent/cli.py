@@ -23,6 +23,7 @@ from .checkpoint import atomic_write_text, check_fields, field_types, from_dict,
 from .classifiers import (
     HEAD_META_TYPES,
     TrainConfig,
+    check_widths,
     default_epochs,
     load_sentiment_model,
     predict,
@@ -205,12 +206,12 @@ def cmd_pretrain(args) -> int:
     return 0
 
 
-def _train_config_from(config: dict, args, encoder_hidden: int) -> TrainConfig:
+def _train_config_from(config: dict, args, encoder_hidden: int, where: str) -> TrainConfig:
     section = {k: v for k, v in config.get("train", {}).items() if k in field_types(TrainConfig)}
     section.setdefault("epochs", default_epochs(args.task, encoder_hidden))
     section.setdefault("seed", _seed_from(args, config))
-    section.update(_given(epochs=args.epochs, num_classes=args.num_classes))
-    return from_dict(TrainConfig, section, f"{args.config}: train" if args.config else "train")
+    section.update(_given(epochs=args.epochs, num_classes=args.num_classes, seed=args.seed))
+    return from_dict(TrainConfig, section, where)
 
 
 def cmd_train(args) -> int:
@@ -221,11 +222,13 @@ def cmd_train(args) -> int:
     out_dir = _resolve(args.out, config, "paths", "model", "--out")
     rules = _rules_from(args, config)
     encoder, bert_config = load_checkpoint(encoder_dir)
-    train_config = _train_config_from(config, args, bert_config.hidden_size)
+    where = f"{args.config}: train" if args.config else "train"
+    train_config = _train_config_from(config, args, bert_config.hidden_size, where)
     vocab = load_vocab(vocab_path)
     dataset = load_labeled(data_path, rules)
     # the head's own keys (lstm_hidden, hidden_sizes) as the config sets them
     head_args = {k: v for k, v in config.get("train", {}).items() if k in HEAD_META_TYPES[args.task]}
+    check_widths(head_args, where)
     trainers = {"finetune": train_finetune, "bilstm": train_bilstm, "mlp": train_mlp}
     model = trainers[args.task](encoder, vocab, dataset, train_config, **head_args)
     save_sentiment_model(model, out_dir)

@@ -4,6 +4,7 @@ Run with `pytest tests/test_acceptance.py -v -s` to see the per-criterion
 lines as they complete.
 """
 
+import hashlib
 import json
 import random
 import time
@@ -20,6 +21,7 @@ from kusent.bert import (
     count_params,
     expected_shapes,
     forward,
+    init_params,
     load_checkpoint,
     mask_for_mlm,
     mlm_logits,
@@ -29,8 +31,7 @@ from kusent.bert import (
 from kusent.classifiers import (
     TrainConfig,
     bilstm_summary,
-    init_bilstm_head,
-    init_mlp_head,
+    head_shapes,
     train_bilstm,
     train_finetune,
     train_mlp,
@@ -148,7 +149,7 @@ def test_criterion_1_gradient_checks():
 
     # one BiLSTM layer
     rng = np.random.default_rng(4)
-    lstm = init_bilstm_head(5, 3, lstm_hidden=4, num_layers=1, rng=rng, dtype=np.float64)
+    lstm = init_params(head_shapes("bilstm", 5, 3, {"lstm_hidden": 4, "num_layers": 1}), rng, np.float64)
     by_name = {p.name: p for p in lstm}
     states = Tensor(rng.normal(size=(2, 4, 5)))
     s_mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
@@ -165,7 +166,7 @@ def test_criterion_1_gradient_checks():
     rng = np.random.default_rng(6)
     mlp = [
         Parameter(p.name, rng.normal(scale=0.6, size=p.data.shape))
-        for p in init_mlp_head(6, 3, (8, 4), rng, dtype=np.float64)
+        for p in init_params(head_shapes("mlp", 6, 3, {"hidden_sizes": [8, 4]}), rng, np.float64)
     ]
     mby = {p.name: p for p in mlp}
     cls_in = Tensor(rng.normal(size=(5, 6)))
@@ -563,12 +564,16 @@ def _desk_run(root, tag):
 def test_criterion_9_determinism(tmp_path):
     enc_a, model_a, rep_a = _desk_run(tmp_path, "a")
     enc_b, model_b, rep_b = _desk_run(tmp_path, "b")
-    same = []
-    for rel in ("params.bin", "manifest.json", "config.json", "optim.bin"):
-        same.append((enc_a / rel).read_bytes() == (enc_b / rel).read_bytes())
-    for rel in ("head.bin", "head_manifest.json", "labels.json", "encoder/params.bin"):
-        same.append((model_a / rel).read_bytes() == (model_b / rel).read_bytes())
-    same.append(rep_a.read_bytes() == rep_b.read_bytes())
+    pairs = [(f"encoder/{rel}", enc_a / rel, enc_b / rel)
+             for rel in ("params.bin", "manifest.json", "config.json", "optim.bin")]
+    pairs += [(f"model/{rel}", model_a / rel, model_b / rel)
+              for rel in ("head.bin", "head_manifest.json", "labels.json", "encoder/params.bin")]
+    pairs.append(("report.json", rep_a, rep_b))
+    same = [a.read_bytes() == b.read_bytes() for _, a, b in pairs]
     ok = all(same)
-    announce(9, "determinism", ok, f"{sum(same)}/{len(same)} artifacts byte-identical")
+    # the sha256 prefix of each artifact, so refactors can be checked byte for byte across trees
+    ledger = ", ".join(
+        f"{name} {hashlib.sha256(a.read_bytes()).hexdigest()[:16]}" for name, a, _ in pairs
+    )
+    announce(9, "determinism", ok, f"{sum(same)}/{len(same)} artifacts byte-identical; {ledger}")
     assert ok

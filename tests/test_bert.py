@@ -510,6 +510,12 @@ class TestCheckpoint:
         with pytest.raises(ValueError, match=f"tensor '{name}' lies outside .*params.bin"):
             load_checkpoint(str(tmp_path / "ck"))
 
+    def test_tensor_listed_twice_rejected(self, tmp_path):
+        weight = np.ones((2, 2), dtype=np.float32)
+        write_blob([("w", weight), ("w", weight)], str(tmp_path / "t.bin"), str(tmp_path / "t.json"))
+        with pytest.raises(ValueError, match="t.json: tensor 'w' is listed twice"):
+            read_blob(str(tmp_path / "t.bin"), str(tmp_path / "t.json"))
+
     def test_blob_is_the_tensors_bytes_in_manifest_order(self, tmp_path):
         arrays = [("a", np.arange(6, dtype=np.float64).reshape(2, 3)),
                   ("b", np.float32(2.5) * np.ones((4,), dtype=np.float32)[::2]),

@@ -6,14 +6,15 @@ import pytest
 
 from kusent import autodiff as ad
 from kusent.autodiff import Parameter, Tensor
-from kusent.bert import BertConfig, build_model, load_checkpoint, pretrain
+from kusent.bert import BertConfig, build_model, forward, init_params, load_checkpoint, pretrain
 from kusent.classifiers import (
     LABEL_ORDERS,
     TrainConfig,
     bilstm_summary,
     default_epochs,
-    init_bilstm_head,
-    init_mlp_head,
+    head_logits,
+    head_shapes,
+    init_model,
     load_sentiment_model,
     lstm_step,
     predict,
@@ -26,7 +27,7 @@ from kusent.classifiers import (
 from kusent.corpus import LabeledExample, SentimentLabel
 from kusent.gradcheck import grad_check
 from kusent.normalize import normalize_text
-from kusent.wordpiece import SPECIAL_TOKENS, Vocab, encode
+from kusent.wordpiece import SPECIAL_TOKENS, Vocab, encode, encode_batch
 
 CLASS_WORDS = {
     SentimentLabel.POSITIVE: [f"good{i}" for i in range(8)],
@@ -143,7 +144,7 @@ class TestLstmCell:
 
     def test_single_timestep_sequence(self):
         rng = np.random.default_rng(1)
-        head = init_bilstm_head(4, 3, lstm_hidden=3, num_layers=3, rng=rng, dtype=np.float64)
+        head = init_params(head_shapes("bilstm", 4, 3, {"lstm_hidden": 3, "num_layers": 3}), rng, np.float64)
         by_name = {p.name: p for p in head}
         states = Tensor(rng.normal(size=(2, 1, 4)))
         mask = np.ones((2, 1), dtype=np.int64)
@@ -153,7 +154,7 @@ class TestLstmCell:
 
     def test_pad_positions_do_not_leak(self):
         rng = np.random.default_rng(2)
-        head = init_bilstm_head(4, 3, lstm_hidden=3, num_layers=2, rng=rng, dtype=np.float64)
+        head = init_params(head_shapes("bilstm", 4, 3, {"lstm_hidden": 3, "num_layers": 2}), rng, np.float64)
         by_name = {p.name: p for p in head}
         real = rng.normal(size=(1, 3, 4))
         mask_short = np.ones((1, 3), dtype=np.int64)
@@ -167,7 +168,7 @@ class TestLstmCell:
 class TestGradChecks:
     def test_bilstm_layer(self):
         rng = np.random.default_rng(4)
-        head = init_bilstm_head(5, 3, lstm_hidden=4, num_layers=1, rng=rng, dtype=np.float64)
+        head = init_params(head_shapes("bilstm", 5, 3, {"lstm_hidden": 4, "num_layers": 1}), rng, np.float64)
         by_name = {p.name: p for p in head}
         states = Tensor(rng.normal(size=(2, 4, 5)))
         mask = np.array([[1, 1, 1, 0], [1, 1, 1, 1]])
@@ -187,11 +188,10 @@ class TestGradChecks:
         # ReLU pre-activations must sit away from the kink or finite
         # differences cross it; the seed is chosen to leave a safe margin
         rng = np.random.default_rng(6)
+        shapes = head_shapes("mlp", 6, 3, {"hidden_sizes": [8, 4]})
         head = [
             Parameter(name, rng.normal(scale=0.6, size=p.data.shape))
-            for name, p in (
-                (p.name, p) for p in init_mlp_head(6, 3, (8, 4), rng, dtype=np.float64)
-            )
+            for name, p in ((p.name, p) for p in init_params(shapes, rng, np.float64))
         ]
         by_name = {p.name: p for p in head}
         cls = Tensor(rng.normal(size=(5, 6)))
@@ -408,7 +408,7 @@ class TestSaveLoad:
             load_sentiment_model(str(tmp_path / "model"))
 
     @pytest.mark.parametrize("section, key, value, message", [
-        ("train_config", "num_classes", 2, "head.bin: 3 outputs, train_config.num_classes is 2"),
+        ("train_config", "num_classes", 2, r"head.bin: tensor 'head.w3' has shape \(4, 3\), expected \(4, 2\)"),
         ("head_meta", "hidden_sizes", [4, 4, 4], "head.bin: no tensor 'head.w4'"),
     ])
     def test_head_not_matching_its_config_rejected(self, tmp_path, section, key, value, message):
@@ -437,8 +437,40 @@ class TestSaveLoad:
         from kusent.bert import save_checkpoint
 
         save_checkpoint(str(tmp_path / "model" / "encoder"), other)
-        with pytest.raises(ValueError, match="width 32 does not match.*16"):
+        with pytest.raises(ValueError, match=r"head.bin: tensor 'head.w1' has shape \(32, 4\), expected \(16, 4\)"):
             load_sentiment_model(str(tmp_path / "model"))
+
+    @pytest.mark.parametrize("kind, head_meta", [
+        ("finetune", {}),
+        ("mlp", {"hidden_sizes": [5, 4]}),
+        ("bilstm", {"lstm_hidden": 3, "num_layers": 2}),
+    ])
+    def test_layout_is_what_the_head_computes_with(self, tmp_path, kind, head_meta):
+        """Every tensor head_shapes names gets a gradient, and a reload keeps the layout's order."""
+        encoder = tiny_encoder(seed=15, hidden=8, dtype=np.float64)
+        config = TrainConfig(epochs=1, max_len=10)
+        model = init_model(kind, encoder, config, head_meta)
+        texts = [ex.text for ex in synthetic_dataset(n_per_class=2)]
+        ids, masks = encode_batch(texts, synthetic_vocab(), config.max_len)
+        seq, cls_state = forward(encoder, ids, masks)
+        logits = head_logits(model, seq, cls_state, masks)
+        ad.backward(ad.cross_entropy(logits, np.arange(len(ids)) % 3))
+        shapes = head_shapes(kind, 8, 3, head_meta)
+        assert [(p.name, p.data.shape) for p in model.head_params] == list(shapes.items())
+        for p in model.head_params:
+            assert np.any(p.grad != 0), p.name
+        save_sentiment_model(model, str(tmp_path / "model"))
+        loaded = load_sentiment_model(str(tmp_path / "model"))
+        assert [p.name for p in loaded.head_params] == list(shapes)
+
+    @pytest.mark.parametrize("kind, head_meta, key", [
+        ("bilstm", {"lstm_hidden": 0, "num_layers": 1}, "lstm_hidden"),
+        ("bilstm", {"lstm_hidden": 4, "num_layers": 0}, "num_layers"),
+        ("mlp", {"hidden_sizes": [4, 0]}, "hidden_sizes"),
+    ])
+    def test_head_width_below_one_named(self, kind, head_meta, key):
+        with pytest.raises(ValueError, match=f"head_meta key '{key}' must be >= 1"):
+            head_shapes(kind, 8, 3, head_meta)
 
     def test_losses_finite(self):
         vocab = synthetic_vocab()

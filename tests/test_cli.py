@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from kusent.bert import BertConfig
-from kusent.checkpoint import field_types, from_dict
+from kusent.checkpoint import field_types, from_dict, read_blob, write_blob
 from kusent.classifiers import TrainConfig
 from kusent.cli import build_parser, load_pipeline_config, main
 from kusent.corpus import SentimentLabel, load_labeled
@@ -207,6 +207,18 @@ def pipeline(tmp_path_factory):
     }
 
 
+@pytest.fixture(scope="module")
+def bilstm_model(pipeline):
+    """A one-epoch bilstm head on the pipeline's encoder."""
+    model = pipeline["root"] / "bilstm_model"
+    assert main([
+        "train", "--task", "bilstm", "--config", str(pipeline["cfg"]),
+        "--encoder", str(pipeline["encoder"]), "--data", str(pipeline["labeled"]),
+        "--vocab", str(pipeline["vocab"]), "--out", str(model), "--epochs", "1",
+    ]) == 0
+    return model
+
+
 class TestPipeline:
     def test_pretrain_wrote_checkpoint(self, pipeline):
         assert (pipeline["encoder"] / "params.bin").exists()
@@ -365,6 +377,10 @@ class TestPipeline:
             (["pretrain"], "cfg.json", "seed", "1"),
             (["pretrain"], "encoder/state.json", "adam", None),
             (["train-tokenizer"], "cfg.json", "tokenizer.vocab_size", "60"),
+            # head widths below 1
+            (["train", "--task", "bilstm"], "cfg.json", "train.lstm_hidden", 0),
+            (["train", "--task", "mlp"], "cfg.json", "train.hidden_sizes", [0]),
+            (["train", "--task", "mlp"], "cfg.json", "train.hidden_sizes", [-2]),
         ],
     )
     def test_bad_input_value_is_one_error_line(
@@ -399,6 +415,66 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert name in err
         assert path.name in err or key in err
+
+    def test_seed_flag_beats_train_seed(self, pipeline, tmp_path):
+        raw = json.loads(pipeline["cfg"].read_text())
+        raw["train"]["seed"] = 1
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        assert main([
+            "train", "--task", "mlp", "--config", str(tmp_path / "cfg.json"), "--seed", "7",
+            "--encoder", str(pipeline["encoder"]), "--data", str(pipeline["labeled"]),
+            "--vocab", str(pipeline["vocab"]), "--out", str(tmp_path / "model"), "--epochs", "1",
+        ]) == 0
+        meta = json.loads((tmp_path / "model" / "head_config.json").read_text())
+        assert meta["train_config"]["seed"] == 7
+
+    @pytest.mark.parametrize(
+        "artifact, rel, edit, name",
+        [
+            ("mlp", "head.bin", "drop", "head.b2"),
+            ("bilstm", "head.bin", "drop", "lstm1.bwd.cell.w_h"),
+            ("mlp", "head.bin", "add", "head.extra"),
+            ("bilstm", "head.bin", "add", "head.extra"),
+            ("mlp", "head.bin", "shrink", "head.b1"),
+            ("bilstm", "head.bin", "shrink", "head.bias"),
+            ("mlp", "encoder/params.bin", "shrink", "layer0.attn.q.bias"),
+            ("encoder", "optim.bin", "drop", "v.layer0.ffn.w1"),
+            # state.json counts Adam steps, so the moments must be there
+            ("encoder", "optim.bin", "empty", "m.embeddings.token"),
+        ],
+    )
+    def test_corrupt_tensor_is_one_error_line(
+        self, pipeline, bilstm_model, tmp_path, capsys, artifact, rel, edit, name
+    ):
+        """A missing, unexpected or (1,)-shaped tensor is one error line naming the file and tensor."""
+        source = {"mlp": pipeline["model"], "bilstm": bilstm_model, "encoder": pipeline["encoder"]}
+        target = tmp_path / "artifact"
+        shutil.copytree(source[artifact], target)
+        bin_path = target / rel
+        manifests = {"head.bin": "head_manifest.json", "params.bin": "manifest.json",
+                     "optim.bin": "optim_manifest.json"}
+        manifest = bin_path.with_name(manifests[bin_path.name])
+        arrays = read_blob(str(bin_path), str(manifest))
+        if edit == "drop":
+            del arrays[name]
+        elif edit == "add":
+            arrays[name] = np.zeros(2, dtype=np.float32)
+        elif edit == "empty":
+            arrays = {}
+        else:
+            arrays[name] = arrays[name][:1]
+        write_blob(list(arrays.items()), str(bin_path), str(manifest))
+        if artifact == "encoder":
+            argv = ["pretrain", "--config", str(pipeline["cfg"]), "--corpus",
+                    str(pipeline["root"] / "corpus.txt"), "--out", str(target), "--resume"]
+        else:
+            argv = ["predict", "--model", str(target), "--text", "good0"]
+        capsys.readouterr()
+        rc = main(argv + ["--vocab", str(pipeline["vocab"])])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"{bin_path.name}: " in err and repr(name) in err
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
