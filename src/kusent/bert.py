@@ -9,6 +9,7 @@ and an optional iteration cap, whichever is reached first.
 from __future__ import annotations
 
 import dataclasses
+import itertools
 import logging
 import math
 import os
@@ -410,7 +411,7 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, BertConfig]:
 
 def _load_train_state(directory: str, model: ModelParams) -> tuple[AdamState, dict]:
     path = os.path.join(directory, "state.json")
-    state = check_fields(read_json(path), _TRAIN_STATE, path, ("adam",))
+    state = check_fields(read_json(path), _TRAIN_STATE, path, _TRAIN_STATE)
     optimizer = AdamState(**check_fields(state["adam"], _ADAM_STATE, f"{path}: adam", _ADAM_STATE))
     optim_path = os.path.join(directory, "optim.bin")
     arrays = read_blob(optim_path, os.path.join(directory, "optim_manifest.json"))
@@ -474,10 +475,12 @@ def pretrain(
     """Minimize MLM cross-entropy with Adam over the corpus.
 
     Stops at ``config.epochs`` or ``config.iterations`` steps, whichever
-    comes first. Checkpoints (with optimizer state) are written at every
-    epoch boundary and at the final step; masking, shuffling, and dropout
-    streams derive from (seed, epoch, batch), so resuming from a checkpoint
-    reproduces the uninterrupted run exactly.
+    comes first. A checkpoint (with optimizer state) is written at every
+    epoch boundary and at a stop mid-epoch. Masking, shuffling, and dropout
+    streams derive from (seed, epoch, batch), so a resume continues at the
+    batch where the run stopped and reproduces the uninterrupted run exactly.
+    Only epochs and iterations may change on resume; the stored Adam state,
+    learning rate included, is used.
     """
     if not corpus:
         raise ValueError("cannot pretrain on an empty corpus")
@@ -496,47 +499,51 @@ def pretrain(
         raise ValueError(f"checkpoint directory {checkpoint_dir} is not writable")
     max_len = min(max_len, config.max_position)
 
-    start_epoch = 0
+    steps_per_epoch = -(-len(corpus) // config.batch_size)
     global_step = 0
     optimizer = AdamState(lr=lr)
-    if resume and os.path.exists(os.path.join(checkpoint_dir, "state.json")):
+    state_path = os.path.join(checkpoint_dir, "state.json")
+    if resume and os.path.exists(state_path):
         loaded, loaded_config = load_checkpoint(checkpoint_dir)
-        # schedule fields (epochs, iterations) may grow on resume; the
-        # architecture may not change
-        for arch_field in (
-            "hidden_size",
-            "num_hidden_layers",
-            "num_attention_heads",
-            "vocab_size",
-            "max_position",
-            "intermediate_size",
-        ):
-            if getattr(loaded_config, arch_field) != getattr(config, arch_field):
-                raise ValueError(
-                    f"checkpoint {arch_field}={getattr(loaded_config, arch_field)} does not "
-                    f"match requested {getattr(config, arch_field)}"
-                )
+        resumable = dataclasses.replace(loaded_config, epochs=config.epochs, iterations=config.iterations)
+        if resumable != config:
+            name = next(k for k, v in resumable.to_dict().items() if getattr(config, k) != v)
+            raise ValueError(
+                f"checkpoint {name}={getattr(resumable, name)} does not match requested "
+                f"{getattr(config, name)}; only epochs and iterations may change on resume"
+            )
+        optimizer, state = _load_train_state(checkpoint_dir, model)
+        if state["seed"] != seed:
+            raise ValueError(
+                f"{state_path}: checkpoint seed {state['seed']} does not match requested seed {seed}"
+            )
+        global_step = state["global_step"]
+        if state["next_epoch"] != global_step // steps_per_epoch:
+            raise ValueError(
+                f"{state_path}: next_epoch {state['next_epoch']} does not match step {global_step} "
+                f"at {steps_per_epoch} steps per epoch; the corpus size changed"
+            )
+        if state["threads"] != thread_settings():
+            logger.warning(
+                "%s was written with threads %s but this run has %s; BLAS results are "
+                "bit-reproducible only at a fixed thread count",
+                state_path, state["threads"], thread_settings(),
+            )
         for p, lp in zip(model.params, loaded.params):
             p.data = lp.data
-        optimizer, state = _load_train_state(checkpoint_dir, model)
-        start_epoch = state.get("next_epoch", 0)
-        global_step = state.get("global_step", 0)
-        logger.info("resuming at epoch %d, step %d", start_epoch, global_step)
+        logger.info("resuming at epoch %d, step %d", state["next_epoch"], global_step)
+    # the step to stop at; a resume already past it trains nothing
+    cap = math.inf if config.iterations is None else config.iterations
+    total = max(global_step, min(config.epochs * steps_per_epoch, cap))
 
     all_ids, all_masks = encode_batch(corpus, vocab, max_len)
 
     losses: list[float] = []
-    cap = config.iterations
-    stopped = cap is not None and global_step >= cap
-    epoch = start_epoch
-    wrote_checkpoint = False
-    while epoch < config.epochs and not stopped:
-        for batch_idx, pick, drop_rng in epoch_batches(
-            len(corpus), config.batch_size, seed, epoch
-        ):
-            if cap is not None and global_step >= cap:
-                stopped = True
-                break
+    while True:
+        # one pass per epoch: the rest of the current epoch up to the stop point
+        epoch, done = divmod(global_step, steps_per_epoch)
+        batches = epoch_batches(len(corpus), config.batch_size, seed, epoch)
+        for batch_idx, pick, drop_rng in itertools.islice(batches, done, total - epoch * steps_per_epoch):
             ids = all_ids[pick]
             mask = all_masks[pick]
             width = max(int(mask.sum(axis=1).max()), 3)
@@ -555,22 +562,11 @@ def pretrain(
             adam_step(model.params, optimizer)
             if global_step % log_every == 0:
                 logger.info("step %d: mlm loss %.4f", global_step, losses[-1])
-        if not stopped:
-            epoch += 1
-            save_checkpoint(
-                checkpoint_dir,
-                model,
-                optimizer,
-                {"next_epoch": epoch, "global_step": global_step, "seed": seed},
-            )
-            wrote_checkpoint = True
-    if stopped or not wrote_checkpoint:
-        # cap hit mid-epoch (resuming replays the epoch, and the cap keeps the
-        # step count consistent) or nothing trained at all
         save_checkpoint(
             checkpoint_dir,
             model,
             optimizer,
-            {"next_epoch": epoch, "global_step": global_step, "seed": seed},
+            {"next_epoch": global_step // steps_per_epoch, "global_step": global_step, "seed": seed},
         )
-    return PretrainResult(losses=losses, steps=global_step, checkpoint_dir=checkpoint_dir)
+        if global_step >= total:
+            return PretrainResult(losses=losses, steps=global_step, checkpoint_dir=checkpoint_dir)

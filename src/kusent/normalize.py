@@ -17,6 +17,8 @@ import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
+from .checkpoint import atomic_write_text
+
 DIGIT_POLICIES = ("ascii", "arabic", "keep")
 
 _ASCII_DIGITS = "0123456789"
@@ -211,5 +213,4 @@ def save_rules(rules: NormalizationRules, path: str) -> None:
     for ch in sorted(rules.strip_set):
         lines.append(f"strip {ord(ch):04X}")
     lines.append(f"digits {rules.digit_policy}")
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("\n".join(lines) + "\n")
+    atomic_write_text(path, "\n".join(lines) + "\n")

@@ -20,6 +20,8 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
+from .checkpoint import atomic_write_text
+
 # Recorded in the benchmark's run manifest (perfbench/worker.py); the
 # matcher below is the only one.
 MATCH_BACKEND = "python"
@@ -257,9 +259,7 @@ def decode(ids: Sequence[int], vocab: Vocab) -> str:
 
 
 def save_vocab(vocab: Vocab, path: str) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        for piece in vocab.pieces:
-            fh.write(piece + "\n")
+    atomic_write_text(path, "".join(piece + "\n" for piece in vocab.pieces))
 
 
 def load_vocab(path: str) -> Vocab:

@@ -562,18 +562,22 @@ def _desk_run(root, tag):
 
 
 def test_criterion_9_determinism(tmp_path):
-    enc_a, model_a, rep_a = _desk_run(tmp_path, "a")
-    enc_b, model_b, rep_b = _desk_run(tmp_path, "b")
-    pairs = [(f"encoder/{rel}", enc_a / rel, enc_b / rel)
-             for rel in ("params.bin", "manifest.json", "config.json", "optim.bin")]
-    pairs += [(f"model/{rel}", model_a / rel, model_b / rel)
-              for rel in ("head.bin", "head_manifest.json", "labels.json", "encoder/params.bin")]
-    pairs.append(("report.json", rep_a, rep_b))
-    same = [a.read_bytes() == b.read_bytes() for _, a, b in pairs]
-    ok = all(same)
+    def outputs(tag):
+        """Every file the desk run writes, by its path relative to the run's output."""
+        encoder, model, rep = _desk_run(tmp_path, tag)
+        files = {f"{d.name[:-2]}/{p.relative_to(d)}": p
+                 for d in (encoder, model) for p in d.rglob("*") if p.is_file()}
+        files["vocab.txt"] = tmp_path / f"vocab_{tag}.txt"
+        files["report.json"] = rep
+        return files
+
+    run_a, run_b = outputs("a"), outputs("b")
+    names = sorted(run_a)
+    same = [name in run_b and run_a[name].read_bytes() == run_b[name].read_bytes() for name in names]
+    ok = all(same) and sorted(run_b) == names
     # the sha256 prefix of each artifact, so refactors can be checked byte for byte across trees
     ledger = ", ".join(
-        f"{name} {hashlib.sha256(a.read_bytes()).hexdigest()[:16]}" for name, a, _ in pairs
+        f"{name} {hashlib.sha256(run_a[name].read_bytes()).hexdigest()[:16]}" for name in names
     )
     announce(9, "determinism", ok, f"{sum(same)}/{len(same)} artifacts byte-identical; {ledger}")
     assert ok

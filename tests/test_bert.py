@@ -429,6 +429,58 @@ class TestPretrain:
         for pa, pb in zip(a.params, b.params):
             np.testing.assert_array_equal(pa.data, pb.data)
 
+    def test_resume_with_grown_cap_continues_mid_epoch(self, tmp_path):
+        vocab, lines = toy_vocab_corpus(n_lines=24)
+
+        def run(iterations, ck, resume=False):
+            cfg = tiny_config(vocab_size=len(vocab), epochs=2, iterations=iterations, batch_size=4)
+            return pretrain(
+                build_model(cfg, seed=8), lines, vocab, cfg, seed=4, checkpoint_dir=str(ck),
+                max_len=12, lr=1e-3, resume=resume,
+            )
+
+        full = run(8, tmp_path / "full")
+        part = run(3, tmp_path / "part")
+        resumed = run(8, tmp_path / "part", resume=True)
+        assert (part.steps, resumed.steps) == (3, 8)
+        assert part.losses + resumed.losses == full.losses
+        for fname in ("params.bin", "optim.bin", "state.json"):
+            assert (tmp_path / "part" / fname).read_bytes() == (tmp_path / "full" / fname).read_bytes()
+
+    def test_cap_on_epoch_boundary_writes_one_checkpoint(self, tmp_path, monkeypatch):
+        vocab, lines = toy_vocab_corpus(n_lines=16)
+        cfg = tiny_config(vocab_size=len(vocab), epochs=3, iterations=8, batch_size=4)
+        written = []
+        real_save = bert.save_checkpoint
+
+        def recording_save(directory, model, optimizer=None, train_state=None):
+            written.append((train_state["next_epoch"], train_state["global_step"]))
+            real_save(directory, model, optimizer, train_state)
+
+        monkeypatch.setattr(bert, "save_checkpoint", recording_save)
+        pretrain(build_model(cfg, seed=3), lines, vocab, cfg, seed=2,
+                 checkpoint_dir=str(tmp_path / "ck"), max_len=12)
+        assert written == [(1, 4), (2, 8)]
+
+    def test_resume_warns_only_when_threads_differ(self, tmp_path, monkeypatch, caplog):
+        vocab, lines = toy_vocab_corpus(n_lines=8)
+        cfg = tiny_config(vocab_size=len(vocab), iterations=1, batch_size=4)
+        ck = str(tmp_path / "ck")
+        monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+        pretrain(build_model(cfg, seed=3), lines, vocab, cfg, seed=2, checkpoint_dir=ck)
+        warnings = {}
+        for threads in ("1", "3"):
+            monkeypatch.setenv("OPENBLAS_NUM_THREADS", threads)
+            caplog.clear()
+            with caplog.at_level("WARNING", logger="kusent.bert"):
+                pretrain(build_model(cfg, seed=3), lines, vocab, cfg, seed=2, checkpoint_dir=ck,
+                         resume=True)
+            warnings[threads] = [r.getMessage() for r in caplog.records if r.levelname == "WARNING"]
+        assert warnings["1"] == []
+        assert len(warnings["3"]) == 1
+        assert "'openblas_num_threads': '1'" in warnings["3"][0]
+        assert "'openblas_num_threads': '3'" in warnings["3"][0]
+
     def test_mlm_head_sees_only_masked_rows(self, tmp_path, monkeypatch):
         vocab, lines = toy_vocab_corpus(n_lines=20)
         cfg = tiny_config(vocab_size=len(vocab), epochs=2, batch_size=6)

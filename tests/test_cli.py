@@ -476,6 +476,40 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{bin_path.name}: " in err and repr(name) in err
 
+    @pytest.mark.parametrize(
+        "bert_edit, flags, corpus_lines, named",
+        [
+            ({"hidden_size": 64}, [], None, "hidden_size"),
+            ({"num_attention_heads": 8}, [], None, "num_attention_heads"),
+            # epochs may change on resume, so the batch size is what gets named
+            ({"batch_szie": 8, "epochs": 6}, [], None, "batch_size"),
+            ({"dropout_rate": 0.2}, [], None, "dropout_rate"),
+            ({}, ["--seed", "12"], None, "seed"),
+            # half the corpus moves the epoch boundary under the stored step count
+            ({}, [], 500, "next_epoch"),
+        ],
+    )
+    def test_resume_from_another_run_is_one_error_line(
+        self, pipeline, tmp_path, capsys, bert_edit, flags, corpus_lines, named
+    ):
+        raw = json.loads(pipeline["cfg"].read_text())
+        raw["bert"].update(bert_edit)
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        corpus = pipeline["root"] / "corpus.txt"
+        if corpus_lines is not None:
+            lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+            corpus = tmp_path / "corpus.txt"
+            corpus.write_text("".join(lines[:corpus_lines]), encoding="utf-8")
+        shutil.copytree(pipeline["encoder"], tmp_path / "encoder")
+        capsys.readouterr()
+        rc = main(["pretrain", "--config", str(tmp_path / "cfg.json"), "--corpus", str(corpus),
+                   "--vocab", str(pipeline["vocab"]), "--out", str(tmp_path / "encoder"),
+                   "--resume"] + flags)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert named in err
+
     def test_readme_config_example_loads(self, tmp_path):
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")
         example = re.search(r"## Config file\n.*?```json\n(.*?)```", readme, re.S).group(1)

@@ -1,3 +1,4 @@
+import os
 import random
 
 import pytest
@@ -109,6 +110,20 @@ def test_rules_file_round_trip(tmp_path):
     assert loaded.strip_set == rules.strip_set
     assert loaded.digit_policy == rules.digit_policy
 
+
+def test_rules_file_failed_overwrite_keeps_old_file(tmp_path, monkeypatch):
+    path = tmp_path / "default.rules"
+    save_rules(default_rules(), str(path))
+    old = path.read_bytes()
+
+    def failing_replace(src, dst):
+        raise OSError("disk full")
+
+    monkeypatch.setattr(os, "replace", failing_replace)
+    with pytest.raises(OSError, match="disk full"):
+        save_rules(NormalizationRules(digit_policy="keep"), str(path))
+    assert path.read_bytes() == old
+    assert [p.name for p in tmp_path.iterdir()] == ["default.rules"]
 
 def test_rules_file_parsing(tmp_path):
     path = tmp_path / "custom.rules"

@@ -1,4 +1,5 @@
 import logging
+import os
 import random
 
 import numpy as np
@@ -301,6 +302,20 @@ class TestVocabIO:
         save_vocab(vocab, str(path))
         assert load_vocab(str(path)) == vocab
 
+
+    def test_failed_overwrite_keeps_old_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "vocab.txt"
+        save_vocab(Vocab(pieces=SPECIAL_TOKENS + ["x"]), str(path))
+        old = path.read_bytes()
+
+        def failing_replace(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="disk full"):
+            save_vocab(Vocab(pieces=SPECIAL_TOKENS + ["y", "z"]), str(path))
+        assert path.read_bytes() == old
+        assert [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
 
 class TestVocabInvariants:
     def test_duplicate_pieces_rejected(self):
