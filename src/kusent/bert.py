@@ -480,7 +480,9 @@ def pretrain(
     streams derive from (seed, epoch, batch), so a resume continues at the
     batch where the run stopped and reproduces the uninterrupted run exactly.
     Only epochs and iterations may change on resume; the stored Adam state,
-    learning rate included, is used.
+    learning rate included, is used. A resume needs ``state.json`` beside
+    ``params.bin``; a directory without ``params.bin`` starts fresh. Each
+    batch's lines are encoded with ``encode_batch`` as the batch is drawn.
     """
     if not corpus:
         raise ValueError("cannot pretrain on an empty corpus")
@@ -488,6 +490,8 @@ def pretrain(
         raise ValueError(f"pretrain.learning_rate must be > 0, got {lr}")
     if log_every < 1:
         raise ValueError(f"pretrain.log_every must be >= 1, got {log_every}")
+    if max_len < 3:
+        raise ValueError(f"pretrain.max_len must be >= 3 (CLS, one piece, SEP), got {max_len}")
     if len(vocab) != config.vocab_size:
         logger.warning(
             "vocab has %d pieces but config.vocab_size is %d; ids must stay in range",
@@ -503,7 +507,12 @@ def pretrain(
     global_step = 0
     optimizer = AdamState(lr=lr)
     state_path = os.path.join(checkpoint_dir, "state.json")
-    if resume and os.path.exists(state_path):
+    # a directory with weights is a checkpoint; without state.json it cannot be resumed
+    if resume and os.path.exists(os.path.join(checkpoint_dir, "params.bin")):
+        if not os.path.exists(state_path):
+            raise ValueError(
+                f"cannot resume: {state_path} is missing, so the checkpoint holds no training state"
+            )
         loaded, loaded_config = load_checkpoint(checkpoint_dir)
         resumable = dataclasses.replace(loaded_config, epochs=config.epochs, iterations=config.iterations)
         if resumable != config:
@@ -536,18 +545,13 @@ def pretrain(
     cap = math.inf if config.iterations is None else config.iterations
     total = max(global_step, min(config.epochs * steps_per_epoch, cap))
 
-    all_ids, all_masks = encode_batch(corpus, vocab, max_len)
-
     losses: list[float] = []
     while True:
         # one pass per epoch: the rest of the current epoch up to the stop point
         epoch, done = divmod(global_step, steps_per_epoch)
         batches = epoch_batches(len(corpus), config.batch_size, seed, epoch)
         for batch_idx, pick, drop_rng in itertools.islice(batches, done, total - epoch * steps_per_epoch):
-            ids = all_ids[pick]
-            mask = all_masks[pick]
-            width = max(int(mask.sum(axis=1).max()), 3)
-            ids, mask = ids[:, :width], mask[:, :width]
+            ids, mask = encode_batch([corpus[i] for i in pick], vocab, max_len)
             mask_rng = np.random.default_rng(
                 np.random.SeedSequence(seed, spawn_key=(1, epoch, batch_idx))
             )

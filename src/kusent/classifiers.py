@@ -315,22 +315,30 @@ def _frozen_features(encoder, ids, masks, batch_size=32):
     return states, states[:, 0, :]
 
 
-def _train_head_on_frozen(model, encoder, vocab, dataset, config):
-    """Shared loop for the bilstm and mlp heads: cache features, train head only."""
+def _train_head(model, encoder, vocab, dataset, config):
+    """Adam over seeded batches. finetune runs the encoder on each batch and trains it with
+    the head; bilstm and mlp train the head alone on frozen features computed once."""
     _check_inputs(dataset, model.labels, config, encoder)
     ids, masks = encode_batch([ex.text for ex in dataset], vocab, config.max_len)
     targets = _label_indices(dataset, model.labels)
-    states, cls = _frozen_features(encoder, ids, masks)
+    joint = model.head_kind == "finetune"
+    if joint:
+        trainable = encoder.params + model.head_params
+    else:
+        trainable = model.head_params
+        states, cls = _frozen_features(encoder, ids, masks)
     optimizer = AdamState(lr=config.learning_rate)
     for epoch in range(config.epochs):
         for _, pick, drop_rng in epoch_batches(len(dataset), config.batch_size, config.seed, epoch):
-            seq_t = Tensor(states[pick])
-            cls_t = Tensor(cls[pick])
-            logits = head_logits(model, seq_t, cls_t, masks[pick], train=True, rng=drop_rng)
+            if joint:
+                seq, cls_state = forward(encoder, ids[pick], masks[pick], train=True, dropout_rng=drop_rng)
+            else:
+                seq, cls_state = Tensor(states[pick]), Tensor(cls[pick])
+            logits = head_logits(model, seq, cls_state, masks[pick], train=True, rng=drop_rng)
             loss = ad.cross_entropy(logits, targets[pick])
             model.train_losses.append(finite_loss(loss, epoch, len(model.train_losses) + 1))
             backward(loss)
-            adam_step(model.head_params, optimizer)
+            adam_step(trainable, optimizer)
     return model
 
 
@@ -338,23 +346,7 @@ def train_finetune(
     encoder: ModelParams, vocab: Vocab, dataset: list[LabeledExample], config: TrainConfig
 ) -> SentimentModel:
     """Joint training of all encoder parameters plus a linear head on CLS."""
-    model = init_model("finetune", encoder, config, {})
-    _check_inputs(dataset, model.labels, config, encoder)
-    ids, masks = encode_batch([ex.text for ex in dataset], vocab, config.max_len)
-    targets = _label_indices(dataset, model.labels)
-    optimizer = AdamState(lr=config.learning_rate)
-    trainable = encoder.params + model.head_params
-    for epoch in range(config.epochs):
-        for _, pick, drop_rng in epoch_batches(len(dataset), config.batch_size, config.seed, epoch):
-            seq, cls_state = forward(
-                encoder, ids[pick], masks[pick], train=True, dropout_rng=drop_rng
-            )
-            logits = head_logits(model, seq, cls_state, masks[pick], train=True, rng=drop_rng)
-            loss = ad.cross_entropy(logits, targets[pick])
-            model.train_losses.append(finite_loss(loss, epoch, len(model.train_losses) + 1))
-            backward(loss)
-            adam_step(trainable, optimizer)
-    return model
+    return _train_head(init_model("finetune", encoder, config, {}), encoder, vocab, dataset, config)
 
 
 def train_bilstm(
@@ -366,7 +358,7 @@ def train_bilstm(
     num_layers: int = 3,
 ) -> SentimentModel:
     model = init_model("bilstm", encoder, config, {"lstm_hidden": lstm_hidden, "num_layers": num_layers})
-    return _train_head_on_frozen(model, encoder, vocab, dataset, config)
+    return _train_head(model, encoder, vocab, dataset, config)
 
 
 def train_mlp(
@@ -377,7 +369,7 @@ def train_mlp(
     hidden_sizes: tuple[int, ...] = (256, 64),
 ) -> SentimentModel:
     model = init_model("mlp", encoder, config, {"hidden_sizes": list(hidden_sizes)})
-    return _train_head_on_frozen(model, encoder, vocab, dataset, config)
+    return _train_head(model, encoder, vocab, dataset, config)
 
 
 def predict_encoded(model: SentimentModel, ids: np.ndarray, masks: np.ndarray) -> np.ndarray:

@@ -59,9 +59,7 @@ _SECTION_TYPES = {
         hidden_sizes=HEAD_META_TYPES["mlp"]["hidden_sizes"],
     ),
     "pretrain": {"max_len": int, "learning_rate": float, "mask_rate": float, "log_every": int},
-    "paths": dict.fromkeys(
-        ("corpus", "labeled", "vocab", "encoder", "model", "out", "out_train", "out_test"), str
-    ),
+    "paths": dict.fromkeys(("corpus", "labeled", "vocab", "encoder", "model", "out"), str),
 }
 
 

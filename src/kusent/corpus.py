@@ -3,7 +3,8 @@
 The labeled file format is UTF-8 TSV, one example per line:
 ``text<TAB>label[<TAB>topic]`` with lowercase labels
 ``positive|negative|neutral``. The topic column is carried for provenance
-but unused by training.
+but unused by training. ``load_labeled`` normalizes each text once, so an
+example's ``text`` is the normalized ``str`` that encoding takes.
 """
 
 from __future__ import annotations
@@ -16,7 +17,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .checkpoint import atomic_write_text
-from .normalize import NormalizationRules, NormalizedText, normalize_text
+from .normalize import NormalizationRules, normalize_text
 
 
 class SentimentLabel(enum.Enum):
@@ -30,7 +31,7 @@ class SentimentLabel(enum.Enum):
 
 @dataclass(frozen=True)
 class LabeledExample:
-    text: NormalizedText
+    text: str
     label: SentimentLabel
     topic: str | None = None
 
@@ -94,7 +95,7 @@ def load_labeled(
             except ValueError as exc:
                 raise ValueError(f"{exc} at line {lineno}") from None
             text = normalize_text(text_raw, rules)
-            if not text.text:
+            if not text:
                 raise ValueError(f"empty text after normalization at line {lineno}")
             examples.append(LabeledExample(text=text, label=label, topic=topic))
     return examples
@@ -104,7 +105,7 @@ def save_labeled(examples: Sequence[LabeledExample], path: str) -> None:
     """Write the TSV format ``load_labeled`` reads, atomically."""
     rows = []
     for ex in examples:
-        row = [ex.text.text, ex.label.value]
+        row = [ex.text, ex.label.value]
         if ex.topic is not None:
             row.append(ex.topic)
         rows.append("\t".join(row) + "\n")
@@ -118,7 +119,7 @@ def compute_stats(
     """Token-count statistics; whitespace tokenization unless one is supplied."""
     if tokenize is None:
         tokenize = str.split
-    lengths = [len(tokenize(ex.text.text)) for ex in examples]
+    lengths = [len(tokenize(ex.text)) for ex in examples]
     per_class: dict[str, int] = {}
     for ex in examples:
         per_class[ex.label.value] = per_class.get(ex.label.value, 0) + 1

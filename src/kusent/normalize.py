@@ -12,7 +12,6 @@ can override everything.
 
 from __future__ import annotations
 
-import hashlib
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -113,14 +112,6 @@ class NormalizationRules:
         return out
 
 
-@dataclass(frozen=True)
-class NormalizedText:
-    """Normalized UTF-8 text plus a provenance hash of the raw input."""
-
-    text: str
-    source_hash: str
-
-
 def default_rules() -> NormalizationRules:
     return NormalizationRules()
 
@@ -136,16 +127,15 @@ def _one_pass(text: str, rules: NormalizationRules) -> str:
     return text
 
 
-def normalize_text(raw: str, rules: NormalizationRules | None = None) -> NormalizedText:
+def normalize_text(raw: str, rules: NormalizationRules | None = None) -> str:
     """Normalize one string: NFC, rule table, digit policy, whitespace collapse."""
     if rules is None:
         rules = default_rules()
-    source_hash = hashlib.sha256(raw.encode("utf-8")).hexdigest()
     text = _one_pass(raw, rules)
     for _ in range(_MAX_PASSES - 1):
         nxt = _one_pass(text, rules)
         if nxt == text:
-            return NormalizedText(text=text, source_hash=source_hash)
+            return text
         text = nxt
     raise ValueError("normalization did not converge; rule table is pathological")
 
@@ -158,7 +148,7 @@ def normalize_stream(
         rules = default_rules()
     for lineno, line in enumerate(lines, start=1):
         try:
-            out = normalize_text(line, rules).text
+            out = normalize_text(line, rules)
         except Exception as exc:  # surface the offending line
             raise ValueError(f"normalization failed at line {lineno}: {exc}") from exc
         if out:

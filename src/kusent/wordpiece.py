@@ -3,13 +3,15 @@
 Training grows a vocabulary from observed characters by repeatedly merging
 the adjacent pair with the highest likelihood-ratio score
 ``freq(pair) / (freq(left) * freq(right))``; ties go to the
-lexicographically smaller merged string. Continuation pieces carry a ``##``
-prefix.
+lexicographically smaller merged string. Continuation pieces carry BERT's
+``##`` prefix (``CONTINUATION_PREFIX``) in training, matching and decoding
+alike.
 
-Encoding is greedy longest-match-first per whitespace word
-(``Vocab.segment_word``), then CLS/SEP framing, truncation and padding
-(``encode``); ``encode_batch`` stacks a list of texts into id and mask
-arrays for the model.
+Encoding takes the normalized ``str`` that ``normalize_text`` returns. It is
+greedy longest-match-first per whitespace word (``Vocab.segment_word``),
+then CLS/SEP framing, truncation and padding (``encode``). ``encode_batch``
+stacks a list of texts into id and mask arrays, and is the one way a model
+gets its ids.
 """
 
 from __future__ import annotations
@@ -36,11 +38,18 @@ MAX_WORD_CHARS = 100
 
 @dataclass(frozen=True)
 class Vocab:
-    """Ordered piece list; index is the token id. Ids 0-4 are the specials."""
+    """Ordered piece list; index is the token id. Ids 0-4 are the specials.
+
+    Only ``pieces`` is given; the id map and ``segment_word``'s match tables
+    derive from it. A piece starting with ``##`` continues a word.
+    """
 
     pieces: list[str]
-    continuation_prefix: str = CONTINUATION_PREFIX
-    piece_to_id: dict[str, int] = field(default_factory=dict, compare=False)
+    piece_to_id: dict[str, int] = field(init=False, repr=False, compare=False)
+    _initial: dict[str, int] = field(init=False, repr=False, compare=False)
+    _cont: dict[str, int] = field(init=False, repr=False, compare=False)
+    _max_init: int = field(init=False, repr=False, compare=False)
+    _max_cont: int = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         if self.pieces[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
@@ -50,15 +59,16 @@ class Vocab:
         mapping: dict[str, int] = {}
         for i, piece in enumerate(self.pieces):
             if piece in mapping:
-                raise ValueError(f"duplicate piece {piece!r} at ids {mapping[piece]} and {i}")
+                first = mapping[piece]  # a vocabulary file holds id i on line i + 1
+                raise ValueError(f"duplicate piece {piece!r} at id {i} (line {i + 1}), "
+                                 f"first at id {first} (line {first + 1})")
             mapping[piece] = i
         object.__setattr__(self, "piece_to_id", mapping)
-        prefix = self.continuation_prefix
         initial: dict[str, int] = {}
         cont: dict[str, int] = {}
         for i, piece in enumerate(self.pieces[len(SPECIAL_TOKENS):], start=len(SPECIAL_TOKENS)):
-            if piece.startswith(prefix) and len(piece) > len(prefix):
-                cont[piece[len(prefix):]] = i
+            if piece.startswith(CONTINUATION_PREFIX) and len(piece) > len(CONTINUATION_PREFIX):
+                cont[piece[len(CONTINUATION_PREFIX):]] = i
             else:
                 initial[piece] = i
         object.__setattr__(self, "_initial", initial)
@@ -81,8 +91,8 @@ class Vocab:
         n = len(word)
         if n > MAX_WORD_CHARS:
             return None
-        table = self._initial  # type: ignore[attr-defined]
-        cap = self._max_init  # type: ignore[attr-defined]
+        table = self._initial
+        cap = self._max_init
         pieces: list[str] = []
         start = 0
         while start < n:
@@ -92,11 +102,11 @@ class Vocab:
             if end == start:
                 return None
             piece = word[start:end]
-            pieces.append(piece if start == 0 else self.continuation_prefix + piece)
+            pieces.append(piece if start == 0 else CONTINUATION_PREFIX + piece)
             start = end
             # continuation pieces are keyed without their prefix
-            table = self._cont  # type: ignore[attr-defined]
-            cap = self._max_cont  # type: ignore[attr-defined]
+            table = self._cont
+            cap = self._max_cont
         return pieces
 
 
@@ -200,17 +210,15 @@ def train_wordpiece(
     return Vocab(pieces=pieces)
 
 
-def encode(text, vocab: Vocab, max_len: int) -> Encoding:
-    """Tokenize, add CLS/SEP, truncate to ``max_len``, pad with PAD.
+def encode(text: str, vocab: Vocab, max_len: int) -> Encoding:
+    """Tokenize normalized ``text``, add CLS/SEP, truncate to ``max_len``, pad with PAD.
 
-    ``text`` may be a plain string or anything with a ``.text`` attribute.
     Words with no valid segmentation (or longer than 100 chars) become UNK.
     """
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3 (CLS, one piece, SEP), got {max_len}")
-    raw = getattr(text, "text", text)
     ids: list[int] = []
-    for word in raw.split():
+    for word in text.split():
         pieces = vocab.segment_word(word)
         if pieces is None:
             ids.append(UNK)
@@ -226,7 +234,7 @@ def encode(text, vocab: Vocab, max_len: int) -> Encoding:
     return Encoding(ids=ids, attention_mask=mask, overflow=overflow)
 
 
-def encode_batch(texts: Sequence, vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
+def encode_batch(texts: Sequence[str], vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
     """``encode`` each text and stack the rows into int64 (ids, masks) arrays.
 
     Columns past the longest real row are dropped, keeping at least 3 (CLS,
@@ -244,15 +252,14 @@ def encode_batch(texts: Sequence, vocab: Vocab, max_len: int) -> tuple[np.ndarra
 def decode(ids: Sequence[int], vocab: Vocab) -> str:
     """Invert ``encode``: drop specials, attach ``##`` pieces, join words."""
     words: list[str] = []
-    prefix = vocab.continuation_prefix
     for token_id in ids:
         if not 0 <= token_id < len(vocab.pieces):
             raise ValueError(f"id {token_id} out of range for vocabulary of {len(vocab.pieces)}")
         if token_id < len(SPECIAL_TOKENS):
             continue
         piece = vocab.pieces[token_id]
-        if piece.startswith(prefix) and words:
-            words[-1] += piece[len(prefix):]
+        if piece.startswith(CONTINUATION_PREFIX) and words:
+            words[-1] += piece[len(CONTINUATION_PREFIX):]
         else:
             words.append(piece)
     return " ".join(words)
@@ -263,21 +270,12 @@ def save_vocab(vocab: Vocab, path: str) -> None:
 
 
 def load_vocab(path: str) -> Vocab:
-    pieces: list[str] = []
-    seen: dict[str, int] = {}
+    """Read the one-piece-per-line file ``save_vocab`` writes; line n holds id n - 1."""
     with open(path, encoding="utf-8") as fh:
-        for lineno, line in enumerate(fh, start=1):
-            piece = line.rstrip("\n")
-            if piece in seen:
-                raise ValueError(
-                    f"duplicate piece {piece!r} at line {lineno} (first at line {seen[piece]})"
-                )
-            seen[piece] = lineno
-            pieces.append(piece)
+        pieces = [line.rstrip("\n") for line in fh]
     if not pieces:
         raise ValueError(f"vocabulary file {path} is empty")
-    if pieces[: len(SPECIAL_TOKENS)] != SPECIAL_TOKENS:
-        raise ValueError(
-            f"vocabulary file {path} must start with {SPECIAL_TOKENS} at ids 0-4"
-        )
-    return Vocab(pieces=pieces)
+    try:
+        return Vocab(pieces=pieces)
+    except ValueError as exc:
+        raise ValueError(f"vocabulary file {path}: {exc}") from None

@@ -1,3 +1,4 @@
+import functools
 import json
 import tempfile
 
@@ -103,7 +104,7 @@ def pretrained_encoder():
 def train_accuracy(model, vocab, dataset):
     hits = 0
     for ex in dataset:
-        label, _ = predict(model, ex.text.text, vocab)
+        label, _ = predict(model, ex.text, vocab)
         hits += label is ex.label
     return hits / len(dataset)
 
@@ -277,15 +278,24 @@ class TestTrainingContracts:
         with pytest.raises(ValueError, match="empty"):
             train_mlp(encoder, vocab, [], TrainConfig(epochs=1, max_len=10))
 
-    def test_same_seed_same_predictions(self):
+    @pytest.mark.parametrize(
+        "train",
+        [
+            train_finetune,
+            functools.partial(train_bilstm, lstm_hidden=4, num_layers=1),
+            train_mlp,
+        ],
+        ids=["finetune", "bilstm", "mlp"],
+    )
+    def test_same_seed_same_predictions(self, train):
         vocab = synthetic_vocab()
         dataset = synthetic_dataset(n_per_class=4)
         config = TrainConfig(epochs=2, max_len=10, learning_rate=1e-2, batch_size=8, seed=11)
         runs = []
         for _ in range(2):
             encoder = tiny_encoder(seed=5)
-            model = train_mlp(encoder, vocab, dataset, config)
-            probs = [predict(model, ex.text.text, vocab)[1] for ex in dataset[:10]]
+            model = train(encoder, vocab, dataset, config)
+            probs = [predict(model, ex.text, vocab)[1] for ex in dataset[:10]]
             runs.append(np.array(probs))
         np.testing.assert_array_equal(runs[0], runs[1])
 
@@ -295,7 +305,7 @@ class TestTrainingContracts:
         encoder = tiny_encoder(seed=6)
         config = TrainConfig(epochs=1, max_len=10, learning_rate=1e-2)
         model = train_mlp(encoder, vocab, dataset, config, hidden_sizes=(1, 1))
-        _, probs = predict(model, dataset[0].text.text, vocab)
+        _, probs = predict(model, dataset[0].text, vocab)
         assert abs(probs.sum() - 1.0) < 1e-6
         assert (probs >= 0).all()
 
@@ -388,7 +398,7 @@ class TestSaveLoad:
         for a, b in zip(model.head_params, loaded.head_params):
             assert a.name == b.name
             np.testing.assert_array_equal(a.data, b.data)
-        text = dataset[0].text.text
+        text = dataset[0].text
         np.testing.assert_array_equal(
             predict(model, text, vocab)[1], predict(loaded, text, vocab)[1]
         )

@@ -381,6 +381,9 @@ class TestPipeline:
             (["train", "--task", "bilstm"], "cfg.json", "train.lstm_hidden", 0),
             (["train", "--task", "mlp"], "cfg.json", "train.hidden_sizes", [0]),
             (["train", "--task", "mlp"], "cfg.json", "train.hidden_sizes", [-2]),
+            # split's outputs are flags only
+            (["split"], "cfg.json", "paths.out_train", "elsewhere.tsv"),
+            (["split"], "cfg.json", "paths.out_test", "elsewhere.tsv"),
         ],
     )
     def test_bad_input_value_is_one_error_line(
@@ -407,6 +410,8 @@ class TestPipeline:
             "pretrain": ["--corpus", str(root / "corpus.txt"), "--vocab", str(pipeline["vocab"]),
                          "--out", str(tmp_path / "encoder"), "--resume"],
             "train-tokenizer": ["--in", str(root / "corpus.txt"), "--out", str(tmp_path / "v.txt")],
+            "split": ["--in", str(pipeline["labeled"]), "--out-train", str(tmp_path / "train.tsv"),
+                      "--out-test", str(tmp_path / "test.tsv")],
         }[argv[0]]
         capsys.readouterr()
         rc = main(argv + ["--config", str(tmp_path / "cfg.json")] + paths)
@@ -509,6 +514,26 @@ class TestPipeline:
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert named in err
+
+    def test_resume_without_state_json_is_refused(self, pipeline, tmp_path, capsys):
+        raw = json.loads(pipeline["cfg"].read_text())
+        raw["bert"]["iterations"] = 3
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        encoder = tmp_path / "encoder"
+        argv = ["pretrain", "--config", str(tmp_path / "cfg.json"), "--corpus",
+                str(pipeline["root"] / "corpus.txt"), "--vocab", str(pipeline["vocab"]),
+                "--out", str(encoder), "--resume"]
+        # a directory that does not exist yet starts a fresh run
+        assert main(argv) == 0
+        (encoder / "state.json").unlink()
+        before = {p.name: p.read_bytes() for p in encoder.iterdir()}
+        capsys.readouterr()
+        rc = main(argv)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "state.json" in err
+        assert {p.name: p.read_bytes() for p in encoder.iterdir()} == before
 
     def test_readme_config_example_loads(self, tmp_path):
         readme = (pathlib.Path(__file__).parents[1] / "README.md").read_text(encoding="utf-8")

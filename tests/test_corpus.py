@@ -63,14 +63,14 @@ class TestLoadLabeled:
     def test_text_is_normalized(self, tmp_path):
         path = tmp_path / "data.tsv"
         path.write_text("ك  x\tneutral\n", encoding="utf-8")
-        assert load_labeled(str(path))[0].text.text == "ک x"
+        assert load_labeled(str(path))[0].text == "ک x"
 
     def test_round_trip(self, tmp_path):
         examples = make_set(pos=3, neg=2, neu=1)
         path = tmp_path / "out.tsv"
         save_labeled(examples, str(path))
         loaded = load_labeled(str(path))
-        assert [ex.text.text for ex in loaded] == [ex.text.text for ex in examples]
+        assert [ex.text for ex in loaded] == [ex.text for ex in examples]
         assert [ex.label for ex in loaded] == [ex.label for ex in examples]
 
     @pytest.mark.skipif(
@@ -154,11 +154,11 @@ class TestSplit:
         examples = make_set(pos=13, neg=8, neu=6)
         ds = split(examples, ratio=0.7, seed=3)
         combined = sorted(
-            (ex.text.text for ex in ds.train + ds.test)
+            (ex.text for ex in ds.train + ds.test)
         )
-        assert combined == sorted(ex.text.text for ex in examples)
+        assert combined == sorted(ex.text for ex in examples)
         assert len(ds.train) + len(ds.test) == len(examples)
-        assert not {e.text.text for e in ds.train} & {e.text.text for e in ds.test}
+        assert not {e.text for e in ds.train} & {e.text for e in ds.test}
 
     def test_ratio_one_rejected(self):
         with pytest.raises(ValueError, match="ratio"):
@@ -200,8 +200,8 @@ class TestToBinary:
     def test_order_preserved(self):
         examples = make_set(pos=3, neg=3, neu=3)
         out = to_binary(examples)
-        texts = [ex.text.text for ex in out]
-        assert texts == [ex.text.text for ex in examples if ex.label is not SentimentLabel.NEUTRAL]
+        texts = [ex.text for ex in out]
+        assert texts == [ex.text for ex in examples if ex.label is not SentimentLabel.NEUTRAL]
 
 
 class TestUndersample:

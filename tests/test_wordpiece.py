@@ -1,6 +1,7 @@
 import logging
 import os
 import random
+import re
 
 import numpy as np
 import pytest
@@ -197,13 +198,6 @@ class TestEncode:
             for i, token_id in enumerate(enc.ids):
                 assert (enc.attention_mask[i] == 1) == (token_id != PAD)
 
-    def test_accepts_normalized_text_objects(self):
-        from kusent.normalize import normalize_text
-
-        vocab = make_vocab("a")
-        enc = encode(normalize_text("a"), vocab, max_len=4)
-        assert enc.ids == [CLS, vocab.id("a"), SEP, PAD]
-
     @pytest.mark.parametrize(
         "texts, width",
         [
@@ -280,6 +274,21 @@ class TestVocabIO:
         path.write_text("".join(p + "\n" for p in SPECIAL_TOKENS + ["x", "x"]))
         with pytest.raises(ValueError, match="line 7"):
             load_vocab(str(path))
+
+    @pytest.mark.parametrize(
+        "pieces, named",
+        [
+            (["[PAD]", "[UNK]", "[SEP]", "[CLS]", "[MASK]"], "ids 0-4"),
+            (SPECIAL_TOKENS + ["x", "##x", "x"], "'x' at id 7 (line 8), first at id 5 (line 6)"),
+        ],
+        ids=["specials", "duplicate"],
+    )
+    def test_bad_file_error_names_path(self, tmp_path, pieces, named):
+        path = tmp_path / "vocab.txt"
+        path.write_text("".join(p + "\n" for p in pieces))
+        with pytest.raises(ValueError, match=re.escape(f"vocabulary file {path}: ")) as exc:
+            load_vocab(str(path))
+        assert named in str(exc.value)
 
     def test_empty_file_rejected(self, tmp_path):
         path = tmp_path / "vocab.txt"
