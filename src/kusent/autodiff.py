@@ -482,6 +482,117 @@ def reduce_mean(x: Tensor) -> Tensor:
     )
 
 
+def lstm_layer(x: Tensor, weights: Sequence[Tensor], attention_mask: np.ndarray, d_h: int) -> Tensor:
+    """Both directions of one bidirectional LSTM layer over time-major ``x`` (T, B, D).
+
+    ``weights`` holds 24 tensors: for the forward and then the backward
+    direction, for each gate in (input, forget, cell, output) order, the input
+    weights (D, d_h), the recurrent weights (d_h, d_h) and the bias (d_h,).
+    The cell candidate is tanh, the other gates sigmoid; ``c = f*c + i*g`` and
+    ``h = o * tanh(c)``. ``attention_mask`` is (B, T): at a pad step the state
+    carries over unchanged, so pad positions never leak into real ones.
+    Returns (T, B, 2 * d_h), the forward state at each step and then the
+    backward one.
+
+    Per direction the gate weights are concatenated into (D, 4 d_h),
+    (d_h, 4 d_h) and (4 d_h,), and the input projection of every step is one
+    GEMM. The recurrence runs in numpy with no graph nodes, both directions
+    in the same array ops, each pre-activation summed as
+    ``(x_t @ w_x + h @ w_h) + b``. The backward is BPTT by hand; each weight
+    gradient is one GEMM over all steps.
+    """
+    if len(weights) != 24:
+        raise ValueError(f"lstm_layer: expected 24 weight tensors, got {len(weights)}")
+    steps, batch, d_in = x.shape
+    if attention_mask.shape != (batch, steps):
+        raise ValueError(f"lstm_layer: mask {attention_mask.shape} does not match x {x.shape}")
+    dtype = x.dtype
+    h4 = 4 * d_h
+    cell_cols = slice(2 * d_h, 3 * d_h)
+
+    def stacked(kind: int) -> np.ndarray:
+        # kind 0, 1, 2: w_x, w_h, b; the four gates side by side, one row per direction
+        return np.stack([
+            np.concatenate([w.data for w in weights[12 * d + kind : 12 * (d + 1) : 3]], axis=-1)
+            for d in (0, 1)
+        ])
+
+    wx, wh, b = stacked(0), stacked(1), stacked(2)[:, None, :]
+    # Every array below is (direction, step, ...), each direction in the order it
+    # runs: the backward one reads time reversed.
+    xs = np.stack([x.data, x.data[::-1]]).reshape(2, steps * batch, d_in)
+    mask = attention_mask.T.astype(dtype)
+    step_mask = np.stack([mask, mask[::-1]])[..., None]
+    carry = 1.0 - step_mask
+    xw = (xs @ wx).reshape(2, steps, batch, h4)
+    acts = np.empty((2, steps, batch, h4), dtype)
+    tanh_c, hs, cs = (np.empty((2, steps, batch, d_h), dtype) for _ in range(3))
+    pre = np.empty((2, batch, h4), dtype)
+    h = c = np.zeros((2, batch, d_h), dtype)
+    for t in range(steps):
+        a = acts[:, t]
+        np.add(xw[:, t], h @ wh, out=pre)
+        pre += b
+        # 1 / (1 + exp(-z)), as ``sigmoid`` evaluates it, over all four gates; then
+        # the cell's columns again, as tanh of the pre-activation
+        np.negative(pre, out=a)
+        np.exp(a, out=a)
+        a += 1.0
+        np.divide(1.0, a, out=a)
+        np.tanh(pre[..., cell_cols], out=a[..., cell_cols])
+        c_new = a[..., d_h : 2 * d_h] * c
+        c_new += a[..., :d_h] * a[..., cell_cols]
+        h_new = a[..., 3 * d_h :] * np.tanh(c_new, out=tanh_c[:, t])
+        m, k = step_mask[:, t], carry[:, t]
+        h = np.add(h_new * m, h * k, out=hs[:, t])
+        c = np.add(c_new * m, c * k, out=cs[:, t])
+    out = np.concatenate([hs[0], hs[1, ::-1]], axis=-1)
+
+    def backward(g):
+        gy = np.stack([g[:, :, :d_h], g[::-1, :, d_h:]])
+        # the states each step started from: its predecessor's, zeros for the first
+        h_prev, c_prev = np.zeros_like(hs), np.zeros_like(cs)
+        h_prev[:, 1:], c_prev[:, 1:] = hs[:, :-1], cs[:, :-1]
+        i, f, cell, o = (acts[..., k * d_h : (k + 1) * d_h] for k in range(4))
+        # each activation's derivative by its pre-activation
+        dact = acts * (1.0 - acts)
+        dact[..., cell_cols] = 1.0 - cell * cell
+        # d h_new / d c_new
+        dc_dh = o * (1.0 - tanh_c * tanh_c)
+        dpre = np.empty(acts.shape, dtype)
+        dh = dc = np.zeros((2, batch, d_h), dtype)
+        wh_t = wh.transpose(0, 2, 1)
+        for t in reversed(range(steps)):
+            dh = dh + gy[:, t]
+            m, k = step_mask[:, t], carry[:, t]
+            dh_new = dh * m
+            dc_new = dc * m
+            dc_new += dh_new * dc_dh[:, t]
+            p = dpre[:, t]
+            np.multiply(dc_new, cell[:, t], out=p[..., :d_h])
+            np.multiply(dc_new, c_prev[:, t], out=p[..., d_h : 2 * d_h])
+            np.multiply(dc_new, i[:, t], out=p[..., cell_cols])
+            np.multiply(dh_new, tanh_c[:, t], out=p[..., 3 * d_h :])
+            p *= dact[:, t]
+            dc = dc * k + dc_new * f[:, t]
+            dh = dh * k + p @ wh_t
+        dpre = dpre.reshape(2, steps * batch, h4)
+        dwx = xs.transpose(0, 2, 1) @ dpre
+        dwh = h_prev.reshape(2, steps * batch, d_h).transpose(0, 2, 1) @ dpre
+        db = dpre.sum(axis=1)
+        grads = [
+            grad[d][..., k * d_h : (k + 1) * d_h]
+            for d in (0, 1) for k in range(4) for grad in (dwx, dwh, db)
+        ]
+        dx = None
+        if x.requires_grad:
+            dxs = (dpre @ wx.transpose(0, 2, 1)).reshape(2, steps, batch, d_in)
+            dx = dxs[0] + dxs[1, ::-1]
+        return (dx, *grads)
+
+    return _node(out, (x, *weights), backward)
+
+
 def _topo_order(loss: Tensor) -> list[Tensor]:
     # iterative DFS: recurrent graphs get deeper than the recursion limit
     order: list[Tensor] = []
@@ -503,7 +614,13 @@ def _topo_order(loss: Tensor) -> list[Tensor]:
 
 
 def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable requires-grad leaf."""
+    """Accumulate d(loss)/d(leaf) into every reachable requires-grad leaf.
+
+    Each node drops its parents and backward rule once the rule has run, so
+    the activations a rule holds are freed while the pass goes on. A graph
+    is therefore good for one backward: a second one through any of its
+    nodes raises.
+    """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
     if loss._consumed:
@@ -512,13 +629,18 @@ def backward(loss: Tensor) -> None:
     if not loss.requires_grad:
         return
     order = _topo_order(loss)
+    if any(node._consumed for node in order[:-1]):
+        raise RuntimeError("backward: graph already consumed; rerun the forward pass")
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
     for node in reversed(order):
         g = grads.pop(id(node), None)
+        parents, rule = node._parents, node._backward
+        if parents:
+            node._parents, node._backward, node._consumed = (), None, True
         if g is None:
             continue
-        if node._parents:
-            for parent, pg in zip(node._parents, node._backward(g)):
+        if parents:
+            for parent, pg in zip(parents, rule(g)):
                 if pg is None or not parent.requires_grad:
                     continue
                 if id(parent) in grads:

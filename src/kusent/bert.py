@@ -9,6 +9,7 @@ and an optional iteration cap, whichever is reached first.
 from __future__ import annotations
 
 import dataclasses
+import hashlib
 import itertools
 import logging
 import math
@@ -37,7 +38,9 @@ N_RESERVED_IDS = 5  # PAD, UNK, CLS, SEP, MASK
 _CONFIG_ALIASES = {"Itrations": "iterations", "batch_szie": "batch_size"}
 # state.json beside a checkpoint that holds training state: key -> type
 _ADAM_STATE = {"lr": float, "beta1": float, "beta2": float, "eps": float, "step_count": int}
-_TRAIN_STATE = {"adam": dict, "next_epoch": int, "global_step": int, "seed": int, "threads": dict}
+_TRAIN_STATE = {
+    "adam": dict, "next_epoch": int, "global_step": int, "seed": int, "threads": dict, "corpus_sha256": str
+}
 
 
 @dataclass(frozen=True)
@@ -481,7 +484,9 @@ def pretrain(
     batch where the run stopped and reproduces the uninterrupted run exactly.
     Only epochs and iterations may change on resume; the stored Adam state,
     learning rate included, is used. A resume needs ``state.json`` beside
-    ``params.bin``; a directory without ``params.bin`` starts fresh. Each
+    ``params.bin``; a directory without ``params.bin`` starts fresh.
+    ``state.json`` keeps a sha256 of the corpus (each line UTF-8 encoded and
+    followed by a newline), and a resume on another corpus is refused. Each
     batch's lines are encoded with ``encode_batch`` as the batch is drawn.
     """
     if not corpus:
@@ -504,6 +509,10 @@ def pretrain(
     max_len = min(max_len, config.max_position)
 
     steps_per_epoch = -(-len(corpus) // config.batch_size)
+    digest = hashlib.sha256()
+    for line in corpus:
+        digest.update(line.encode("utf-8") + b"\n")
+    corpus_sha256 = digest.hexdigest()
     global_step = 0
     optimizer = AdamState(lr=lr)
     state_path = os.path.join(checkpoint_dir, "state.json")
@@ -531,6 +540,11 @@ def pretrain(
             raise ValueError(
                 f"{state_path}: next_epoch {state['next_epoch']} does not match step {global_step} "
                 f"at {steps_per_epoch} steps per epoch; the corpus size changed"
+            )
+        if state["corpus_sha256"] != corpus_sha256:
+            raise ValueError(
+                f"{state_path}: corpus_sha256 {state['corpus_sha256']} does not match this corpus's "
+                f"{corpus_sha256}; the corpus changed"
             )
         if state["threads"] != thread_settings():
             logger.warning(
@@ -570,7 +584,12 @@ def pretrain(
             checkpoint_dir,
             model,
             optimizer,
-            {"next_epoch": global_step // steps_per_epoch, "global_step": global_step, "seed": seed},
+            {
+                "next_epoch": global_step // steps_per_epoch,
+                "global_step": global_step,
+                "seed": seed,
+                "corpus_sha256": corpus_sha256,
+            },
         )
         if global_step >= total:
             return PretrainResult(losses=losses, steps=global_step, checkpoint_dir=checkpoint_dir)

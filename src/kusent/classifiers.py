@@ -156,57 +156,6 @@ def init_model(kind: str, encoder: ModelParams, config: TrainConfig, head_meta: 
     )
 
 
-def lstm_step(
-    gates: dict[str, tuple[Parameter, Parameter, Parameter]],
-    x: Tensor,
-    h: Tensor,
-    c: Tensor,
-) -> tuple[Tensor, Tensor]:
-    """Standard gated recurrence: sigmoid input/forget/output, tanh cell."""
-
-    def gate_pre(gate_name):
-        w_x, w_h, b = gates[gate_name]
-        return ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(h, w_h)), b)
-
-    i = ad.sigmoid(gate_pre("input"))
-    f = ad.sigmoid(gate_pre("forget"))
-    g = ad.tanh(gate_pre("cell"))
-    o = ad.sigmoid(gate_pre("output"))
-    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
-    h_new = ad.mul(o, ad.tanh(c_new))
-    return h_new, c_new
-
-
-def _direction_gates(by_name, prefix):
-    return {
-        gate: (by_name[f"{prefix}.{gate}.w_x"], by_name[f"{prefix}.{gate}.w_h"], by_name[f"{prefix}.{gate}.b"])
-        for gate in GATES
-    }
-
-
-def _run_direction(gates, inputs: list[Tensor], step_mask: list[Tensor], d_h: int, reverse: bool):
-    """One LSTM direction over time with mask gating.
-
-    At padded steps the state carries over unchanged (zeros until the first
-    real token in reverse mode), so the final state equals the state at the
-    last non-pad position and pad positions never leak into real ones.
-    """
-    batch = inputs[0].shape[0]
-    dtype = inputs[0].dtype
-    h = Tensor(np.zeros((batch, d_h), dtype=dtype))
-    c = Tensor(np.zeros((batch, d_h), dtype=dtype))
-    order = range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs))
-    outputs: dict[int, Tensor] = {}
-    for t in order:
-        h_new, c_new = lstm_step(gates, inputs[t], h, c)
-        m = step_mask[t]
-        keep = Tensor(1.0 - m.data)
-        h = ad.add(ad.mul(h_new, m), ad.mul(h, keep))
-        c = ad.add(ad.mul(c_new, m), ad.mul(c, keep))
-        outputs[t] = h
-    return [outputs[t] for t in range(len(inputs))], h
-
-
 def bilstm_summary(
     by_name: dict[str, Parameter],
     states: Tensor,
@@ -217,28 +166,27 @@ def bilstm_summary(
     rng,
     train: bool,
 ) -> Tensor:
-    """Concatenated final forward/backward states of the top layer."""
+    """Concatenated final forward/backward states of the top layer.
+
+    Each layer is one ``lstm_layer`` over the time-major states, with dropout
+    between layers in training. The forward direction ends at the last step,
+    the backward one at the first.
+    """
     batch, seq_len, _ = states.shape
-    dtype = states.dtype
-    step_mask = [
-        Tensor(attention_mask[:, t : t + 1].astype(dtype)) for t in range(seq_len)
-    ]
-    inputs = [
-        ad.reshape(ad.narrow(states, 1, t, 1), (batch, states.shape[2]))
-        for t in range(seq_len)
-    ]
-    final_fwd = final_bwd = None
+    x = ad.transpose(states, (1, 0, 2))
     for layer in range(num_layers):
-        fwd_out, final_fwd = _run_direction(
-            _direction_gates(by_name, f"lstm{layer}.fwd"), inputs, step_mask, lstm_hidden, False
-        )
-        bwd_out, final_bwd = _run_direction(
-            _direction_gates(by_name, f"lstm{layer}.bwd"), inputs, step_mask, lstm_hidden, True
-        )
-        inputs = [ad.concat([f, b], axis=1) for f, b in zip(fwd_out, bwd_out)]
-        if layer < num_layers - 1 and train:
-            inputs = [ad.dropout(x, dropout_rate, rng, train) for x in inputs]
-    summary = ad.concat([final_fwd, final_bwd], axis=1)
+        weights = [
+            by_name[f"lstm{layer}.{direction}.{gate}.{kind}"]
+            for direction in ("fwd", "bwd")
+            for gate in GATES
+            for kind in ("w_x", "w_h", "b")
+        ]
+        x = ad.lstm_layer(x, weights, attention_mask, lstm_hidden)
+        if layer < num_layers - 1:
+            x = ad.dropout(x, dropout_rate, rng, train)
+    final_fwd = ad.narrow(ad.narrow(x, 0, seq_len - 1, 1), 2, 0, lstm_hidden)
+    final_bwd = ad.narrow(ad.narrow(x, 0, 0, 1), 2, lstm_hidden, lstm_hidden)
+    summary = ad.reshape(ad.concat([final_fwd, final_bwd], axis=2), (batch, 2 * lstm_hidden))
     return ad.dropout(summary, dropout_rate, rng, train)
 
 

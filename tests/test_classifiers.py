@@ -9,6 +9,7 @@ from kusent import autodiff as ad
 from kusent.autodiff import Parameter, Tensor
 from kusent.bert import BertConfig, build_model, forward, init_params, load_checkpoint, pretrain
 from kusent.classifiers import (
+    GATES,
     LABEL_ORDERS,
     TrainConfig,
     bilstm_summary,
@@ -17,7 +18,6 @@ from kusent.classifiers import (
     head_shapes,
     init_model,
     load_sentiment_model,
-    lstm_step,
     predict,
     predict_encoded,
     save_sentiment_model,
@@ -109,39 +109,112 @@ def train_accuracy(model, vocab, dataset):
     return hits / len(dataset)
 
 
+def lstm_step(gates, x, h, c):
+    """Oracle: one step of the gated recurrence, one graph node per op."""
+
+    def gate_pre(gate_name):
+        w_x, w_h, b = gates[gate_name]
+        return ad.add(ad.add(ad.matmul(x, w_x), ad.matmul(h, w_h)), b)
+
+    i = ad.sigmoid(gate_pre("input"))
+    f = ad.sigmoid(gate_pre("forget"))
+    g = ad.tanh(gate_pre("cell"))
+    o = ad.sigmoid(gate_pre("output"))
+    c_new = ad.add(ad.mul(f, c), ad.mul(i, g))
+    h_new = ad.mul(o, ad.tanh(c_new))
+    return h_new, c_new
+
+
+def oracle_direction(gates, inputs, step_mask, d_h, reverse):
+    """Oracle: one LSTM direction step by step; at a pad step the state carries over."""
+    batch, dtype = inputs[0].shape[0], inputs[0].dtype
+    h = Tensor(np.zeros((batch, d_h), dtype=dtype))
+    c = Tensor(np.zeros((batch, d_h), dtype=dtype))
+    outputs = {}
+    for t in range(len(inputs) - 1, -1, -1) if reverse else range(len(inputs)):
+        h_new, c_new = lstm_step(gates, inputs[t], h, c)
+        m = step_mask[t]
+        keep = Tensor(1.0 - m.data)
+        h = ad.add(ad.mul(h_new, m), ad.mul(h, keep))
+        c = ad.add(ad.mul(c_new, m), ad.mul(c, keep))
+        outputs[t] = h
+    return [outputs[t] for t in range(len(inputs))], h
+
+
+def oracle_bilstm(by_name, states, attention_mask, num_layers, d_h, rate, rng, train):
+    """Oracle for ``bilstm_summary``: (each layer's per-step outputs, the summary)."""
+    batch, seq_len, d_in = states.shape
+    step_mask = [Tensor(attention_mask[:, t : t + 1].astype(states.dtype)) for t in range(seq_len)]
+    inputs = [ad.reshape(ad.narrow(states, 1, t, 1), (batch, d_in)) for t in range(seq_len)]
+    layers = []
+    for layer in range(num_layers):
+        def gates(direction):
+            return {
+                gate: tuple(by_name[f"lstm{layer}.{direction}.{gate}.{k}"] for k in ("w_x", "w_h", "b"))
+                for gate in GATES
+            }
+
+        fwd_out, final_fwd = oracle_direction(gates("fwd"), inputs, step_mask, d_h, False)
+        bwd_out, final_bwd = oracle_direction(gates("bwd"), inputs, step_mask, d_h, True)
+        inputs = [ad.concat([f, b], axis=1) for f, b in zip(fwd_out, bwd_out)]
+        layers.append(inputs)
+        if layer < num_layers - 1 and train:
+            inputs = [ad.dropout(x, rate, rng, train) for x in inputs]
+    summary = ad.concat([final_fwd, final_bwd], axis=1)
+    return layers, ad.dropout(summary, rate, rng, train)
+
+
+def layer_weights(by_name, layer):
+    return [
+        by_name[f"lstm{layer}.{direction}.{gate}.{kind}"]
+        for direction in ("fwd", "bwd") for gate in GATES for kind in ("w_x", "w_h", "b")
+    ]
+
+
+def bilstm_case(seed, d_in, d_h, num_layers, dtype, lengths, seq_len):
+    """A head's tensors by name, (B, T, d_in) states and a right-padded mask of ``lengths``."""
+    rng = np.random.default_rng(seed)
+    shapes = head_shapes("bilstm", d_in, 3, {"lstm_hidden": d_h, "num_layers": num_layers})
+    by_name = {p.name: p for p in init_params(shapes, rng, dtype)}
+    states = Parameter("states", rng.normal(size=(len(lengths), seq_len, d_in)).astype(dtype))
+    mask = (np.arange(seq_len)[None, :] < np.array(lengths)[:, None]).astype(np.int64)
+    return by_name, states, mask
+
+
 class TestLstmCell:
     def test_step_matches_hand_equations(self):
-        # 2-dim input, 2-dim hidden; every gate evaluated longhand with numpy
+        # 2-dim input, 2-dim hidden, one step from the zero state; every gate
+        # of both directions evaluated longhand with numpy
         rng = np.random.default_rng(3)
-        gates = {}
-        raw = {}
-        for gate in ("input", "forget", "cell", "output"):
-            w_x = rng.normal(size=(2, 2))
-            w_h = rng.normal(size=(2, 2))
-            b = rng.normal(size=(2,))
-            raw[gate] = (w_x, w_h, b)
-            gates[gate] = (
-                Parameter(f"{gate}.w_x", w_x),
-                Parameter(f"{gate}.w_h", w_h),
-                Parameter(f"{gate}.b", b),
-            )
+        raw = {
+            (direction, gate): (rng.normal(size=(2, 2)), rng.normal(size=(2, 2)), rng.normal(size=(2,)))
+            for direction in ("fwd", "bwd") for gate in GATES
+        }
+        weights = [
+            Parameter(f"{direction}.{gate}.{kind}", array)
+            for (direction, gate), arrays in raw.items()
+            for kind, array in zip(("w_x", "w_h", "b"), arrays)
+        ]
         x = np.array([[0.3, -0.8]])
-        h0 = np.array([[0.1, 0.2]])
-        c0 = np.array([[-0.4, 0.5]])
+        h0 = np.zeros((1, 2))
+        c0 = np.zeros((1, 2))
 
         def sig(z):
             return 1.0 / (1.0 + np.exp(-z))
 
-        i = sig(x @ raw["input"][0] + h0 @ raw["input"][1] + raw["input"][2])
-        f = sig(x @ raw["forget"][0] + h0 @ raw["forget"][1] + raw["forget"][2])
-        g = np.tanh(x @ raw["cell"][0] + h0 @ raw["cell"][1] + raw["cell"][2])
-        o = sig(x @ raw["output"][0] + h0 @ raw["output"][1] + raw["output"][2])
-        c_expected = f * c0 + i * g
-        h_expected = o * np.tanh(c_expected)
+        expected = []
+        for direction in ("fwd", "bwd"):
+            w = {gate: raw[direction, gate] for gate in GATES}
+            i = sig(x @ w["input"][0] + h0 @ w["input"][1] + w["input"][2])
+            f = sig(x @ w["forget"][0] + h0 @ w["forget"][1] + w["forget"][2])
+            g = np.tanh(x @ w["cell"][0] + h0 @ w["cell"][1] + w["cell"][2])
+            o = sig(x @ w["output"][0] + h0 @ w["output"][1] + w["output"][2])
+            c_expected = f * c0 + i * g
+            expected.append(o * np.tanh(c_expected))
 
-        h_new, c_new = lstm_step(gates, Tensor(x), Tensor(h0), Tensor(c0))
-        np.testing.assert_allclose(h_new.data, h_expected, atol=1e-6)
-        np.testing.assert_allclose(c_new.data, c_expected, atol=1e-6)
+        out = ad.lstm_layer(Tensor(x[None]), weights, np.ones((1, 1), dtype=np.int64), 2)
+        assert out.shape == (1, 1, 4)
+        np.testing.assert_allclose(out.data[0], np.concatenate(expected, axis=1), atol=1e-6)
 
     def test_single_timestep_sequence(self):
         rng = np.random.default_rng(1)
@@ -164,6 +237,71 @@ class TestLstmCell:
         mask_padded = np.array([[1, 1, 1, 0, 0]])
         long = bilstm_summary(by_name, Tensor(padded), mask_padded, 2, 3, 0.0, None, False)
         np.testing.assert_allclose(short.data, long.data, atol=1e-12)
+
+
+class TestLstmLayer:
+    """``lstm_layer`` against the per-step oracle above."""
+
+    def fused(self, by_name, states, mask, num_layers, d_h):
+        """Each layer's (T, B, 2 d_h) output, chained as ``bilstm_summary`` chains them in eval mode."""
+        x = ad.transpose(states, (1, 0, 2))
+        layers = []
+        for layer in range(num_layers):
+            x = ad.lstm_layer(x, layer_weights(by_name, layer), mask, d_h)
+            layers.append(x.data)
+        return layers
+
+    def test_float32_forward_bit_identical_on_padded_batch(self):
+        by_name, states, mask = bilstm_case(30, 12, 8, 3, np.float32, [7, 3, 5, 1], 7)
+        layers, summary = oracle_bilstm(by_name, states, mask, 3, 8, 0.0, None, False)
+        for got, want in zip(self.fused(by_name, states, mask, 3, 8), layers):
+            np.testing.assert_array_equal(got, np.stack([t.data for t in want]))
+        got = bilstm_summary(by_name, states, mask, 3, 8, 0.0, None, False)
+        assert got.dtype == np.float32
+        np.testing.assert_array_equal(got.data, summary.data)
+
+    def test_float64_gradients_equal_oracle(self):
+        by_name, states, mask = bilstm_case(31, 6, 5, 3, np.float64, [5, 2, 4], 5)
+        weight = Tensor(np.random.default_rng(32).normal(size=(3, 10)))
+        params = [states, *by_name.values()]
+
+        def grads(summary_fn):
+            for p in params:
+                p.zero_grad()
+            ad.backward(ad.reduce_sum(ad.mul(summary_fn(), weight)))
+            return [p.grad.copy() for p in params]
+
+        want = grads(lambda: oracle_bilstm(by_name, states, mask, 3, 5, 0.0, None, False)[1])
+        got = grads(lambda: bilstm_summary(by_name, states, mask, 3, 5, 0.0, None, False))
+        for p, g, w in zip(params, got, want):
+            np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12, err_msg=p.name)
+        assert np.any(got[0] != 0)
+
+    def test_train_mode_dropout_equals_oracle(self):
+        by_name, states, mask = bilstm_case(33, 12, 8, 3, np.float32, [6, 6, 2], 6)
+        rng_a, rng_b = np.random.default_rng(34), np.random.default_rng(34)
+        _, want = oracle_bilstm(by_name, states, mask, 3, 8, 0.3, rng_a, True)
+        got = bilstm_summary(by_name, states, mask, 3, 8, 0.3, rng_b, True)
+        np.testing.assert_array_equal(got.data, want.data)
+        assert rng_a.random() == rng_b.random()
+
+    def test_grad_check_padded_two_layers(self):
+        by_name, states, mask = bilstm_case(35, 4, 3, 2, np.float64, [4, 2], 4)
+        weight = Tensor(np.random.default_rng(36).normal(size=(4, 2, 6)))
+
+        def loss_fn():
+            out = ad.lstm_layer(ad.transpose(states, (1, 0, 2)), layer_weights(by_name, 0), mask, 3)
+            out = ad.lstm_layer(out, layer_weights(by_name, 1), mask, 3)
+            return ad.reduce_sum(ad.mul(out, weight))
+
+        params = [states, *layer_weights(by_name, 0), *layer_weights(by_name, 1)]
+        report = grad_check(loss_fn, params, tolerance=1e-6, max_elements_per_param=4)
+        assert report.passed, str(report)
+
+    def test_wrong_weight_count_rejected(self):
+        by_name, states, mask = bilstm_case(37, 4, 3, 1, np.float64, [2], 2)
+        with pytest.raises(ValueError, match="expected 24 weight tensors, got 23"):
+            ad.lstm_layer(ad.transpose(states, (1, 0, 2)), layer_weights(by_name, 0)[:-1], mask, 3)
 
 
 class TestGradChecks:

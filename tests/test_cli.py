@@ -492,6 +492,8 @@ class TestPipeline:
             ({}, ["--seed", "12"], None, "seed"),
             # half the corpus moves the epoch boundary under the stored step count
             ({}, [], 500, "next_epoch"),
+            # as many lines as the run's corpus, so only the digest can tell them apart
+            ({}, [], "first_line_changed", "corpus_sha256"),
         ],
     )
     def test_resume_from_another_run_is_one_error_line(
@@ -503,8 +505,12 @@ class TestPipeline:
         corpus = pipeline["root"] / "corpus.txt"
         if corpus_lines is not None:
             lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+            if corpus_lines == "first_line_changed":
+                lines = ["x" + lines[0], *lines[1:]]
+            else:
+                lines = lines[:corpus_lines]
             corpus = tmp_path / "corpus.txt"
-            corpus.write_text("".join(lines[:corpus_lines]), encoding="utf-8")
+            corpus.write_text("".join(lines), encoding="utf-8")
         shutil.copytree(pipeline["encoder"], tmp_path / "encoder")
         capsys.readouterr()
         rc = main(["pretrain", "--config", str(tmp_path / "cfg.json"), "--corpus", str(corpus),

@@ -90,10 +90,28 @@ class TestBackward:
 
     def test_double_backward_rejected(self):
         x = Parameter("x", np.array([1.0]))
-        loss = ad.reduce_sum(ad.mul(x, x))
+        shared = ad.mul(x, x)
+        loss = ad.reduce_sum(shared)
         backward(loss)
         with pytest.raises(RuntimeError, match="rerun the forward pass"):
             backward(loss)
+        # a new loss over the consumed graph raises too, before touching any gradient
+        with pytest.raises(RuntimeError, match="rerun the forward pass"):
+            backward(ad.reduce_sum(ad.add(shared, x)))
+        np.testing.assert_array_equal(x.grad, [2.0])
+
+    def test_backward_frees_every_closure(self):
+        rng = np.random.default_rng(28)
+        w, gain, shift = fparam("w", (4, 6)), fparam("g", (6,)), fparam("s", (6,))
+        x = Tensor(rng.normal(size=(3, 4)))
+        hidden = ad.layer_norm(ad.gelu(ad.matmul(x, w)), gain, shift)
+        loss = ad.cross_entropy(ad.dropout(hidden, 0.2, rng, train=True), np.array([0, 5, 2]))
+        nodes = ad._topo_order(loss)
+        inner = [node for node in nodes if node._parents]
+        assert len(inner) == 5
+        backward(loss)
+        assert all(node._backward is None and node._parents == () for node in nodes)
+        assert all(np.any(p.grad != 0) for p in (w, gain, shift))
 
     def test_grad_accumulates_until_zeroed(self):
         x = Parameter("x", np.array([3.0]))
