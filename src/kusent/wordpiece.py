@@ -3,9 +3,18 @@
 Training grows a vocabulary from observed characters by repeatedly merging
 the adjacent pair with the highest likelihood-ratio score
 ``freq(pair) / (freq(left) * freq(right))``; ties go to the
-lexicographically smaller merged string. Continuation pieces carry BERT's
-``##`` prefix (``CONTINUATION_PREFIX``) in training, matching and decoding
-alike.
+lexicographically smaller merged string, then to the pair a scan of the
+words (in first-seen order) and of their positions meets first.
+Continuation pieces carry BERT's ``##`` prefix (``CONTINUATION_PREFIX``) in
+training, matching and decoding alike.
+
+The trainer counts symbols and pairs once, keeps a pair -> words index and a
+symbol -> pairs index, and after each merge re-splits only the words that
+hold the merged pair (Sennrich et al. 2016; the SentencePiece BPE trainer).
+The best pair comes from a lazy-deletion heap: only pairs whose count or
+whose symbols' counts moved are rescored and pushed again, and stale entries
+are dropped when popped. The result is the same vocabulary, piece for piece,
+as recounting every pair for every merge.
 
 Encoding takes the normalized ``str`` that ``normalize_text`` returns. It is
 greedy longest-match-first per whitespace word (``Vocab.segment_word``),
@@ -16,6 +25,7 @@ gets its ids.
 
 from __future__ import annotations
 
+import heapq
 import logging
 from dataclasses import dataclass, field
 from typing import Iterable, Sequence
@@ -34,6 +44,11 @@ PAD, UNK, CLS, SEP, MASK = range(5)
 SPECIAL_TOKENS = ["[PAD]", "[UNK]", "[CLS]", "[SEP]", "[MASK]"]
 CONTINUATION_PREFIX = "##"
 MAX_WORD_CHARS = 100
+
+Pair = tuple[str, str]
+# Stale entries the merge heap may hold beyond twice its live pairs before
+# it is rebuilt from them.
+_HEAP_SLACK = 1024
 
 
 @dataclass(frozen=True)
@@ -127,17 +142,70 @@ def _word_splits(
     for line in corpus:
         for word in line.split():
             word_freq[word] = word_freq.get(word, 0) + 1
-    alphabet: dict[str, None] = {}  # insertion-ordered set
-    for word in word_freq:
-        for pos, ch in enumerate(word):
-            sym = ch if pos == 0 else CONTINUATION_PREFIX + ch
-            alphabet.setdefault(sym, None)
-    splits = {
-        word: [ch if pos == 0 else CONTINUATION_PREFIX + ch for pos, ch in enumerate(word)]
-        for word, freq in word_freq.items()
-        if freq >= min_freq
-    }
+    # Each observed symbol once; the splits share these strings rather than
+    # holding a copy per character.
+    alphabet: dict[str, str] = {}
+    splits: dict[str, list[str]] = {}
+    for word, freq in word_freq.items():
+        split = [alphabet.setdefault(sym, sym)
+                 for sym in (ch if pos == 0 else CONTINUATION_PREFIX + ch for pos, ch in enumerate(word))]
+        if freq >= min_freq:
+            splits[word] = split
     return word_freq, splits, sorted(alphabet)
+
+
+def _merged(pair: Pair) -> str:
+    return pair[0] + pair[1][len(CONTINUATION_PREFIX):]
+
+
+def _merge_split(split: list[str], left: str, right: str, merged: str) -> list[str]:
+    """Replace each (left, right) in ``split``, greedily from the left."""
+    out = []
+    i = 0
+    while i < len(split):
+        if i + 1 < len(split) and split[i] == left and split[i + 1] == right:
+            out.append(merged)
+            i += 2
+        else:
+            out.append(split[i])
+            i += 1
+    return out
+
+
+def _pop_best(
+    heap: list[tuple[float, str, Pair]],
+    score: dict[Pair, float],
+    known: set[str],
+    words: list[list[str]],
+    pair_words: dict[Pair, set[int]],
+) -> tuple[str, Pair] | None:
+    """Pop the best live (merged, pair): highest score, then smaller merged string.
+
+    Pairs that tie on both are taken in the order a scan of the splits meets
+    them, by word and then by position, and the others go back on the heap.
+    """
+    while heap:
+        neg, merged, pair = heapq.heappop(heap)
+        if score.get(pair) == -neg and merged not in known:
+            break
+    else:
+        return None
+    ties = {pair}
+    while heap and heap[0][0] == neg and heap[0][1] == merged:
+        other = heapq.heappop(heap)[2]
+        if score.get(other) == -neg:
+            ties.add(other)
+    if len(ties) > 1:
+
+        def first_seen(pair: Pair) -> tuple[int, int]:
+            i = min(pair_words[pair])
+            split = words[i]
+            return i, next(k for k in range(len(split) - 1) if (split[k], split[k + 1]) == pair)
+
+        pair = min(ties, key=first_seen)
+        for other in ties - {pair}:
+            heapq.heappush(heap, (neg, merged, other))
+    return merged, pair
 
 
 def train_wordpiece(
@@ -160,53 +228,100 @@ def train_wordpiece(
 
     pieces = list(SPECIAL_TOKENS) + list(alphabet)
     known = set(pieces)
+    words = list(splits.values())
+    freqs = [word_freq[word] for word in splits]
+
+    # Counts over the current splits, weighted by word frequency, and the two
+    # indexes that let a merge touch only what it changes.
+    sym_freq: dict[str, int] = {}
+    pair_freq: dict[Pair, int] = {}
+    pair_words: dict[Pair, set[int]] = {}
+    sym_pairs: dict[str, set[Pair]] = {}
+    for i, split in enumerate(words):
+        for sym in split:
+            sym_freq[sym] = sym_freq.get(sym, 0) + freqs[i]
+        for pair in zip(split, split[1:]):
+            pair_freq[pair] = pair_freq.get(pair, 0) + freqs[i]
+            pair_words.setdefault(pair, set()).add(i)
+    for pair in pair_freq:
+        for sym in pair:
+            sym_pairs.setdefault(sym, set()).add(pair)
+
+    # Lazy-deletion heap of (-score, merged, pair). ``score`` holds each live
+    # pair's current score; an entry whose pair is gone, whose merged string
+    # is already a piece, or whose score is not the current one is stale and
+    # dropped when popped.
+    merged_of = {pair: _merged(pair) for pair in pair_freq}
+    score = {pair: freq / (sym_freq[pair[0]] * sym_freq[pair[1]]) for pair, freq in pair_freq.items()}
+    heap = [(-s, merged_of[pair], pair) for pair, s in score.items()]
+    heapq.heapify(heap)
 
     while len(pieces) < vocab_size:
-        sym_freq: dict[str, int] = {}
-        pair_freq: dict[tuple[str, str], int] = {}
-        for word, split in splits.items():
-            freq = word_freq[word]
-            for sym in split:
-                sym_freq[sym] = sym_freq.get(sym, 0) + freq
-            for left, right in zip(split, split[1:]):
-                pair_freq[(left, right)] = pair_freq.get((left, right), 0) + freq
-        best_pair = None
-        best_score = 0.0
-        best_merged = ""
-        for (left, right), freq in pair_freq.items():
-            merged = left + right[len(CONTINUATION_PREFIX):]
-            if merged in known:
-                continue
-            score = freq / (sym_freq[left] * sym_freq[right])
-            if (
-                best_pair is None
-                or score > best_score
-                or (score == best_score and merged < best_merged)
-            ):
-                best_pair, best_score, best_merged = (left, right), score, merged
-        if best_pair is None:
+        best = _pop_best(heap, score, known, words, pair_words)
+        if best is None:
             logger.warning(
                 "merge pairs exhausted at %d pieces (requested %d)",
                 len(pieces),
                 vocab_size,
             )
             break
-        pieces.append(best_merged)
-        known.add(best_merged)
-        left, right = best_pair
-        for word, split in splits.items():
-            if len(split) < 2:
+        merged, (left, right) = best
+        pieces.append(merged)
+        known.add(merged)
+
+        delta: dict[Pair, int] = {}
+        sym_freq[merged] = 0
+        for i in pair_words.pop((left, right)):
+            old = words[i]
+            new = _merge_split(old, left, right, merged)
+            words[i] = new
+            freq = freqs[i]
+            count = freq * (len(old) - len(new))
+            sym_freq[left] -= count
+            sym_freq[right] -= count
+            sym_freq[merged] += count
+            old_pairs = list(zip(old, old[1:]))
+            new_pairs = list(zip(new, new[1:]))
+            for pair in old_pairs:
+                delta[pair] = delta.get(pair, 0) - freq
+            for pair in new_pairs:
+                delta[pair] = delta.get(pair, 0) + freq
+            for pair in set(old_pairs).difference(new_pairs):
+                if pair in pair_words:
+                    pair_words[pair].discard(i)
+            for pair in set(new_pairs).difference(old_pairs):
+                pair_words.setdefault(pair, set()).add(i)
+
+        # every pair next to a symbol whose count moved, and every pair whose
+        # own count moved, gets a new score
+        rescore = sym_pairs[left] | sym_pairs[right]
+        for pair, d in delta.items():
+            if not d:
                 continue
-            out = []
-            i = 0
-            while i < len(split):
-                if i + 1 < len(split) and split[i] == left and split[i + 1] == right:
-                    out.append(best_merged)
-                    i += 2
-                else:
-                    out.append(split[i])
-                    i += 1
-            splits[word] = out
+            freq = pair_freq.get(pair, 0) + d
+            if freq:
+                if pair not in pair_freq:
+                    merged_of[pair] = _merged(pair)
+                    for sym in pair:
+                        sym_pairs.setdefault(sym, set()).add(pair)
+                pair_freq[pair] = freq
+                rescore.add(pair)
+            else:
+                del pair_freq[pair]
+                del merged_of[pair]
+                del score[pair]
+                pair_words.pop(pair, None)
+                rescore.discard(pair)
+                for sym in pair:
+                    sym_pairs[sym].discard(pair)
+        for pair in rescore:
+            s = pair_freq[pair] / (sym_freq[pair[0]] * sym_freq[pair[1]])
+            if score.get(pair) != s:
+                score[pair] = s
+                heapq.heappush(heap, (-s, merged_of[pair], pair))
+        if len(heap) > 2 * len(score) + _HEAP_SLACK:
+            heap = [(-s, merged_of[pair], pair) for pair, s in score.items()]
+            heapq.heapify(heap)
     return Vocab(pieces=pieces)
 
 

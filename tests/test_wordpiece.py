@@ -5,6 +5,8 @@ import re
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from kusent.wordpiece import (
     CLS,
@@ -54,6 +56,69 @@ def oracle_segment(word, pieces, prefix="##"):
         rest = rest[length:]
         first = False
     return out
+
+
+def oracle_train_wordpiece(corpus, vocab_size, min_freq=1, prefix="##"):
+    """Reference trainer: recount every pair of every word for each merge.
+
+    The best pair has the highest ``freq(pair) / (freq(left) * freq(right))``,
+    then the smaller merged string, then comes first in a scan of the words
+    (in first-seen order) and of the positions in each. Returns the pieces.
+    """
+    word_freq = {}
+    for line in corpus:
+        for word in line.split():
+            word_freq[word] = word_freq.get(word, 0) + 1
+    alphabet = sorted({ch if pos == 0 else prefix + ch for word in word_freq for pos, ch in enumerate(word)})
+    splits = {
+        word: [ch if pos == 0 else prefix + ch for pos, ch in enumerate(word)]
+        for word, freq in word_freq.items()
+        if freq >= min_freq
+    }
+    pieces = list(SPECIAL_TOKENS) + alphabet
+    known = set(pieces)
+    while len(pieces) < vocab_size:
+        sym_freq = {}
+        pair_freq = {}
+        for word, split in splits.items():
+            freq = word_freq[word]
+            for sym in split:
+                sym_freq[sym] = sym_freq.get(sym, 0) + freq
+            for left, right in zip(split, split[1:]):
+                pair_freq[(left, right)] = pair_freq.get((left, right), 0) + freq
+        best_pair = None
+        best_score = 0.0
+        best_merged = ""
+        for (left, right), freq in pair_freq.items():
+            merged = left + right[len(prefix):]
+            if merged in known:
+                continue
+            score = freq / (sym_freq[left] * sym_freq[right])
+            if (
+                best_pair is None
+                or score > best_score
+                or (score == best_score and merged < best_merged)
+            ):
+                best_pair, best_score, best_merged = (left, right), score, merged
+        if best_pair is None:
+            break
+        pieces.append(best_merged)
+        known.add(best_merged)
+        left, right = best_pair
+        for word, split in splits.items():
+            if len(split) < 2:
+                continue
+            out = []
+            i = 0
+            while i < len(split):
+                if i + 1 < len(split) and split[i] == left and split[i + 1] == right:
+                    out.append(best_merged)
+                    i += 2
+                else:
+                    out.append(split[i])
+                    i += 1
+            splits[word] = out
+    return pieces
 
 
 class TestSegmentOracle:
@@ -148,6 +213,96 @@ class TestTraining:
         vocab = train_wordpiece(corpus, vocab_size=10)
         merges = [p for p in vocab.pieces[5:] if len(p.replace("##", "")) > 1]
         assert merges[0] == "ab"
+
+
+def generated_corpus(rng, letters, n_words, max_chars, n_lines):
+    """Lines drawn from a seeded pool of ``n_words`` random words."""
+    words = ["".join(rng.choice(letters) for _ in range(rng.randint(1, max_chars))) for _ in range(n_words)]
+    return [" ".join(rng.choice(words) for _ in range(rng.randint(0, 10))) for _ in range(n_lines)]
+
+
+def minimum_size(corpus):
+    """Specials plus alphabet: ``train_wordpiece`` needs a larger ``vocab_size``."""
+    return len(oracle_train_wordpiece(corpus, 0))
+
+
+def assert_matches_oracle(corpus, vocab_size, min_freq=1):
+    expected = oracle_train_wordpiece(corpus, vocab_size, min_freq)
+    assert train_wordpiece(corpus, vocab_size, min_freq).pieces == expected
+    return expected
+
+
+class TestTrainingMatchesOracle:
+    """``train_wordpiece`` updates its counts per merge; the oracle recounts
+    every pair for each one. Their pieces must be identical."""
+
+    # '#' spells "##", so merges can rebuild an alphabet symbol or a special
+    # ("[PAD]") and be skipped as known, and two different pairs can merge
+    # into the same string with the same score, which the word-order tie
+    # rule settles.
+    LETTERS = ["ab", "abc", "abcdefg", "aab", "a#", "#ab", "[PAD]#"]
+
+    @pytest.mark.parametrize("min_freq", [1, 2, 3])
+    def test_generated_corpora_up_to_and_past_exhaustion(self, min_freq):
+        rng = random.Random(100 + min_freq)
+        for _ in range(150):
+            corpus = generated_corpus(rng, rng.choice(self.LETTERS), rng.randint(1, 40), 8, rng.randint(1, 8))
+            if not "".join(corpus).split():
+                continue
+            minimum = minimum_size(corpus)
+            exhausted = oracle_train_wordpiece(corpus, 10**6, min_freq)
+            for size in {minimum + 1, (minimum + len(exhausted)) // 2 + 1, len(exhausted), len(exhausted) + 5}:
+                if size > minimum:
+                    assert_matches_oracle(corpus, size, min_freq)
+
+    def test_single_letter_runs(self):
+        # (##a, ##a) merges greedily from the left: "##a ##a ##a" -> "##aa ##a"
+        rng = random.Random(7)
+        for _ in range(40):
+            corpus = [" ".join("a" * rng.randint(1, 12) for _ in range(rng.randint(1, 12)))
+                      for _ in range(rng.randint(1, 4))]
+            assert_matches_oracle(corpus, minimum_size(corpus) + 15)
+        # (##a, ##a) scores 2/9 and beats (b, ##a) at 1/12, leaving "b ##aa ##a"
+        assert assert_matches_oracle(["b b b baaa"], 10)[7:] == ["##aa", "##aaa", "baaa"]
+
+    def test_tie_on_score_and_string_goes_to_the_pair_seen_first(self):
+        # (##a, ###a) in "aaaa#aa" and (#, ###a#a) in "##a#a" both merge into
+        # "##a#a" with score 0.2; the scan meets the first one a word earlier.
+        corpus = ["# # # #aa aaaa#aa ##a#a aa ###aa"]
+        pieces = assert_matches_oracle(corpus, 30)
+        assert pieces[15:18] == ["##a#a", "##a#aa", "##aa#aa"]
+
+    def test_desk_corpus(self):
+        from test_acceptance import desk_corpus
+
+        for size in (70, 400):
+            assert_matches_oracle(desk_corpus(), size)
+
+    @given(
+        st.lists(st.text(alphabet="ab#", min_size=1, max_size=7), min_size=1, max_size=15),
+        st.integers(1, 3),
+        st.integers(1, 30),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_small_alphabets(self, words, min_freq, extra):
+        corpus = [" ".join(words)]
+        assert_matches_oracle(corpus, minimum_size(corpus) + extra, min_freq)
+
+    def test_min_freq_must_be_positive(self):
+        with pytest.raises(ValueError, match="min_freq must be >= 1, got 0"):
+            train_wordpiece(["ab ab"], vocab_size=20, min_freq=0)
+
+    def test_5000_pieces_round_trip(self):
+        rng = random.Random(11)
+        letters = "abcdefghijklmnopqrstuvwxyz"
+        corpus = generated_corpus(rng, letters, 3000, 12, 800)
+        vocab = train_wordpiece(corpus, vocab_size=5000)
+        assert len(vocab) == 5000
+        assert len(set(vocab.pieces)) == 5000
+        for line in corpus:
+            enc = encode(line, vocab, max_len=128)  # 10 words of 12 letters at most
+            assert not enc.overflow and UNK not in enc.ids
+            assert decode(enc.ids, vocab) == line
 
 
 class TestEncode:

@@ -1,0 +1,61 @@
+"""Time `train_wordpiece` up to the paper's 50k-piece vocabulary.
+
+Generates a seeded corpus in-process (no download): a lexicon of distinct
+Central Kurdish-script words built from random syllables, every word used at
+least once, plus Zipf-distributed repeats. Then trains 5k and 50k pieces in
+separate calls and prints seconds per 1k merges, the time to each size and
+the process's peak RSS.
+
+    PYTHONPATH=src python tools/time_wordpiece.py
+"""
+
+from __future__ import annotations
+
+import random
+import resource
+import time
+
+from kusent.wordpiece import CONTINUATION_PREFIX, SPECIAL_TOKENS, train_wordpiece
+
+CONSONANTS = "بپتجچحخدرڕزژسشعغفڤقکگلڵمنهھ"
+VOWELS = "اوۆەیێ"
+WORDS = 54_000
+SEED = 0
+SIZES = (5_000, 50_000)
+
+
+def generate_corpus(n_words: int, seed: int, words_per_line: int = 12) -> list[str]:
+    """Lines holding ``n_words`` distinct words, each at least once, plus as many Zipf repeats."""
+    rng = random.Random(seed)
+    lexicon: dict[str, None] = {}
+    while len(lexicon) < n_words:
+        syllables = rng.randint(1, 4)
+        word = "".join(rng.choice(CONSONANTS) + rng.choice(VOWELS) + rng.choice(["", rng.choice(CONSONANTS)])
+                       for _ in range(syllables))
+        lexicon.setdefault(word, None)
+    words = list(lexicon)
+    weights = [1.0 / (rank + 1) for rank in range(len(words))]
+    tokens = words + rng.choices(words, weights=weights, k=len(words))
+    rng.shuffle(tokens)
+    return [" ".join(tokens[i:i + words_per_line]) for i in range(0, len(tokens), words_per_line)]
+
+
+def main() -> None:
+    corpus = generate_corpus(WORDS, SEED)
+    alphabet = {ch if pos == 0 else CONTINUATION_PREFIX + ch
+                for line in corpus for word in line.split() for pos, ch in enumerate(word)}
+    minimum = len(SPECIAL_TOKENS) + len(alphabet)
+    print(f"corpus: {len(corpus)} lines, {WORDS} distinct words, {minimum} specials + alphabet")
+    for size in SIZES:
+        started = time.perf_counter()
+        vocab = train_wordpiece(corpus, vocab_size=size)
+        seconds = time.perf_counter() - started
+        merges = len(vocab) - minimum
+        print(f"{size} pieces: {len(vocab)} reached in {seconds:.2f} s, "
+              f"{1000 * seconds / merges:.3f} s per 1k merges")
+    peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
+    print(f"peak RSS: {peak_mb:.0f} MB")
+
+
+if __name__ == "__main__":
+    main()
