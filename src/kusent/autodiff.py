@@ -332,23 +332,62 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-12) -> Te
     return _node(data, (x, gain, shift), backward)
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
-    """Inverted dropout: scales kept activations by 1/(1-rate) so inference is identity."""
+def _skip_uniforms(rng: np.random.Generator, n: int) -> None:
+    """Move ``rng`` past the next ``n`` float64 uniforms, without drawing them where it can."""
+    if not n:
+        return
+    if isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
+        rng.bit_generator.advance(int(n))  # one 64-bit output per uniform
+    else:
+        rng.random(n)
+
+
+def dropout(
+    x: Tensor, rate: float, rng: np.random.Generator | None, train: bool, mask: np.ndarray | None = None
+) -> Tensor:
+    """Inverted dropout: scales kept activations by 1/(1-rate) so inference is identity.
+
+    With ``mask``, the rows of ``x`` (over its last axis) are the nonzero
+    positions of ``mask`` in C order, the packed form of a padded
+    (mask.size, width) array. Each kept row gets the uniforms it would get in
+    the padded array, and the generator steps over the pad rows' uniforms
+    without drawing them, so the values and the generator's state after the
+    call equal dropout on the padded array.
+    """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
     if not train or rate == 0.0:
         return x
     if rng is None:
         raise ValueError("dropout: training mode needs a random generator")
-    keep = np.empty(x.shape, dtype=bool)
-    data = np.empty(x.shape, x.dtype)
+    width = x.shape[-1] if x.shape else 1
+    x2 = x.data.reshape(-1, width)
+    if mask is None:
+        total, runs = len(x2), [(0, len(x2))]
+    else:
+        attended = np.asarray(mask).reshape(-1) != 0
+        total = attended.size
+        if int(attended.sum()) != len(x2):
+            raise ValueError(f"dropout: {len(x2)} rows do not match the mask's {int(attended.sum())}")
+        # [start, end) of each run of attended positions
+        runs = np.flatnonzero(np.diff(attended, prepend=False, append=False)).reshape(-1, 2)
+    keep = np.empty(x2.shape, dtype=bool)
+    data = np.empty(x2.shape, x.dtype)
     factor = 1.0 / (1.0 - rate)
     # the uniforms are drawn block by block in C order, the same values one
-    # rng.random(x.shape) call would give
-    for xb, kb, db in _row_blocks(x.data, keep, data):
-        np.greater_equal(rng.random(kb.shape), rate, out=kb)
-        np.multiply(xb, kb, out=db)
-        db *= factor
+    # rng.random((total, width)) call would give to these rows
+    at = row = 0
+    for start, end in runs:
+        _skip_uniforms(rng, (start - at) * width)
+        packed = slice(row, row + end - start)
+        for xb, kb, db in _row_blocks(x2[packed], keep[packed], data[packed]):
+            np.greater_equal(rng.random(kb.shape), rate, out=kb)
+            np.multiply(xb, kb, out=db)
+            db *= factor
+        at, row = end, row + end - start
+    _skip_uniforms(rng, (total - at) * width)
+    keep = keep.reshape(x.shape)
+    data = data.reshape(x.shape)
 
     def backward(g):
         dx = g * keep
@@ -371,6 +410,25 @@ def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
         return (dt,)
 
     return _node(data, (table,), backward)
+
+
+def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
+    """``x[rows]`` for distinct ``rows``: its gradient is set, not summed, into place."""
+    data = x.data[rows]
+
+    def backward(g):
+        dx = np.zeros_like(x.data)
+        dx[rows] = g
+        return (dx,)
+
+    return _node(data, (x,), backward)
+
+
+def scatter_rows(x: Tensor, rows: np.ndarray, n_rows: int) -> Tensor:
+    """The rows of ``x`` placed at distinct ``rows`` of an (n_rows, ...) array of zeros."""
+    data = np.zeros((n_rows,) + x.shape[1:], x.dtype)
+    data[rows] = x.data
+    return _node(data, (x,), lambda g: (g[rows],))
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100) -> Tensor:

@@ -223,9 +223,16 @@ def forward(
 ) -> tuple[Tensor, Tensor]:
     """Encode a batch: returns (sequence states B x T x H, CLS state B x H).
 
-    Padded keys receive a large negative additive term before softmax, so
-    their attention weight is zero from every query. When ``attn_sink`` is a
-    list, each layer's attention probabilities (B x A x T x T) are appended.
+    ``attention_mask`` holds 0/1 in the shape of ``input_ids`` and attends
+    position 0 (CLS) of every row. The attended positions are gathered once,
+    and every token-wise layer (embeddings, projections, FFN, layer norms and
+    their dropouts) runs on those N rows only. The attention core runs padded:
+    padded keys receive a large negative additive term before softmax, so
+    their weight is zero from every query. The states are exactly zero at pad
+    positions. Dropout gives each attended value the uniform it would get with
+    the pad rows present and leaves the generator where the padded pass would.
+    When ``attn_sink`` is a list, each layer's attention probabilities
+    (B x A x T x T) are appended; a padded query's row is meaningless.
     """
     config = model.config
     input_ids = np.asarray(input_ids)
@@ -239,19 +246,32 @@ def forward(
         raise ValueError(
             f"token id {int(input_ids.max())} out of range for vocab_size {config.vocab_size}"
         )
+    if (
+        attention_mask.shape != input_ids.shape
+        or not np.isin(attention_mask, (0, 1)).all()
+        or not (attention_mask[:, :1] == 1).all()
+    ):
+        raise ValueError(
+            f"attention_mask must hold only 0/1 in the shape of input_ids {input_ids.shape}, "
+            f"with position 0 attended in every row"
+        )
     rate = config.dropout_rate
+    hidden_size = config.hidden_size
+    # the attended positions, as rows of the flattened (B*T, H) layout
+    rows = np.flatnonzero(attention_mask)
 
-    tok = ad.embedding_lookup(model["embeddings.token"], input_ids)
-    pos = ad.narrow(model["embeddings.position"], 0, 0, seq_len)
-    seg = ad.embedding_lookup(
-        model["embeddings.segment"], np.zeros_like(input_ids)
-    )
+    def drop(t: Tensor) -> Tensor:
+        return ad.dropout(t, rate, dropout_rng, train, mask=attention_mask)
+
+    tok = ad.embedding_lookup(model["embeddings.token"], input_ids.reshape(-1)[rows])
+    pos = ad.embedding_lookup(model["embeddings.position"], rows % seq_len)
+    seg = ad.embedding_lookup(model["embeddings.segment"], np.zeros_like(rows))
     x = ad.add(ad.add(tok, pos), seg)
     x = ad.layer_norm(x, model["embeddings.norm.gain"], model["embeddings.norm.bias"])
-    x = ad.dropout(x, rate, dropout_rng, train)
+    x = drop(x)
 
     heads = config.num_attention_heads
-    head_dim = config.hidden_size // heads
+    head_dim = hidden_size // heads
     neg = np.asarray(
         (1.0 - attention_mask)[:, None, None, :] * -1e9, dtype=x.dtype
     )
@@ -263,27 +283,31 @@ def forward(
         def proj(name, inp):
             w = model[f"{prefix}.attn.{name}.weight"]
             b = model[f"{prefix}.attn.{name}.bias"]
-            out = ad.matmul(inp, w, b)
-            out = ad.reshape(out, (batch, seq_len, heads, head_dim))
-            return ad.transpose(out, (0, 2, 1, 3))
+            return ad.matmul(inp, w, b)
+
+        def split_heads(t):
+            # (N, H) -> B x A x T x head_dim, with zero rows at the pad positions
+            t = ad.scatter_rows(t, rows, batch * seq_len)
+            return ad.transpose(ad.reshape(t, (batch, seq_len, heads, head_dim)), (0, 2, 1, 3))
 
         # q is scaled by 1/sqrt(head_dim) before the product, and the padding
         # mask is added into the product, so the B x A x T x T scores are
         # written once
-        q = ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim))
-        k = proj("k", x)
-        v = proj("v", x)
+        q = split_heads(ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim)))
+        k = split_heads(proj("k", x))
+        v = split_heads(proj("v", x))
         scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)), mask_add)
         probs = ad.softmax(scores)
         if attn_sink is not None:
             attn_sink.append(probs.data)
         probs = ad.dropout(probs, rate, dropout_rng, train)
         ctx = ad.matmul(probs, v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, seq_len, config.hidden_size))
+        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch * seq_len, hidden_size))
+        ctx = ad.gather_rows(ctx, rows)
         attn_out = ad.matmul(
             ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"]
         )
-        attn_out = ad.dropout(attn_out, rate, dropout_rng, train)
+        attn_out = drop(attn_out)
         x = ad.layer_norm(
             ad.add(x, attn_out),
             model[f"{prefix}.attn.norm.gain"],
@@ -291,15 +315,17 @@ def forward(
         )
         hidden = ad.gelu(ad.matmul(x, model[f"{prefix}.ffn.w1"], model[f"{prefix}.ffn.b1"]))
         ffn_out = ad.matmul(hidden, model[f"{prefix}.ffn.w2"], model[f"{prefix}.ffn.b2"])
-        ffn_out = ad.dropout(ffn_out, rate, dropout_rng, train)
+        ffn_out = drop(ffn_out)
         x = ad.layer_norm(
             ad.add(x, ffn_out),
             model[f"{prefix}.ffn.norm.gain"],
             model[f"{prefix}.ffn.norm.bias"],
         )
 
-    cls_state = ad.reshape(ad.narrow(x, 1, 0, 1), (batch, config.hidden_size))
-    return x, cls_state
+    states = ad.reshape(ad.scatter_rows(x, rows, batch * seq_len), (batch, seq_len, hidden_size))
+    # row b's CLS, its position 0, is the packed row of flat position b * T
+    cls_state = ad.gather_rows(x, np.searchsorted(rows, np.arange(batch) * seq_len))
+    return states, cls_state
 
 
 def mlm_logits(model: ModelParams, sequence_states: Tensor) -> Tensor:
@@ -329,7 +355,7 @@ def mlm_loss(model: ModelParams, sequence_states: Tensor, labels: np.ndarray) ->
     labels = np.asarray(labels).reshape(-1)
     rows = np.flatnonzero(labels != IGNORE_INDEX)[None, :]
     flat = ad.reshape(sequence_states, (labels.size, sequence_states.shape[-1]))
-    masked = ad.embedding_lookup(flat, rows)
+    masked = ad.gather_rows(flat, rows)
     return ad.cross_entropy(mlm_logits(model, masked), labels[rows])
 
 

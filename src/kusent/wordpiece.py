@@ -6,7 +6,8 @@ the adjacent pair with the highest likelihood-ratio score
 lexicographically smaller merged string, then to the pair a scan of the
 words (in first-seen order) and of their positions meets first.
 Continuation pieces carry BERT's ``##`` prefix (``CONTINUATION_PREFIX``) in
-training, matching and decoding alike.
+training, matching and decoding alike; the bare ``##`` is an initial piece
+(``is_continuation``).
 
 The trainer counts symbols and pairs once, keeps a pair -> words index and a
 symbol -> pairs index, and after each merge re-splits only the words that
@@ -51,12 +52,18 @@ Pair = tuple[str, str]
 _HEAP_SLACK = 1024
 
 
+def is_continuation(piece: str) -> bool:
+    """Whether ``piece`` continues a word: ``##`` and at least one more character. The
+    bare ``##`` is an initial piece, the start of a word such as ``##a``."""
+    return piece.startswith(CONTINUATION_PREFIX) and len(piece) > len(CONTINUATION_PREFIX)
+
+
 @dataclass(frozen=True)
 class Vocab:
     """Ordered piece list; index is the token id. Ids 0-4 are the specials.
 
     Only ``pieces`` is given; the id map and ``segment_word``'s match tables
-    derive from it. A piece starting with ``##`` continues a word.
+    derive from it. A piece continues a word when ``is_continuation`` says so.
     """
 
     pieces: list[str]
@@ -82,7 +89,7 @@ class Vocab:
         initial: dict[str, int] = {}
         cont: dict[str, int] = {}
         for i, piece in enumerate(self.pieces[len(SPECIAL_TOKENS):], start=len(SPECIAL_TOKENS)):
-            if piece.startswith(CONTINUATION_PREFIX) and len(piece) > len(CONTINUATION_PREFIX):
+            if is_continuation(piece):
                 cont[piece[len(CONTINUATION_PREFIX):]] = i
             else:
                 initial[piece] = i
@@ -373,7 +380,7 @@ def decode(ids: Sequence[int], vocab: Vocab) -> str:
         if token_id < len(SPECIAL_TOKENS):
             continue
         piece = vocab.pieces[token_id]
-        if piece.startswith(CONTINUATION_PREFIX) and words:
+        if is_continuation(piece) and words:
             words[-1] += piece[len(CONTINUATION_PREFIX):]
         else:
             words.append(piece)

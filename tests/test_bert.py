@@ -1,11 +1,12 @@
 import json
+import math
 
 import numpy as np
 import pytest
 
 from kusent import autodiff as ad
 from kusent import bert
-from kusent.autodiff import backward
+from kusent.autodiff import Tensor, backward
 from kusent.bert import (
     IGNORE_INDEX,
     BertConfig,
@@ -51,6 +52,63 @@ def batch_of(config, rng, batch=2, seq_len=8, n_pad=2):
     ids[:, seq_len - n_pad:] = PAD
     mask = np.ones((batch, seq_len), dtype=np.int64)
     mask[:, seq_len - n_pad:] = 0
+    return ids, mask
+
+
+def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=None, attn_sink=None):
+    """The encoder with every layer on the padded (B, T, H) layout, as it ran before
+    ``forward`` packed the attended rows: the oracle for its attended states, CLS,
+    attention probabilities, dropout stream and gradients."""
+    config = model.config
+    batch, seq_len = input_ids.shape
+    rate = config.dropout_rate
+    tok = ad.embedding_lookup(model["embeddings.token"], input_ids)
+    pos = ad.narrow(model["embeddings.position"], 0, 0, seq_len)
+    seg = ad.embedding_lookup(model["embeddings.segment"], np.zeros_like(input_ids))
+    x = ad.add(ad.add(tok, pos), seg)
+    x = ad.layer_norm(x, model["embeddings.norm.gain"], model["embeddings.norm.bias"])
+    x = ad.dropout(x, rate, dropout_rng, train)
+    heads = config.num_attention_heads
+    head_dim = config.hidden_size // heads
+    mask_add = Tensor(np.asarray((1.0 - attention_mask)[:, None, None, :] * -1e9, dtype=x.dtype))
+    for layer in range(config.num_hidden_layers):
+        prefix = f"layer{layer}"
+
+        def proj(name, inp):
+            out = ad.matmul(inp, model[f"{prefix}.attn.{name}.weight"], model[f"{prefix}.attn.{name}.bias"])
+            out = ad.reshape(out, (batch, seq_len, heads, head_dim))
+            return ad.transpose(out, (0, 2, 1, 3))
+
+        q = ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim))
+        k = proj("k", x)
+        v = proj("v", x)
+        probs = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)), mask_add))
+        if attn_sink is not None:
+            attn_sink.append(probs.data)
+        probs = ad.dropout(probs, rate, dropout_rng, train)
+        ctx = ad.matmul(probs, v)
+        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, seq_len, config.hidden_size))
+        attn_out = ad.matmul(ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"])
+        attn_out = ad.dropout(attn_out, rate, dropout_rng, train)
+        x = ad.layer_norm(ad.add(x, attn_out), model[f"{prefix}.attn.norm.gain"],
+                          model[f"{prefix}.attn.norm.bias"])
+        hidden = ad.gelu(ad.matmul(x, model[f"{prefix}.ffn.w1"], model[f"{prefix}.ffn.b1"]))
+        ffn_out = ad.matmul(hidden, model[f"{prefix}.ffn.w2"], model[f"{prefix}.ffn.b2"])
+        ffn_out = ad.dropout(ffn_out, rate, dropout_rng, train)
+        x = ad.layer_norm(ad.add(x, ffn_out), model[f"{prefix}.ffn.norm.gain"],
+                          model[f"{prefix}.ffn.norm.bias"])
+    cls_state = ad.reshape(ad.narrow(x, 1, 0, 1), (batch, config.hidden_size))
+    return x, cls_state
+
+
+def ragged_batch(config, rng, lengths):
+    """CLS, random pieces and SEP in the first ``lengths[b]`` positions of row b, PAD after."""
+    lengths = np.asarray(lengths)
+    ids = rng.integers(5, config.vocab_size, size=(len(lengths), lengths.max()))
+    mask = (np.arange(lengths.max()) < lengths[:, None]).astype(np.int64)
+    ids[:, 0] = CLS
+    ids[np.arange(len(lengths)), lengths - 1] = SEP
+    ids[mask == 0] = PAD
     return ids, mask
 
 
@@ -239,6 +297,84 @@ class TestForward:
         assert report.passed, str(report)
 
 
+class TestPackedForward:
+    """``forward`` runs its token-wise layers on the attended rows only; the padded
+    oracle above gives the same values, generator state and gradients."""
+
+    LENGTHS = [7, 3, 9, 1, 9, 5]
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("block_values", [ad._BLOCK_VALUES, 40])
+    def test_matches_padded_oracle_bit_for_bit(self, monkeypatch, train, block_values):
+        # 40-value blocks split the dropouts' runs of attended rows into several blocks
+        monkeypatch.setattr(ad, "_BLOCK_VALUES", block_values)
+        cfg = tiny_config(dropout_rate=0.2)
+        model = build_model(cfg, seed=20)
+        ids, mask = ragged_batch(cfg, np.random.default_rng(21), self.LENGTHS)
+        attended = mask == 1
+        want_rng, got_rng = np.random.default_rng(22), np.random.default_rng(22)
+        want_sink, got_sink = [], []
+        want, want_cls = oracle_forward(model, ids, mask, train, want_rng, want_sink)
+        got, got_cls = forward(model, ids, mask, train, got_rng, got_sink)
+        assert got.shape == want.shape and got.dtype == want.dtype
+        np.testing.assert_array_equal(got.data[attended], want.data[attended])
+        assert not got.data[~attended].any()  # pad rows are exactly zero
+        np.testing.assert_array_equal(got_cls.data, want_cls.data)
+        assert len(got_sink) == len(want_sink) == cfg.num_hidden_layers
+        for got_probs, want_probs in zip(got_sink, want_sink):
+            # B x A x T x T; a padded query's row is never read
+            np.testing.assert_array_equal(got_probs.transpose(0, 2, 1, 3)[attended],
+                                          want_probs.transpose(0, 2, 1, 3)[attended])
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    def _loss(self, encode, model, ids, mask, labels, weights):
+        seq, cls_state = encode(model, ids, mask, True, np.random.default_rng(23))
+        return ad.add(mlm_loss(model, seq, labels), ad.reduce_sum(ad.mul(cls_state, weights)))
+
+    def _setup(self):
+        cfg = tiny_config(hidden_size=8, num_attention_heads=2, vocab_size=12, max_position=10,
+                          dropout_rate=0.2)
+        model = build_model(cfg, seed=24, dtype=np.float64)
+        rng = np.random.default_rng(25)
+        ids, mask = ragged_batch(cfg, rng, self.LENGTHS)
+        labels = np.where((rng.random(ids.shape) < 0.4) & (mask == 1), ids, IGNORE_INDEX)
+        weights = Tensor(rng.normal(size=(len(self.LENGTHS), cfg.hidden_size)))
+        return model, ids, mask, labels, weights
+
+    def test_parameter_gradients_match_oracle(self):
+        model, *batch = self._setup()
+        grads = {}
+        for encode in (oracle_forward, forward):
+            for p in model.params:
+                p.zero_grad()
+            backward(self._loss(encode, model, *batch))
+            grads[encode] = {p.name: p.grad.copy() for p in model.params}
+        for name, want in grads[oracle_forward].items():
+            # only the summation order of the weight gradients differs
+            np.testing.assert_allclose(grads[forward][name], want, rtol=1e-10, atol=1e-14, err_msg=name)
+
+    def test_gradcheck_with_pads_and_dropout(self):
+        model, *batch = self._setup()
+        report = grad_check(lambda: self._loss(forward, model, *batch), model.params,
+                            tolerance=1e-4, max_elements_per_param=6)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("mask", [
+        [[1, 1, 1]],  # not the shape of input_ids
+        [[1, 1, 1], [1, 1, 1]],  # one column short
+        [[1, 1, 2, 0], [1, 1, 1, 1]],
+        [[1, 1, -1, 0], [1, 1, 1, 1]],
+        [[1, 0.5, 0, 0], [1, 1, 1, 1]],
+        [[1, 1, 1, 0], [0, 1, 1, 1]],  # position 0 not attended
+    ])
+    def test_bad_attention_mask_rejected(self, mask):
+        model = build_model(tiny_config(), seed=0)
+        ids = np.array([[CLS, 7, SEP, PAD], [CLS, 7, 8, SEP]])
+        with pytest.raises(ValueError, match=r"attention_mask must hold only 0/1 in the shape of "
+                                             r"input_ids \(2, 4\), with position 0 attended"):
+            forward(model, ids, np.array(mask))
+
+
 class TestMlmLoss:
     def _setup(self, mask_prob):
         cfg = BertConfig(
@@ -248,7 +384,9 @@ class TestMlmLoss:
         model = build_model(cfg, seed=14, dtype=np.float64)
         rng = np.random.default_rng(15)
         ids, mask = batch_of(cfg, rng, batch=3, seq_len=7, n_pad=2)
-        labels = np.where(rng.random(ids.shape) < mask_prob, ids, IGNORE_INDEX)
+        # labels only where attended, as mask_for_mlm puts them: a pad state is a constant
+        # zero row, whose layer norm in the MLM head has no usable gradient
+        labels = np.where((rng.random(ids.shape) < mask_prob) & (mask == 1), ids, IGNORE_INDEX)
         return model, ids, mask, labels
 
     def _loss_and_grads(self, model, loss_fn):

@@ -228,6 +228,29 @@ class TestFusedAndBlockedOps:
         g = np.ones_like(x)
         np.testing.assert_array_equal(out._backward(g)[0], g * keep * (1.0 / 0.9))
 
+    @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
+    @pytest.mark.parametrize("block_values", [ad._BLOCK_VALUES, 12])
+    def test_packed_dropout_equals_padded_dropout(self, monkeypatch, bits, block_values):
+        # PCG64 steps over the pad rows' uniforms, MT19937 draws them; 12-value
+        # blocks put several blocks inside each run of attended rows
+        monkeypatch.setattr(ad, "_BLOCK_VALUES", block_values)
+        mask = np.array([[0, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0], [0, 0, 1, 0, 1, 0]])
+        rows = np.flatnonzero(mask)
+        rng = np.random.default_rng(28)
+        x = rng.normal(size=(mask.size, 4)).astype(np.float32)
+        g = rng.normal(size=x.shape).astype(np.float32)
+        padded_rng, packed_rng = np.random.Generator(bits(29)), np.random.Generator(bits(29))
+        padded = ad.dropout(Parameter("x", x), 0.3, padded_rng, train=True)
+        packed = ad.dropout(Parameter("x", x[rows]), 0.3, packed_rng, train=True, mask=mask)
+        np.testing.assert_array_equal(packed.data, padded.data[rows])
+        np.testing.assert_array_equal(packed._backward(g[rows])[0], padded._backward(g)[0][rows])
+        assert packed_rng.random(8).tolist() == padded_rng.random(8).tolist()  # the same next draws
+
+    def test_packed_dropout_rows_must_match_the_mask(self):
+        with pytest.raises(ValueError, match="dropout: 3 rows do not match the mask's 2"):
+            ad.dropout(Tensor(np.ones((3, 4))), 0.5, np.random.default_rng(0), True,
+                       mask=np.array([[1, 0], [0, 1]]))
+
     def test_cross_entropy_never_reads_ignored_rows(self):
         rng = np.random.default_rng(25)
         logits = Parameter("logits", rng.normal(size=(4, 6)))
@@ -349,6 +372,18 @@ class TestGradCheckPerOp:
         ids = np.array([[0, 3, 3], [6, 1, 0]])
         w = Tensor(np.random.default_rng(5).normal(size=(2, 3, 3)))
         check(lambda: ad.reduce_sum(ad.mul(ad.embedding_lookup(table, ids), w)), [table])
+
+    def test_gather_and_scatter_rows(self):
+        x = fparam("x", (5, 3))
+        rows = np.array([0, 2, 3, 7])
+        w = Tensor(np.random.default_rng(30).normal(size=(9, 3)))
+        v = Tensor(np.random.default_rng(31).normal(size=(4, 3)))
+        # rows 1..4 of x placed at rows of 9, then taken back with the pad rows
+        check(lambda: ad.reduce_sum(ad.mul(ad.scatter_rows(ad.narrow(x, 0, 1, 4), rows, 9), w)), [x])
+        check(lambda: ad.reduce_sum(ad.mul(ad.gather_rows(x, np.array([4, 0, 2, 1])), v)), [x])
+        scattered = ad.scatter_rows(Tensor(x.data[:4]), rows, 9)
+        np.testing.assert_array_equal(scattered.data[rows], x.data[:4])
+        assert not np.delete(scattered.data, rows, axis=0).any()
 
     def test_cross_entropy(self):
         logits = fparam("logits", (6, 4))

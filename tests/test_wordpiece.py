@@ -404,6 +404,14 @@ class TestDecode:
             assert decode(enc.ids, vocab) == text
 
 
+    def test_word_starting_with_continuation_prefix_round_trips(self):
+        # "##a" learns the bare piece "##", which starts a word and continues none
+        vocab = train_wordpiece(["x ##a x ##a x ##a"], 12)
+        assert "##" in vocab.pieces
+        enc = encode("x ##a", vocab, max_len=8)
+        assert [vocab.pieces[i] for i in enc.ids if i >= len(SPECIAL_TOKENS)] == ["x", "##", "##a"]
+        assert decode(enc.ids, vocab) == "x ##a"
+
 class TestVocabIO:
     def test_round_trip(self, tmp_path):
         vocab = train_wordpiece(["aa ab ba bb aa ab"], vocab_size=15)
