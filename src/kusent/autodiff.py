@@ -280,24 +280,29 @@ def sigmoid(x: Tensor) -> Tensor:
     return _node(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
-def softmax(x: Tensor) -> Tensor:
-    """Softmax over the last axis."""
-    s = np.empty(x.shape, x.dtype)
-    for xb, sb in _row_blocks(x.data, s):
+def _softmax_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """Softmax of ``x`` over its last axis into ``out``, which may be ``x`` itself."""
+    for xb, sb in _row_blocks(x, out):
         np.subtract(xb, xb.max(axis=-1, keepdims=True), out=sb)
         np.exp(sb, out=sb)
         sb /= sb.sum(axis=-1, keepdims=True)
+    return out
 
-    def backward(g):
-        # (g - sum(g * s)) * s
-        dx = np.empty(s.shape, s.dtype)
-        for gb, sb, db in _row_blocks(g, s, dx):
-            np.multiply(gb, sb, out=db)
-            np.subtract(gb, db.sum(axis=-1, keepdims=True), out=db)
-            db *= sb
-        return (dx,)
 
-    return _node(s, (x,), backward)
+def _softmax_rows_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
+    """The gradient by the softmax's input, (g - sum(g * s)) * s, for softmax output ``s``."""
+    dx = np.empty(s.shape, s.dtype)
+    for gb, sb, db in _row_blocks(g, s, dx):
+        np.multiply(gb, sb, out=db)
+        np.subtract(gb, db.sum(axis=-1, keepdims=True), out=db)
+        db *= sb
+    return dx
+
+
+def softmax(x: Tensor) -> Tensor:
+    """Softmax over the last axis."""
+    s = _softmax_rows(x.data, np.empty(x.shape, x.dtype))
+    return _node(s, (x,), lambda g: (_softmax_rows_backward(g, s),))
 
 
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-12) -> Tensor:
@@ -429,6 +434,114 @@ def scatter_rows(x: Tensor, rows: np.ndarray, n_rows: int) -> Tensor:
     data = np.zeros((n_rows,) + x.shape[1:], x.dtype)
     data[rows] = x.data
     return _node(data, (x,), lambda g: (g[rows],))
+
+
+def attention(
+    q: Tensor,
+    k: Tensor,
+    v: Tensor,
+    heads: int,
+    groups: Sequence[tuple[np.ndarray, np.ndarray]],
+    mask_add: np.ndarray,
+    rate: float = 0.0,
+    rng: np.random.Generator | None = None,
+    train: bool = False,
+    sink: list | None = None,
+) -> Tensor:
+    """Multi-head scaled dot-product attention over packed rows, one group of batch rows at a time.
+
+    ``q`` (already scaled), ``k`` and ``v`` are the (N, H) packed rows of a
+    padded (B, T) batch; the result is the (N, H) context of the same rows.
+    Each group is ``(batch_rows, index)``: the G batch rows that run at width
+    w, ascending, and a (G, w) array of the packed row at each of their first
+    w positions, -1 where the position holds a zero row. Every batch row is in
+    one group and every packed row at one position. ``mask_add`` is the
+    (B, 1, 1, T) additive key mask.
+
+    Each group runs the padded core's expressions on (G, A, w, head_dim)
+    heads: ``s = q @ kᵀ; s += mask_add[rows, ..., :w]``, softmax, probability
+    dropout and ``p @ v``; the backward keeps the padded core's GEMMs.
+    Probability dropout draws the padded core's stream: for each batch row b
+    in order and each head, the uniforms of its w query rows, each T wide and
+    the first w used, and then a skip over the (T - w) * T uniforms of the
+    other query rows. When ``sink`` is a list, the probabilities before
+    dropout are appended as one (B, A, T, T) array, zero outside each row's
+    w x w block.
+    """
+    n, hidden = q.shape
+    if k.shape != q.shape or v.shape != q.shape or hidden % heads:
+        raise ValueError(f"attention: q, k, v {q.shape}, {k.shape}, {v.shape} do not split into {heads} heads")
+    if not 0.0 <= rate < 1.0:
+        raise ValueError(f"attention: rate must be in [0, 1), got {rate}")
+    dropping = train and rate > 0.0
+    if dropping and rng is None:
+        raise ValueError("attention: training mode needs a random generator")
+    batch, seq_len = mask_add.shape[0], mask_add.shape[-1]
+    head_dim = hidden // heads
+    factor = 1.0 / (1.0 - rate)
+    places = [np.nonzero(index >= 0) for _, index in groups]
+    sources = [index[place] for (_, index), place in zip(groups, places)]
+
+    def split(a: np.ndarray, group: int) -> np.ndarray:
+        # packed (N, H) rows -> (G, A, w, head_dim) heads of the group's zero-padded grid
+        index = groups[group][1]
+        grid = np.zeros(index.shape + (hidden,), a.dtype)
+        grid[places[group]] = a[sources[group]]
+        return grid.reshape(index.shape + (heads, head_dim)).transpose(0, 2, 1, 3)
+
+    def merge(heads_out: np.ndarray, group: int, out: np.ndarray) -> None:
+        # (G, A, w, head_dim) -> the group's packed rows of ``out``
+        rows_out = heads_out.transpose(0, 2, 1, 3)[places[group]]
+        out[sources[group]] = rows_out.reshape(len(sources[group]), hidden)
+
+    keeps = []
+    if dropping:
+        keeps = [
+            np.empty((len(batch_rows), heads, index.shape[1], index.shape[1]), bool)
+            for batch_rows, index in groups
+        ]
+        slot_of = {b: (group, j) for group, (batch_rows, _) in enumerate(groups) for j, b in enumerate(batch_rows)}
+        for b in range(batch):
+            group, j = slot_of[b]
+            width = groups[group][1].shape[1]
+            for head in range(heads):
+                np.greater_equal(rng.random((width, seq_len))[:, :width], rate, out=keeps[group][j, head])
+                _skip_uniforms(rng, (seq_len - width) * seq_len)
+    if sink is not None:
+        sink.append(np.zeros((batch, heads, seq_len, seq_len), q.dtype))
+
+    out = np.empty((n, hidden), q.dtype)
+    saved = []
+    for group, (batch_rows, index) in enumerate(groups):
+        width = index.shape[1]
+        qg, kg, vg = (split(a.data, group) for a in (q, k, v))
+        s = qg @ np.swapaxes(kg, -1, -2)
+        s += mask_add[batch_rows, ..., :width]
+        p = _softmax_rows(s, s)
+        if sink is not None:
+            sink[-1][batch_rows, :, :width, :width] = p
+        pd = p
+        if dropping:
+            pd = np.multiply(p, keeps[group])
+            pd *= factor
+        merge(pd @ vg, group, out)
+        saved.append((qg, kg, vg, p, pd))
+
+    def backward(g):
+        dq, dk, dv = (np.empty((n, hidden), g.dtype) for _ in range(3))
+        for group, (qg, kg, vg, p, pd) in enumerate(saved):
+            gctx = split(g, group)
+            dp = gctx @ np.swapaxes(vg, -1, -2)
+            merge(np.swapaxes(pd, -1, -2) @ gctx, group, dv)
+            if dropping:
+                dp *= keeps[group]
+                dp *= factor
+            ds = _softmax_rows_backward(dp, p)
+            merge(ds @ kg, group, dq)
+            merge(np.swapaxes(np.swapaxes(qg, -1, -2) @ ds, -1, -2), group, dk)
+        return dq, dk, dv
+
+    return _node(out, (q, k, v), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100) -> Tensor:

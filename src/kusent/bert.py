@@ -213,6 +213,39 @@ def count_params(config: BertConfig) -> int:
     return embeddings + config.num_hidden_layers * per_layer + mlm_head
 
 
+# Attention runs each row at its own width: its last attended position + 1,
+# rounded up to a multiple of _WIDTH_STEP and to at least _MIN_WIDTH. At those
+# widths the core gives the padded core's bits on OpenBLAS: numpy's 8-way
+# pairwise sums add trailing zero keys exactly only at multiples of 8, and QKᵀ
+# takes another GEMM path at widths 16 and 32. A sum over more than
+# _PAIRWISE_BLOCK values is split in halves, so a width past the first block
+# of the split of T would sum in another order: such a row runs at T.
+_MIN_WIDTH = 40
+_WIDTH_STEP = 8
+_PAIRWISE_BLOCK = 128
+
+
+def _attention_groups(attention_mask: np.ndarray, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``autodiff.attention``'s groups: for each width, ascending, the batch rows
+    that run at it and the packed row at each of their first w positions (-1 at a pad)."""
+    batch, seq_len = attention_mask.shape
+    first_block = seq_len
+    while first_block > _PAIRWISE_BLOCK:
+        first_block //= 2
+        first_block -= first_block % _WIDTH_STEP
+    ends = seq_len - np.argmax(attention_mask[:, ::-1], axis=1)
+    widths = np.maximum(_MIN_WIDTH, -(-ends // _WIDTH_STEP) * _WIDTH_STEP)
+    widths[widths > first_block] = seq_len
+    index = np.full(batch * seq_len, -1)
+    index[rows] = np.arange(len(rows))
+    index = index.reshape(batch, seq_len)
+    groups = []
+    for width in np.unique(widths):
+        batch_rows = np.flatnonzero(widths == width)
+        groups.append((batch_rows, index[batch_rows, :width]))
+    return groups
+
+
 def forward(
     model: ModelParams,
     input_ids: np.ndarray,
@@ -226,13 +259,19 @@ def forward(
     ``attention_mask`` holds 0/1 in the shape of ``input_ids`` and attends
     position 0 (CLS) of every row. The attended positions are gathered once,
     and every token-wise layer (embeddings, projections, FFN, layer norms and
-    their dropouts) runs on those N rows only. The attention core runs padded:
-    padded keys receive a large negative additive term before softmax, so
-    their weight is zero from every query. The states are exactly zero at pad
-    positions. Dropout gives each attended value the uniform it would get with
-    the pad rows present and leaves the generator where the padded pass would.
-    When ``attn_sink`` is a list, each layer's attention probabilities
-    (B x A x T x T) are appended; a padded query's row is meaningless.
+    their dropouts) runs on those N rows only. Each layer's attention core is
+    one ``autodiff.attention`` call that runs row b at width
+    ``w_b = max(40, 8 * ceil(e_b / 8))``, where ``e_b`` is its last attended
+    position + 1, or at T when that exceeds the first block of numpy's
+    pairwise sum over T (T itself when T <= 128, 128 when T is 256), with the
+    rows of one width as one batch. Padded keys receive a large negative
+    additive term before softmax, so their weight is zero from every query.
+    The states are exactly zero at pad positions. Dropout gives each attended
+    value the uniform it would get with the pad rows present and leaves the
+    generator where the padded pass would. When ``attn_sink`` is a list, each
+    layer's attention probabilities are appended as one B x A x T x T array,
+    zero outside each row's w_b x w_b block; a padded query's row is
+    meaningless. Without a sink no such array is built.
     """
     config = model.config
     input_ids = np.asarray(input_ids)
@@ -275,7 +314,7 @@ def forward(
     neg = np.asarray(
         (1.0 - attention_mask)[:, None, None, :] * -1e9, dtype=x.dtype
     )
-    mask_add = Tensor(neg)
+    groups = _attention_groups(attention_mask, rows)
 
     for layer in range(config.num_hidden_layers):
         prefix = f"layer{layer}"
@@ -285,25 +324,9 @@ def forward(
             b = model[f"{prefix}.attn.{name}.bias"]
             return ad.matmul(inp, w, b)
 
-        def split_heads(t):
-            # (N, H) -> B x A x T x head_dim, with zero rows at the pad positions
-            t = ad.scatter_rows(t, rows, batch * seq_len)
-            return ad.transpose(ad.reshape(t, (batch, seq_len, heads, head_dim)), (0, 2, 1, 3))
-
-        # q is scaled by 1/sqrt(head_dim) before the product, and the padding
-        # mask is added into the product, so the B x A x T x T scores are
-        # written once
-        q = split_heads(ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim)))
-        k = split_heads(proj("k", x))
-        v = split_heads(proj("v", x))
-        scores = ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)), mask_add)
-        probs = ad.softmax(scores)
-        if attn_sink is not None:
-            attn_sink.append(probs.data)
-        probs = ad.dropout(probs, rate, dropout_rng, train)
-        ctx = ad.matmul(probs, v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch * seq_len, hidden_size))
-        ctx = ad.gather_rows(ctx, rows)
+        q = ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim))
+        ctx = ad.attention(q, proj("k", x), proj("v", x), heads, groups, neg, rate, dropout_rng, train,
+                           attn_sink)
         attn_out = ad.matmul(
             ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"]
         )

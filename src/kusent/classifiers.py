@@ -257,8 +257,9 @@ def _frozen_features(encoder, ids, masks, batch_size=32):
     """Token states and CLS vectors with the encoder in eval mode."""
     seq_chunks = []
     for start in range(0, len(ids), batch_size):
-        seq, _ = forward(encoder, ids[start : start + batch_size], masks[start : start + batch_size])
-        seq_chunks.append(seq.data)
+        chunk = slice(start, start + batch_size)
+        # keep the array only: a bound tensor would hold the chunk's graph through the next forward
+        seq_chunks.append(forward(encoder, ids[chunk], masks[chunk])[0].data)
     states = np.concatenate(seq_chunks, axis=0)
     return states, states[:, 0, :]
 

@@ -6,7 +6,7 @@ import pytest
 
 from kusent import autodiff as ad
 from kusent import bert
-from kusent.autodiff import Tensor, backward
+from kusent.autodiff import Parameter, Tensor, backward
 from kusent.bert import (
     IGNORE_INDEX,
     BertConfig,
@@ -267,8 +267,11 @@ class TestForward:
         forward(model, ids, mask, attn_sink=sink)
         assert len(sink) == cfg.num_hidden_layers
         for probs in sink:
+            # B x A x T x T; a query row past its row's attention width is zero,
+            # so the rows of attended queries are the ones that sum to 1
+            attended_rows = probs.transpose(0, 2, 1, 3)[mask == 1]
             np.testing.assert_allclose(
-                probs.sum(axis=-1), np.ones(probs.shape[:-1]), atol=1e-6
+                attended_rows.sum(axis=-1), np.ones(attended_rows.shape[:-1]), atol=1e-6
             )
             pad_weight = probs[:, :, :, 6:]
             assert pad_weight.max() < 1e-12
@@ -373,6 +376,108 @@ class TestPackedForward:
         with pytest.raises(ValueError, match=r"attention_mask must hold only 0/1 in the shape of "
                                              r"input_ids \(2, 4\), with position 0 attended"):
             forward(model, ids, np.array(mask))
+
+
+class TestWidthGroups:
+    """The attention core runs each row at its own width, one ``autodiff.attention`` call
+    per layer; the padded oracle gives the same bits, generator state and gradients."""
+
+    T96 = [96, 5, 41, 47, 60, 33, 88, 90, 17]
+    T30 = [30, 4, 17, 29, 9]  # every row runs at T: one group
+    T200 = [200, 5, 97, 100, 130, 17, 96]  # rows past 96, numpy's first pairwise block, run at T
+
+    @staticmethod
+    def _batch(cfg, lengths, seed=31):
+        ids, mask = ragged_batch(cfg, np.random.default_rng(seed), lengths)
+        mask[3, 20:23] = 0  # holes inside a row; its last position stays attended
+        return ids, mask
+
+    @pytest.mark.parametrize("lengths, want", [
+        (T96, {40: [1, 5, 8], 48: [2, 3], 64: [4], 88: [6], 96: [0, 7]}),
+        (T30, {30: [0, 1, 2, 3, 4]}),
+        (T200, {40: [1, 5], 96: [6], 200: [0, 2, 3, 4]}),
+    ], ids=["T96", "T30", "T200"])
+    def test_groups(self, lengths, want):
+        ids, mask = self._batch(tiny_config(max_position=200), lengths)
+        rows = np.flatnonzero(mask)
+        groups = bert._attention_groups(mask, rows)
+        assert {index.shape[1]: list(batch_rows) for batch_rows, index in groups} == want
+        packed = np.full(mask.shape, -1)
+        packed.flat[rows] = np.arange(len(rows))
+        for batch_rows, index in groups:
+            np.testing.assert_array_equal(index, packed[batch_rows, : index.shape[1]])
+
+    def _check_bits(self, cfg, lengths, train, make_rng):
+        model = build_model(cfg, seed=30)
+        ids, mask = self._batch(cfg, lengths)
+        attended = mask == 1
+        want_rng, got_rng = make_rng(), make_rng()
+        want_sink, got_sink = [], []
+        want, want_cls = oracle_forward(model, ids, mask, train, want_rng, want_sink)
+        got, got_cls = forward(model, ids, mask, train, got_rng, got_sink)
+        np.testing.assert_array_equal(got.data[attended], want.data[attended])
+        assert not got.data[~attended].any()
+        np.testing.assert_array_equal(got_cls.data, want_cls.data)
+        widths = {b: index.shape[1] for batch_rows, index in bert._attention_groups(mask, np.flatnonzero(mask))
+                  for b in batch_rows}
+        for got_probs, want_probs in zip(got_sink, want_sink, strict=True):
+            np.testing.assert_array_equal(got_probs.transpose(0, 2, 1, 3)[attended],
+                                          want_probs.transpose(0, 2, 1, 3)[attended])
+            for b, width in widths.items():  # zero outside the row's width x width block
+                assert not got_probs[b, :, width:].any() and not got_probs[b, :, :, width:].any()
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("hidden", [8, 64])
+    @pytest.mark.parametrize("lengths", [T96, T30, T200], ids=["T96", "T30", "T200"])
+    def test_matches_padded_oracle_bit_for_bit(self, train, hidden, lengths):
+        cfg = tiny_config(hidden_size=hidden, max_position=200, dropout_rate=0.2)
+        self._check_bits(cfg, lengths, train, lambda: np.random.default_rng(32))
+
+    @pytest.mark.parametrize("bit_generator, block_values", [
+        (np.random.MT19937, ad._BLOCK_VALUES),  # _skip_uniforms draws what it skips
+        (np.random.PCG64, 40),  # one-row blocks in the softmax
+    ])
+    def test_other_generators_and_blocks(self, monkeypatch, bit_generator, block_values):
+        monkeypatch.setattr(ad, "_BLOCK_VALUES", block_values)
+        cfg = tiny_config(hidden_size=8, max_position=96, dropout_rate=0.2)
+        self._check_bits(cfg, self.T96, True, lambda: np.random.Generator(bit_generator(33)))
+
+    def test_parameter_gradients_match_oracle(self):
+        cfg = tiny_config(hidden_size=8, num_attention_heads=2, vocab_size=12, max_position=96,
+                          dropout_rate=0.2)
+        model = build_model(cfg, seed=34, dtype=np.float64)
+        rng = np.random.default_rng(35)
+        ids, mask = self._batch(cfg, self.T96)
+        labels = np.where((rng.random(ids.shape) < 0.4) & (mask == 1), ids, IGNORE_INDEX)
+        weights = Tensor(rng.normal(size=(len(self.T96), cfg.hidden_size)))
+        grads = {}
+        for encode in (oracle_forward, forward):
+            for p in model.params:
+                p.zero_grad()
+            seq, cls_state = encode(model, ids, mask, True, np.random.default_rng(36))
+            backward(ad.add(mlm_loss(model, seq, labels), ad.reduce_sum(ad.mul(cls_state, weights))))
+            grads[encode] = {p.name: p.grad.copy() for p in model.params}
+        for name, want in grads[oracle_forward].items():
+            np.testing.assert_allclose(grads[forward][name], want, rtol=1e-10, atol=1e-14, err_msg=name)
+
+    def test_attention_gradcheck_with_pads_and_dropout(self):
+        lengths = [50, 3, 41, 7, 30]
+        ids, mask = self._batch(tiny_config(max_position=50), lengths)
+        rows = np.flatnonzero(mask)
+        groups = bert._attention_groups(mask, rows)
+        assert [index.shape[1] for _, index in groups] == [40, 48, 50]
+        neg = (1.0 - mask)[:, None, None, :] * -1e9
+        rng = np.random.default_rng(37)
+        q, k, v = (Parameter(name, rng.normal(size=(len(rows), 8))) for name in "qkv")
+        weights = Tensor(rng.normal(size=(len(rows), 8)))
+
+        def loss_fn():
+            out = ad.attention(q, k, v, 2, groups, neg, 0.3, np.random.default_rng(38), True)
+            return ad.reduce_sum(ad.mul(out, weights))
+
+        report = grad_check(loss_fn, [q, k, v], tolerance=1e-4, max_elements_per_param=12)
+        assert report.passed, str(report)
 
 
 class TestMlmLoss:

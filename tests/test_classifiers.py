@@ -1,11 +1,13 @@
 import functools
 import json
 import tempfile
+import weakref
 
 import numpy as np
 import pytest
 
 from kusent import autodiff as ad
+from kusent import classifiers
 from kusent.autodiff import Parameter, Tensor
 from kusent.bert import BertConfig, build_model, forward, init_params, load_checkpoint, pretrain
 from kusent.classifiers import (
@@ -446,6 +448,28 @@ class TestTrainingContracts:
         _, probs = predict(model, dataset[0].text, vocab)
         assert abs(probs.sum() - 1.0) < 1e-6
         assert (probs >= 0).all()
+
+    def test_frozen_features_drop_each_chunk_before_the_next(self, monkeypatch):
+        class Watched(Tensor):
+            """A weakly referenceable stand-in that keeps the returned tensor, and its graph, alive."""
+            __slots__ = ("inner", "__weakref__")
+
+        refs = []
+
+        def watched_forward(*args, **kwargs):
+            assert all(ref() is None for ref in refs), "the previous chunk's output is still alive"
+            outputs = []
+            for t in forward(*args, **kwargs):
+                w = Watched(t.data)
+                w.inner = t
+                refs.append(weakref.ref(w))
+                outputs.append(w)
+            return tuple(outputs)
+
+        monkeypatch.setattr(classifiers, "forward", watched_forward)
+        dataset = synthetic_dataset(n_per_class=12)  # 36 rows: two 32-row chunks
+        train_mlp(tiny_encoder(seed=7), synthetic_vocab(), dataset, TrainConfig(epochs=1, max_len=10))
+        assert len(refs) == 4
 
     def test_default_epochs_schedule(self):
         assert default_epochs("finetune", 384) == 3

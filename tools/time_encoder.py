@@ -1,13 +1,18 @@
-"""Time the encoder's eval forward and MLM training step at the model1 shape.
+"""Time the encoder's eval forwards and MLM training step at the model1 shape.
 
 Builds a model1-shape encoder (H384, 6 layers, 12 heads, 8k vocabulary) and
-two seeded batches whose row lengths are drawn in-process (no download):
+four seeded batches whose row lengths are drawn in-process (no download):
 
 - eval: a classify-like batch, B32 with 4-42 tokens per row, ``forward`` in
   eval mode;
 - train: a pretrain-like batch, B12 x T128 with 40-128 tokens per row, masked
   as in pretraining, ``forward`` with dropout, ``mlm_loss`` and ``backward``
-  (no optimizer step).
+  (no optimizer step);
+- apply: like the held-out scoring after pretraining, B16 x T128 with 12-128
+  tokens per row, ``forward`` in eval mode;
+- frozen chunk: one 32-row chunk of frozen head features, rows of 4-42 tokens
+  padded to T256 as a dataset with one long row pads them, ``forward`` in
+  eval mode.
 
 Prints each batch's pad fraction, the median and fastest of several timed
 calls after one warm-up call, and the process's peak RSS. BLAS threads follow
@@ -29,18 +34,20 @@ from kusent.bert import BertConfig, build_model, forward, mask_for_mlm, mlm_loss
 from kusent.wordpiece import CLS, PAD, SEP
 
 CONFIG = BertConfig(hidden_size=384, num_hidden_layers=6, num_attention_heads=12, vocab_size=8_000,
-                    max_position=128)
+                    max_position=256)
 SEED = 0
 EVAL_REPEATS = 20
-TRAIN_REPEATS = 5
+REPEATS = 5
 
 
-def make_batch(rng: np.random.Generator, batch: int, shortest: int, longest: int):
-    """Ids and mask of ``batch`` rows of ``shortest``-``longest`` tokens, one row at the longest."""
+def make_batch(rng: np.random.Generator, batch: int, shortest: int, longest: int, width: int | None = None):
+    """Ids and mask of ``batch`` rows of ``shortest``-``longest`` tokens, one row at the
+    longest, padded to ``width`` (default: the longest)."""
+    width = width or longest
     lengths = rng.integers(shortest, longest + 1, size=batch)
     lengths[0] = longest
-    ids = rng.integers(5, CONFIG.vocab_size, size=(batch, longest))
-    mask = (np.arange(longest) < lengths[:, None]).astype(np.int64)
+    ids = rng.integers(5, CONFIG.vocab_size, size=(batch, width))
+    mask = (np.arange(width) < lengths[:, None]).astype(np.int64)
     ids[:, 0] = CLS
     ids[np.arange(batch), lengths - 1] = SEP
     ids[mask == 0] = PAD
@@ -63,9 +70,8 @@ def main() -> None:
     eval_ids, eval_mask = make_batch(rng, 32, 4, 42)
     train_ids, train_mask = make_batch(rng, 12, 40, 128)
     mlm = mask_for_mlm(train_ids, train_mask, 0.15, rng, CONFIG.vocab_size)
-
-    def eval_forward():
-        forward(model, eval_ids, eval_mask)
+    apply_ids, apply_mask = make_batch(rng, 16, 12, 128)
+    chunk_ids, chunk_mask = make_batch(rng, 32, 4, 42, width=256)
 
     def train_step():
         drop_rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(2,)))
@@ -75,8 +81,10 @@ def main() -> None:
             p.zero_grad()
 
     for name, fn, mask, repeats in (
-        ("eval forward B32x42", eval_forward, eval_mask, EVAL_REPEATS),
-        ("train step B12x128", train_step, train_mask, TRAIN_REPEATS),
+        ("eval forward B32x42", lambda: forward(model, eval_ids, eval_mask), eval_mask, EVAL_REPEATS),
+        ("train step B12x128", train_step, train_mask, REPEATS),
+        ("apply eval forward B16x128", lambda: forward(model, apply_ids, apply_mask), apply_mask, REPEATS),
+        ("frozen-feature chunk B32x256", lambda: forward(model, chunk_ids, chunk_mask), chunk_mask, REPEATS),
     ):
         times = timed(fn, repeats)
         print(f"{name}: pad fraction {1 - mask.mean():.3f}, median {statistics.median(times):.4f} s, "
