@@ -2,13 +2,16 @@
 
 Every op records its parents and a backward rule on the output tensor;
 ``backward(loss)`` walks the graph once in reverse topological order and
-accumulates gradients into leaf tensors (parameters). Arrays are float32 in
-training, float64 for finite-difference gradient checks; ops preserve the
-input dtype.
+accumulates gradients into leaf tensors (parameters). Inside ``no_grad()`` ops
+compute the same arrays and record nothing, so evaluation holds no graph.
+Arrays are float32 in training, float64 for finite-difference gradient
+checks; ops preserve the input dtype.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import ctypes
 import functools
 import math
@@ -34,9 +37,10 @@ def _keep_freed_memory() -> None:
     classifier evaluation, more or less from run to run with the heap's
     layout. Here blocks under 32 MiB (every activation of the model1 shape)
     come from the heap, and the heap is trimmed only when more than 2 GiB at
-    its top is free, the most mallopt takes. It runs once, on the first graph
-    node, so a process that builds no graph (normalizing text, training a
-    tokenizer) keeps glibc's defaults and their smaller footprint.
+    its top is free, the most mallopt takes. It runs once, on the first op,
+    with or without a graph (an eval pass under ``no_grad`` frees as much), so
+    a process that runs no op (normalizing text, training a tokenizer) keeps
+    glibc's defaults and their smaller footprint.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -96,8 +100,30 @@ class Parameter(Tensor):
         return f"Parameter({self.name!r}, shape={self.data.shape})"
 
 
+# read by every op; each thread (and asyncio task) has its own setting
+_GRAD_ENABLED = contextvars.ContextVar("grad_enabled", default=True)
+
+
+@contextlib.contextmanager
+def no_grad():
+    """Within the block, ops record no graph: each returns a bare ``Tensor``.
+
+    Every op computes exactly the array it computes outside the block, draws
+    the same random numbers, and drops its backward rule and the arrays that
+    rule would hold as soon as it returns. Blocks nest; the previous setting
+    comes back on exit, also on an exception.
+    """
+    token = _GRAD_ENABLED.set(False)
+    try:
+        yield
+    finally:
+        _GRAD_ENABLED.reset(token)
+
+
 def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
     _keep_freed_memory()
+    if not _GRAD_ENABLED.get():
+        return Tensor(data)
     out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
     if out.requires_grad:
         out._parents = tuple(parents)

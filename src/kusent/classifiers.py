@@ -8,7 +8,12 @@
 - mlp: two ReLU hidden layers over the frozen encoder's CLS state.
 
 Frozen means frozen: bilstm/mlp training never touches encoder tensors, and
-their features are precomputed once per dataset.
+their features are precomputed once per dataset, without a graph, in the
+layout the head reads: mlp keeps the (rows, H) CLS states, bilstm the token
+states of attended positions only, packed row after row, and scatters each
+drawn batch back into the zero-padded (B, T, H) layout at the dataset's
+width. Evaluation (``predict_encoded`` and everything built on it) runs
+under ``autodiff.no_grad`` too; training loops always record a graph.
 """
 
 from __future__ import annotations
@@ -198,6 +203,7 @@ def head_logits(
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
+    """Logits of the head; finetune and mlp read ``cls_state`` only, bilstm ``seq_states`` only."""
     by_name = model.head_by_name
     rate = model.train_config.dropout_rate
     if model.head_kind == "finetune":
@@ -228,10 +234,8 @@ def head_logits(
     raise ValueError(f"unknown head kind {model.head_kind!r}")
 
 
-def _check_inputs(dataset, labels, config: TrainConfig, encoder: ModelParams) -> None:
-    """A non-empty dataset with labels in ``labels`` and a ``max_len`` the encoder fits."""
-    if not dataset:
-        raise ValueError("cannot train on an empty dataset")
+def check_labels(dataset, labels) -> None:
+    """Every example's label is one of ``labels``; a 'neutral' one for a 2-class head names to-binary."""
     allowed = set(labels)
     for ex in dataset:
         if ex.label not in allowed:
@@ -241,6 +245,13 @@ def _check_inputs(dataset, labels, config: TrainConfig, encoder: ModelParams) ->
                     "apply to_binary (CLI: to-binary) first"
                 )
             raise ValueError(f"label {ex.label.value!r} outside configured label set")
+
+
+def _check_inputs(dataset, labels, config: TrainConfig, encoder: ModelParams) -> None:
+    """A non-empty dataset with labels in ``labels`` and a ``max_len`` the encoder fits."""
+    if not dataset:
+        raise ValueError("cannot train on an empty dataset")
+    check_labels(dataset, labels)
     if config.max_len > encoder.config.max_position:
         raise ValueError(
             f"max_len {config.max_len} exceeds encoder max_position "
@@ -253,15 +264,44 @@ def _label_indices(dataset, labels):
     return np.array([index[ex.label] for ex in dataset], dtype=np.int64)
 
 
-def _frozen_features(encoder, ids, masks, batch_size=32):
-    """Token states and CLS vectors with the encoder in eval mode."""
-    seq_chunks = []
-    for start in range(0, len(ids), batch_size):
-        chunk = slice(start, start + batch_size)
-        # keep the array only: a bound tensor would hold the chunk's graph through the next forward
-        seq_chunks.append(forward(encoder, ids[chunk], masks[chunk])[0].data)
-    states = np.concatenate(seq_chunks, axis=0)
-    return states, states[:, 0, :]
+def _frozen_features(encoder, ids, masks, kind, batch_size=32):
+    """What a frozen ``kind`` head reads of the eval-mode encoder, computed without a graph.
+
+    mlp: the (rows, H) CLS states. bilstm: the (attended positions, H) token
+    states of every row's attended positions, row after row; ``_padded_states``
+    puts a batch of rows back into the encoder's zero-padded layout.
+    """
+    attended = masks != 0
+    rows = len(ids) if kind == "mlp" else int(attended.sum())
+    # filled in place: a list of chunks joined at the end would hold every value twice
+    features = np.empty((rows, encoder.config.hidden_size), encoder.params[0].data.dtype)
+    filled = 0
+    with ad.no_grad():
+        for start in range(0, len(ids), batch_size):
+            chunk = slice(start, start + batch_size)
+            # the array the head reads, only: what is bound here lives through the next forward
+            if kind == "mlp":
+                part = forward(encoder, ids[chunk], masks[chunk])[1].data
+            else:
+                part = forward(encoder, ids[chunk], masks[chunk])[0].data[attended[chunk]]
+            features[filled : filled + len(part)] = part
+            filled += len(part)
+    return features
+
+
+def _padded_states(packed, offsets, pick, masks):
+    """The (B, T, H) token states of rows ``pick`` of a bilstm head's packed features.
+
+    Row r's states are ``packed[offsets[r]:offsets[r + 1]]``, one per nonzero
+    position of its mask; ``masks`` holds the picked rows' (B, T) masks. Pad
+    positions are zero, as ``forward`` returns them.
+    """
+    counts = offsets[pick + 1] - offsets[pick]
+    # the packed row of each attended position of the batch, in C order
+    index = np.arange(counts.sum()) + np.repeat(offsets[pick] - (np.cumsum(counts) - counts), counts)
+    states = np.zeros(masks.shape + packed.shape[1:], packed.dtype)
+    states[masks != 0] = packed[index]
+    return states
 
 
 def _train_head(model, encoder, vocab, dataset, config):
@@ -275,14 +315,17 @@ def _train_head(model, encoder, vocab, dataset, config):
         trainable = encoder.params + model.head_params
     else:
         trainable = model.head_params
-        states, cls = _frozen_features(encoder, ids, masks)
+        features = _frozen_features(encoder, ids, masks, model.head_kind)
+        offsets = np.concatenate([[0], np.cumsum(np.count_nonzero(masks, axis=1))])
     optimizer = AdamState(lr=config.learning_rate)
     for epoch in range(config.epochs):
         for _, pick, drop_rng in epoch_batches(len(dataset), config.batch_size, config.seed, epoch):
             if joint:
                 seq, cls_state = forward(encoder, ids[pick], masks[pick], train=True, dropout_rng=drop_rng)
+            elif model.head_kind == "mlp":
+                seq, cls_state = None, Tensor(features[pick])
             else:
-                seq, cls_state = Tensor(states[pick]), Tensor(cls[pick])
+                seq, cls_state = Tensor(_padded_states(features, offsets, pick, masks[pick])), None
             logits = head_logits(model, seq, cls_state, masks[pick], train=True, rng=drop_rng)
             loss = ad.cross_entropy(logits, targets[pick])
             model.train_losses.append(finite_loss(loss, epoch, len(model.train_losses) + 1))
@@ -322,10 +365,11 @@ def train_mlp(
 
 
 def predict_encoded(model: SentimentModel, ids: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Class probabilities for a pre-encoded batch, eval mode."""
-    seq, cls_state = forward(model.encoder, ids, masks)
-    logits = head_logits(model, seq, cls_state, masks, train=False)
-    return ad.softmax(logits).data
+    """Class probabilities for a pre-encoded batch, eval mode, without a graph."""
+    with ad.no_grad():
+        seq, cls_state = forward(model.encoder, ids, masks)
+        logits = head_logits(model, seq, cls_state, masks, train=False)
+        return ad.softmax(logits).data
 
 
 def predict(

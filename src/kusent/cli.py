@@ -23,6 +23,7 @@ from .checkpoint import atomic_write_text, check_fields, field_types, from_dict,
 from .classifiers import (
     HEAD_META_TYPES,
     TrainConfig,
+    check_labels,
     check_widths,
     default_epochs,
     load_sentiment_model,
@@ -253,6 +254,7 @@ def cmd_evaluate(args) -> int:
     model = load_sentiment_model(model_dir)
     vocab = load_vocab(vocab_path)
     dataset = load_labeled(data_path, rules)
+    check_labels(dataset, model.labels)
     preds = _batch_predict(model, vocab, dataset)
     truths = [ex.label for ex in dataset]
     label_values = [label.value for label in model.labels]

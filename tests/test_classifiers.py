@@ -1,3 +1,4 @@
+import dataclasses
 import functools
 import json
 import tempfile
@@ -7,9 +8,9 @@ import numpy as np
 import pytest
 
 from kusent import autodiff as ad
-from kusent import classifiers
+from kusent import bert, classifiers
 from kusent.autodiff import Parameter, Tensor
-from kusent.bert import BertConfig, build_model, forward, init_params, load_checkpoint, pretrain
+from kusent.bert import BertConfig, build_model, epoch_batches, forward, init_params, load_checkpoint, pretrain
 from kusent.classifiers import (
     GATES,
     LABEL_ORDERS,
@@ -476,6 +477,133 @@ class TestTrainingContracts:
         assert default_epochs("mlp", 768) == 4
         assert default_epochs("bilstm", 384) == 3
         assert default_epochs("bilstm", 768) == 4
+
+
+def ragged_dataset(max_len):
+    """36 rows of 1-11 words plus one row longer than ``max_len``: ragged, and one row at ``max_len``."""
+    rng = np.random.default_rng(14)
+    words = [w for group in CLASS_WORDS.values() for w in group]
+    labels = list(CLASS_WORDS)
+    texts = [" ".join(rng.choice(words, size=rng.integers(1, 12))) for _ in range(36)]
+    texts.insert(17, " ".join(rng.choice(words, size=max_len + 5)))
+    return [LabeledExample(text=t, label=labels[i % 3]) for i, t in enumerate(texts)]
+
+
+def padded_oracle_states(encoder, ids, masks):
+    """The dataset's (rows, T, H) eval-mode states, 32-row chunk by chunk, as frozen heads kept them."""
+    return np.concatenate([forward(encoder, ids[s : s + 32], masks[s : s + 32])[0].data
+                           for s in range(0, len(ids), 32)])
+
+
+class TestGraphFreeEvaluation:
+    """Evaluation and frozen features run without a graph; every training step records one."""
+
+    @staticmethod
+    def _graph_nodes(monkeypatch):
+        """A list that gets, for each op run from here on, whether it recorded a backward rule."""
+        made = []
+        real = ad._node
+
+        def counting(data, parents, backward):
+            out = real(data, parents, backward)
+            made.append(out._backward is not None)
+            return out
+
+        monkeypatch.setattr(ad, "_node", counting)
+        return made
+
+    @staticmethod
+    def _graph_checked_backward(monkeypatch, module):
+        """A list that gets each loss ``module`` runs backward on, once checked to carry a graph."""
+        steps = []
+
+        def checked_backward(loss):
+            assert ad._GRAD_ENABLED.get() and loss._backward is not None
+            steps.append(loss)
+            ad.backward(loss)
+
+        monkeypatch.setattr(module, "backward", checked_backward)
+        return steps
+
+    @pytest.mark.parametrize("kind, head_meta", [
+        ("finetune", {}), ("bilstm", {"lstm_hidden": 4, "num_layers": 2}), ("mlp", {"hidden_sizes": [8, 4]}),
+    ])
+    def test_predict_encoded_records_no_graph(self, monkeypatch, kind, head_meta):
+        model = init_model(kind, tiny_encoder(seed=8), TrainConfig(epochs=1, max_len=12), head_meta)
+        ids, masks = encode_batch([ex.text for ex in ragged_dataset(12)], synthetic_vocab(), 12)
+        made = self._graph_nodes(monkeypatch)
+        probs = predict_encoded(model, ids, masks)
+        assert made and not any(made)
+        np.testing.assert_allclose(probs.sum(axis=1), 1.0, rtol=1e-5)
+        made.clear()
+        forward(model.encoder, ids, masks)  # outside evaluation, ops record again
+        assert all(made)
+
+    @pytest.mark.parametrize("kind", ["bilstm", "mlp"])
+    def test_frozen_features_record_no_graph(self, monkeypatch, kind):
+        ids, masks = encode_batch([ex.text for ex in ragged_dataset(12)], synthetic_vocab(), 12)
+        made = self._graph_nodes(monkeypatch)
+        classifiers._frozen_features(tiny_encoder(seed=9), ids, masks, kind)
+        assert made and not any(made)
+
+    @pytest.mark.parametrize("train", [
+        train_finetune, functools.partial(train_bilstm, lstm_hidden=4, num_layers=2), train_mlp,
+    ], ids=["finetune", "bilstm", "mlp"])
+    def test_every_training_step_records_a_graph(self, monkeypatch, train):
+        steps = self._graph_checked_backward(monkeypatch, classifiers)
+        config = TrainConfig(epochs=2, max_len=10, learning_rate=1e-2, batch_size=8, seed=0)
+        train(tiny_encoder(seed=10), synthetic_vocab(), synthetic_dataset(n_per_class=4), config)
+        assert len(steps) == 2 * 2  # 12 rows in batches of 8, two epochs
+
+    def test_every_pretraining_step_records_a_graph(self, monkeypatch, tmp_path):
+        steps = self._graph_checked_backward(monkeypatch, bert)
+        encoder = tiny_encoder(seed=11)
+        lines = [ex.text for ex in synthetic_dataset(n_per_class=4)]
+        config = dataclasses.replace(encoder.config, epochs=2, batch_size=8)
+        pretrain(encoder, lines, synthetic_vocab(), config, seed=0, checkpoint_dir=str(tmp_path), max_len=10)
+        assert len(steps) == 2 * 2
+
+
+class TestPackedFeatures:
+    """Frozen heads keep only what they read, and the bilstm head still gets the padded batches."""
+
+    MAX_LEN = 16
+
+    @pytest.mark.parametrize("kind, train", [
+        ("bilstm", functools.partial(train_bilstm, lstm_hidden=4, num_layers=1)), ("mlp", train_mlp),
+    ])
+    def test_head_batches_equal_the_padded_states(self, monkeypatch, kind, train):
+        encoder, vocab, dataset = tiny_encoder(seed=12), synthetic_vocab(), ragged_dataset(self.MAX_LEN)
+        config = TrainConfig(epochs=2, max_len=self.MAX_LEN, learning_rate=1e-2, batch_size=8, seed=3)
+        ids, masks = encode_batch([ex.text for ex in dataset], vocab, self.MAX_LEN)
+        assert ids.shape[1] == self.MAX_LEN and masks.sum(axis=1).min() < self.MAX_LEN
+        states = padded_oracle_states(encoder, ids, masks)
+        received = []
+
+        def recording_head_logits(model, seq_states, cls_state, *args, **kwargs):
+            received.append((seq_states, cls_state))
+            return head_logits(model, seq_states, cls_state, *args, **kwargs)
+
+        monkeypatch.setattr(classifiers, "head_logits", recording_head_logits)
+        train(encoder, vocab, dataset, config)
+        picks = [pick for epoch in range(2) for _, pick, _ in epoch_batches(len(dataset), 8, 3, epoch)]
+        assert len(received) == len(picks) == 10
+        for (seq_states, cls_state), pick in zip(received, picks):
+            got, want = (seq_states, states[pick]) if kind == "bilstm" else (cls_state, states[pick, 0])
+            assert got.dtype == want.dtype and got.shape == want.shape
+            assert got.data.tobytes() == want.tobytes()
+
+    def test_layouts_store_what_the_head_reads(self):
+        encoder, vocab = tiny_encoder(seed=13), synthetic_vocab()
+        ids, masks = encode_batch([ex.text for ex in ragged_dataset(self.MAX_LEN)], vocab, self.MAX_LEN)
+        states = padded_oracle_states(encoder, ids, masks)
+        hidden = encoder.config.hidden_size
+        cls = classifiers._frozen_features(encoder, ids, masks, "mlp")
+        assert cls.shape == (len(ids), hidden)
+        assert cls.tobytes() == states[:, 0].tobytes()
+        packed = classifiers._frozen_features(encoder, ids, masks, "bilstm")
+        assert packed.shape == (int(masks.sum()), hidden)
+        assert packed.tobytes() == states[masks != 0].tobytes()
 
 
 class TestOverfitGates:

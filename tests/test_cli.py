@@ -280,6 +280,32 @@ class TestPipeline:
         ]) == 0
         assert json.loads((model / "labels.json").read_text()) == ["positive", "negative"]
 
+    def test_evaluate_checks_labels_before_running_the_model(self, pipeline, tmp_path, monkeypatch, capsys):
+        binary = tmp_path / "binary.tsv"
+        assert main(["to-binary", "--in", str(pipeline["labeled"]), "--out", str(binary)]) == 0
+        model = tmp_path / "model2"
+        assert main([
+            "train", "--task", "mlp", "--config", str(pipeline["cfg"]),
+            "--encoder", str(pipeline["encoder"]), "--data", str(binary),
+            "--vocab", str(pipeline["vocab"]), "--out", str(model),
+            "--num-classes", "2", "--epochs", "1",
+        ]) == 0
+        capsys.readouterr()
+
+        def never(*args, **kwargs):
+            pytest.fail("evaluate ran the model before checking the labels")
+
+        monkeypatch.setattr("kusent.cli.predict_encoded", never)
+        monkeypatch.setattr("kusent.classifiers.predict_encoded", never)
+        out = tmp_path / "report.json"
+        assert main([
+            "evaluate", "--model", str(model), "--data", str(pipeline["labeled"]),
+            "--vocab", str(pipeline["vocab"]), "--out", str(out),
+        ]) == 1
+        err = capsys.readouterr().err
+        assert err.count("\n") == 1 and err.startswith("error: ") and "to-binary" in err
+        assert not out.exists()
+
     def test_train_bilstm_runs(self, pipeline, tmp_path):
         model = tmp_path / "model3"
         assert main([

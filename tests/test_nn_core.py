@@ -1,5 +1,6 @@
 import ctypes
 import math
+import threading
 import zlib
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 from kusent import autodiff as ad
 from kusent.autodiff import Parameter, Tensor, backward
+from kusent.bert import _attention_groups
 from kusent.gradcheck import grad_check
 from kusent.optim import AdamState, adam_step
 
@@ -263,6 +265,115 @@ class TestFusedAndBlockedOps:
         backward(loss)
         assert not logits.grad[[1, 3]].any()
         assert np.isfinite(logits.grad).all()
+
+
+def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
+    """Op ``name`` on fixed float32 parameters; ``rng`` feeds the ops that draw."""
+    r = np.random.default_rng(61)
+
+    def p(label, *shape):
+        return Parameter(label, r.normal(size=shape).astype(np.float32))
+
+    a, b, w, bias = p("a", 3, 4), p("b", 3, 4), p("w", 4, 5), p("bias", 5)
+    mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
+    rows = np.flatnonzero(mask)
+    q, k, v = p("q", len(rows), 4), p("k", len(rows), 4), p("v", len(rows), 4)
+    neg = ((1.0 - mask)[:, None, None, :] * -1e9).astype(np.float32)
+    lstm_weights = [p(f"lstm{i}", *shape) for i, shape in enumerate([(3, 2), (2, 2), (2,)] * 8)]
+    cases = {
+        "add": lambda: ad.add(a, b),
+        "sub": lambda: ad.sub(a, b),
+        "mul": lambda: ad.mul(a, b),
+        "scale": lambda: ad.scale(a, 0.3),
+        "matmul": lambda: ad.matmul(a, w),
+        "matmul_bias": lambda: ad.matmul(a, w, bias),
+        "relu": lambda: ad.relu(a),
+        "gelu": lambda: ad.gelu(a),
+        "tanh": lambda: ad.tanh(a),
+        "sigmoid": lambda: ad.sigmoid(a),
+        "softmax": lambda: ad.softmax(a),
+        "layer_norm": lambda: ad.layer_norm(a, p("gain", 4), p("shift", 4)),
+        "dropout_train": lambda: ad.dropout(a, 0.4, rng, train=True),
+        "dropout_packed": lambda: ad.dropout(q, 0.4, rng, train=True, mask=mask),
+        "embedding_lookup": lambda: ad.embedding_lookup(a, np.array([2, 0, 2])),
+        "gather_rows": lambda: ad.gather_rows(a, np.array([2, 0])),
+        "scatter_rows": lambda: ad.scatter_rows(a, np.array([4, 0, 2]), 6),
+        "attention": lambda: ad.attention(q, k, v, 2, _attention_groups(mask, rows), neg),
+        "attention_train": lambda: ad.attention(q, k, v, 2, _attention_groups(mask, rows), neg, 0.4, rng, True),
+        "lstm_layer": lambda: ad.lstm_layer(p("x", 4, 2, 3), lstm_weights, mask, 2),
+        "cross_entropy": lambda: ad.cross_entropy(a, np.array([3, -100, 0])),
+        "concat": lambda: ad.concat([a, b], axis=1),
+        "stack": lambda: ad.stack([a, b], axis=0),
+        "narrow": lambda: ad.narrow(a, 1, 1, 2),
+        "reshape": lambda: ad.reshape(a, (4, 3)),
+        "transpose": lambda: ad.transpose(a, (1, 0)),
+        "reduce_sum": lambda: ad.reduce_sum(a),
+        "reduce_mean": lambda: ad.reduce_mean(a),
+    }
+    return cases[name]()
+
+
+NO_GRAD_CASES = [
+    "add", "sub", "mul", "scale", "matmul", "matmul_bias", "relu", "gelu", "tanh", "sigmoid", "softmax",
+    "layer_norm", "dropout_train", "dropout_packed", "embedding_lookup", "gather_rows", "scatter_rows",
+    "attention", "attention_train", "lstm_layer", "cross_entropy", "concat", "stack", "narrow", "reshape",
+    "transpose", "reduce_sum", "reduce_mean",
+]
+
+
+class TestNoGrad:
+    """Under ``no_grad`` every op computes the same array and records no graph."""
+
+    @pytest.mark.parametrize("name", NO_GRAD_CASES)
+    def test_same_bits_same_draws_and_no_graph(self, name):
+        rng = np.random.default_rng(62)
+        graphed = _no_grad_case(name, rng)
+        with ad.no_grad():
+            bare_rng = np.random.default_rng(62)
+            bare = _no_grad_case(name, bare_rng)
+        assert graphed._backward is not None and graphed._parents
+        assert bare._backward is None and bare._parents == () and not bare.requires_grad
+        assert bare.dtype == graphed.dtype and bare.shape == graphed.shape
+        assert bare.data.tobytes() == graphed.data.tobytes()
+        assert bare_rng.bit_generator.state == rng.bit_generator.state
+
+    def test_nesting_and_exceptions_restore_the_outer_setting(self):
+        x = Parameter("x", np.array([1.0, -2.0]))
+
+        def records() -> bool:
+            return ad.mul(x, x)._backward is not None
+
+        with ad.no_grad():
+            with ad.no_grad():
+                assert not records()
+            assert not records()
+            with pytest.raises(KeyError):
+                with ad.no_grad():
+                    raise KeyError("inside the inner block")
+            assert not records()
+        assert records()
+        with pytest.raises(ValueError):
+            with ad.no_grad():
+                raise ValueError("inside the block")
+        # ops after the block record graphs again, and backward runs through them
+        backward(ad.reduce_sum(ad.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, [2.0, -4.0])
+
+    def test_setting_belongs_to_the_thread_that_made_it(self):
+        x = Parameter("x", np.ones(2))
+        seen = []
+        with ad.no_grad():
+            worker = threading.Thread(target=lambda: seen.append(ad.mul(x, x)._backward is not None))
+            worker.start()
+            worker.join(timeout=30)
+        assert not worker.is_alive() and seen == [True]
+
+    def test_backward_of_a_bare_result_touches_no_gradient(self):
+        x = Parameter("x", np.array([1.0, -2.0]))
+        with ad.no_grad():
+            loss = ad.reduce_sum(ad.mul(x, x))
+        backward(loss)
+        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
 
 
 class _MallInfo2(ctypes.Structure):

@@ -1,10 +1,12 @@
 """Time the encoder's eval forwards and MLM training step at the model1 shape.
 
-Builds a model1-shape encoder (H384, 6 layers, 12 heads, 8k vocabulary) and
-four seeded batches whose row lengths are drawn in-process (no download):
+Builds a model1-shape encoder (H384, 6 layers, 12 heads, 8k vocabulary),
+four seeded batches and one seeded dataset whose row lengths are drawn
+in-process (no download):
 
 - eval: a classify-like batch, B32 with 4-42 tokens per row, ``forward`` in
-  eval mode;
+  eval mode under ``no_grad``, as the library evaluates (so are apply and
+  frozen chunk);
 - train: a pretrain-like batch, B12 x T128 with 40-128 tokens per row, masked
   as in pretraining, ``forward`` with dropout, ``mlm_loss`` and ``backward``
   (no optimizer step);
@@ -12,10 +14,15 @@ four seeded batches whose row lengths are drawn in-process (no download):
   tokens per row, ``forward`` in eval mode;
 - frozen chunk: one 32-row chunk of frozen head features, rows of 4-42 tokens
   padded to T256 as a dataset with one long row pads them, ``forward`` in
-  eval mode.
+  eval mode;
+- frozen features: ``classifiers._frozen_features`` for each frozen head kind
+  on a 1,001-row dataset, 1,000 rows of 4-42 tokens and one of 256, so every
+  row is padded to T256.
 
-Prints each batch's pad fraction, the median and fastest of several timed
-calls after one warm-up call, and the process's peak RSS. BLAS threads follow
+Prints each batch's pad fraction and the median, quartiles and fastest of
+several timed calls after one warm-up call. The frozen features run once per
+kind, under ``tracemalloc``: their seconds, the MiB the head keeps and the
+peak of traced memory. Last comes the process's peak RSS. BLAS threads follow
 the environment (``OPENBLAS_NUM_THREADS``).
 
     PYTHONPATH=src python tools/time_encoder.py
@@ -26,11 +33,13 @@ from __future__ import annotations
 import resource
 import statistics
 import time
+import tracemalloc
 
 import numpy as np
 
-from kusent.autodiff import backward
+from kusent.autodiff import backward, no_grad
 from kusent.bert import BertConfig, build_model, forward, mask_for_mlm, mlm_loss
+from kusent.classifiers import _frozen_features
 from kusent.wordpiece import CLS, PAD, SEP
 
 CONFIG = BertConfig(hidden_size=384, num_hidden_layers=6, num_attention_heads=12, vocab_size=8_000,
@@ -38,6 +47,7 @@ CONFIG = BertConfig(hidden_size=384, num_hidden_layers=6, num_attention_heads=12
 SEED = 0
 EVAL_REPEATS = 20
 REPEATS = 5
+FEATURE_ROWS = 1_001
 
 
 def make_batch(rng: np.random.Generator, batch: int, shortest: int, longest: int, width: int | None = None):
@@ -72,6 +82,15 @@ def main() -> None:
     mlm = mask_for_mlm(train_ids, train_mask, 0.15, rng, CONFIG.vocab_size)
     apply_ids, apply_mask = make_batch(rng, 16, 12, 128)
     chunk_ids, chunk_mask = make_batch(rng, 32, 4, 42, width=256)
+    feature_ids, feature_mask = make_batch(rng, FEATURE_ROWS, 4, 42, width=256)
+    # one row as long as the dataset is wide
+    feature_ids[-1] = rng.integers(5, CONFIG.vocab_size, size=256)
+    feature_ids[-1, [0, -1]] = CLS, SEP
+    feature_mask[-1] = 1
+
+    def eval_forward(ids, mask):
+        with no_grad():
+            forward(model, ids, mask)
 
     def train_step():
         drop_rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(2,)))
@@ -81,14 +100,24 @@ def main() -> None:
             p.zero_grad()
 
     for name, fn, mask, repeats in (
-        ("eval forward B32x42", lambda: forward(model, eval_ids, eval_mask), eval_mask, EVAL_REPEATS),
+        ("eval forward B32x42", lambda: eval_forward(eval_ids, eval_mask), eval_mask, EVAL_REPEATS),
         ("train step B12x128", train_step, train_mask, REPEATS),
-        ("apply eval forward B16x128", lambda: forward(model, apply_ids, apply_mask), apply_mask, REPEATS),
-        ("frozen-feature chunk B32x256", lambda: forward(model, chunk_ids, chunk_mask), chunk_mask, REPEATS),
+        ("apply eval forward B16x128", lambda: eval_forward(apply_ids, apply_mask), apply_mask, REPEATS),
+        ("frozen-feature chunk B32x256", lambda: eval_forward(chunk_ids, chunk_mask), chunk_mask, REPEATS),
     ):
         times = timed(fn, repeats)
-        print(f"{name}: pad fraction {1 - mask.mean():.3f}, median {statistics.median(times):.4f} s, "
-              f"min {min(times):.4f} s over {repeats} calls")
+        p25, median, p75 = statistics.quantiles(times, n=4, method="inclusive")
+        print(f"{name}: pad fraction {1 - mask.mean():.3f}, median {median:.4f} s "
+              f"(p25 {p25:.4f}, p75 {p75:.4f}), min {min(times):.4f} s over {repeats} calls")
+    for kind in ("mlp", "bilstm"):
+        tracemalloc.start()
+        started = time.perf_counter()
+        features = _frozen_features(model, feature_ids, feature_mask, kind)
+        seconds = time.perf_counter() - started
+        peak = tracemalloc.get_traced_memory()[1]
+        tracemalloc.stop()
+        print(f"frozen features {kind}, {FEATURE_ROWS} rows x T256, pad fraction {1 - feature_mask.mean():.3f}: "
+              f"{seconds:.2f} s, keeps {features.nbytes / 2**20:.1f} MiB, tracemalloc peak {peak / 2**20:.0f} MiB")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak_mb:.0f} MB")
 
