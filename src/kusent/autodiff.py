@@ -363,27 +363,23 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-12) -> Te
     return _node(data, (x, gain, shift), backward)
 
 
-def _skip_uniforms(rng: np.random.Generator, n: int) -> None:
-    """Move ``rng`` past the next ``n`` float64 uniforms, without drawing them where it can."""
-    if not n:
-        return
-    if isinstance(rng.bit_generator, (np.random.PCG64, np.random.PCG64DXSM)):
-        rng.bit_generator.advance(int(n))  # one 64-bit output per uniform
-    else:
-        rng.random(n)
+def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """``rng.random(shape) >= rate``, drawn block by block in C order.
+
+    The values equal those of the one call, without its float64 temporary
+    of the whole shape.
+    """
+    keep = np.empty(shape, dtype=bool)
+    for (kb,) in _row_blocks(keep):
+        np.greater_equal(rng.random(kb.shape), rate, out=kb)
+    return keep
 
 
-def dropout(
-    x: Tensor, rate: float, rng: np.random.Generator | None, train: bool, mask: np.ndarray | None = None
-) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
     """Inverted dropout: scales kept activations by 1/(1-rate) so inference is identity.
 
-    With ``mask``, the rows of ``x`` (over its last axis) are the nonzero
-    positions of ``mask`` in C order, the packed form of a padded
-    (mask.size, width) array. Each kept row gets the uniforms it would get in
-    the padded array, and the generator steps over the pad rows' uniforms
-    without drawing them, so the values and the generator's state after the
-    call equal dropout on the padded array.
+    In training the keep mask is ``rng.random(x.shape) >= rate`` (see
+    ``_keep_mask``) and the result is ``(x * keep) * (1 / (1 - rate))``.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
@@ -391,34 +387,12 @@ def dropout(
         return x
     if rng is None:
         raise ValueError("dropout: training mode needs a random generator")
-    width = x.shape[-1] if x.shape else 1
-    x2 = x.data.reshape(-1, width)
-    if mask is None:
-        total, runs = len(x2), [(0, len(x2))]
-    else:
-        attended = np.asarray(mask).reshape(-1) != 0
-        total = attended.size
-        if int(attended.sum()) != len(x2):
-            raise ValueError(f"dropout: {len(x2)} rows do not match the mask's {int(attended.sum())}")
-        # [start, end) of each run of attended positions
-        runs = np.flatnonzero(np.diff(attended, prepend=False, append=False)).reshape(-1, 2)
-    keep = np.empty(x2.shape, dtype=bool)
-    data = np.empty(x2.shape, x.dtype)
+    keep = _keep_mask(x.shape, rate, rng)
+    data = np.empty(x.shape, x.dtype)
     factor = 1.0 / (1.0 - rate)
-    # the uniforms are drawn block by block in C order, the same values one
-    # rng.random((total, width)) call would give to these rows
-    at = row = 0
-    for start, end in runs:
-        _skip_uniforms(rng, (start - at) * width)
-        packed = slice(row, row + end - start)
-        for xb, kb, db in _row_blocks(x2[packed], keep[packed], data[packed]):
-            np.greater_equal(rng.random(kb.shape), rate, out=kb)
-            np.multiply(xb, kb, out=db)
-            db *= factor
-        at, row = end, row + end - start
-    _skip_uniforms(rng, (total - at) * width)
-    keep = keep.reshape(x.shape)
-    data = data.reshape(x.shape)
+    for xb, kb, db in _row_blocks(x.data, keep, data):
+        np.multiply(xb, kb, out=db)
+        db *= factor
 
     def backward(g):
         dx = g * keep
@@ -487,12 +461,11 @@ def attention(
     Each group runs the padded core's expressions on (G, A, w, head_dim)
     heads: ``s = q @ kᵀ; s += mask_add[rows, ..., :w]``, softmax, probability
     dropout and ``p @ v``; the backward keeps the padded core's GEMMs.
-    Probability dropout draws the padded core's stream: for each batch row b
-    in order and each head, the uniforms of its w query rows, each T wide and
-    the first w used, and then a skip over the (T - w) * T uniforms of the
-    other query rows. When ``sink`` is a list, the probabilities before
-    dropout are appended as one (B, A, T, T) array, zero outside each row's
-    w x w block.
+    Probability dropout masks each group's (G, A, w, w) probabilities as
+    ``dropout`` masks an array: ``keep = rng.random((G, A, w, w)) >= rate``,
+    drawn one group after another in the order of ``groups``. When ``sink``
+    is a list, the probabilities before dropout are appended as one
+    (B, A, T, T) array, zero outside each row's w x w block.
     """
     n, hidden = q.shape
     if k.shape != q.shape or v.shape != q.shape or hidden % heads:
@@ -520,19 +493,6 @@ def attention(
         rows_out = heads_out.transpose(0, 2, 1, 3)[places[group]]
         out[sources[group]] = rows_out.reshape(len(sources[group]), hidden)
 
-    keeps = []
-    if dropping:
-        keeps = [
-            np.empty((len(batch_rows), heads, index.shape[1], index.shape[1]), bool)
-            for batch_rows, index in groups
-        ]
-        slot_of = {b: (group, j) for group, (batch_rows, _) in enumerate(groups) for j, b in enumerate(batch_rows)}
-        for b in range(batch):
-            group, j = slot_of[b]
-            width = groups[group][1].shape[1]
-            for head in range(heads):
-                np.greater_equal(rng.random((width, seq_len))[:, :width], rate, out=keeps[group][j, head])
-                _skip_uniforms(rng, (seq_len - width) * seq_len)
     if sink is not None:
         sink.append(np.zeros((batch, heads, seq_len, seq_len), q.dtype))
 
@@ -546,21 +506,22 @@ def attention(
         p = _softmax_rows(s, s)
         if sink is not None:
             sink[-1][batch_rows, :, :width, :width] = p
-        pd = p
+        pd, keep = p, None
         if dropping:
-            pd = np.multiply(p, keeps[group])
+            keep = _keep_mask(p.shape, rate, rng)
+            pd = np.multiply(p, keep)
             pd *= factor
         merge(pd @ vg, group, out)
-        saved.append((qg, kg, vg, p, pd))
+        saved.append((qg, kg, vg, p, pd, keep))
 
     def backward(g):
         dq, dk, dv = (np.empty((n, hidden), g.dtype) for _ in range(3))
-        for group, (qg, kg, vg, p, pd) in enumerate(saved):
+        for group, (qg, kg, vg, p, pd, keep) in enumerate(saved):
             gctx = split(g, group)
             dp = gctx @ np.swapaxes(vg, -1, -2)
             merge(np.swapaxes(pd, -1, -2) @ gctx, group, dv)
             if dropping:
-                dp *= keeps[group]
+                dp *= keep
                 dp *= factor
             ds = _softmax_rows_backward(dp, p)
             merge(ds @ kg, group, dq)

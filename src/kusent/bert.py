@@ -266,12 +266,15 @@ def forward(
     pairwise sum over T (T itself when T <= 128, 128 when T is 256), with the
     rows of one width as one batch. Padded keys receive a large negative
     additive term before softmax, so their weight is zero from every query.
-    The states are exactly zero at pad positions. Dropout gives each attended
-    value the uniform it would get with the pad rows present and leaves the
-    generator where the padded pass would. When ``attn_sink`` is a list, each
-    layer's attention probabilities are appended as one B x A x T x T array,
-    zero outside each row's w_b x w_b block; a padded query's row is
-    meaningless. Without a sink no such array is built.
+    The states are exactly zero at pad positions. Each dropout draws a keep
+    mask for exactly the array it masks (``autodiff.dropout``): the packed
+    (N, H) rows, and in attention each width group's probabilities. K is
+    computed without ``layerN.attn.k.bias``: softmax ignores a bias on every
+    key, so the tensor stays in the format and gets no gradient. When
+    ``attn_sink`` is a list, each layer's attention probabilities are
+    appended as one B x A x T x T array, zero outside each row's w_b x w_b
+    block; a padded query's row is meaningless. Without a sink no such array
+    is built.
     """
     config = model.config
     input_ids = np.asarray(input_ids)
@@ -299,15 +302,12 @@ def forward(
     # the attended positions, as rows of the flattened (B*T, H) layout
     rows = np.flatnonzero(attention_mask)
 
-    def drop(t: Tensor) -> Tensor:
-        return ad.dropout(t, rate, dropout_rng, train, mask=attention_mask)
-
     tok = ad.embedding_lookup(model["embeddings.token"], input_ids.reshape(-1)[rows])
     pos = ad.embedding_lookup(model["embeddings.position"], rows % seq_len)
     seg = ad.embedding_lookup(model["embeddings.segment"], np.zeros_like(rows))
     x = ad.add(ad.add(tok, pos), seg)
     x = ad.layer_norm(x, model["embeddings.norm.gain"], model["embeddings.norm.bias"])
-    x = drop(x)
+    x = ad.dropout(x, rate, dropout_rng, train)
 
     heads = config.num_attention_heads
     head_dim = hidden_size // heads
@@ -325,12 +325,13 @@ def forward(
             return ad.matmul(inp, w, b)
 
         q = ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim))
-        ctx = ad.attention(q, proj("k", x), proj("v", x), heads, groups, neg, rate, dropout_rng, train,
-                           attn_sink)
+        # no K bias: it shifts all of a query's scores by q·b, which softmax ignores
+        k = ad.matmul(x, model[f"{prefix}.attn.k.weight"])
+        ctx = ad.attention(q, k, proj("v", x), heads, groups, neg, rate, dropout_rng, train, attn_sink)
         attn_out = ad.matmul(
             ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"]
         )
-        attn_out = drop(attn_out)
+        attn_out = ad.dropout(attn_out, rate, dropout_rng, train)
         x = ad.layer_norm(
             ad.add(x, attn_out),
             model[f"{prefix}.attn.norm.gain"],
@@ -338,7 +339,7 @@ def forward(
         )
         hidden = ad.gelu(ad.matmul(x, model[f"{prefix}.ffn.w1"], model[f"{prefix}.ffn.b1"]))
         ffn_out = ad.matmul(hidden, model[f"{prefix}.ffn.w2"], model[f"{prefix}.ffn.b2"])
-        ffn_out = drop(ffn_out)
+        ffn_out = ad.dropout(ffn_out, rate, dropout_rng, train)
         x = ad.layer_norm(
             ad.add(x, ffn_out),
             model[f"{prefix}.ffn.norm.gain"],

@@ -423,7 +423,10 @@ def load_sentiment_model(directory: str) -> SentimentModel:
     labels_path = os.path.join(directory, "labels.json")
     if read_json(labels_path) != [label.value for label in labels]:
         raise ValueError(f"{labels_path}: expected {[label.value for label in labels]}")
-    encoder, _ = load_checkpoint(os.path.join(directory, meta["encoder_ref"]))
+    # save_sentiment_model embeds the encoder here; any other path would load one from elsewhere
+    if meta["encoder_ref"] != "encoder":
+        raise ValueError(f"{config_path}: encoder_ref must be 'encoder', got {meta['encoder_ref']!r}")
+    encoder, _ = load_checkpoint(os.path.join(directory, "encoder"))
     head_path = os.path.join(directory, "head.bin")
     arrays = read_blob(head_path, os.path.join(directory, "head_manifest.json"))
     shapes = head_shapes(meta["kind"], encoder.config.hidden_size, train_config.num_classes, head_meta)

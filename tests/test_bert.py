@@ -55,46 +55,75 @@ def batch_of(config, rng, batch=2, seq_len=8, n_pad=2):
     return ids, mask
 
 
-def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=None, attn_sink=None):
-    """The encoder with every layer on the padded (B, T, H) layout, as it ran before
-    ``forward`` packed the attended rows: the oracle for its attended states, CLS,
-    attention probabilities, dropout stream and gradients."""
+def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=None, attn_sink=None,
+                   k_bias=False):
+    """The encoder with every layer on the padded (B, T, H) layout: the oracle for
+    ``forward``'s attended states, CLS, attention probabilities, dropout stream and
+    gradients. Each dropout draws its keep mask by ``forward``'s rule, for the packed
+    attended rows or, in attention, for each width group's (G, A, w, w) probabilities
+    in ascending width, scatters it into the padded layout and applies it as
+    ``(x * keep) * factor``. K has no bias unless ``k_bias``."""
     config = model.config
     batch, seq_len = input_ids.shape
+    heads = config.num_attention_heads
     rate = config.dropout_rate
+    factor = 1.0 / (1.0 - rate)
+    dropping = train and rate > 0.0
+    attended = np.asarray(attention_mask).reshape(-1) == 1
+    groups = bert._attention_groups(attention_mask, np.flatnonzero(attended))
+    widths = {b: index.shape[1] for batch_rows, index in groups for b in batch_rows}
+
+    def drop(x):
+        # (B, T, H): the keep mask of the (N, H) attended rows
+        if not dropping:
+            return x
+        keep = np.zeros(x.shape, bool)
+        keep.reshape(-1, x.shape[-1])[attended] = dropout_rng.random((attended.sum(), x.shape[-1])) >= rate
+        return ad.scale(ad.mul(x, Tensor(keep)), factor)
+
+    def drop_probs(probs):
+        # (B, A, T, T): one (G, A, w, w) keep mask per width, ascending, its rows ascending
+        if not dropping:
+            return probs
+        keep = np.zeros(probs.shape, bool)
+        for width in sorted(set(widths.values())):
+            rows = [b for b in range(batch) if widths[b] == width]
+            keep[rows, :, :width, :width] = dropout_rng.random((len(rows), heads, width, width)) >= rate
+        return ad.scale(ad.mul(probs, Tensor(keep)), factor)
+
     tok = ad.embedding_lookup(model["embeddings.token"], input_ids)
     pos = ad.narrow(model["embeddings.position"], 0, 0, seq_len)
     seg = ad.embedding_lookup(model["embeddings.segment"], np.zeros_like(input_ids))
     x = ad.add(ad.add(tok, pos), seg)
     x = ad.layer_norm(x, model["embeddings.norm.gain"], model["embeddings.norm.bias"])
-    x = ad.dropout(x, rate, dropout_rng, train)
-    heads = config.num_attention_heads
+    x = drop(x)
     head_dim = config.hidden_size // heads
     mask_add = Tensor(np.asarray((1.0 - attention_mask)[:, None, None, :] * -1e9, dtype=x.dtype))
     for layer in range(config.num_hidden_layers):
         prefix = f"layer{layer}"
 
-        def proj(name, inp):
-            out = ad.matmul(inp, model[f"{prefix}.attn.{name}.weight"], model[f"{prefix}.attn.{name}.bias"])
+        def proj(name, inp, bias=True):
+            b = model[f"{prefix}.attn.{name}.bias"] if bias else None
+            out = ad.matmul(inp, model[f"{prefix}.attn.{name}.weight"], b)
             out = ad.reshape(out, (batch, seq_len, heads, head_dim))
             return ad.transpose(out, (0, 2, 1, 3))
 
         q = ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim))
-        k = proj("k", x)
+        k = proj("k", x, bias=k_bias)
         v = proj("v", x)
         probs = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)), mask_add))
         if attn_sink is not None:
             attn_sink.append(probs.data)
-        probs = ad.dropout(probs, rate, dropout_rng, train)
+        probs = drop_probs(probs)
         ctx = ad.matmul(probs, v)
         ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, seq_len, config.hidden_size))
         attn_out = ad.matmul(ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"])
-        attn_out = ad.dropout(attn_out, rate, dropout_rng, train)
+        attn_out = drop(attn_out)
         x = ad.layer_norm(ad.add(x, attn_out), model[f"{prefix}.attn.norm.gain"],
                           model[f"{prefix}.attn.norm.bias"])
         hidden = ad.gelu(ad.matmul(x, model[f"{prefix}.ffn.w1"], model[f"{prefix}.ffn.b1"]))
         ffn_out = ad.matmul(hidden, model[f"{prefix}.ffn.w2"], model[f"{prefix}.ffn.b2"])
-        ffn_out = ad.dropout(ffn_out, rate, dropout_rng, train)
+        ffn_out = drop(ffn_out)
         x = ad.layer_norm(ad.add(x, ffn_out), model[f"{prefix}.ffn.norm.gain"],
                           model[f"{prefix}.ffn.norm.bias"])
     cls_state = ad.reshape(ad.narrow(x, 1, 0, 1), (batch, config.hidden_size))
@@ -309,7 +338,7 @@ class TestPackedForward:
     @pytest.mark.parametrize("train", [False, True])
     @pytest.mark.parametrize("block_values", [ad._BLOCK_VALUES, 40])
     def test_matches_padded_oracle_bit_for_bit(self, monkeypatch, train, block_values):
-        # 40-value blocks split the dropouts' runs of attended rows into several blocks
+        # 40-value blocks split each keep mask's draw into several blocks
         monkeypatch.setattr(ad, "_BLOCK_VALUES", block_values)
         cfg = tiny_config(dropout_rate=0.2)
         model = build_model(cfg, seed=20)
@@ -401,7 +430,8 @@ class TestWidthGroups:
         ids, mask = self._batch(tiny_config(max_position=200), lengths)
         rows = np.flatnonzero(mask)
         groups = bert._attention_groups(mask, rows)
-        assert {index.shape[1]: list(batch_rows) for batch_rows, index in groups} == want
+        # in ascending width: attention draws its dropout masks in this order
+        assert [(index.shape[1], list(batch_rows)) for batch_rows, index in groups] == list(want.items())
         packed = np.full(mask.shape, -1)
         packed.flat[rows] = np.arange(len(rows))
         for batch_rows, index in groups:
@@ -435,8 +465,8 @@ class TestWidthGroups:
         self._check_bits(cfg, lengths, train, lambda: np.random.default_rng(32))
 
     @pytest.mark.parametrize("bit_generator, block_values", [
-        (np.random.MT19937, ad._BLOCK_VALUES),  # _skip_uniforms draws what it skips
-        (np.random.PCG64, 40),  # one-row blocks in the softmax
+        (np.random.MT19937, ad._BLOCK_VALUES),
+        (np.random.PCG64, 40),  # one-row blocks in the softmax and the keep masks
     ])
     def test_other_generators_and_blocks(self, monkeypatch, bit_generator, block_values):
         monkeypatch.setattr(ad, "_BLOCK_VALUES", block_values)
@@ -478,6 +508,68 @@ class TestWidthGroups:
 
         report = grad_check(loss_fn, [q, k, v], tolerance=1e-4, max_elements_per_param=12)
         assert report.passed, str(report)
+
+
+class TestKeyBias:
+    """``layerN.attn.k.bias`` stays in the format but not in the graph: softmax ignores
+    a bias added to every key, so its exact gradient is zero."""
+
+    def test_no_gradient_and_no_update_in_pretraining(self, tmp_path, monkeypatch):
+        vocab, lines = toy_vocab_corpus(n_lines=16)
+        cfg = tiny_config(vocab_size=len(vocab), epochs=2, iterations=3, batch_size=8)
+        model = build_model(cfg, seed=40)
+        k_biases = [p for p in model.params if p.name.endswith(".attn.k.bias")]
+        assert len(k_biases) == cfg.num_hidden_layers
+        rng = np.random.default_rng(41)
+        for p in k_biases:
+            p.data[...] = rng.normal(size=p.shape)
+        before = {p.name: p.data.copy() for p in k_biases}
+        steps = []
+        adam_step = bert.adam_step
+
+        def checked_adam_step(params, optimizer):
+            # after the step's backward, before Adam reads and zeroes the gradients
+            assert all(p.grad.tobytes() == bytes(p.grad.nbytes) for p in k_biases)
+            assert model["layer0.attn.q.bias"].grad.any() and model["layer0.attn.k.weight"].grad.any()
+            steps.append(optimizer.step_count)
+            adam_step(params, optimizer)
+
+        monkeypatch.setattr(bert, "adam_step", checked_adam_step)
+        pretrain(model, lines, vocab, cfg, seed=42, checkpoint_dir=str(tmp_path / "ck"), max_len=12)
+        assert steps == [0, 1, 2]
+        loaded, _ = load_checkpoint(str(tmp_path / "ck"))
+        for name, want in before.items():
+            assert model[name].data.tobytes() == want.tobytes()
+            assert loaded[name].data.tobytes() == want.tobytes()
+
+    def test_checkpoint_with_a_key_bias_gives_the_same_eval_states(self, tmp_path):
+        cfg = tiny_config(hidden_size=8, num_attention_heads=2, max_position=96)
+        ids, mask = TestWidthGroups._batch(cfg, TestWidthGroups.T96)
+        model = build_model(cfg, seed=43)
+        rng = np.random.default_rng(44)
+        for layer in range(cfg.num_hidden_layers):
+            model[f"layer{layer}.attn.k.bias"].data[...] = rng.normal(size=cfg.hidden_size)
+        save_checkpoint(str(tmp_path / "ck"), model)
+        loaded, _ = load_checkpoint(str(tmp_path / "ck"))
+
+        def in_float64(zero_k_bias):
+            params = [Parameter(p.name, p.data.astype(np.float64)) for p in loaded.params]
+            for p in params:
+                if zero_k_bias and p.name.endswith(".attn.k.bias"):
+                    p.data[...] = 0.0
+            return bert.ModelParams(cfg, params)
+
+        biased, unbiased = in_float64(False), in_float64(True)
+        assert all(biased[f"layer{layer}.attn.k.bias"].data.all() for layer in range(cfg.num_hidden_layers))
+        states, cls_state = forward(biased, ids, mask)
+        zero_states, zero_cls = forward(unbiased, ids, mask)
+        np.testing.assert_array_equal(states.data, zero_states.data)
+        np.testing.assert_array_equal(cls_state.data, zero_cls.data)
+        # a K with its bias gives the same states up to rounding
+        with_bias, _ = oracle_forward(biased, ids, mask, k_bias=True)
+        attended = mask == 1
+        assert not np.array_equal(states.data[attended], with_bias.data[attended])
+        np.testing.assert_allclose(states.data[attended], with_bias.data[attended], rtol=1e-10, atol=1e-12)
 
 
 class TestMlmLoss:

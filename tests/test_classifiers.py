@@ -376,9 +376,9 @@ class TestTrainingContracts:
         config = TrainConfig(epochs=1, max_len=10, learning_rate=1e-3, batch_size=8, seed=0)
         train_finetune(encoder, vocab, dataset, config)
         # all encoder tensors in the classifier loss path must move; the mlm
-        # head is not in that path and must not
+        # head and the K biases (softmax ignores them) are not in that path and must not
         for p in encoder.params:
-            if p.name.startswith("mlm."):
+            if p.name.startswith("mlm.") or p.name.endswith(".attn.k.bias"):
                 np.testing.assert_array_equal(before[p.name], p.data)
             else:
                 assert (before[p.name] != p.data).any(), p.name

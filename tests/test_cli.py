@@ -359,6 +359,27 @@ class TestPipeline:
         named = value if isinstance(value, str) else key
         assert rel.split("/")[-1] in err and repr(named) in err
 
+    @pytest.mark.parametrize("ref", ["../elsewhere", "absolute"])
+    def test_encoder_outside_the_model_is_one_error_line(self, pipeline, tmp_path, capsys, ref):
+        model = tmp_path / "model"
+        shutil.copytree(pipeline["model"], model)
+        # a valid encoder sits at the path, so only the check can refuse it
+        shutil.copytree(pipeline["model"] / "encoder", tmp_path / "elsewhere")
+        if ref == "absolute":
+            ref = str(tmp_path / "elsewhere")
+        path = model / "head_config.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), encoder_ref=ref)))
+        capsys.readouterr()
+        out = tmp_path / "report.json"
+        rc = main([
+            "evaluate", "--model", str(model), "--data", str(pipeline["labeled"]),
+            "--vocab", str(pipeline["vocab"]), "--out", str(out),
+        ])
+        err = capsys.readouterr().err
+        assert rc == 1 and not out.exists()
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert "head_config.json: encoder_ref must be 'encoder'" in err and repr(ref) in err
+
     @pytest.mark.parametrize(
         "rel, text, named",
         [

@@ -136,6 +136,19 @@ class TestBackward:
             backward(ad.mul(x, x))
 
 
+class DrawLog:
+    """A generator that logs the number of values of each ``random`` draw."""
+
+    def __init__(self, rng: np.random.Generator):
+        self.bit_generator = rng.bit_generator
+        self.rng = rng
+        self.sizes = []
+
+    def random(self, shape):
+        self.sizes.append(int(np.prod(shape)))
+        return self.rng.random(shape)
+
+
 class TestFusedAndBlockedOps:
     """Bias fused into matmul and the block-by-block elementwise chains give
     the plain expressions' results bit for bit."""
@@ -232,26 +245,51 @@ class TestFusedAndBlockedOps:
 
     @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
     @pytest.mark.parametrize("block_values", [ad._BLOCK_VALUES, 12])
-    def test_packed_dropout_equals_padded_dropout(self, monkeypatch, bits, block_values):
-        # PCG64 steps over the pad rows' uniforms, MT19937 draws them; 12-value
-        # blocks put several blocks inside each run of attended rows
+    def test_keep_mask_is_one_draw_over_the_masked_array(self, monkeypatch, bits, block_values):
+        # dropout's keep mask is rng.random(x.shape) >= rate; attention's is
+        # rng.random((G, A, w, w)) >= rate for each group in turn, on its probabilities.
+        # The draws come in blocks of at most _BLOCK_VALUES values or one row.
         monkeypatch.setattr(ad, "_BLOCK_VALUES", block_values)
-        mask = np.array([[0, 1, 1, 1, 0, 0], [1, 1, 1, 1, 1, 1], [1, 1, 1, 1, 1, 0], [0, 0, 1, 0, 1, 0]])
-        rows = np.flatnonzero(mask)
+        rate, factor = 0.3, 1.0 / 0.7
         rng = np.random.default_rng(28)
-        x = rng.normal(size=(mask.size, 4)).astype(np.float32)
+        x = rng.normal(size=(5, 3, 4)).astype(np.float32)
         g = rng.normal(size=x.shape).astype(np.float32)
-        padded_rng, packed_rng = np.random.Generator(bits(29)), np.random.Generator(bits(29))
-        padded = ad.dropout(Parameter("x", x), 0.3, padded_rng, train=True)
-        packed = ad.dropout(Parameter("x", x[rows]), 0.3, packed_rng, train=True, mask=mask)
-        np.testing.assert_array_equal(packed.data, padded.data[rows])
-        np.testing.assert_array_equal(packed._backward(g[rows])[0], padded._backward(g)[0][rows])
-        assert packed_rng.random(8).tolist() == padded_rng.random(8).tolist()  # the same next draws
+        got_rng, want_rng = DrawLog(np.random.Generator(bits(29))), np.random.Generator(bits(29))
+        out = ad.dropout(Parameter("x", x), rate, got_rng, train=True)
+        keep = want_rng.random(x.shape) >= rate
+        np.testing.assert_array_equal(out.data, (x * keep) * np.float32(factor))
+        np.testing.assert_array_equal(out._backward(g)[0], (g * keep) * np.float32(factor))
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+        assert max(got_rng.sizes) <= max(block_values, 4)
 
-    def test_packed_dropout_rows_must_match_the_mask(self):
-        with pytest.raises(ValueError, match="dropout: 3 rows do not match the mask's 2"):
-            ad.dropout(Tensor(np.ones((3, 4))), 0.5, np.random.default_rng(0), True,
-                       mask=np.array([[1, 0], [0, 1]]))
+        # rows of widths 40, 48, 40 and 56: three groups, the first of rows 0 and 2
+        mask = (np.arange(56) < np.array([[33], [45], [2], [56]])).astype(np.int64)
+        rows = np.flatnonzero(mask)
+        groups = _attention_groups(mask, rows)
+        assert [(list(batch_rows), index.shape[1]) for batch_rows, index in groups] == \
+            [([0, 2], 40), ([1], 48), ([3], 56)]
+        neg = (1.0 - mask)[:, None, None, :] * -1e9
+        q, k, v = (Parameter(name, rng.normal(size=(len(rows), 4))) for name in "qkv")
+        got_rng.sizes.clear()
+        sink = []
+        out = ad.attention(q, k, v, 2, groups, neg, rate, got_rng, True, sink)
+        probs = sink[0]  # (B, A, T, T), before dropout
+        packed = np.full(mask.shape, -1)
+        packed.flat[rows] = np.arange(len(rows))
+        want = np.zeros((len(rows), 4))
+        for batch_rows, index in groups:
+            width = index.shape[1]
+            keep = want_rng.random((len(batch_rows), 2, width, width)) >= rate
+            for j, b in enumerate(batch_rows):
+                attended = packed[b, :width] >= 0
+                src = packed[b, :width][attended]
+                p = probs[b, :, :width, :width][:, attended][:, :, attended]
+                dropped = (p * keep[j][:, attended][:, :, attended]) * factor
+                heads = v.data[src].reshape(-1, 2, 2).transpose(1, 0, 2)
+                want[src] = (dropped @ heads).transpose(1, 0, 2).reshape(-1, 4)
+        np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-15)
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+        assert max(got_rng.sizes) <= max(block_values, 56)
 
     def test_cross_entropy_never_reads_ignored_rows(self):
         rng = np.random.default_rng(25)
@@ -294,7 +332,6 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
         "softmax": lambda: ad.softmax(a),
         "layer_norm": lambda: ad.layer_norm(a, p("gain", 4), p("shift", 4)),
         "dropout_train": lambda: ad.dropout(a, 0.4, rng, train=True),
-        "dropout_packed": lambda: ad.dropout(q, 0.4, rng, train=True, mask=mask),
         "embedding_lookup": lambda: ad.embedding_lookup(a, np.array([2, 0, 2])),
         "gather_rows": lambda: ad.gather_rows(a, np.array([2, 0])),
         "scatter_rows": lambda: ad.scatter_rows(a, np.array([4, 0, 2]), 6),
@@ -315,7 +352,7 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
 
 NO_GRAD_CASES = [
     "add", "sub", "mul", "scale", "matmul", "matmul_bias", "relu", "gelu", "tanh", "sigmoid", "softmax",
-    "layer_norm", "dropout_train", "dropout_packed", "embedding_lookup", "gather_rows", "scatter_rows",
+    "layer_norm", "dropout_train", "embedding_lookup", "gather_rows", "scatter_rows",
     "attention", "attention_train", "lstm_layer", "cross_entropy", "concat", "stack", "narrow", "reshape",
     "transpose", "reduce_sum", "reduce_mean",
 ]
