@@ -331,6 +331,39 @@ def softmax(x: Tensor) -> Tensor:
     return _node(s, (x,), lambda g: (_softmax_rows_backward(g, s),))
 
 
+# Attention runs each row at its own width: its last attended position + 1,
+# rounded up to a multiple of _WIDTH_STEP and to at least _MIN_WIDTH. At those
+# widths the core gives the padded core's bits on OpenBLAS: numpy's 8-way
+# pairwise sums add trailing zero keys exactly only at multiples of 8, and QKᵀ
+# takes another GEMM path at widths 16 and 32. A sum over more than
+# _PAIRWISE_BLOCK values is split in halves, so a width past the first block
+# of the split of T would sum in another order: such a row runs at T.
+_MIN_WIDTH = 40
+_WIDTH_STEP = 8
+_PAIRWISE_BLOCK = 128
+
+
+def _attention_groups(attention_mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
+    """``attention``'s width plan for a (B, T) mask: for each width w, ascending, the
+    batch rows that run at it and the packed row at each of their first w positions
+    (-1 at a pad)."""
+    seq_len = attention_mask.shape[1]
+    first_block = seq_len
+    while first_block > _PAIRWISE_BLOCK:
+        first_block //= 2
+        first_block -= first_block % _WIDTH_STEP
+    ends = seq_len - np.argmax(attention_mask[:, ::-1], axis=1)
+    widths = np.maximum(_MIN_WIDTH, -(-ends // _WIDTH_STEP) * _WIDTH_STEP)
+    widths[widths > first_block] = seq_len
+    index = np.full(attention_mask.shape, -1)
+    index[attention_mask != 0] = np.arange(np.count_nonzero(attention_mask))
+    groups = []
+    for width in np.unique(widths):
+        batch_rows = np.flatnonzero(widths == width)
+        groups.append((batch_rows, index[batch_rows, :width]))
+    return groups
+
+
 def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-12) -> Tensor:
     """Normalize the last axis to zero mean / unit variance, then scale and shift."""
     if gain.shape != (x.shape[-1],) or shift.shape != (x.shape[-1],):
@@ -441,43 +474,44 @@ def attention(
     k: Tensor,
     v: Tensor,
     heads: int,
-    groups: Sequence[tuple[np.ndarray, np.ndarray]],
-    mask_add: np.ndarray,
+    attention_mask: np.ndarray,
     rate: float = 0.0,
     rng: np.random.Generator | None = None,
     train: bool = False,
     sink: list | None = None,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention over packed rows, one group of batch rows at a time.
+    """Multi-head scaled dot-product attention, softmax(q kᵀ / √d + M) v, over packed rows.
 
-    ``q`` (already scaled), ``k`` and ``v`` are the (N, H) packed rows of a
-    padded (B, T) batch; the result is the (N, H) context of the same rows.
-    Each group is ``(batch_rows, index)``: the G batch rows that run at width
-    w, ascending, and a (G, w) array of the packed row at each of their first
-    w positions, -1 where the position holds a zero row. Every batch row is in
-    one group and every packed row at one position. ``mask_add`` is the
-    (B, 1, 1, T) additive key mask.
+    ``attention_mask`` is the (B, T) 0/1 mask of a padded batch; ``q``, ``k``
+    and ``v`` are the (N, H) rows of its N attended positions in C order, and
+    the result is the (N, H) context of the same rows. d is H / ``heads``,
+    and M adds -1e9 to every pad key's score, so its weight is zero.
 
-    Each group runs the padded core's expressions on (G, A, w, head_dim)
-    heads: ``s = q @ kᵀ; s += mask_add[rows, ..., :w]``, softmax, probability
-    dropout and ``p @ v``; the backward keeps the padded core's GEMMs.
-    Probability dropout masks each group's (G, A, w, w) probabilities as
-    ``dropout`` masks an array: ``keep = rng.random((G, A, w, w)) >= rate``,
-    drawn one group after another in the order of ``groups``. When ``sink``
-    is a list, the probabilities before dropout are appended as one
-    (B, A, T, T) array, zero outside each row's w x w block.
+    Row b runs at width w_b (``_attention_groups``), the rows of one width as
+    one group. Each group runs the padded core's expressions on
+    (G, A, w, d) heads: ``s = (q * (1 / √d)) @ kᵀ; s += M[rows, :w]``,
+    softmax, probability dropout and ``p @ v``; the backward keeps the padded
+    core's GEMMs and scales ``dq`` by the same 1 / √d. Probability dropout
+    masks each group's (G, A, w, w) probabilities as ``dropout`` masks an
+    array: ``keep = rng.random((G, A, w, w)) >= rate``, drawn one group after
+    another in the order of ``_attention_groups``. When ``sink`` is a list,
+    the probabilities before dropout are appended as one (B, A, T, T) array,
+    zero outside each row's w x w block.
     """
     n, hidden = q.shape
-    if k.shape != q.shape or v.shape != q.shape or hidden % heads:
-        raise ValueError(f"attention: q, k, v {q.shape}, {k.shape}, {v.shape} do not split into {heads} heads")
+    if k.shape != q.shape or v.shape != q.shape or hidden % heads or n != np.count_nonzero(attention_mask):
+        raise ValueError(
+            f"attention: q, k, v {q.shape}, {k.shape}, {v.shape} are not the mask's rows in {heads} heads")
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"attention: rate must be in [0, 1), got {rate}")
     dropping = train and rate > 0.0
     if dropping and rng is None:
         raise ValueError("attention: training mode needs a random generator")
-    batch, seq_len = mask_add.shape[0], mask_add.shape[-1]
+    batch, seq_len = attention_mask.shape
     head_dim = hidden // heads
+    scale_q = 1.0 / math.sqrt(head_dim)
     factor = 1.0 / (1.0 - rate)
+    groups = _attention_groups(attention_mask)
     places = [np.nonzero(index >= 0) for _, index in groups]
     sources = [index[place] for (_, index), place in zip(groups, places)]
 
@@ -496,13 +530,14 @@ def attention(
     if sink is not None:
         sink.append(np.zeros((batch, heads, seq_len, seq_len), q.dtype))
 
+    scaled_q = q.data * scale_q
     out = np.empty((n, hidden), q.dtype)
     saved = []
     for group, (batch_rows, index) in enumerate(groups):
         width = index.shape[1]
-        qg, kg, vg = (split(a.data, group) for a in (q, k, v))
+        qg, kg, vg = (split(a, group) for a in (scaled_q, k.data, v.data))
         s = qg @ np.swapaxes(kg, -1, -2)
-        s += mask_add[batch_rows, ..., :width]
+        s += ((index < 0) * -1e9).astype(s.dtype)[:, None, None, :]
         p = _softmax_rows(s, s)
         if sink is not None:
             sink[-1][batch_rows, :, :width, :width] = p
@@ -526,6 +561,7 @@ def attention(
             ds = _softmax_rows_backward(dp, p)
             merge(ds @ kg, group, dq)
             merge(np.swapaxes(np.swapaxes(qg, -1, -2) @ ds, -1, -2), group, dk)
+        dq *= scale_q
         return dq, dk, dv
 
     return _node(out, (q, k, v), backward)

@@ -213,39 +213,6 @@ def count_params(config: BertConfig) -> int:
     return embeddings + config.num_hidden_layers * per_layer + mlm_head
 
 
-# Attention runs each row at its own width: its last attended position + 1,
-# rounded up to a multiple of _WIDTH_STEP and to at least _MIN_WIDTH. At those
-# widths the core gives the padded core's bits on OpenBLAS: numpy's 8-way
-# pairwise sums add trailing zero keys exactly only at multiples of 8, and QKᵀ
-# takes another GEMM path at widths 16 and 32. A sum over more than
-# _PAIRWISE_BLOCK values is split in halves, so a width past the first block
-# of the split of T would sum in another order: such a row runs at T.
-_MIN_WIDTH = 40
-_WIDTH_STEP = 8
-_PAIRWISE_BLOCK = 128
-
-
-def _attention_groups(attention_mask: np.ndarray, rows: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``autodiff.attention``'s groups: for each width, ascending, the batch rows
-    that run at it and the packed row at each of their first w positions (-1 at a pad)."""
-    batch, seq_len = attention_mask.shape
-    first_block = seq_len
-    while first_block > _PAIRWISE_BLOCK:
-        first_block //= 2
-        first_block -= first_block % _WIDTH_STEP
-    ends = seq_len - np.argmax(attention_mask[:, ::-1], axis=1)
-    widths = np.maximum(_MIN_WIDTH, -(-ends // _WIDTH_STEP) * _WIDTH_STEP)
-    widths[widths > first_block] = seq_len
-    index = np.full(batch * seq_len, -1)
-    index[rows] = np.arange(len(rows))
-    index = index.reshape(batch, seq_len)
-    groups = []
-    for width in np.unique(widths):
-        batch_rows = np.flatnonzero(widths == width)
-        groups.append((batch_rows, index[batch_rows, :width]))
-    return groups
-
-
 def forward(
     model: ModelParams,
     input_ids: np.ndarray,
@@ -260,21 +227,16 @@ def forward(
     position 0 (CLS) of every row. The attended positions are gathered once,
     and every token-wise layer (embeddings, projections, FFN, layer norms and
     their dropouts) runs on those N rows only. Each layer's attention core is
-    one ``autodiff.attention`` call that runs row b at width
-    ``w_b = max(40, 8 * ceil(e_b / 8))``, where ``e_b`` is its last attended
-    position + 1, or at T when that exceeds the first block of numpy's
-    pairwise sum over T (T itself when T <= 128, 128 when T is 256), with the
-    rows of one width as one batch. Padded keys receive a large negative
-    additive term before softmax, so their weight is zero from every query.
-    The states are exactly zero at pad positions. Each dropout draws a keep
-    mask for exactly the array it masks (``autodiff.dropout``): the packed
-    (N, H) rows, and in attention each width group's probabilities. K is
-    computed without ``layerN.attn.k.bias``: softmax ignores a bias on every
-    key, so the tensor stays in the format and gets no gradient. When
-    ``attn_sink`` is a list, each layer's attention probabilities are
-    appended as one B x A x T x T array, zero outside each row's w_b x w_b
-    block; a padded query's row is meaningless. Without a sink no such array
-    is built.
+    one ``autodiff.attention`` call on the raw packed Q, K and V and the mask,
+    which scales Q, masks pad keys and runs each row at its own width. The
+    states are exactly zero at pad positions. Each dropout draws a keep mask
+    for exactly the array it masks (``autodiff.dropout``): the packed (N, H)
+    rows, and in attention each width group's probabilities. K is computed
+    without ``layerN.attn.k.bias``: softmax ignores a bias on every key, so
+    the tensor stays in the format and gets no gradient. When ``attn_sink``
+    is a list, each layer's attention probabilities are appended as one
+    B x A x T x T array (see ``autodiff.attention``); a padded query's row is
+    meaningless. Without a sink no such array is built.
     """
     config = model.config
     input_ids = np.asarray(input_ids)
@@ -309,13 +271,6 @@ def forward(
     x = ad.layer_norm(x, model["embeddings.norm.gain"], model["embeddings.norm.bias"])
     x = ad.dropout(x, rate, dropout_rng, train)
 
-    heads = config.num_attention_heads
-    head_dim = hidden_size // heads
-    neg = np.asarray(
-        (1.0 - attention_mask)[:, None, None, :] * -1e9, dtype=x.dtype
-    )
-    groups = _attention_groups(attention_mask, rows)
-
     for layer in range(config.num_hidden_layers):
         prefix = f"layer{layer}"
 
@@ -324,10 +279,10 @@ def forward(
             b = model[f"{prefix}.attn.{name}.bias"]
             return ad.matmul(inp, w, b)
 
-        q = ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim))
         # no K bias: it shifts all of a query's scores by q·b, which softmax ignores
         k = ad.matmul(x, model[f"{prefix}.attn.k.weight"])
-        ctx = ad.attention(q, k, proj("v", x), heads, groups, neg, rate, dropout_rng, train, attn_sink)
+        ctx = ad.attention(proj("q", x), k, proj("v", x), config.num_attention_heads, attention_mask,
+                           rate, dropout_rng, train, attn_sink)
         attn_out = ad.matmul(
             ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"]
         )
@@ -541,7 +496,7 @@ def pretrain(
     """
     if not corpus:
         raise ValueError("cannot pretrain on an empty corpus")
-    if lr <= 0:
+    if not 0 < lr < math.inf:
         raise ValueError(f"pretrain.learning_rate must be > 0, got {lr}")
     if log_every < 1:
         raise ValueError(f"pretrain.log_every must be >= 1, got {log_every}")

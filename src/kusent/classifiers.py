@@ -53,6 +53,8 @@ LABEL_ORDERS = {
     2: [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE],
     3: [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL],
 }
+# Rows per eval-mode encoder forward: its (rows, T, H) padded states stay one chunk's size
+EVAL_ROWS = 32
 
 
 @dataclass(frozen=True)
@@ -69,7 +71,7 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
-        if self.learning_rate <= 0:
+        if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.num_classes not in (2, 3):
             raise ValueError(f"num_classes must be 2 or 3, got {self.num_classes}")
@@ -264,7 +266,7 @@ def _label_indices(dataset, labels):
     return np.array([index[ex.label] for ex in dataset], dtype=np.int64)
 
 
-def _frozen_features(encoder, ids, masks, kind, batch_size=32):
+def _frozen_features(encoder, ids, masks, kind):
     """What a frozen ``kind`` head reads of the eval-mode encoder, computed without a graph.
 
     mlp: the (rows, H) CLS states. bilstm: the (attended positions, H) token
@@ -277,8 +279,8 @@ def _frozen_features(encoder, ids, masks, kind, batch_size=32):
     features = np.empty((rows, encoder.config.hidden_size), encoder.params[0].data.dtype)
     filled = 0
     with ad.no_grad():
-        for start in range(0, len(ids), batch_size):
-            chunk = slice(start, start + batch_size)
+        for start in range(0, len(ids), EVAL_ROWS):
+            chunk = slice(start, start + EVAL_ROWS)
             # the array the head reads, only: what is bound here lives through the next forward
             if kind == "mlp":
                 part = forward(encoder, ids[chunk], masks[chunk])[1].data
@@ -365,11 +367,14 @@ def train_mlp(
 
 
 def predict_encoded(model: SentimentModel, ids: np.ndarray, masks: np.ndarray) -> np.ndarray:
-    """Class probabilities for a pre-encoded batch, eval mode, without a graph."""
+    """Class probabilities for pre-encoded rows, eval mode, without a graph, EVAL_ROWS rows a forward."""
+    probs = []
     with ad.no_grad():
-        seq, cls_state = forward(model.encoder, ids, masks)
-        logits = head_logits(model, seq, cls_state, masks, train=False)
-        return ad.softmax(logits).data
+        for start in range(0, len(ids), EVAL_ROWS):
+            chunk = slice(start, start + EVAL_ROWS)
+            seq, cls_state = forward(model.encoder, ids[chunk], masks[chunk])
+            probs.append(ad.softmax(head_logits(model, seq, cls_state, masks[chunk])).data)
+    return np.concatenate(probs)
 
 
 def predict(

@@ -238,11 +238,7 @@ def cmd_train(args) -> int:
 
 def _batch_predict(model, vocab, dataset):
     ids, masks = encode_batch([ex.text for ex in dataset], vocab, model.train_config.max_len)
-    preds = []
-    for start in range(0, len(ids), 32):
-        probs = predict_encoded(model, ids[start : start + 32], masks[start : start + 32])
-        preds.extend(model.labels[int(i)] for i in np.argmax(probs, axis=1))
-    return preds
+    return [model.labels[int(i)] for i in np.argmax(predict_encoded(model, ids, masks), axis=1)]
 
 
 def cmd_evaluate(args) -> int:

@@ -155,6 +155,14 @@ def normalize_stream(
             yield out
 
 
+def _char(hex_text: str) -> str:
+    """The character at a hex code point; a ValueError outside 0..10FFFF."""
+    code = int(hex_text, 16)
+    if not 0 <= code <= 0x10FFFF:
+        raise ValueError(f"code point {hex_text} is outside 0..10FFFF")
+    return chr(code)
+
+
 def load_rules(path: str) -> NormalizationRules:
     """Parse a rules file: `map <hex> <hex...>`, `strip <hex>`, `digits ascii|arabic|keep`.
 
@@ -175,13 +183,11 @@ def load_rules(path: str) -> NormalizationRules:
                 if directive == "map":
                     if len(parts) < 3:
                         raise ValueError("map needs a source and at least one target")
-                    src = chr(int(parts[1], 16))
-                    repl = "".join(chr(int(p, 16)) for p in parts[2:])
-                    char_map[src] = repl
+                    char_map[_char(parts[1])] = "".join(_char(p) for p in parts[2:])
                 elif directive == "strip":
                     if len(parts) != 2:
                         raise ValueError("strip needs exactly one code point")
-                    strip_set.add(chr(int(parts[1], 16)))
+                    strip_set.add(_char(parts[1]))
                 elif directive == "digits":
                     if len(parts) != 2 or parts[1] not in DIGIT_POLICIES:
                         raise ValueError(f"digits needs one of {DIGIT_POLICIES}")

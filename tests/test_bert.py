@@ -70,7 +70,7 @@ def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=No
     factor = 1.0 / (1.0 - rate)
     dropping = train and rate > 0.0
     attended = np.asarray(attention_mask).reshape(-1) == 1
-    groups = bert._attention_groups(attention_mask, np.flatnonzero(attended))
+    groups = ad._attention_groups(attention_mask)
     widths = {b: index.shape[1] for batch_rows, index in groups for b in batch_rows}
 
     def drop(x):
@@ -429,7 +429,7 @@ class TestWidthGroups:
     def test_groups(self, lengths, want):
         ids, mask = self._batch(tiny_config(max_position=200), lengths)
         rows = np.flatnonzero(mask)
-        groups = bert._attention_groups(mask, rows)
+        groups = ad._attention_groups(mask)
         # in ascending width: attention draws its dropout masks in this order
         assert [(index.shape[1], list(batch_rows)) for batch_rows, index in groups] == list(want.items())
         packed = np.full(mask.shape, -1)
@@ -448,7 +448,7 @@ class TestWidthGroups:
         np.testing.assert_array_equal(got.data[attended], want.data[attended])
         assert not got.data[~attended].any()
         np.testing.assert_array_equal(got_cls.data, want_cls.data)
-        widths = {b: index.shape[1] for batch_rows, index in bert._attention_groups(mask, np.flatnonzero(mask))
+        widths = {b: index.shape[1] for batch_rows, index in ad._attention_groups(mask)
                   for b in batch_rows}
         for got_probs, want_probs in zip(got_sink, want_sink, strict=True):
             np.testing.assert_array_equal(got_probs.transpose(0, 2, 1, 3)[attended],
@@ -495,15 +495,13 @@ class TestWidthGroups:
         lengths = [50, 3, 41, 7, 30]
         ids, mask = self._batch(tiny_config(max_position=50), lengths)
         rows = np.flatnonzero(mask)
-        groups = bert._attention_groups(mask, rows)
-        assert [index.shape[1] for _, index in groups] == [40, 48, 50]
-        neg = (1.0 - mask)[:, None, None, :] * -1e9
+        assert [index.shape[1] for _, index in ad._attention_groups(mask)] == [40, 48, 50]
         rng = np.random.default_rng(37)
         q, k, v = (Parameter(name, rng.normal(size=(len(rows), 8))) for name in "qkv")
         weights = Tensor(rng.normal(size=(len(rows), 8)))
 
         def loss_fn():
-            out = ad.attention(q, k, v, 2, groups, neg, 0.3, np.random.default_rng(38), True)
+            out = ad.attention(q, k, v, 2, mask, 0.3, np.random.default_rng(38), True)
             return ad.reduce_sum(ad.mul(out, weights))
 
         report = grad_check(loss_fn, [q, k, v], tolerance=1e-4, max_elements_per_param=12)

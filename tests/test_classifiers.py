@@ -363,6 +363,9 @@ class TestTrainingContracts:
     @pytest.mark.parametrize("field, value, message", [
         ("batch_size", 0, "batch_size must be >= 1, got 0"),
         ("learning_rate", -1.0, "learning_rate must be > 0, got -1.0"),
+        ("learning_rate", float("nan"), "learning_rate must be > 0, got nan"),
+        ("learning_rate", float("inf"), "learning_rate must be > 0, got inf"),
+        ("learning_rate", -float("inf"), "learning_rate must be > 0, got -inf"),
     ])
     def test_train_config_range_checked(self, field, value, message):
         with pytest.raises(ValueError, match=message):
@@ -538,6 +541,26 @@ class TestGraphFreeEvaluation:
         made.clear()
         forward(model.encoder, ids, masks)  # outside evaluation, ops record again
         assert all(made)
+
+    @pytest.mark.parametrize("kind, head_meta", [
+        ("finetune", {}), ("bilstm", {"lstm_hidden": 4, "num_layers": 1}), ("mlp", {"hidden_sizes": [8]}),
+    ])
+    def test_predict_encoded_runs_the_encoder_in_chunks(self, monkeypatch, kind, head_meta):
+        model = init_model(kind, tiny_encoder(seed=15), TrainConfig(epochs=1, max_len=12), head_meta)
+        texts = [ex.text for ex in ragged_dataset(12)]
+        ids, masks = encode_batch((texts * 2)[:70], synthetic_vocab(), 12)
+        want = np.concatenate([predict_encoded(model, ids[s : s + 32], masks[s : s + 32])
+                               for s in range(0, 70, 32)])
+        sizes = []
+
+        def counted_forward(encoder, chunk_ids, *args, **kwargs):
+            sizes.append(len(chunk_ids))
+            return forward(encoder, chunk_ids, *args, **kwargs)
+
+        monkeypatch.setattr(classifiers, "forward", counted_forward)
+        got = predict_encoded(model, ids, masks)
+        assert sizes == [32, 32, 6]
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
     @pytest.mark.parametrize("kind", ["bilstm", "mlp"])
     def test_frozen_features_record_no_graph(self, monkeypatch, kind):

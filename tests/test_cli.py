@@ -134,6 +134,24 @@ class TestErrors:
         assert rc == 1
         assert "tokenzier" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("line", [
+        "map FFFFFFFFFFFFFFFFFFFF 0041",  # past C int range: chr() raises OverflowError
+        "map 0041 005A 110000",
+        "strip -1",
+    ])
+    def test_code_point_out_of_range_is_one_error_line(self, tmp_path, capsys, line):
+        src = tmp_path / "raw.txt"
+        src.write_text("AxB\n", encoding="utf-8")
+        rules = tmp_path / "my.rules"
+        rules.write_text(f"digits keep\n{line}\n")
+        out = tmp_path / "norm.txt"
+        rc = main(["normalize", "--in", str(src), "--out", str(out), "--rules", str(rules)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {rules}:2: code point ") and err.count("\n") == 1
+        assert "outside 0..10FFFF" in err
+        assert not out.exists()
+
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         rc = main(["corpus-stats", "--in", str(tmp_path / "nope.tsv")])
         assert rc == 1
@@ -467,6 +485,31 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert name in err
         assert path.name in err or key in err
+
+    @pytest.mark.parametrize("argv, key, value", [
+        (["pretrain"], "pretrain", float("nan")),
+        (["pretrain", "--lr", "inf"], "pretrain", None),
+        (["train", "--task", "mlp"], "train", float("inf")),
+        (["train", "--task", "mlp"], "train", float("nan")),
+        (["train", "--task", "bilstm"], "train", -float("inf")),
+    ], ids=["pretrain-config-nan", "pretrain-flag-inf", "mlp-inf", "mlp-nan", "bilstm-minus-inf"])
+    def test_non_finite_learning_rate_writes_nothing(self, pipeline, tmp_path, capsys, argv, key, value):
+        raw = json.loads(pipeline["cfg"].read_text())
+        if value is not None:
+            raw[key]["learning_rate"] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))  # NaN and Infinity as JSON spells them
+        out = tmp_path / "out"
+        paths = {
+            "pretrain": ["--corpus", str(pipeline["root"] / "corpus.txt")],
+            "train": ["--encoder", str(pipeline["encoder"]), "--data", str(pipeline["labeled"])],
+        }[argv[0]]
+        capsys.readouterr()
+        rc = main(argv + ["--config", str(tmp_path / "cfg.json"), "--vocab", str(pipeline["vocab"]),
+                          "--out", str(out)] + paths)
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1 and "learning_rate must be > 0" in err
+        assert not out.exists()
 
     def test_seed_flag_beats_train_seed(self, pipeline, tmp_path):
         raw = json.loads(pipeline["cfg"].read_text())

@@ -8,7 +8,6 @@ import pytest
 
 from kusent import autodiff as ad
 from kusent.autodiff import Parameter, Tensor, backward
-from kusent.bert import _attention_groups
 from kusent.gradcheck import grad_check
 from kusent.optim import AdamState, adam_step
 
@@ -265,14 +264,13 @@ class TestFusedAndBlockedOps:
         # rows of widths 40, 48, 40 and 56: three groups, the first of rows 0 and 2
         mask = (np.arange(56) < np.array([[33], [45], [2], [56]])).astype(np.int64)
         rows = np.flatnonzero(mask)
-        groups = _attention_groups(mask, rows)
+        groups = ad._attention_groups(mask)
         assert [(list(batch_rows), index.shape[1]) for batch_rows, index in groups] == \
             [([0, 2], 40), ([1], 48), ([3], 56)]
-        neg = (1.0 - mask)[:, None, None, :] * -1e9
         q, k, v = (Parameter(name, rng.normal(size=(len(rows), 4))) for name in "qkv")
         got_rng.sizes.clear()
         sink = []
-        out = ad.attention(q, k, v, 2, groups, neg, rate, got_rng, True, sink)
+        out = ad.attention(q, k, v, 2, mask, rate, got_rng, True, sink)
         probs = sink[0]  # (B, A, T, T), before dropout
         packed = np.full(mask.shape, -1)
         packed.flat[rows] = np.arange(len(rows))
@@ -290,6 +288,12 @@ class TestFusedAndBlockedOps:
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
         assert max(got_rng.sizes) <= max(block_values, 56)
+
+    @pytest.mark.parametrize("mask", [[[1, 1, 1, 0], [1, 0, 0, 0]], [[1, 1, 1, 1], [1, 1, 0, 0]]])
+    def test_attention_rejects_rows_that_are_not_the_masks(self, mask):
+        q = Parameter("q", np.zeros((5, 4)))
+        with pytest.raises(ValueError, match=r"attention: .* are not the mask's rows in 2 heads"):
+            ad.attention(q, q, q, 2, np.array(mask))
 
     def test_cross_entropy_never_reads_ignored_rows(self):
         rng = np.random.default_rng(25)
@@ -316,7 +320,6 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
     mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
     rows = np.flatnonzero(mask)
     q, k, v = p("q", len(rows), 4), p("k", len(rows), 4), p("v", len(rows), 4)
-    neg = ((1.0 - mask)[:, None, None, :] * -1e9).astype(np.float32)
     lstm_weights = [p(f"lstm{i}", *shape) for i, shape in enumerate([(3, 2), (2, 2), (2,)] * 8)]
     cases = {
         "add": lambda: ad.add(a, b),
@@ -335,8 +338,8 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
         "embedding_lookup": lambda: ad.embedding_lookup(a, np.array([2, 0, 2])),
         "gather_rows": lambda: ad.gather_rows(a, np.array([2, 0])),
         "scatter_rows": lambda: ad.scatter_rows(a, np.array([4, 0, 2]), 6),
-        "attention": lambda: ad.attention(q, k, v, 2, _attention_groups(mask, rows), neg),
-        "attention_train": lambda: ad.attention(q, k, v, 2, _attention_groups(mask, rows), neg, 0.4, rng, True),
+        "attention": lambda: ad.attention(q, k, v, 2, mask),
+        "attention_train": lambda: ad.attention(q, k, v, 2, mask, 0.4, rng, True),
         "lstm_layer": lambda: ad.lstm_layer(p("x", 4, 2, 3), lstm_weights, mask, 2),
         "cross_entropy": lambda: ad.cross_entropy(a, np.array([3, -100, 0])),
         "concat": lambda: ad.concat([a, b], axis=1),
