@@ -331,36 +331,15 @@ def softmax(x: Tensor) -> Tensor:
     return _node(s, (x,), lambda g: (_softmax_rows_backward(g, s),))
 
 
-# Attention runs each row at its own width: its last attended position + 1,
-# rounded up to a multiple of _WIDTH_STEP and to at least _MIN_WIDTH. At those
-# widths the core gives the padded core's bits on OpenBLAS: numpy's 8-way
-# pairwise sums add trailing zero keys exactly only at multiples of 8, and QKᵀ
-# takes another GEMM path at widths 16 and 32. A sum over more than
-# _PAIRWISE_BLOCK values is split in halves, so a width past the first block
-# of the split of T would sum in another order: such a row runs at T.
-_MIN_WIDTH = 40
-_WIDTH_STEP = 8
-_PAIRWISE_BLOCK = 128
-
-
 def _attention_groups(attention_mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``attention``'s width plan for a (B, T) mask: for each width w, ascending, the
-    batch rows that run at it and the packed row at each of their first w positions
-    (-1 at a pad)."""
-    seq_len = attention_mask.shape[1]
-    first_block = seq_len
-    while first_block > _PAIRWISE_BLOCK:
-        first_block //= 2
-        first_block -= first_block % _WIDTH_STEP
-    ends = seq_len - np.argmax(attention_mask[:, ::-1], axis=1)
-    widths = np.maximum(_MIN_WIDTH, -(-ends // _WIDTH_STEP) * _WIDTH_STEP)
-    widths[widths > first_block] = seq_len
-    index = np.full(attention_mask.shape, -1)
-    index[attention_mask != 0] = np.arange(np.count_nonzero(attention_mask))
+    """``attention``'s plan for a (B, T) mask: for each attended count L, ascending, the
+    batch rows with L attended positions, ascending, and their (G, L) packed rows."""
+    counts = np.count_nonzero(attention_mask, axis=1)
+    offsets = np.cumsum(counts) - counts
     groups = []
-    for width in np.unique(widths):
-        batch_rows = np.flatnonzero(widths == width)
-        groups.append((batch_rows, index[batch_rows, :width]))
+    for length in np.unique(counts):
+        batch_rows = np.flatnonzero(counts == length)
+        groups.append((batch_rows, offsets[batch_rows, None] + np.arange(length)))
     return groups
 
 
@@ -480,23 +459,23 @@ def attention(
     train: bool = False,
     sink: list | None = None,
 ) -> Tensor:
-    """Multi-head scaled dot-product attention, softmax(q kᵀ / √d + M) v, over packed rows.
+    """Multi-head scaled dot-product attention, softmax(q kᵀ / √d) v, over packed rows.
 
     ``attention_mask`` is the (B, T) 0/1 mask of a padded batch; ``q``, ``k``
     and ``v`` are the (N, H) rows of its N attended positions in C order, and
-    the result is the (N, H) context of the same rows. d is H / ``heads``,
-    and M adds -1e9 to every pad key's score, so its weight is zero.
+    the result is the (N, H) context of the same rows. d is H / ``heads``.
+    Each row's queries attend over that row's attended positions only, so
+    pads take no part and the batch's padded width T changes no bit.
 
-    Row b runs at width w_b (``_attention_groups``), the rows of one width as
-    one group. Each group runs the padded core's expressions on
-    (G, A, w, d) heads: ``s = (q * (1 / √d)) @ kᵀ; s += M[rows, :w]``,
-    softmax, probability dropout and ``p @ v``; the backward keeps the padded
-    core's GEMMs and scales ``dq`` by the same 1 / √d. Probability dropout
-    masks each group's (G, A, w, w) probabilities as ``dropout`` masks an
-    array: ``keep = rng.random((G, A, w, w)) >= rate``, drawn one group after
-    another in the order of ``_attention_groups``. When ``sink`` is a list,
-    the probabilities before dropout are appended as one (B, A, T, T) array,
-    zero outside each row's w x w block.
+    The rows with the same attended count L run as one group
+    (``_attention_groups``), on (G, A, L, d) heads: ``s = (q * (1 / √d)) @ kᵀ``,
+    softmax, probability dropout and ``p @ v``; the backward scales ``dq`` by
+    the same 1 / √d. Probability dropout masks each group's (G, A, L, L)
+    probabilities as ``dropout`` masks an array: ``keep = rng.random((G, A, L,
+    L)) >= rate``, drawn one group after another in the order of
+    ``_attention_groups``. When ``sink`` is a list, the probabilities before
+    dropout are appended as one (B, A, T, T) array: each row's at its attended
+    (query, key) positions, zero at its pad queries and pad keys.
     """
     n, hidden = q.shape
     if k.shape != q.shape or v.shape != q.shape or hidden % heads or n != np.count_nonzero(attention_mask):
@@ -512,55 +491,50 @@ def attention(
     scale_q = 1.0 / math.sqrt(head_dim)
     factor = 1.0 / (1.0 - rate)
     groups = _attention_groups(attention_mask)
-    places = [np.nonzero(index >= 0) for _, index in groups]
-    sources = [index[place] for (_, index), place in zip(groups, places)]
 
-    def split(a: np.ndarray, group: int) -> np.ndarray:
-        # packed (N, H) rows -> (G, A, w, head_dim) heads of the group's zero-padded grid
-        index = groups[group][1]
-        grid = np.zeros(index.shape + (hidden,), a.dtype)
-        grid[places[group]] = a[sources[group]]
-        return grid.reshape(index.shape + (heads, head_dim)).transpose(0, 2, 1, 3)
+    def split(a: np.ndarray, index: np.ndarray) -> np.ndarray:
+        # packed (N, H) rows -> (G, A, L, head_dim) heads of the group's rows
+        return a[index].reshape(index.shape + (heads, head_dim)).transpose(0, 2, 1, 3)
 
-    def merge(heads_out: np.ndarray, group: int, out: np.ndarray) -> None:
-        # (G, A, w, head_dim) -> the group's packed rows of ``out``
-        rows_out = heads_out.transpose(0, 2, 1, 3)[places[group]]
-        out[sources[group]] = rows_out.reshape(len(sources[group]), hidden)
+    def merge(heads_out: np.ndarray, index: np.ndarray, out: np.ndarray) -> None:
+        # (G, A, L, head_dim) -> the group's packed rows of ``out``
+        out[index] = heads_out.transpose(0, 2, 1, 3).reshape(index.shape + (hidden,))
 
     if sink is not None:
         sink.append(np.zeros((batch, heads, seq_len, seq_len), q.dtype))
+        positions = np.nonzero(attention_mask)[1]
 
     scaled_q = q.data * scale_q
     out = np.empty((n, hidden), q.dtype)
     saved = []
-    for group, (batch_rows, index) in enumerate(groups):
-        width = index.shape[1]
-        qg, kg, vg = (split(a, group) for a in (scaled_q, k.data, v.data))
+    for batch_rows, index in groups:
+        qg, kg, vg = (split(a, index) for a in (scaled_q, k.data, v.data))
         s = qg @ np.swapaxes(kg, -1, -2)
-        s += ((index < 0) * -1e9).astype(s.dtype)[:, None, None, :]
         p = _softmax_rows(s, s)
         if sink is not None:
-            sink[-1][batch_rows, :, :width, :width] = p
+            pos = positions[index][:, None]
+            sink[-1][batch_rows[:, None, None, None], np.arange(heads)[:, None, None],
+                     pos[..., None], pos[..., None, :]] = p
         pd, keep = p, None
         if dropping:
             keep = _keep_mask(p.shape, rate, rng)
             pd = np.multiply(p, keep)
             pd *= factor
-        merge(pd @ vg, group, out)
-        saved.append((qg, kg, vg, p, pd, keep))
+        merge(pd @ vg, index, out)
+        saved.append((index, qg, kg, vg, p, pd, keep))
 
     def backward(g):
         dq, dk, dv = (np.empty((n, hidden), g.dtype) for _ in range(3))
-        for group, (qg, kg, vg, p, pd, keep) in enumerate(saved):
-            gctx = split(g, group)
+        for index, qg, kg, vg, p, pd, keep in saved:
+            gctx = split(g, index)
             dp = gctx @ np.swapaxes(vg, -1, -2)
-            merge(np.swapaxes(pd, -1, -2) @ gctx, group, dv)
+            merge(np.swapaxes(pd, -1, -2) @ gctx, index, dv)
             if dropping:
                 dp *= keep
                 dp *= factor
             ds = _softmax_rows_backward(dp, p)
-            merge(ds @ kg, group, dq)
-            merge(np.swapaxes(np.swapaxes(qg, -1, -2) @ ds, -1, -2), group, dk)
+            merge(ds @ kg, index, dq)
+            merge(np.swapaxes(np.swapaxes(qg, -1, -2) @ ds, -1, -2), index, dk)
         dq *= scale_q
         return dq, dk, dv
 

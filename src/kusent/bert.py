@@ -228,15 +228,16 @@ def forward(
     and every token-wise layer (embeddings, projections, FFN, layer norms and
     their dropouts) runs on those N rows only. Each layer's attention core is
     one ``autodiff.attention`` call on the raw packed Q, K and V and the mask,
-    which scales Q, masks pad keys and runs each row at its own width. The
-    states are exactly zero at pad positions. Each dropout draws a keep mask
-    for exactly the array it masks (``autodiff.dropout``): the packed (N, H)
-    rows, and in attention each width group's probabilities. K is computed
-    without ``layerN.attn.k.bias``: softmax ignores a bias on every key, so
-    the tensor stays in the format and gets no gradient. When ``attn_sink``
-    is a list, each layer's attention probabilities are appended as one
-    B x A x T x T array (see ``autodiff.attention``); a padded query's row is
-    meaningless. Without a sink no such array is built.
+    which scales Q and runs each row over its attended positions only, so the
+    batch's padded width changes no bit. The states are exactly zero at pad
+    positions. Each dropout draws a keep mask for exactly the array it masks
+    (``autodiff.dropout``): the packed (N, H) rows, and in attention each
+    group's probabilities. K is computed without ``layerN.attn.k.bias``:
+    softmax ignores a bias on every key, so the tensor stays in the format and
+    gets no gradient. When ``attn_sink`` is a list, each layer's attention
+    probabilities are appended as one B x A x T x T array, zero at pad queries
+    and pad keys (see ``autodiff.attention``). Without a sink no such array is
+    built.
     """
     config = model.config
     input_ids = np.asarray(input_ids)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import enum
 import math
 from dataclasses import dataclass
-from typing import Callable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -112,14 +112,9 @@ def save_labeled(examples: Sequence[LabeledExample], path: str) -> None:
     atomic_write_text(path, "".join(rows))
 
 
-def compute_stats(
-    examples: Sequence[LabeledExample],
-    tokenize: Callable[[str], list[str]] | None = None,
-) -> CorpusStats:
-    """Token-count statistics; whitespace tokenization unless one is supplied."""
-    if tokenize is None:
-        tokenize = str.split
-    lengths = [len(tokenize(ex.text)) for ex in examples]
+def compute_stats(examples: Sequence[LabeledExample]) -> CorpusStats:
+    """Token-count statistics over whitespace-separated tokens."""
+    lengths = [len(ex.text.split()) for ex in examples]
     per_class: dict[str, int] = {}
     for ex in examples:
         per_class[ex.label.value] = per_class.get(ex.label.value, 0) + 1

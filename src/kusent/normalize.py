@@ -61,7 +61,6 @@ class NormalizationRules:
     strip_set: set[str] = field(default_factory=_default_strip_set)
     digit_policy: str = "ascii"
     final_heh_to_ae: bool = False
-    version: int = RULES_VERSION
 
     def __post_init__(self) -> None:
         if self.digit_policy not in DIGIT_POLICIES:
@@ -156,10 +155,12 @@ def normalize_stream(
 
 
 def _char(hex_text: str) -> str:
-    """The character at a hex code point; a ValueError outside 0..10FFFF."""
+    """The character at a hex code point; a ValueError outside 0..10FFFF or at a surrogate."""
     code = int(hex_text, 16)
     if not 0 <= code <= 0x10FFFF:
         raise ValueError(f"code point {hex_text} is outside 0..10FFFF")
+    if 0xD800 <= code <= 0xDFFF:
+        raise ValueError(f"code point {hex_text} is a surrogate")
     return chr(code)
 
 
@@ -202,7 +203,7 @@ def load_rules(path: str) -> NormalizationRules:
 
 
 def save_rules(rules: NormalizationRules, path: str) -> None:
-    lines = [f"# normalization rules, version {rules.version}"]
+    lines = [f"# normalization rules, version {RULES_VERSION}"]
     for src, repl in rules.char_map.items():
         targets = " ".join(f"{ord(c):04X}" for c in repl)
         lines.append(f"map {ord(src):04X} {targets}")

@@ -57,21 +57,23 @@ def batch_of(config, rng, batch=2, seq_len=8, n_pad=2):
 
 def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=None, attn_sink=None,
                    k_bias=False):
-    """The encoder with every layer on the padded (B, T, H) layout: the oracle for
+    """The encoder with every token-wise layer on the padded (B, T, H) layout and
+    attention run row by row over the row's attended positions: the oracle for
     ``forward``'s attended states, CLS, attention probabilities, dropout stream and
     gradients. Each dropout draws its keep mask by ``forward``'s rule, for the packed
-    attended rows or, in attention, for each width group's (G, A, w, w) probabilities
-    in ascending width, scatters it into the padded layout and applies it as
+    attended rows or, in attention, for the (G, A, L, L) probabilities of the rows
+    with L attended positions, in ascending L and rows ascending, and applies it as
     ``(x * keep) * factor``. K has no bias unless ``k_bias``."""
     config = model.config
     batch, seq_len = input_ids.shape
     heads = config.num_attention_heads
+    hidden_size = config.hidden_size
+    head_dim = hidden_size // heads
     rate = config.dropout_rate
     factor = 1.0 / (1.0 - rate)
     dropping = train and rate > 0.0
     attended = np.asarray(attention_mask).reshape(-1) == 1
-    groups = ad._attention_groups(attention_mask)
-    widths = {b: index.shape[1] for batch_rows, index in groups for b in batch_rows}
+    positions = [np.flatnonzero(row) for row in attention_mask]
 
     def drop(x):
         # (B, T, H): the keep mask of the (N, H) attended rows
@@ -81,15 +83,36 @@ def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=No
         keep.reshape(-1, x.shape[-1])[attended] = dropout_rng.random((attended.sum(), x.shape[-1])) >= rate
         return ad.scale(ad.mul(x, Tensor(keep)), factor)
 
-    def drop_probs(probs):
-        # (B, A, T, T): one (G, A, w, w) keep mask per width, ascending, its rows ascending
-        if not dropping:
-            return probs
-        keep = np.zeros(probs.shape, bool)
-        for width in sorted(set(widths.values())):
-            rows = [b for b in range(batch) if widths[b] == width]
-            keep[rows, :, :width, :width] = dropout_rng.random((len(rows), heads, width, width)) >= rate
-        return ad.scale(ad.mul(probs, Tensor(keep)), factor)
+    def probs_keep():
+        # each row's (A, L, L) keep mask: one (G, A, L, L) draw per count L, ascending
+        counts = [len(pos) for pos in positions]
+        keep = {}
+        for length in sorted(set(counts)):
+            rows = [b for b in range(batch) if counts[b] == length]
+            keep.update(zip(rows, dropout_rng.random((len(rows), heads, length, length)) >= rate))
+        return keep
+
+    def attend(q, k, v):
+        # (B*T, H) padded rows of Q, K and V -> (B, T, H) context, zero at pads
+        keep = probs_keep() if dropping else None
+        if attn_sink is not None:
+            attn_sink.append(np.zeros((batch, heads, seq_len, seq_len), q.dtype))
+        ctx = []
+        for b, pos in enumerate(positions):
+            def row_heads(a):
+                rows = ad.reshape(ad.gather_rows(a, b * seq_len + pos), (len(pos), heads, head_dim))
+                return ad.transpose(rows, (1, 0, 2))
+
+            qb, kb, vb = row_heads(q), row_heads(k), row_heads(v)
+            probs = ad.softmax(ad.matmul(qb, ad.transpose(kb, (0, 2, 1))))
+            if attn_sink is not None:
+                attn_sink[-1][b][:, pos[:, None], pos] = probs.data
+            if dropping:
+                probs = ad.scale(ad.mul(probs, Tensor(keep[b])), factor)
+            out = ad.transpose(ad.matmul(probs, vb), (1, 0, 2))
+            ctx.append(ad.reshape(out, (len(pos), hidden_size)))
+        ctx = ad.scatter_rows(ad.concat(ctx, axis=0), np.flatnonzero(attended), batch * seq_len)
+        return ad.reshape(ctx, (batch, seq_len, hidden_size))
 
     tok = ad.embedding_lookup(model["embeddings.token"], input_ids)
     pos = ad.narrow(model["embeddings.position"], 0, 0, seq_len)
@@ -97,26 +120,16 @@ def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=No
     x = ad.add(ad.add(tok, pos), seg)
     x = ad.layer_norm(x, model["embeddings.norm.gain"], model["embeddings.norm.bias"])
     x = drop(x)
-    head_dim = config.hidden_size // heads
-    mask_add = Tensor(np.asarray((1.0 - attention_mask)[:, None, None, :] * -1e9, dtype=x.dtype))
     for layer in range(config.num_hidden_layers):
         prefix = f"layer{layer}"
 
         def proj(name, inp, bias=True):
             b = model[f"{prefix}.attn.{name}.bias"] if bias else None
             out = ad.matmul(inp, model[f"{prefix}.attn.{name}.weight"], b)
-            out = ad.reshape(out, (batch, seq_len, heads, head_dim))
-            return ad.transpose(out, (0, 2, 1, 3))
+            return ad.reshape(out, (batch * seq_len, hidden_size))
 
         q = ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim))
-        k = proj("k", x, bias=k_bias)
-        v = proj("v", x)
-        probs = ad.softmax(ad.matmul(q, ad.transpose(k, (0, 1, 3, 2)), mask_add))
-        if attn_sink is not None:
-            attn_sink.append(probs.data)
-        probs = drop_probs(probs)
-        ctx = ad.matmul(probs, v)
-        ctx = ad.reshape(ad.transpose(ctx, (0, 2, 1, 3)), (batch, seq_len, config.hidden_size))
+        ctx = attend(q, proj("k", x, bias=k_bias), proj("v", x))
         attn_out = ad.matmul(ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"])
         attn_out = drop(attn_out)
         x = ad.layer_norm(ad.add(x, attn_out), model[f"{prefix}.attn.norm.gain"],
@@ -283,9 +296,8 @@ class TestForward:
         ids_padded = np.concatenate([ids, np.full((2, extra), PAD)], axis=1)
         mask_padded = np.concatenate([mask, np.zeros((2, extra), dtype=np.int64)], axis=1)
         seq_padded, _ = forward(model, ids_padded, mask_padded)
-        np.testing.assert_allclose(
-            seq_padded.data[:, :8, :], seq_short.data, atol=1e-5, rtol=0
-        )
+        np.testing.assert_array_equal(seq_padded.data[:, :8, :], seq_short.data)
+        assert not seq_padded.data[:, 8:, :].any()
 
     def test_attention_rows_normalized_and_pad_keys_zeroed(self):
         cfg = tiny_config()
@@ -296,8 +308,8 @@ class TestForward:
         forward(model, ids, mask, attn_sink=sink)
         assert len(sink) == cfg.num_hidden_layers
         for probs in sink:
-            # B x A x T x T; a query row past its row's attention width is zero,
-            # so the rows of attended queries are the ones that sum to 1
+            # B x A x T x T; a pad query's row is zero, so the rows of attended
+            # queries are the ones that sum to 1
             attended_rows = probs.transpose(0, 2, 1, 3)[mask == 1]
             np.testing.assert_allclose(
                 attended_rows.sum(axis=-1), np.ones(attended_rows.shape[:-1]), atol=1e-6
@@ -408,12 +420,13 @@ class TestPackedForward:
 
 
 class TestWidthGroups:
-    """The attention core runs each row at its own width, one ``autodiff.attention`` call
-    per layer; the padded oracle gives the same bits, generator state and gradients."""
+    """The attention core runs each row over its attended positions only, the rows of one
+    attended count as one group, in one ``autodiff.attention`` call per layer; the oracle's
+    per-row attention gives the same bits, generator state and gradients."""
 
     T96 = [96, 5, 41, 47, 60, 33, 88, 90, 17]
-    T30 = [30, 4, 17, 29, 9]  # every row runs at T: one group
-    T200 = [200, 5, 97, 100, 130, 17, 96]  # rows past 96, numpy's first pairwise block, run at T
+    T30 = [30, 4, 17, 29, 9]
+    T200 = [200, 5, 97, 100, 130, 17, 96]  # rows 2 and 3 both attend 97 positions
 
     @staticmethod
     def _batch(cfg, lengths, seed=31):
@@ -422,20 +435,20 @@ class TestWidthGroups:
         return ids, mask
 
     @pytest.mark.parametrize("lengths, want", [
-        (T96, {40: [1, 5, 8], 48: [2, 3], 64: [4], 88: [6], 96: [0, 7]}),
-        (T30, {30: [0, 1, 2, 3, 4]}),
-        (T200, {40: [1, 5], 96: [6], 200: [0, 2, 3, 4]}),
+        (T96, {5: [1], 17: [8], 33: [5], 41: [2], 44: [3], 60: [4], 88: [6], 90: [7], 96: [0]}),
+        (T30, {4: [1], 9: [4], 17: [2], 26: [3], 30: [0]}),
+        (T200, {5: [1], 17: [5], 96: [6], 97: [2, 3], 130: [4], 200: [0]}),
     ], ids=["T96", "T30", "T200"])
     def test_groups(self, lengths, want):
         ids, mask = self._batch(tiny_config(max_position=200), lengths)
-        rows = np.flatnonzero(mask)
         groups = ad._attention_groups(mask)
-        # in ascending width: attention draws its dropout masks in this order
+        # in ascending attended count: attention draws its dropout masks in this order
         assert [(index.shape[1], list(batch_rows)) for batch_rows, index in groups] == list(want.items())
         packed = np.full(mask.shape, -1)
-        packed.flat[rows] = np.arange(len(rows))
+        packed.flat[np.flatnonzero(mask)] = np.arange(np.count_nonzero(mask))
         for batch_rows, index in groups:
-            np.testing.assert_array_equal(index, packed[batch_rows, : index.shape[1]])
+            for b, row_index in zip(batch_rows, index, strict=True):
+                np.testing.assert_array_equal(row_index, packed[b][mask[b] == 1])
 
     def _check_bits(self, cfg, lengths, train, make_rng):
         model = build_model(cfg, seed=30)
@@ -448,13 +461,11 @@ class TestWidthGroups:
         np.testing.assert_array_equal(got.data[attended], want.data[attended])
         assert not got.data[~attended].any()
         np.testing.assert_array_equal(got_cls.data, want_cls.data)
-        widths = {b: index.shape[1] for batch_rows, index in ad._attention_groups(mask)
-                  for b in batch_rows}
         for got_probs, want_probs in zip(got_sink, want_sink, strict=True):
             np.testing.assert_array_equal(got_probs.transpose(0, 2, 1, 3)[attended],
                                           want_probs.transpose(0, 2, 1, 3)[attended])
-            for b, width in widths.items():  # zero outside the row's width x width block
-                assert not got_probs[b, :, width:].any() and not got_probs[b, :, :, width:].any()
+            for b, pad in enumerate(~attended):  # zero at the row's pad queries and pad keys
+                assert not got_probs[b][:, pad].any() and not got_probs[b][:, :, pad].any()
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
     @pytest.mark.parametrize("train", [False, True])
@@ -495,7 +506,7 @@ class TestWidthGroups:
         lengths = [50, 3, 41, 7, 30]
         ids, mask = self._batch(tiny_config(max_position=50), lengths)
         rows = np.flatnonzero(mask)
-        assert [index.shape[1] for _, index in ad._attention_groups(mask)] == [40, 48, 50]
+        assert [index.shape[1] for _, index in ad._attention_groups(mask)] == [3, 7, 30, 41, 50]
         rng = np.random.default_rng(37)
         q, k, v = (Parameter(name, rng.normal(size=(len(rows), 8))) for name in "qkv")
         weights = Tensor(rng.normal(size=(len(rows), 8)))
@@ -506,6 +517,25 @@ class TestWidthGroups:
 
         report = grad_check(loss_fn, [q, k, v], tolerance=1e-4, max_elements_per_param=12)
         assert report.passed, str(report)
+
+    def test_padded_width_changes_no_bit(self):
+        # one ragged batch padded to its longest row, to 200 and to 256 positions
+        cfg = tiny_config(max_position=256, dropout_rate=0.2)
+        model = build_model(cfg, seed=39)
+        lengths = [150, 5, 97, 97, 130, 17]
+        ids, mask = ragged_batch(cfg, np.random.default_rng(40), lengths)
+        runs = []
+        for seq_len in (max(lengths), 200, 256):
+            pad = ((0, 0), (0, seq_len - ids.shape[1]))
+            padded_ids, padded_mask = np.pad(ids, pad, constant_values=PAD), np.pad(mask, pad)
+            rng = np.random.default_rng(41)
+            states, cls_state = forward(model, padded_ids, padded_mask, True, rng)
+            runs.append((states.data[padded_mask == 1], cls_state.data, rng.bit_generator.state))
+        (want_states, want_cls, want_rng), *others = runs
+        for states, cls_state, rng_state in others:
+            np.testing.assert_array_equal(states, want_states)
+            np.testing.assert_array_equal(cls_state, want_cls)
+            assert rng_state == want_rng
 
 
 class TestKeyBias:

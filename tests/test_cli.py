@@ -152,6 +152,20 @@ class TestErrors:
         assert "outside 0..10FFFF" in err
         assert not out.exists()
 
+    @pytest.mark.parametrize("line", ["map D800 0041", "map 0041 D800", "strip DFFF"])
+    def test_surrogate_code_point_is_one_error_line(self, tmp_path, capsys, line):
+        src = tmp_path / "raw.txt"
+        src.write_text("AxB\n", encoding="utf-8")
+        rules = tmp_path / "my.rules"
+        rules.write_text(f"digits keep\n{line}\n")
+        out = tmp_path / "norm.txt"
+        rc = main(["normalize", "--in", str(src), "--out", str(out), "--rules", str(rules)])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err.startswith(f"error: {rules}:2: code point ") and err.count("\n") == 1
+        assert err.count("error:") == 1 and "is a surrogate" in err
+        assert not out.exists()
+
     def test_missing_file_exits_nonzero(self, tmp_path, capsys):
         rc = main(["corpus-stats", "--in", str(tmp_path / "nope.tsv")])
         assert rc == 1

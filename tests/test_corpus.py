@@ -112,11 +112,6 @@ class TestComputeStats:
         )
         assert compute_stats(examples).total_tokens == whole_file_tokens
 
-    def test_custom_tokenizer(self):
-        examples = [make_example("abc", SentimentLabel.POSITIVE)]
-        stats = compute_stats(examples, tokenize=list)
-        assert stats.total_tokens == 3
-
     @pytest.mark.skipif(
         "KUSENT_LABELED_TSV" not in os.environ,
         reason="set KUSENT_LABELED_TSV to the 14,881-row labeled file to enable",

@@ -246,7 +246,7 @@ class TestFusedAndBlockedOps:
     @pytest.mark.parametrize("block_values", [ad._BLOCK_VALUES, 12])
     def test_keep_mask_is_one_draw_over_the_masked_array(self, monkeypatch, bits, block_values):
         # dropout's keep mask is rng.random(x.shape) >= rate; attention's is
-        # rng.random((G, A, w, w)) >= rate for each group in turn, on its probabilities.
+        # rng.random((G, A, L, L)) >= rate for each group in turn, on its probabilities.
         # The draws come in blocks of at most _BLOCK_VALUES values or one row.
         monkeypatch.setattr(ad, "_BLOCK_VALUES", block_values)
         rate, factor = 0.3, 1.0 / 0.7
@@ -261,12 +261,14 @@ class TestFusedAndBlockedOps:
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
         assert max(got_rng.sizes) <= max(block_values, 4)
 
-        # rows of widths 40, 48, 40 and 56: three groups, the first of rows 0 and 2
-        mask = (np.arange(56) < np.array([[33], [45], [2], [56]])).astype(np.int64)
+        # attended counts 33, 45, 33 (two holes in a row of 35) and 56: three groups, the
+        # first of rows 0 and 2
+        mask = (np.arange(56) < np.array([[33], [45], [35], [56]])).astype(np.int64)
+        mask[2, [3, 17]] = 0
         rows = np.flatnonzero(mask)
         groups = ad._attention_groups(mask)
         assert [(list(batch_rows), index.shape[1]) for batch_rows, index in groups] == \
-            [([0, 2], 40), ([1], 48), ([3], 56)]
+            [([0, 2], 33), ([1], 45), ([3], 56)]
         q, k, v = (Parameter(name, rng.normal(size=(len(rows), 4))) for name in "qkv")
         got_rng.sizes.clear()
         sink = []
@@ -276,13 +278,14 @@ class TestFusedAndBlockedOps:
         packed.flat[rows] = np.arange(len(rows))
         want = np.zeros((len(rows), 4))
         for batch_rows, index in groups:
-            width = index.shape[1]
-            keep = want_rng.random((len(batch_rows), 2, width, width)) >= rate
+            length = index.shape[1]
+            keep = want_rng.random((len(batch_rows), 2, length, length)) >= rate
             for j, b in enumerate(batch_rows):
-                attended = packed[b, :width] >= 0
-                src = packed[b, :width][attended]
-                p = probs[b, :, :width, :width][:, attended][:, :, attended]
-                dropped = (p * keep[j][:, attended][:, :, attended]) * factor
+                pos = np.flatnonzero(mask[b])
+                src = packed[b, pos]
+                pad = mask[b] == 0
+                assert not probs[b][:, pad].any() and not probs[b][:, :, pad].any()
+                dropped = (probs[b][:, pos[:, None], pos] * keep[j]) * factor
                 heads = v.data[src].reshape(-1, 2, 2).transpose(1, 0, 2)
                 want[src] = (dropped @ heads).transpose(1, 0, 2).reshape(-1, 4)
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-15)
