@@ -14,6 +14,7 @@ import itertools
 import logging
 import math
 import os
+import weakref
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,8 +22,8 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, backward, truncated_normal
 from .checkpoint import (
-    atomic_write_json, check_fields, check_tensors, field_types, from_dict, read_blob, read_json,
-    write_blob,
+    FileIdentity, atomic_write_json, check_fields, check_tensors, field_types, from_dict, link_blob,
+    read_blob, read_json, write_blob, write_manifest,
 )
 from .optim import AdamState, adam_step
 # ``encode`` is unused here, but the traced benchmark patches ``bert.encode`` by name
@@ -161,12 +162,24 @@ def expected_shapes(config: BertConfig) -> dict[str, tuple[int, ...]]:
     return shapes
 
 
-class ModelParams:
-    """Named parameter tensors of one encoder, in fixed allocation order."""
+@dataclass(frozen=True)
+class ParamsSource:
+    """The ``params.bin`` a model was loaded from: its absolute path, the identity of the file
+    read, and weak references to the arrays read from it, one per parameter in order."""
 
-    def __init__(self, config: BertConfig, params: list[Parameter]):
+    path: str
+    identity: FileIdentity
+    arrays: tuple[weakref.ref, ...]
+
+
+class ModelParams:
+    """Named parameter tensors of one encoder, in fixed allocation order; ``source`` is set
+    by ``load_checkpoint``."""
+
+    def __init__(self, config: BertConfig, params: list[Parameter], source: ParamsSource | None = None):
         self.config = config
         self.params = params
+        self.source = source
         self.by_name = {p.name: p for p in params}
         if len(self.by_name) != len(params):
             raise ValueError("duplicate parameter names")
@@ -386,13 +399,22 @@ def save_checkpoint(
     optimizer: AdamState | None = None,
     train_state: dict | None = None,
 ) -> None:
+    """Write ``model`` (and training state, if given) as a checkpoint in ``directory``.
+
+    ``params.bin`` becomes a hard link to the file the model was loaded from when
+    every parameter is still its loaded, read-only array and that file is still the
+    one read (``checkpoint.link_blob``), so its bytes are the ones a write would give;
+    otherwise, or if the link fails, it is written. The other files are always written.
+    """
     os.makedirs(directory, exist_ok=True)
     atomic_write_json(os.path.join(directory, "config.json"), model.config.to_dict())
-    write_blob(
-        [(p.name, p.data) for p in model.params],
-        os.path.join(directory, "params.bin"),
-        os.path.join(directory, "manifest.json"),
-    )
+    named = [(p.name, p.data) for p in model.params]
+    params_path = os.path.join(directory, "params.bin")
+    manifest_path = os.path.join(directory, "manifest.json")
+    if _links_source(model, params_path):
+        write_manifest(named, manifest_path)
+    else:
+        write_blob(named, params_path, manifest_path)
     if optimizer is not None:
         arrays = [(f"m.{p.name}", optimizer.m[p.name]) for p in model.params if p.name in optimizer.m]
         arrays += [(f"v.{p.name}", optimizer.v[p.name]) for p in model.params if p.name in optimizer.v]
@@ -407,15 +429,40 @@ def save_checkpoint(
         atomic_write_json(os.path.join(directory, "state.json"), state)
 
 
+def _links_source(model: ModelParams, params_path: str) -> bool:
+    """Whether ``params_path`` now is a hard link to the unchanged file ``model`` was loaded from."""
+    source = model.source
+    if source is None or len(source.arrays) != len(model.params):
+        return False
+    # a parameter no longer its loaded array, or made writeable again, may hold other bytes
+    loaded = zip(source.arrays, model.params)
+    if not all(ref() is p.data and not p.data.flags.writeable for ref, p in loaded):
+        return False
+    return link_blob(source.path, source.identity, params_path)
+
+
 def load_checkpoint(directory: str) -> tuple[ModelParams, BertConfig]:
-    """Load a checkpoint, validating every tensor shape against its config."""
+    """Load a checkpoint, validating every tensor shape against its config.
+
+    Every returned tensor is read-only: a save may share its file's bytes by a hard
+    link, so an in-place write raises, and ``adam_step`` trains a private copy.
+    """
     config_path = os.path.join(directory, "config.json")
     config = BertConfig.from_dict(read_json(config_path), config_path)
     params_path = os.path.join(directory, "params.bin")
-    arrays = read_blob(params_path, os.path.join(directory, "manifest.json"))
+    arrays, identity = read_blob(params_path, os.path.join(directory, "manifest.json"))
     shapes = expected_shapes(config)
     check_tensors(arrays, shapes, params_path)
-    return ModelParams(config, [Parameter(name, arrays[name]) for name in shapes]), config
+    for arr in arrays.values():
+        arr.flags.writeable = False
+    params = [Parameter(name, arrays[name]) for name in shapes]
+    # the file holds the tensors one after another in manifest order; only when that is
+    # parameter order are its bytes the ones save_checkpoint would write
+    source = None
+    if list(arrays) == list(shapes):
+        refs = tuple(weakref.ref(p.data) for p in params)
+        source = ParamsSource(os.path.abspath(params_path), identity, refs)
+    return ModelParams(config, params, source), config
 
 
 def _load_train_state(directory: str, model: ModelParams) -> tuple[AdamState, dict]:
@@ -423,7 +470,7 @@ def _load_train_state(directory: str, model: ModelParams) -> tuple[AdamState, di
     state = check_fields(read_json(path), _TRAIN_STATE, path, _TRAIN_STATE)
     optimizer = AdamState(**check_fields(state["adam"], _ADAM_STATE, f"{path}: adam", _ADAM_STATE))
     optim_path = os.path.join(directory, "optim.bin")
-    arrays = read_blob(optim_path, os.path.join(directory, "optim_manifest.json"))
+    arrays, _ = read_blob(optim_path, os.path.join(directory, "optim_manifest.json"))
     # Adam's moments exist for every parameter once a step ran, for none before
     trained = model.params if optimizer.step_count else []
     moments = {f"{m}.{p.name}": p.data.shape for m in ("m", "v") for p in trained}
@@ -459,6 +506,15 @@ def finite_loss(loss: Tensor, epoch: int, step: int) -> float:
     if not math.isfinite(value):
         raise ValueError(f"non-finite training loss {value} at epoch {epoch}, step {step}")
     return value
+
+
+def check_grad_norm(params: list[Parameter], epoch: int, step: int) -> None:
+    """Stop training with a ValueError when the global norm of the gradients of ``params`` is
+    NaN or infinite, before Adam writes it into the parameters. Each tensor's squared norm is
+    one float32 dot product, so a gradient whose squared norm overflows float32 stops it too
+    (Adam's ``g * g`` would overflow there as well)."""
+    if not math.isfinite(sum(float(np.dot(g, g)) for g in (p.grad.ravel() for p in params))):
+        raise ValueError(f"non-finite gradient norm at epoch {epoch}, step {step}")
 
 
 @dataclass
@@ -536,6 +592,10 @@ def pretrain(
                 f"checkpoint {name}={getattr(resumable, name)} does not match requested "
                 f"{getattr(config, name)}; only epochs and iterations may change on resume"
             )
+        # private copies of the read-only loaded tensors, taken before the moments load so that
+        # the loaded buffer is freed by then and the resume's peak memory does not grow
+        resumed = [lp.data.copy() for lp in loaded.params]
+        del loaded
         optimizer, state = _load_train_state(checkpoint_dir, model)
         if state["seed"] != seed:
             raise ValueError(
@@ -558,8 +618,8 @@ def pretrain(
                 "bit-reproducible only at a fixed thread count",
                 state_path, state["threads"], thread_settings(),
             )
-        for p, lp in zip(model.params, loaded.params):
-            p.data = lp.data
+        for p, data in zip(model.params, resumed):
+            p.data = data
         logger.info("resuming at epoch %d, step %d", state["next_epoch"], global_step)
     # the step to stop at; a resume already past it trains nothing
     cap = math.inf if config.iterations is None else config.iterations
@@ -583,6 +643,7 @@ def pretrain(
             global_step += 1
             losses.append(finite_loss(loss, epoch, global_step))
             backward(loss)
+            check_grad_norm(model.params, epoch, global_step)
             adam_step(model.params, optimizer)
             if global_step % log_every == 0:
                 logger.info("step %d: mlm loss %.4f", global_step, losses[-1])

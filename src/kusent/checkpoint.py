@@ -2,8 +2,10 @@
 and the one checked reader of every JSON file the package loads.
 
 The manifest lists (name, shape, byte_offset, byte_length) per tensor, in
-blob order. Writes are atomic (temp file in the target directory, then
-rename), so an interrupted run never leaves a partial artifact.
+blob order: the tensors follow one another from byte 0. Writes are atomic
+(temp file in the target directory, then rename), so an interrupted run never
+leaves a partial artifact, and no file is ever written in place: a blob may
+be a hard link to another one (``link_blob``), and stays its bytes.
 """
 
 from __future__ import annotations
@@ -19,6 +21,12 @@ from typing import Sequence
 import numpy as np
 
 _MANIFEST_ENTRY = {"name": str, "shape": list[int], "byte_offset": int, "byte_length": int}
+# (st_dev, st_ino, st_size, st_mtime_ns): which file, and a witness that it was not rewritten
+FileIdentity = tuple[int, int, int, int]
+
+
+def _file_identity(st: os.stat_result) -> FileIdentity:
+    return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
 def atomic_write_bytes(path: str, payload: bytes) -> None:
@@ -109,27 +117,60 @@ def write_blob(
 ) -> None:
     # each tensor is written straight from its own buffer, with no joined copy
     arrays = [np.ascontiguousarray(arr, dtype="<f4") for _, arr in named_arrays]
+    atomic_write_chunks(bin_path, [arr.reshape(-1).view(np.uint8) for arr in arrays])
+    write_manifest(named_arrays, manifest_path)
+
+
+def write_manifest(named_arrays: Sequence[tuple[str, np.ndarray]], manifest_path: str) -> None:
+    """The manifest ``write_blob`` writes beside the blob of ``named_arrays``."""
     manifest: list[dict] = []
     offset = 0
-    for (name, original), arr in zip(named_arrays, arrays):
+    for name, arr in named_arrays:
+        length = 4 * int(np.size(arr))
         manifest.append(
-            {
-                "name": name,
-                "shape": list(np.shape(original)),
-                "byte_offset": offset,
-                "byte_length": arr.nbytes,
-            }
+            {"name": name, "shape": list(np.shape(arr)), "byte_offset": offset, "byte_length": length}
         )
-        offset += arr.nbytes
-    atomic_write_chunks(bin_path, [arr.reshape(-1).view(np.uint8) for arr in arrays])
+        offset += length
     atomic_write_json(manifest_path, manifest)
 
 
-def read_blob(bin_path: str, manifest_path: str) -> dict[str, np.ndarray]:
-    """Load every tensor described by the manifest; rejects truncated blobs."""
+def link_blob(source: str, identity: FileIdentity, bin_path: str) -> bool:
+    """Make ``bin_path`` a hard link to ``source`` if that is still the file ``identity``
+    names; True when ``bin_path`` then is that file, which it may already be (nothing is
+    written then). False, with ``bin_path`` untouched, on any OSError (a link across
+    devices, a filesystem without links, too many links, no permission) or when
+    ``source`` is no longer that file; the caller then writes the bytes itself.
+    """
+    try:
+        if _file_identity(os.lstat(bin_path)) == identity:
+            # renaming a link onto its own file does nothing and would leave the temp name
+            return True
+    except OSError:
+        pass
+    directory, base = os.path.split(os.path.abspath(bin_path))
+    tmp = os.path.join(directory, f".tmp-{os.urandom(8).hex()}{base}")
+    try:
+        os.link(source, tmp)
+        try:
+            # the link is to whatever is at ``source`` now: a rename may have replaced it
+            linked = _file_identity(os.lstat(tmp)) == identity
+            if linked:
+                os.replace(tmp, bin_path)
+        finally:
+            if os.path.lexists(tmp):
+                os.unlink(tmp)
+    except OSError:
+        return False
+    return linked
+
+
+def read_blob(bin_path: str, manifest_path: str) -> tuple[dict[str, np.ndarray], FileIdentity]:
+    """Every tensor the manifest describes, and the identity of the blob file they were read
+    from; rejects a truncated blob and tensors that do not follow one another from byte 0."""
     manifest = read_json(manifest_path)
     with open(bin_path, "rb") as fh:
-        payload = np.empty(os.fstat(fh.fileno()).st_size, dtype=np.uint8)
+        stat = os.fstat(fh.fileno())
+        payload = np.empty(stat.st_size, dtype=np.uint8)
         size = fh.readinto(payload)
     if not isinstance(manifest, list):
         raise ValueError(f"{manifest_path}: expected a list of tensor entries")
@@ -139,6 +180,7 @@ def read_blob(bin_path: str, manifest_path: str) -> dict[str, np.ndarray]:
     if size != expected:
         raise ValueError(f"{bin_path}: expected {expected} bytes per manifest, found {size}")
     out: dict[str, np.ndarray] = {}
+    offset = 0
     for entry in manifest:
         name = entry["name"]
         if name in out:
@@ -152,9 +194,15 @@ def read_blob(bin_path: str, manifest_path: str) -> dict[str, np.ndarray]:
             )
         if start < 0 or start + length > size:
             raise ValueError(f"{manifest_path}: tensor {name!r} lies outside {bin_path}")
+        if start != offset:
+            raise ValueError(
+                f"{manifest_path}: tensor {name!r} starts at byte {start}, not at {offset} "
+                "where the tensor before it ends"
+            )
+        offset += length
         # views of the one buffer the file was read into, not copies
         out[name] = payload[start : start + length].view("<f4").reshape(shape)
-    return out
+    return out, _file_identity(stat)
 
 
 def check_tensors(arrays: dict[str, np.ndarray], shapes: dict[str, tuple[int, ...]], where: str) -> None:

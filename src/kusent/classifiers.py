@@ -7,13 +7,16 @@
   layer.
 - mlp: two ReLU hidden layers over the frozen encoder's CLS state.
 
-Frozen means frozen: bilstm/mlp training never touches encoder tensors, and
-their features are precomputed once per dataset, without a graph, in the
-layout the head reads: mlp keeps the (rows, H) CLS states, bilstm the token
-states of attended positions only, packed row after row, and scatters each
-drawn batch back into the zero-padded (B, T, H) layout at the dataset's
-width. Evaluation (``predict_encoded`` and everything built on it) runs
-under ``autodiff.no_grad`` too; training loops always record a graph.
+Frozen means frozen: bilstm/mlp training never touches encoder tensors (a
+loaded encoder's are read-only, so a write into one raises), their saved
+model hard-links the encoder's unchanged ``params.bin`` instead of writing it
+again (see ``save_sentiment_model``), and their features are precomputed once
+per dataset, without a graph, in the layout the head reads: mlp keeps the
+(rows, H) CLS states, bilstm the token states of attended positions only,
+packed row after row, and scatters each drawn batch back into the
+zero-padded (B, T, H) layout at the dataset's width. Evaluation
+(``predict_encoded`` and everything built on it) runs under
+``autodiff.no_grad`` too; training loops always record a graph.
 """
 
 from __future__ import annotations
@@ -27,6 +30,7 @@ from . import autodiff as ad
 from .autodiff import Parameter, Tensor, backward
 from .bert import (
     ModelParams,
+    check_grad_norm,
     epoch_batches,
     finite_loss,
     forward,
@@ -330,8 +334,10 @@ def _train_head(model, encoder, vocab, dataset, config):
                 seq, cls_state = Tensor(_padded_states(features, offsets, pick, masks[pick])), None
             logits = head_logits(model, seq, cls_state, masks[pick], train=True, rng=drop_rng)
             loss = ad.cross_entropy(logits, targets[pick])
-            model.train_losses.append(finite_loss(loss, epoch, len(model.train_losses) + 1))
+            step = len(model.train_losses) + 1
+            model.train_losses.append(finite_loss(loss, epoch, step))
             backward(loss)
+            check_grad_norm(trainable, epoch, step)
             adam_step(trainable, optimizer)
     return model
 
@@ -392,7 +398,12 @@ def predict(
 
 def save_sentiment_model(model: SentimentModel, directory: str) -> None:
     """Self-contained model directory: embedded encoder checkpoint, head blob,
-    labels.json with the class order."""
+    labels.json with the class order.
+
+    A frozen (bilstm, mlp) head's encoder is still the one ``load_checkpoint``
+    returned, so ``save_checkpoint`` hard-links its source ``params.bin`` when it
+    can; a finetuned encoder is written. The directory's bytes are the same either way.
+    """
     os.makedirs(directory, exist_ok=True)
     save_checkpoint(os.path.join(directory, "encoder"), model.encoder)
     write_blob(
@@ -433,7 +444,7 @@ def load_sentiment_model(directory: str) -> SentimentModel:
         raise ValueError(f"{config_path}: encoder_ref must be 'encoder', got {meta['encoder_ref']!r}")
     encoder, _ = load_checkpoint(os.path.join(directory, "encoder"))
     head_path = os.path.join(directory, "head.bin")
-    arrays = read_blob(head_path, os.path.join(directory, "head_manifest.json"))
+    arrays, _ = read_blob(head_path, os.path.join(directory, "head_manifest.json"))
     shapes = head_shapes(meta["kind"], encoder.config.hidden_size, train_config.num_classes, head_meta)
     check_tensors(arrays, shapes, head_path)
     return SentimentModel(

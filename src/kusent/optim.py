@@ -1,4 +1,4 @@
-"""Adam with bias correction, updating parameters in place."""
+"""Adam with bias correction, updating parameters in place (a read-only tensor is copied once)."""
 
 from __future__ import annotations
 
@@ -26,7 +26,14 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
     Runs in place through ``out=`` buffers, with the gradient array doubling
     as scratch before it is zeroed; every value equals the plain expression
     ``(lr / bc1) * m / (sqrt(v / bc2) + eps)`` bit for bit.
+
+    A read-only ``p.data`` (every tensor ``load_checkpoint`` returns) is first
+    replaced by a private copy, all in one pass before any moment is allocated,
+    so the loaded buffer is freed before the moments take their place.
     """
+    for p in params:
+        if not p.data.flags.writeable:
+            p.data = p.data.copy()
     state.step_count += 1
     bc1 = 1.0 - state.beta1**state.step_count
     bc2 = 1.0 - state.beta2**state.step_count

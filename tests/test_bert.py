@@ -1,5 +1,6 @@
 import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -24,6 +25,7 @@ from kusent.bert import (
     save_checkpoint,
 )
 from kusent.checkpoint import check_fields, read_blob, write_blob
+from kusent.optim import AdamState, adam_step
 from kusent.gradcheck import grad_check
 from kusent.wordpiece import CLS, MASK, PAD, SEP, Vocab, SPECIAL_TOKENS, encode
 
@@ -874,6 +876,29 @@ class TestPretrain:
         with pytest.raises(ValueError, match=r"non-finite training loss nan at epoch 0, step 1"):
             pretrain(model, lines, vocab, cfg, seed=7, checkpoint_dir=str(tmp_path / "ck"))
 
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gradient_stops_naming_epoch_and_step(self, tmp_path, monkeypatch, value):
+        vocab, lines = toy_vocab_corpus(n_lines=12)
+        cfg = tiny_config(vocab_size=len(vocab), epochs=2, batch_size=4)
+        model = build_model(cfg, seed=17)
+        real_backward = bert.backward
+        calls = []
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            calls.append(loss)
+            if len(calls) == 4:  # the first step of epoch 1
+                model["layer1.ffn.w2"].grad[3, 2] = value
+
+        monkeypatch.setattr(bert, "backward", poisoned_backward)
+        ck = tmp_path / "ck"
+        with pytest.raises(ValueError, match=r"^non-finite gradient norm at epoch 1, step 4$"):
+            pretrain(model, lines, vocab, cfg, seed=7, checkpoint_dir=str(ck))
+        # epoch 0's checkpoint is the last one, and the parameters are still its
+        assert json.loads((ck / "state.json").read_text())["global_step"] == 3
+        for p, lp in zip(model.params, load_checkpoint(str(ck))[0].params):
+            np.testing.assert_array_equal(p.data, lp.data)
+
     def test_deterministic_checkpoint_bytes(self, tmp_path):
         vocab, lines = toy_vocab_corpus(n_lines=16)
         cfg = tiny_config(vocab_size=len(vocab), epochs=1, batch_size=4)
@@ -941,11 +966,19 @@ class TestCheckpoint:
         manifest = json.loads((tmp_path / "x.json").read_text())
         assert [(e["shape"], e["byte_offset"], e["byte_length"]) for e in manifest] == [
             ([2, 3], 0, 24), ([2], 24, 8), ([], 32, 4)]
-        loaded = read_blob(str(tmp_path / "x.bin"), str(tmp_path / "x.json"))
+        loaded, _ = read_blob(str(tmp_path / "x.bin"), str(tmp_path / "x.json"))
         for name, arr in arrays:
             np.testing.assert_array_equal(loaded[name], arr.astype(np.float32))
         loaded["a"] += 1  # the loaded tensors are writable
         assert loaded["a"][0, 0] == 1.0
+
+    def test_tensors_out_of_blob_order_rejected(self, tmp_path):
+        write_blob([("a", np.ones(2)), ("b", np.ones(3))], str(tmp_path / "x.bin"), str(tmp_path / "x.json"))
+        manifest = json.loads((tmp_path / "x.json").read_text())
+        manifest[0]["byte_offset"], manifest[1]["byte_offset"] = 12, 0
+        (tmp_path / "x.json").write_text(json.dumps(manifest))
+        with pytest.raises(ValueError, match="x.json: tensor 'a' starts at byte 12, not at 0 "):
+            read_blob(str(tmp_path / "x.bin"), str(tmp_path / "x.json"))
 
     @pytest.mark.parametrize("hint, value, ok", [
         (float, 1, True),  # an int passes for a float
@@ -993,3 +1026,88 @@ class TestCheckpoint:
             assert seq.shape == (2, 16, cfg.hidden_size)
             assert np.isfinite(seq.data).all()
             del model
+
+
+class TestLoadedParams:
+    """A loaded model's tensors are read-only and remember their file, so a save of the
+    unchanged model can link that file instead of writing its bytes again."""
+
+    def saved(self, directory):
+        model = build_model(tiny_config(), seed=30)
+        save_checkpoint(str(directory), model)
+        return model
+
+    def test_in_place_write_into_a_loaded_tensor_raises(self, tmp_path):
+        self.saved(tmp_path / "src")
+        loaded, _ = load_checkpoint(str(tmp_path / "src"))
+        assert not any(p.data.flags.writeable for p in loaded.params)
+        with pytest.raises(ValueError, match="read-only"):
+            loaded["layer0.ffn.w1"].data[0, 0] = 1.0
+        with pytest.raises(ValueError, match="read-only"):
+            loaded["embeddings.norm.gain"].data += 1.0
+
+    def test_adam_step_trains_a_private_copy(self, tmp_path):
+        built = self.saved(tmp_path / "src")
+        loaded, _ = load_checkpoint(str(tmp_path / "src"))
+        source_bytes = (tmp_path / "src" / "params.bin").read_bytes()
+        read = [p.data for p in loaded.params]
+        rng = np.random.default_rng(31)
+        for p, lp in zip(built.params, loaded.params):
+            p.grad[...] = lp.grad[...] = rng.normal(size=p.shape)
+        adam_step(built.params, AdamState(lr=1e-2))
+        adam_step(loaded.params, AdamState(lr=1e-2))
+        for p, lp, old in zip(built.params, loaded.params, read):
+            assert lp.data is not old and lp.data.flags.writeable
+            np.testing.assert_array_equal(lp.data, p.data)
+        assert b"".join(old.tobytes() for old in read) == source_bytes
+        save_checkpoint(str(tmp_path / "trained"), loaded)
+        trained = tmp_path / "trained" / "params.bin"
+        assert os.stat(trained).st_ino != os.stat(tmp_path / "src" / "params.bin").st_ino
+        assert trained.read_bytes() != source_bytes
+
+    def change_mtime(self, src, loaded):
+        st = os.stat(src / "params.bin")
+        os.utime(src / "params.bin", ns=(st.st_atime_ns, st.st_mtime_ns + 10**9))
+
+    def change_size(self, src, loaded):
+        with open(src / "params.bin", "ab") as fh:
+            fh.write(bytes(4))
+
+    def replace_by_rename(self, src, loaded):
+        save_checkpoint(str(src), build_model(tiny_config(), seed=32))
+
+    def make_writeable(self, src, loaded):
+        loaded.params[3].data.flags.writeable = True
+
+    def swap_array(self, src, loaded):
+        copy = loaded.params[3].data.copy()
+        copy.flags.writeable = False
+        loaded.params[3].data = copy
+
+    @pytest.mark.parametrize("change", [
+        "change_mtime", "change_size", "replace_by_rename", "make_writeable", "swap_array",
+    ])
+    def test_changed_source_or_params_written_in_full(self, tmp_path, change):
+        src = tmp_path / "src"
+        self.saved(src)
+        expected = (src / "params.bin").read_bytes()
+        first_inode = os.stat(src / "params.bin").st_ino
+        loaded, _ = load_checkpoint(str(src))
+        getattr(self, change)(src, loaded)
+        save_checkpoint(str(tmp_path / "out"), loaded)
+        out = tmp_path / "out" / "params.bin"
+        assert os.stat(out).st_ino not in (first_inode, os.stat(src / "params.bin").st_ino)
+        assert out.read_bytes() == expected
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    def test_source_in_another_tensor_order_is_written(self, tmp_path):
+        model = self.saved(tmp_path / "canonical")
+        src = tmp_path / "src"
+        save_checkpoint(str(src), model)
+        write_blob([(p.name, p.data) for p in reversed(model.params)],
+                   str(src / "params.bin"), str(src / "manifest.json"))
+        loaded, _ = load_checkpoint(str(src))
+        save_checkpoint(str(tmp_path / "out"), loaded)
+        assert os.stat(tmp_path / "out" / "params.bin").st_ino != os.stat(src / "params.bin").st_ino
+        for name in ("params.bin", "manifest.json", "config.json"):
+            assert (tmp_path / "out" / name).read_bytes() == (tmp_path / "canonical" / name).read_bytes()

@@ -1,6 +1,9 @@
 import dataclasses
+import errno
 import functools
+import hashlib
 import json
+import os
 import tempfile
 import weakref
 
@@ -10,7 +13,9 @@ import pytest
 from kusent import autodiff as ad
 from kusent import bert, classifiers
 from kusent.autodiff import Parameter, Tensor
-from kusent.bert import BertConfig, build_model, epoch_batches, forward, init_params, load_checkpoint, pretrain
+from kusent.bert import (
+    BertConfig, build_model, epoch_batches, forward, init_params, load_checkpoint, pretrain, save_checkpoint
+)
 from kusent.classifiers import (
     GATES,
     LABEL_ORDERS,
@@ -397,6 +402,34 @@ class TestTrainingContracts:
         train_fn(encoder, vocab, dataset, config, **kwargs)
         for p in encoder.params:
             np.testing.assert_array_equal(before[p.name], p.data)
+
+    @pytest.mark.parametrize("train_fn", [train_finetune, train_mlp])
+    @pytest.mark.parametrize("value", [np.nan, np.inf])
+    def test_non_finite_gradient_stops_before_adam(self, monkeypatch, train_fn, value):
+        vocab = synthetic_vocab()
+        dataset = synthetic_dataset(n_per_class=4)
+        encoder = tiny_encoder(seed=2)
+        config = TrainConfig(epochs=2, max_len=10, learning_rate=1e-2, batch_size=8, seed=0)
+        real_backward, real_adam_step = classifiers.backward, classifiers.adam_step
+        stepped = []
+
+        def poisoned_backward(loss):
+            real_backward(loss)
+            if len(stepped) == 1:  # the second step's gradient
+                stepped[0][0][0].grad.flat[0] = value
+
+        def recording_adam_step(params, optimizer):
+            real_adam_step(params, optimizer)
+            stepped.append((params, [p.data.copy() for p in params]))
+
+        monkeypatch.setattr(classifiers, "backward", poisoned_backward)
+        monkeypatch.setattr(classifiers, "adam_step", recording_adam_step)
+        with pytest.raises(ValueError, match=r"^non-finite gradient norm at epoch 0, step 2$"):
+            train_fn(encoder, vocab, dataset, config)
+        params, after_first_step = stepped[0]
+        assert len(stepped) == 1
+        for p, data in zip(params, after_first_step):
+            np.testing.assert_array_equal(p.data, data)
 
     @pytest.mark.parametrize("train_fn", [train_finetune, train_mlp])
     def test_non_finite_loss_stops_naming_epoch_and_step(self, train_fn):
@@ -803,3 +836,109 @@ class TestSaveLoad:
         model = train_mlp(encoder, vocab, dataset, config)
         assert model.train_losses
         assert all(np.isfinite(x) for x in model.train_losses)
+
+
+def file_hashes(directory):
+    """Relative path -> sha256 of every file under ``directory``."""
+    return {
+        str(path.relative_to(directory)): hashlib.sha256(path.read_bytes()).hexdigest()
+        for path in sorted(directory.rglob("*"))
+        if path.is_file()
+    }
+
+
+def loaded_encoder(directory):
+    """A tiny encoder saved as a checkpoint in ``directory`` and loaded back from it."""
+    save_checkpoint(str(directory), tiny_encoder(seed=21))
+    return load_checkpoint(str(directory))[0]
+
+
+def no_link(src, dst, **kwargs):
+    raise OSError(errno.EXDEV, "Invalid cross-device link", src, None, dst)
+
+
+LINK_CONFIG = TrainConfig(epochs=1, max_len=10, learning_rate=1e-2, batch_size=8, seed=0)
+FROZEN_TRAINERS = {"bilstm": functools.partial(train_bilstm, lstm_hidden=8), "mlp": train_mlp}
+
+
+class TestLinkedEncoder:
+    """A frozen head's saved model shares the encoder's ``params.bin`` with the checkpoint
+    the encoder was loaded from, and holds the bytes a full write would give."""
+
+    @pytest.mark.parametrize("kind", ["bilstm", "mlp"])
+    def test_frozen_head_links_the_source_params(self, tmp_path, monkeypatch, kind):
+        encoder = loaded_encoder(tmp_path / "src")
+        dataset = synthetic_dataset(n_per_class=4)
+        model = FROZEN_TRAINERS[kind](encoder, synthetic_vocab(), dataset, LINK_CONFIG)
+        save_sentiment_model(model, str(tmp_path / "linked"))
+        source = os.stat(tmp_path / "src" / "params.bin")
+        assert os.stat(tmp_path / "linked" / "encoder" / "params.bin").st_ino == source.st_ino
+        # the link-free path is the plain write of every file
+        monkeypatch.setattr(os, "link", no_link)
+        save_sentiment_model(model, str(tmp_path / "written"))
+        assert os.stat(tmp_path / "written" / "encoder" / "params.bin").st_ino != source.st_ino
+        assert file_hashes(tmp_path / "linked") == file_hashes(tmp_path / "written")
+        source_files = file_hashes(tmp_path / "src")
+        assert {f"encoder/{name}": digest for name, digest in source_files.items()}.items() <= (
+            file_hashes(tmp_path / "linked").items())
+
+    def test_link_failure_writes_a_full_copy(self, tmp_path, monkeypatch):
+        encoder = loaded_encoder(tmp_path / "src")
+        model = train_mlp(encoder, synthetic_vocab(), synthetic_dataset(n_per_class=4), LINK_CONFIG)
+        monkeypatch.setattr(os, "link", no_link)
+        save_sentiment_model(model, str(tmp_path / "model"))
+        source, saved = tmp_path / "src" / "params.bin", tmp_path / "model" / "encoder" / "params.bin"
+        assert saved.read_bytes() == source.read_bytes()
+        assert os.stat(saved).st_ino != os.stat(source).st_ino
+        assert os.stat(source).st_nlink == 1
+        assert not list(tmp_path.rglob(".tmp-*"))
+
+    def test_finetune_head_writes_its_own_params(self, tmp_path):
+        encoder = loaded_encoder(tmp_path / "src")
+        source = tmp_path / "src" / "params.bin"
+        before = source.read_bytes()
+        model = train_finetune(encoder, synthetic_vocab(), synthetic_dataset(n_per_class=4), LINK_CONFIG)
+        save_sentiment_model(model, str(tmp_path / "model"))
+        saved = tmp_path / "model" / "encoder" / "params.bin"
+        assert os.stat(saved).st_ino != os.stat(source).st_ino
+        assert source.read_bytes() == before
+        assert saved.read_bytes() != before
+        for p, lp in zip(encoder.params, load_sentiment_model(str(tmp_path / "model")).encoder.params):
+            np.testing.assert_array_equal(p.data, lp.data)
+
+    def test_saving_onto_the_linked_file_writes_nothing(self, tmp_path, monkeypatch):
+        encoder = loaded_encoder(tmp_path / "src")
+        model = train_mlp(encoder, synthetic_vocab(), synthetic_dataset(n_per_class=4), LINK_CONFIG)
+        save_sentiment_model(model, str(tmp_path / "model"))
+        links = []
+        real_link = os.link
+
+        def recording_link(*args, **kwargs):
+            links.append(args)
+            return real_link(*args, **kwargs)
+
+        monkeypatch.setattr(os, "link", recording_link)
+        save_sentiment_model(model, str(tmp_path / "model"))
+        save_checkpoint(str(tmp_path / "src"), encoder)
+        assert links == []
+        assert not list(tmp_path.rglob(".tmp-*"))
+        inodes = {os.stat(path).st_ino for path in tmp_path.rglob("params.bin")}
+        assert len(inodes) == 1
+
+    def test_pretraining_into_the_source_leaves_the_head_model(self, tmp_path):
+        vocab, dataset = synthetic_vocab(), synthetic_dataset(n_per_class=4)
+        lines = [ex.text for ex in dataset]
+        config = tiny_encoder().config
+        src = str(tmp_path / "src")
+        pretrain(build_model(config, seed=1), lines, vocab, config, seed=0, checkpoint_dir=src, max_len=10)
+        model = train_mlp(load_checkpoint(src)[0], vocab, dataset, LINK_CONFIG)
+        save_sentiment_model(model, str(tmp_path / "model"))
+        saved = tmp_path / "model" / "encoder" / "params.bin"
+        saved_bytes = saved.read_bytes()
+        ids, masks = encode_batch(lines, vocab, 10)
+        before = predict_encoded(load_sentiment_model(str(tmp_path / "model")), ids, masks)
+        pretrain(build_model(config, seed=2), lines, vocab, config, seed=0, checkpoint_dir=src, max_len=10)
+        assert (tmp_path / "src" / "params.bin").read_bytes() != saved_bytes
+        assert saved.read_bytes() == saved_bytes
+        after = predict_encoded(load_sentiment_model(str(tmp_path / "model")), ids, masks)
+        np.testing.assert_array_equal(after, before)

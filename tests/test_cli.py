@@ -563,7 +563,7 @@ class TestPipeline:
         manifests = {"head.bin": "head_manifest.json", "params.bin": "manifest.json",
                      "optim.bin": "optim_manifest.json"}
         manifest = bin_path.with_name(manifests[bin_path.name])
-        arrays = read_blob(str(bin_path), str(manifest))
+        arrays, _ = read_blob(str(bin_path), str(manifest))
         if edit == "drop":
             del arrays[name]
         elif edit == "add":
