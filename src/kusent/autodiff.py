@@ -457,7 +457,6 @@ def attention(
     rate: float = 0.0,
     rng: np.random.Generator | None = None,
     train: bool = False,
-    sink: list | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention, softmax(q kᵀ / √d) v, over packed rows.
 
@@ -473,9 +472,7 @@ def attention(
     the same 1 / √d. Probability dropout masks each group's (G, A, L, L)
     probabilities as ``dropout`` masks an array: ``keep = rng.random((G, A, L,
     L)) >= rate``, drawn one group after another in the order of
-    ``_attention_groups``. When ``sink`` is a list, the probabilities before
-    dropout are appended as one (B, A, T, T) array: each row's at its attended
-    (query, key) positions, zero at its pad queries and pad keys.
+    ``_attention_groups``.
     """
     n, hidden = q.shape
     if k.shape != q.shape or v.shape != q.shape or hidden % heads or n != np.count_nonzero(attention_mask):
@@ -486,7 +483,6 @@ def attention(
     dropping = train and rate > 0.0
     if dropping and rng is None:
         raise ValueError("attention: training mode needs a random generator")
-    batch, seq_len = attention_mask.shape
     head_dim = hidden // heads
     scale_q = 1.0 / math.sqrt(head_dim)
     factor = 1.0 / (1.0 - rate)
@@ -500,21 +496,13 @@ def attention(
         # (G, A, L, head_dim) -> the group's packed rows of ``out``
         out[index] = heads_out.transpose(0, 2, 1, 3).reshape(index.shape + (hidden,))
 
-    if sink is not None:
-        sink.append(np.zeros((batch, heads, seq_len, seq_len), q.dtype))
-        positions = np.nonzero(attention_mask)[1]
-
     scaled_q = q.data * scale_q
     out = np.empty((n, hidden), q.dtype)
     saved = []
-    for batch_rows, index in groups:
+    for _, index in groups:
         qg, kg, vg = (split(a, index) for a in (scaled_q, k.data, v.data))
         s = qg @ np.swapaxes(kg, -1, -2)
         p = _softmax_rows(s, s)
-        if sink is not None:
-            pos = positions[index][:, None]
-            sink[-1][batch_rows[:, None, None, None], np.arange(heads)[:, None, None],
-                     pos[..., None], pos[..., None, :]] = p
         pd, keep = p, None
         if dropping:
             keep = _keep_mask(p.shape, rate, rng)

@@ -232,7 +232,6 @@ def forward(
     attention_mask: np.ndarray,
     train: bool = False,
     dropout_rng: np.random.Generator | None = None,
-    attn_sink: list | None = None,
 ) -> tuple[Tensor, Tensor]:
     """Encode a batch: returns (sequence states B x T x H, CLS state B x H).
 
@@ -247,10 +246,7 @@ def forward(
     (``autodiff.dropout``): the packed (N, H) rows, and in attention each
     group's probabilities. K is computed without ``layerN.attn.k.bias``:
     softmax ignores a bias on every key, so the tensor stays in the format and
-    gets no gradient. When ``attn_sink`` is a list, each layer's attention
-    probabilities are appended as one B x A x T x T array, zero at pad queries
-    and pad keys (see ``autodiff.attention``). Without a sink no such array is
-    built.
+    gets no gradient.
     """
     config = model.config
     input_ids = np.asarray(input_ids)
@@ -261,9 +257,8 @@ def forward(
             f"sequence length {seq_len} exceeds max_position {config.max_position}"
         )
     if input_ids.max() >= config.vocab_size or input_ids.min() < 0:
-        raise ValueError(
-            f"token id {int(input_ids.max())} out of range for vocab_size {config.vocab_size}"
-        )
+        bad = int(input_ids.min()) if input_ids.min() < 0 else int(input_ids.max())
+        raise ValueError(f"token id {bad} out of range for vocab_size {config.vocab_size}")
     if (
         attention_mask.shape != input_ids.shape
         or not np.isin(attention_mask, (0, 1)).all()
@@ -296,7 +291,7 @@ def forward(
         # no K bias: it shifts all of a query's scores by q·b, which softmax ignores
         k = ad.matmul(x, model[f"{prefix}.attn.k.weight"])
         ctx = ad.attention(proj("q", x), k, proj("v", x), config.num_attention_heads, attention_mask,
-                           rate, dropout_rng, train, attn_sink)
+                           rate, dropout_rng, train)
         attn_out = ad.matmul(
             ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"]
         )
@@ -451,6 +446,11 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, BertConfig]:
     config = BertConfig.from_dict(read_json(config_path), config_path)
     params_path = os.path.join(directory, "params.bin")
     arrays, identity = read_blob(params_path, os.path.join(directory, "manifest.json"))
+    # 16 tensors a layer: the blob cannot hold a larger claim, whose shape table alone
+    # could exhaust memory
+    if 16 * config.num_hidden_layers > len(arrays):
+        raise ValueError(f"{config_path}: num_hidden_layers {config.num_hidden_layers} needs more "
+                         f"tensors than the {len(arrays)} in {params_path}")
     shapes = expected_shapes(config)
     check_tensors(arrays, shapes, params_path)
     for arr in arrays.values():
@@ -468,7 +468,11 @@ def load_checkpoint(directory: str) -> tuple[ModelParams, BertConfig]:
 def _load_train_state(directory: str, model: ModelParams) -> tuple[AdamState, dict]:
     path = os.path.join(directory, "state.json")
     state = check_fields(read_json(path), _TRAIN_STATE, path, _TRAIN_STATE)
-    optimizer = AdamState(**check_fields(state["adam"], _ADAM_STATE, f"{path}: adam", _ADAM_STATE))
+    adam = check_fields(state["adam"], _ADAM_STATE, f"{path}: adam", _ADAM_STATE)
+    try:
+        optimizer = AdamState(**adam)
+    except ValueError as exc:
+        raise ValueError(f"{path}: adam: {exc}") from None
     optim_path = os.path.join(directory, "optim.bin")
     arrays, _ = read_blob(optim_path, os.path.join(directory, "optim_manifest.json"))
     # Adam's moments exist for every parameter once a step ran, for none before

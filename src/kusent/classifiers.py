@@ -443,8 +443,16 @@ def load_sentiment_model(directory: str) -> SentimentModel:
     if meta["encoder_ref"] != "encoder":
         raise ValueError(f"{config_path}: encoder_ref must be 'encoder', got {meta['encoder_ref']!r}")
     encoder, _ = load_checkpoint(os.path.join(directory, "encoder"))
+    if train_config.max_len > encoder.config.max_position:
+        raise ValueError(f"{config_path}: train_config key 'max_len' must be <= the encoder's max_position "
+                         f"{encoder.config.max_position}, got {train_config.max_len}")
     head_path = os.path.join(directory, "head.bin")
     arrays, _ = read_blob(head_path, os.path.join(directory, "head_manifest.json"))
+    # 24 tensors a bilstm layer: the blob cannot hold a larger claim, whose shape table alone
+    # could exhaust memory
+    if 24 * head_meta.get("num_layers", 0) > len(arrays):
+        raise ValueError(f"{config_path}: head_meta key 'num_layers' {head_meta['num_layers']} needs more "
+                         f"tensors than the {len(arrays)} in {head_path}")
     shapes = head_shapes(meta["kind"], encoder.config.hidden_size, train_config.num_classes, head_meta)
     check_tensors(arrays, shapes, head_path)
     return SentimentModel(

@@ -57,14 +57,13 @@ def batch_of(config, rng, batch=2, seq_len=8, n_pad=2):
     return ids, mask
 
 
-def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=None, attn_sink=None,
-                   k_bias=False):
+def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=None, k_bias=False):
     """The encoder with every token-wise layer on the padded (B, T, H) layout and
     attention run row by row over the row's attended positions: the oracle for
-    ``forward``'s attended states, CLS, attention probabilities, dropout stream and
-    gradients. Each dropout draws its keep mask by ``forward``'s rule, for the packed
-    attended rows or, in attention, for the (G, A, L, L) probabilities of the rows
-    with L attended positions, in ascending L and rows ascending, and applies it as
+    ``forward``'s attended states, CLS, dropout stream and gradients. Each dropout
+    draws its keep mask by ``forward``'s rule, for the packed attended rows or, in
+    attention, for the (G, A, L, L) probabilities of the rows with L attended
+    positions, in ascending L and rows ascending, and applies it as
     ``(x * keep) * factor``. K has no bias unless ``k_bias``."""
     config = model.config
     batch, seq_len = input_ids.shape
@@ -97,8 +96,6 @@ def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=No
     def attend(q, k, v):
         # (B*T, H) padded rows of Q, K and V -> (B, T, H) context, zero at pads
         keep = probs_keep() if dropping else None
-        if attn_sink is not None:
-            attn_sink.append(np.zeros((batch, heads, seq_len, seq_len), q.dtype))
         ctx = []
         for b, pos in enumerate(positions):
             def row_heads(a):
@@ -107,8 +104,6 @@ def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=No
 
             qb, kb, vb = row_heads(q), row_heads(k), row_heads(v)
             probs = ad.softmax(ad.matmul(qb, ad.transpose(kb, (0, 2, 1))))
-            if attn_sink is not None:
-                attn_sink[-1][b][:, pos[:, None], pos] = probs.data
             if dropping:
                 probs = ad.scale(ad.mul(probs, Tensor(keep[b])), factor)
             out = ad.transpose(ad.matmul(probs, vb), (1, 0, 2))
@@ -282,6 +277,13 @@ class TestForward:
         with pytest.raises(ValueError, match="token id 10"):
             forward(model, ids, np.ones((1, 3), dtype=np.int64))
 
+    @pytest.mark.parametrize("ids, bad", [([[2, -1, 3]], -1), ([[2, -1, 10]], -1)])
+    def test_out_of_range_error_names_the_offending_id(self, ids, bad):
+        # the lowest id when one is negative, else the highest, as embedding_lookup names them
+        model = build_model(TOY, seed=0)
+        with pytest.raises(ValueError, match=rf"^token id {bad} out of range for vocab_size 10$"):
+            forward(model, np.array(ids), np.ones((1, 3), dtype=np.int64))
+
     def test_sequence_longer_than_positions(self):
         model = build_model(TOY, seed=0)
         ids = np.full((1, 5), CLS)
@@ -301,23 +303,31 @@ class TestForward:
         np.testing.assert_array_equal(seq_padded.data[:, :8, :], seq_short.data)
         assert not seq_padded.data[:, 8:, :].any()
 
-    def test_attention_rows_normalized_and_pad_keys_zeroed(self):
-        cfg = tiny_config()
+    def test_attention_rows_normalized_and_pad_keys_zeroed(self, monkeypatch):
+        # each layer's attention call is repeated with the value of a row's j-th attended
+        # position set to e_j in every head, so its context rows are the probabilities
+        cfg = tiny_config(num_attention_heads=2)  # head_dim 8 >= the 6 attended positions
         model = build_model(cfg, seed=3)
         rng = np.random.default_rng(2)
         ids, mask = batch_of(cfg, rng, batch=3, seq_len=10, n_pad=4)
-        sink = []
-        forward(model, ids, mask, attn_sink=sink)
-        assert len(sink) == cfg.num_hidden_layers
-        for probs in sink:
-            # B x A x T x T; a pad query's row is zero, so the rows of attended
-            # queries are the ones that sum to 1
-            attended_rows = probs.transpose(0, 2, 1, 3)[mask == 1]
-            np.testing.assert_allclose(
-                attended_rows.sum(axis=-1), np.ones(attended_rows.shape[:-1]), atol=1e-6
-            )
-            pad_weight = probs[:, :, :, 6:]
-            assert pad_weight.max() < 1e-12
+        attention, probs = ad.attention, []
+
+        def exposing(q, k, v, heads, attention_mask, *args):
+            unit = np.zeros((len(q.data), heads, q.shape[1] // heads), q.dtype)
+            for row in np.arange(len(q.data)).reshape(3, 6):
+                unit[row, :, np.arange(6)] = 1
+            probs.append(attention(q, k, Tensor(unit.reshape(q.shape)), heads, attention_mask).data)
+            return attention(q, k, v, heads, attention_mask, *args)
+
+        monkeypatch.setattr(ad, "attention", exposing)
+        forward(model, ids, mask)
+        assert len(probs) == cfg.num_hidden_layers
+        for p in probs:
+            # (N, A, head_dim): the weights of a query's 6 attended keys sum to 1, so its
+            # 4 pad keys have none
+            p = p.reshape(18, 2, 8)
+            np.testing.assert_allclose(p[..., :6].sum(axis=-1), np.ones((18, 2)), atol=1e-6)
+            assert (p[..., :6] > 0).all() and not p[..., 6:].any()
 
     def test_forward_gradcheck_full_layer(self):
         cfg = BertConfig(
@@ -359,18 +369,12 @@ class TestPackedForward:
         ids, mask = ragged_batch(cfg, np.random.default_rng(21), self.LENGTHS)
         attended = mask == 1
         want_rng, got_rng = np.random.default_rng(22), np.random.default_rng(22)
-        want_sink, got_sink = [], []
-        want, want_cls = oracle_forward(model, ids, mask, train, want_rng, want_sink)
-        got, got_cls = forward(model, ids, mask, train, got_rng, got_sink)
+        want, want_cls = oracle_forward(model, ids, mask, train, want_rng)
+        got, got_cls = forward(model, ids, mask, train, got_rng)
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_array_equal(got.data[attended], want.data[attended])
         assert not got.data[~attended].any()  # pad rows are exactly zero
         np.testing.assert_array_equal(got_cls.data, want_cls.data)
-        assert len(got_sink) == len(want_sink) == cfg.num_hidden_layers
-        for got_probs, want_probs in zip(got_sink, want_sink):
-            # B x A x T x T; a padded query's row is never read
-            np.testing.assert_array_equal(got_probs.transpose(0, 2, 1, 3)[attended],
-                                          want_probs.transpose(0, 2, 1, 3)[attended])
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def _loss(self, encode, model, ids, mask, labels, weights):
@@ -457,17 +461,11 @@ class TestWidthGroups:
         ids, mask = self._batch(cfg, lengths)
         attended = mask == 1
         want_rng, got_rng = make_rng(), make_rng()
-        want_sink, got_sink = [], []
-        want, want_cls = oracle_forward(model, ids, mask, train, want_rng, want_sink)
-        got, got_cls = forward(model, ids, mask, train, got_rng, got_sink)
+        want, want_cls = oracle_forward(model, ids, mask, train, want_rng)
+        got, got_cls = forward(model, ids, mask, train, got_rng)
         np.testing.assert_array_equal(got.data[attended], want.data[attended])
         assert not got.data[~attended].any()
         np.testing.assert_array_equal(got_cls.data, want_cls.data)
-        for got_probs, want_probs in zip(got_sink, want_sink, strict=True):
-            np.testing.assert_array_equal(got_probs.transpose(0, 2, 1, 3)[attended],
-                                          want_probs.transpose(0, 2, 1, 3)[attended])
-            for b, pad in enumerate(~attended):  # zero at the row's pad queries and pad keys
-                assert not got_probs[b][:, pad].any() and not got_probs[b][:, :, pad].any()
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
 
     @pytest.mark.parametrize("train", [False, True])
@@ -948,6 +946,16 @@ class TestCheckpoint:
         path.write_text(json.dumps(manifest))
         name = manifest[1]["name"]
         with pytest.raises(ValueError, match=f"tensor '{name}' lies outside .*params.bin"):
+            load_checkpoint(str(tmp_path / "ck"))
+
+    @pytest.mark.parametrize("layers", [10**30, 3])
+    def test_layer_count_beyond_the_blob_rejected_before_the_shape_table(self, tmp_path, layers):
+        # tiny_config has 2 layers of 16 tensors; 3 layers need more than the 42 the blob holds
+        save_checkpoint(str(tmp_path / "ck"), build_model(tiny_config(), seed=11))
+        path = tmp_path / "ck" / "config.json"
+        path.write_text(json.dumps(dict(json.loads(path.read_text()), num_hidden_layers=layers)))
+        with pytest.raises(ValueError, match=rf"config.json: num_hidden_layers {layers} needs more "
+                                             r"tensors than the 42 in .*params.bin"):
             load_checkpoint(str(tmp_path / "ck"))
 
     def test_tensor_listed_twice_rejected(self, tmp_path):

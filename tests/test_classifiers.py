@@ -763,6 +763,36 @@ class TestSaveLoad:
         with pytest.raises(ValueError, match=f"head_config.json: head_meta is missing key '{key}'"):
             load_sentiment_model(str(tmp_path / "model"))
 
+    @pytest.mark.parametrize("num_layers", [10**30, 2])
+    def test_bilstm_layer_count_beyond_the_blob_rejected_before_the_shape_table(self, tmp_path, num_layers):
+        # one layer of 24 tensors and the linear layer's 2: two layers need more than 26
+        config = TrainConfig(epochs=1, max_len=10, batch_size=8)
+        model = train_bilstm(tiny_encoder(seed=11), synthetic_vocab(), synthetic_dataset(n_per_class=2),
+                             config, lstm_hidden=4, num_layers=1)
+        save_sentiment_model(model, str(tmp_path / "model"))
+        path = tmp_path / "model" / "head_config.json"
+        meta = json.loads(path.read_text())
+        meta["head_meta"]["num_layers"] = num_layers
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=rf"head_config.json: head_meta key 'num_layers' {num_layers} needs "
+                                             r"more tensors than the 26 in .*head.bin"):
+            load_sentiment_model(str(tmp_path / "model"))
+
+    @pytest.mark.parametrize("max_len", [17, 10**30])
+    def test_max_len_beyond_the_encoders_positions_rejected(self, tmp_path, max_len):
+        # the training rule: tiny_encoder has 16 positions
+        config = TrainConfig(epochs=1, max_len=10)
+        model = train_mlp(tiny_encoder(seed=12), synthetic_vocab(), synthetic_dataset(n_per_class=2), config,
+                          hidden_sizes=(4,))
+        save_sentiment_model(model, str(tmp_path / "model"))
+        path = tmp_path / "model" / "head_config.json"
+        meta = json.loads(path.read_text())
+        meta["train_config"]["max_len"] = max_len
+        path.write_text(json.dumps(meta))
+        with pytest.raises(ValueError, match=rf"head_config.json: train_config key 'max_len' must be <= the "
+                                             rf"encoder's max_position 16, got {max_len}"):
+            load_sentiment_model(str(tmp_path / "model"))
+
     @pytest.mark.parametrize("section, key, value, message", [
         ("train_config", "num_classes", 2, r"head.bin: tensor 'head.w3' has shape \(4, 3\), expected \(4, 2\)"),
         ("head_meta", "hidden_sizes", [4, 4, 4], "head.bin: no tensor 'head.w4'"),

@@ -363,6 +363,8 @@ class TestPipeline:
             ("head_config.json", "train_config.epochs", "3"),
             ("head_config.json", "train_config.max_len", "10"),
             ("head_config.json", "head_meta.hidden_sizes", 5),
+            # above the encoder's max_position 16
+            ("head_config.json", "train_config.max_len", 10**30),
             ("encoder/config.json", "hidden_size", "32"),
             ("head_manifest.json", "shape", ["a", 2]),
         ],
@@ -643,6 +645,35 @@ class TestPipeline:
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert "state.json" in err
+        assert {p.name: p.read_bytes() for p in encoder.iterdir()} == before
+
+    @pytest.mark.parametrize("key, value, named", [
+        ("beta1", 1.0, "beta1 must be in [0, 1), got 1.0"),
+        ("beta1", -1.0, "beta1 must be in [0, 1), got -1.0"),
+        ("beta2", 1.0, "beta2 must be in [0, 1), got 1.0"),
+        ("lr", float("nan"), "lr must be finite and > 0, got nan"),
+        ("eps", 0.0, "eps must be finite and > 0, got 0.0"),
+        ("step_count", -1, "step_count must be >= 0, got -1"),
+        ("step_count", -3, "step_count must be >= 0, got -3"),
+    ])
+    def test_bad_adam_state_is_one_error_line(self, pipeline, tmp_path, capsys, key, value, named):
+        encoder = tmp_path / "encoder"
+        shutil.copytree(pipeline["encoder"], encoder)
+        state = json.loads((encoder / "state.json").read_text())
+        state["adam"][key] = value
+        (encoder / "state.json").write_text(json.dumps(state))
+        # one more step than the checkpoint holds, so the resume trains
+        raw = json.loads(pipeline["cfg"].read_text())
+        raw["bert"].update(epochs=6, iterations=state["global_step"] + 1)
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        before = {p.name: p.read_bytes() for p in encoder.iterdir()}
+        capsys.readouterr()
+        rc = main(["pretrain", "--config", str(tmp_path / "cfg.json"), "--corpus",
+                   str(pipeline["root"] / "corpus.txt"), "--vocab", str(pipeline["vocab"]),
+                   "--out", str(encoder), "--resume"])
+        err = capsys.readouterr().err
+        assert rc == 1
+        assert err == f"error: {encoder / 'state.json'}: adam: {named}\n"
         assert {p.name: p.read_bytes() for p in encoder.iterdir()} == before
 
     def test_readme_config_example_loads(self, tmp_path):

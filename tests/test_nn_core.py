@@ -271,9 +271,7 @@ class TestFusedAndBlockedOps:
             [([0, 2], 33), ([1], 45), ([3], 56)]
         q, k, v = (Parameter(name, rng.normal(size=(len(rows), 4))) for name in "qkv")
         got_rng.sizes.clear()
-        sink = []
-        out = ad.attention(q, k, v, 2, mask, rate, got_rng, True, sink)
-        probs = sink[0]  # (B, A, T, T), before dropout
+        out = ad.attention(q, k, v, 2, mask, rate, got_rng, True)
         packed = np.full(mask.shape, -1)
         packed.flat[rows] = np.arange(len(rows))
         want = np.zeros((len(rows), 4))
@@ -281,16 +279,82 @@ class TestFusedAndBlockedOps:
             length = index.shape[1]
             keep = want_rng.random((len(batch_rows), 2, length, length)) >= rate
             for j, b in enumerate(batch_rows):
-                pos = np.flatnonzero(mask[b])
-                src = packed[b, pos]
-                pad = mask[b] == 0
-                assert not probs[b][:, pad].any() and not probs[b][:, :, pad].any()
-                dropped = (probs[b][:, pos[:, None], pos] * keep[j]) * factor
-                heads = v.data[src].reshape(-1, 2, 2).transpose(1, 0, 2)
-                want[src] = (dropped @ heads).transpose(1, 0, 2).reshape(-1, 4)
+                src = packed[b][mask[b] == 1]
+                qh, kh, vh = (a.data[src].reshape(-1, 2, 2).transpose(1, 0, 2) for a in (q, k, v))
+                s = (qh / math.sqrt(2)) @ kh.transpose(0, 2, 1)
+                probs = np.exp(s - s.max(axis=-1, keepdims=True))
+                probs /= probs.sum(axis=-1, keepdims=True)
+                want[src] = (((probs * keep[j]) * factor) @ vh).transpose(1, 0, 2).reshape(-1, 4)
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
         assert max(got_rng.sizes) <= max(block_values, 56)
+
+    # attended counts 5, 8, 5 (a hole in a row of 6), 1, 8 and 3: rows 0 and 2, and 1 and 4,
+    # share a group
+    PROBS_MASK = (np.arange(8) < np.array([[5], [8], [6], [1], [8], [3]])).astype(np.int64)
+    PROBS_MASK[2, 2] = 0
+
+    def _probs_case(self):
+        """float32 Q and K of ``PROBS_MASK``'s rows in 3 heads of 8, and V whose row at a
+        batch row's j-th attended position is e_j in every head."""
+        mask, n = self.PROBS_MASK, np.count_nonzero(self.PROBS_MASK)
+        packed = np.full(mask.shape, -1)
+        packed.flat[np.flatnonzero(mask)] = np.arange(n)
+        srcs = [packed[b][mask[b] == 1] for b in range(len(mask))]
+        rng = np.random.default_rng(70)
+        q, k = (rng.normal(scale=2.0, size=(n, 24)).astype(np.float32) for _ in "qk")
+        v = np.zeros((n, 3, 8), np.float32)
+        for src in srcs:
+            v[src, :, np.arange(len(src))] = 1
+        return mask, srcs, q, k, v.reshape(n, 24)
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_attention_output_is_each_rows_softmax(self, train):
+        # with e_j values, query i's context in a head is row i of its (dropped out)
+        # probabilities over the row's L attended keys, then zeros
+        rate, head_dim = 0.3, 8
+        mask, srcs, q, k, v = self._probs_case()
+        got_rng, want_rng = np.random.default_rng(71), np.random.default_rng(71)
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask, rate, got_rng, train).data
+        # the keep masks as documented: one (G, A, L, L) draw per count L, ascending
+        counts = mask.sum(axis=1)
+        keep = {}
+        if train:
+            for length in np.unique(counts):
+                rows = np.flatnonzero(counts == length)
+                keep.update(zip(rows, want_rng.random((len(rows), 3, length, length)) >= rate))
+        # the test oracle's expressions (tests/test_bert.py)
+        scaled_q = ad.scale(Tensor(q), 1.0 / math.sqrt(head_dim))
+        for b, src in enumerate(srcs):
+            def row_heads(a):
+                return ad.transpose(ad.reshape(ad.gather_rows(a, src), (len(src), 3, head_dim)), (1, 0, 2))
+
+            probs = ad.softmax(ad.matmul(row_heads(scaled_q), ad.transpose(row_heads(Tensor(k)), (0, 2, 1))))
+            if train:
+                probs = ad.scale(ad.mul(probs, Tensor(keep[b])), 1.0 / (1.0 - rate))
+            got = out[src].reshape(len(src), 3, head_dim).transpose(1, 0, 2)
+            np.testing.assert_array_equal(got[..., :len(src)], probs.data)
+            assert not got[..., len(src):].any()
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_attention_row_reads_no_other_rows_keys_or_values(self, train):
+        mask, srcs, q, k, v = self._probs_case()
+
+        def run(k, v):
+            return ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask, 0.3, np.random.default_rng(72),
+                                train).data
+
+        base = run(k, v)
+        noise = np.random.default_rng(73)
+        for changed in srcs:
+            k2, v2 = k.copy(), v.copy()
+            k2[changed] += noise.normal(size=(len(changed), 24)).astype(np.float32)
+            v2[changed] += noise.normal(size=(len(changed), 24)).astype(np.float32)
+            out = run(k2, v2)
+            others = np.setdiff1d(np.arange(len(q)), changed)
+            assert out[others].tobytes() == base[others].tobytes()
+            assert (out[changed] != base[changed]).any()
 
     @pytest.mark.parametrize("mask", [[[1, 1, 1, 0], [1, 0, 0, 0]], [[1, 1, 1, 1], [1, 1, 0, 0]]])
     def test_attention_rejects_rows_that_are_not_the_masks(self, mask):
