@@ -363,10 +363,10 @@ class TestPipeline:
             ("head_config.json", "train_config.epochs", "3"),
             ("head_config.json", "train_config.max_len", "10"),
             ("head_config.json", "head_meta.hidden_sizes", 5),
-            # above the encoder's max_position 16
-            ("head_config.json", "train_config.max_len", 10**30),
             ("encoder/config.json", "hidden_size", "32"),
             ("head_manifest.json", "shape", ["a", 2]),
+            # above the encoder's max_position 16
+            ("head_config.json", "train_config.max_len", 10**30),
         ],
     )
     def test_bad_artifact_is_one_error_line(self, pipeline, tmp_path, capsys, rel, key, value):
