@@ -207,7 +207,19 @@ def init_params(shapes: dict[str, tuple[int, ...]], rng, dtype) -> list[Paramete
 
 
 def build_model(config: BertConfig, seed: int, dtype=np.float32) -> ModelParams:
-    """Allocate and initialize all tensors; deterministic for a given seed."""
+    """Allocate and initialize all tensors; deterministic for a given seed.
+
+    A config whose parameters alone need more bytes than the machine's physical memory is
+    refused before anything is allocated, the shape table included.
+    """
+    n_params = count_params(config)
+    needed = n_params * np.dtype(dtype).itemsize
+    memory = os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE")
+    if needed > memory:
+        raise ValueError(
+            f"a model of {n_params} parameters needs {needed} bytes, more than the "
+            f"{memory} bytes of physical memory"
+        )
     rng = np.random.default_rng(np.random.SeedSequence(seed))
     return ModelParams(config, init_params(expected_shapes(config), rng, dtype))
 

@@ -131,6 +131,8 @@ def normalize_text(raw: str, rules: NormalizationRules | None = None) -> str:
     if rules is None:
         rules = default_rules()
     text = _one_pass(raw, rules)
+    if text == raw:  # a pass that changes nothing has reached the fixpoint
+        return text
     for _ in range(_MAX_PASSES - 1):
         nxt = _one_pass(text, rules)
         if nxt == text:

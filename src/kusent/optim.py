@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .autodiff import Parameter
+from .autodiff import Parameter, _row_blocks
 
 
 @dataclass
@@ -35,38 +35,41 @@ class AdamState:
 def adam_step(params: list[Parameter], state: AdamState) -> None:
     """One update: theta -= lr * m_hat / (sqrt(v_hat) + eps); grads are zeroed after.
 
-    Runs in place through ``out=`` buffers, with the gradient array doubling
-    as scratch before it is zeroed; every value equals the plain expression
+    Runs in place through ``out=`` buffers over cache-sized blocks of rows
+    (``autodiff._row_blocks``), with each gradient block doubling as scratch
+    before it is zeroed; every value equals the plain whole-array expression
     ``(lr / bc1) * m / (sqrt(v / bc2) + eps)`` bit for bit.
 
-    A read-only ``p.data`` (every tensor ``load_checkpoint`` returns) is first
-    replaced by a private copy, all in one pass before any moment is allocated,
-    so the loaded buffer is freed before the moments take their place.
+    A read-only or non-contiguous ``p.data`` (every tensor ``load_checkpoint``
+    returns is read-only) is first replaced by a private contiguous copy, all
+    in one pass before any moment is allocated, so the loaded buffer is freed
+    before the moments take their place.
     """
     for p in params:
-        if not p.data.flags.writeable:
+        # the blocks below must be views that write through to p.data
+        if not (p.data.flags.writeable and p.data.flags.c_contiguous):
             p.data = p.data.copy()
     state.step_count += 1
-    bc1 = 1.0 - state.beta1**state.step_count
-    bc2 = 1.0 - state.beta2**state.step_count
+    beta1, beta2 = state.beta1, state.beta2
+    bc1 = 1.0 - beta1**state.step_count
+    bc2 = 1.0 - beta2**state.step_count
     for p in params:
-        g = p.grad
         m = state.m.get(p.name)
         if m is None:
             m = state.m[p.name] = np.zeros_like(p.data)
             state.v[p.name] = np.zeros_like(p.data)
-        v = state.v[p.name]
-        buf = np.multiply(g, 1.0 - state.beta1)
-        m *= state.beta1
-        m += buf
-        np.multiply(g, g, out=g)
-        g *= 1.0 - state.beta2
-        v *= state.beta2
-        v += g
-        np.divide(v, bc2, out=g)
-        np.sqrt(g, out=g)
-        g += state.eps
-        np.multiply(m, state.lr / bc1, out=buf)
-        buf /= g
-        p.data -= buf
-        p.zero_grad()
+        for data, g, mb, vb in _row_blocks(p.data, p.grad, m, state.v[p.name]):
+            buf = np.multiply(g, 1.0 - beta1)
+            mb *= beta1
+            mb += buf
+            np.multiply(g, g, out=g)
+            g *= 1.0 - beta2
+            vb *= beta2
+            vb += g
+            np.divide(vb, bc2, out=g)
+            np.sqrt(g, out=g)
+            g += state.eps
+            np.multiply(mb, state.lr / bc1, out=buf)
+            buf /= g
+            data -= buf
+            g[...] = 0

@@ -18,10 +18,14 @@ are dropped when popped. The result is the same vocabulary, piece for piece,
 as recounting every pair for every merge.
 
 Encoding takes the normalized ``str`` that ``normalize_text`` returns. It is
-greedy longest-match-first per whitespace word (``Vocab.segment_word``),
-then CLS/SEP framing, truncation and padding (``encode``). ``encode_batch``
-stacks a list of texts into id and mask arrays, and is the one way a model
-gets its ids.
+greedy longest-match-first per whitespace word, then CLS/SEP framing,
+truncation and padding (``encode``). The match kernel,
+``Vocab.segment_ids``, probes two tables that map piece bodies straight to
+ids (initial pieces, and continuation pieces without their ``##``) and
+emits ids; no piece string is built or looked up again on the way.
+``Vocab.segment_word`` is the piece-string view of the same kernel.
+``encode_batch`` stacks a list of texts into id and mask arrays, and is the
+one way a model gets its ids.
 """
 
 from __future__ import annotations
@@ -62,8 +66,11 @@ def is_continuation(piece: str) -> bool:
 class Vocab:
     """Ordered piece list; index is the token id. Ids 0-4 are the specials.
 
-    Only ``pieces`` is given; the id map and ``segment_word``'s match tables
-    derive from it. A piece continues a word when ``is_continuation`` says so.
+    Only ``pieces`` is given; the id map and the match tables derive from
+    it. A piece continues a word when ``is_continuation`` says so. The match
+    tables map a piece's body to its id: ``_initial`` holds the initial
+    pieces, ``_cont`` the continuation pieces keyed without their ``##``,
+    and ``segment_ids`` emits the ids it finds there.
     """
 
     pieces: list[str]
@@ -89,6 +96,8 @@ class Vocab:
         initial: dict[str, int] = {}
         cont: dict[str, int] = {}
         for i, piece in enumerate(self.pieces[len(SPECIAL_TOKENS):], start=len(SPECIAL_TOKENS)):
+            if not piece:  # "" covers no character, so it never matches
+                continue
             if is_continuation(piece):
                 cont[piece[len(CONTINUATION_PREFIX):]] = i
             else:
@@ -104,32 +113,42 @@ class Vocab:
     def id(self, piece: str) -> int:
         return self.piece_to_id[piece]
 
-    def segment_word(self, word: str) -> list[str] | None:
-        """Greedy longest-match pieces for one word, or None if unmatchable.
+    def segment_ids(self, word: str) -> list[int] | None:
+        """Greedy longest-match ids for one word, or None if unmatchable.
 
-        Returns None when no full segmentation exists or the word is longer
-        than ``MAX_WORD_CHARS`` (the caller substitutes UNK).
+        The one match kernel: at each position it probes the initial table
+        (first piece) or the continuation table (later pieces) from the
+        longest possible length down and takes the first hit. Returns None
+        when no full segmentation exists or the word is longer than
+        ``MAX_WORD_CHARS`` (the caller substitutes UNK).
         """
         n = len(word)
         if n > MAX_WORD_CHARS:
             return None
-        table = self._initial
-        cap = self._max_init
-        pieces: list[str] = []
+        get, cap = self._initial.get, self._max_init
+        # continuation pieces are keyed without their prefix
+        cont_get, cont_cap = self._cont.get, self._max_cont
+        ids: list[int] = []
         start = 0
         while start < n:
-            end = min(n, start + cap)
-            while end > start and word[start:end] not in table:
+            end = start + cap
+            if end > n:
+                end = n
+            i = get(word[start:end])
+            while i is None:
                 end -= 1
-            if end == start:
-                return None
-            piece = word[start:end]
-            pieces.append(piece if start == 0 else CONTINUATION_PREFIX + piece)
+                if end <= start:
+                    return None
+                i = get(word[start:end])
+            ids.append(i)
             start = end
-            # continuation pieces are keyed without their prefix
-            table = self._cont
-            cap = self._max_cont
-        return pieces
+            get, cap = cont_get, cont_cap
+        return ids
+
+    def segment_word(self, word: str) -> list[str] | None:
+        """``segment_ids`` as piece strings, continuation pieces with their ``##``."""
+        ids = self.segment_ids(word)
+        return None if ids is None else [self.pieces[i] for i in ids]
 
 
 @dataclass(frozen=True)
@@ -340,12 +359,13 @@ def encode(text: str, vocab: Vocab, max_len: int) -> Encoding:
     if max_len < 3:
         raise ValueError(f"max_len must be >= 3 (CLS, one piece, SEP), got {max_len}")
     ids: list[int] = []
+    segment = vocab.segment_ids
     for word in text.split():
-        pieces = vocab.segment_word(word)
-        if pieces is None:
+        word_ids = segment(word)
+        if word_ids is None:
             ids.append(UNK)
         else:
-            ids.extend(vocab.piece_to_id[p] for p in pieces)
+            ids.extend(word_ids)
     overflow = len(ids) > max_len - 2
     if overflow:
         ids = ids[: max_len - 2]

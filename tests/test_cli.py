@@ -6,7 +6,7 @@ import shutil
 import numpy as np
 import pytest
 
-from kusent.bert import BertConfig
+from kusent.bert import BertConfig, count_params
 from kusent.checkpoint import field_types, from_dict, read_blob, write_blob
 from kusent.classifiers import TrainConfig
 from kusent.cli import build_parser, load_pipeline_config, main
@@ -525,6 +525,22 @@ class TestPipeline:
         err = capsys.readouterr().err
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1 and "learning_rate must be > 0" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [("num_hidden_layers", 10**30), ("hidden_size", 10**9)])
+    def test_model_beyond_physical_memory_is_one_error_line(self, pipeline, tmp_path, capsys, key, value):
+        raw = json.loads(pipeline["cfg"].read_text())
+        raw["bert"][key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        out = tmp_path / "encoder"
+        capsys.readouterr()
+        rc = main(["pretrain", "--config", str(tmp_path / "cfg.json"), "--corpus",
+                   str(pipeline["root"] / "corpus.txt"), "--vocab", str(pipeline["vocab"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        n_params = count_params(BertConfig.from_dict(raw["bert"]))
+        assert rc == 1
+        assert err.startswith("error: ") and err.count("\n") == 1
+        assert f"a model of {n_params} parameters needs" in err
         assert not out.exists()
 
     def test_seed_flag_beats_train_seed(self, pipeline, tmp_path):

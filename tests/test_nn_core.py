@@ -723,6 +723,53 @@ class TestAdam:
                 assert state.v[p.name].tobytes() == ref_v[p.name].tobytes()
                 assert not p.grad.any()
 
+    @pytest.mark.parametrize("block_values", [None, 7])
+    def test_blocked_update_matches_whole_array_expression_bit_for_bit(self, monkeypatch, block_values):
+        # (300, 384) spans two blocks of the default size, the 1-D tensor is one row longer than a
+        # block, and 7 values per block cuts every tensor into many blocks with a short last one
+        if block_values is not None:
+            monkeypatch.setattr(ad, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(22)
+        shapes = [(300, 384), (70_001,), (13, 5), (3, 4, 2)]
+        params = [Parameter(f"p{i}", rng.normal(size=s).astype(np.float32)) for i, s in enumerate(shapes)]
+        state = AdamState(lr=3e-3)
+        whole = {p.name: p.data.copy() for p in params}
+        whole_m = {p.name: np.zeros_like(p.data) for p in params}
+        whole_v = {p.name: np.zeros_like(p.data) for p in params}
+        for t in range(1, 6):
+            bc1, bc2 = 1.0 - state.beta1**t, 1.0 - state.beta2**t
+            for p in params:
+                g = rng.normal(size=p.shape).astype(np.float32)
+                p.grad[...] = g
+                # the unblocked in-place expression, over the whole array at once
+                m, v = whole_m[p.name], whole_v[p.name]
+                buf = np.multiply(g, 1.0 - state.beta1)
+                m *= state.beta1
+                m += buf
+                np.multiply(g, g, out=g)
+                g *= 1.0 - state.beta2
+                v *= state.beta2
+                v += g
+                np.divide(v, bc2, out=g)
+                np.sqrt(g, out=g)
+                g += state.eps
+                np.multiply(m, state.lr / bc1, out=buf)
+                buf /= g
+                whole[p.name] -= buf
+            adam_step(params, state)
+            for p in params:
+                assert p.data.tobytes() == whole[p.name].tobytes()
+                assert state.m[p.name].tobytes() == whole_m[p.name].tobytes()
+                assert state.v[p.name].tobytes() == whole_v[p.name].tobytes()
+                assert not p.grad.any()
+
+    def test_non_contiguous_data_is_updated(self):
+        data = np.arange(12, dtype=np.float32).reshape(3, 4).T  # a transposed view
+        p = Parameter("p", data)
+        p.grad[...] = 1.0
+        adam_step([p], AdamState(lr=0.5))
+        np.testing.assert_allclose(p.data, data - 0.5, rtol=0, atol=1e-6)
+
     def test_zero_grad_is_fixed_point(self):
         p = Parameter("p", np.array([1.0, -2.0]))
         state = AdamState(lr=0.1)

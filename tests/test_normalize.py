@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from kusent import normalize
 from kusent.normalize import (
     NormalizationRules,
     default_rules,
@@ -32,6 +33,25 @@ def test_empty_input_is_identity():
 
 def test_whitespace_collapse():
     assert normalize_text("a  b ") == "a b"
+
+
+@pytest.mark.parametrize("raw, out, passes", [
+    ("ک a", "ک a", 1),  # already normalized: the first pass is the fixpoint check
+    ("", "", 1),
+    ("ك  a", "ک a", 2),  # a changed line is passed once more to confirm the fixpoint
+    (" a", "a", 2),
+])
+def test_unchanged_line_takes_one_pass(monkeypatch, raw, out, passes):
+    calls = []
+    one_pass = normalize._one_pass
+
+    def counting_pass(text, rules):
+        calls.append(text)
+        return one_pass(text, rules)
+
+    monkeypatch.setattr(normalize, "_one_pass", counting_pass)
+    assert normalize_text(raw) == out
+    assert len(calls) == passes
 
 
 def test_digit_unification_to_ascii():

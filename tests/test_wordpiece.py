@@ -156,6 +156,12 @@ class TestSegmentOracle:
         assert vocab.segment_word("a" * 100) is not None
         assert vocab.segment_word("a" * 101) is None
 
+    def test_empty_piece_never_matches(self):
+        # a vocabulary file with a blank line holds the piece "", which covers no character
+        assert make_vocab("", "a").segment_word("a") == ["a"]
+        assert make_vocab("", "a").segment_word("ab") is None
+        assert make_vocab("", "##a").segment_word("a") is None
+
 
 class TestTraining:
     def test_merge_on_tiny_corpus(self):
@@ -373,6 +379,74 @@ class TestEncode:
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty batch"):
             encode_batch([], make_vocab("a"), max_len=6)
+
+
+def oracle_encode(text, pieces, max_len):
+    """(ids, mask, overflow) from ``oracle_segment``: a word's pieces by their index in
+    ``pieces``, or one UNK, then CLS/SEP framing, truncation to ``max_len`` and padding."""
+    body = []
+    for word in text.split():
+        segmented = oracle_segment(word, pieces)
+        body += [UNK] if segmented is None else [pieces.index(p) for p in segmented]
+    framed = [CLS] + body[: max_len - 2] + [SEP]
+    pad = max_len - len(framed)
+    return framed + [PAD] * pad, [1] * len(framed) + [0] * pad, len(body) > max_len - 2
+
+
+def assert_encode_matches_oracle(text, vocab, max_len):
+    enc = encode(text, vocab, max_len)
+    assert (enc.ids, enc.attention_mask, enc.overflow) == oracle_encode(text, vocab.pieces, max_len)
+    return enc
+
+
+class TestEncodeMatchesOracle:
+    def test_random_vocabularies_and_texts(self):
+        rng = random.Random(4321)
+        for trial in range(300):
+            alphabet = rng.choice(["ab", "abc", "ab#"])
+            # one vocabulary in five has no continuation pieces
+            cont_share = 0.0 if rng.random() < 0.2 else 0.5
+            pieces = []
+            seen = set(SPECIAL_TOKENS)
+            for _ in range(rng.randint(1, 60)):
+                body = "".join(rng.choice(alphabet) for _ in range(rng.randint(1, 4)))
+                piece = ("##" + body) if rng.random() < cont_share else body
+                if piece not in seen:
+                    seen.add(piece)
+                    pieces.append(piece)
+            vocab = make_vocab(*pieces)
+            words = ["".join(rng.choice(alphabet) for _ in range(rng.randint(1, 9)))
+                     for _ in range(rng.randint(0, 8))]
+            assert_encode_matches_oracle(" ".join(words), vocab, max_len=rng.randint(3, 24))
+
+    def test_word_of_max_chars_is_segmented_and_one_more_is_unk(self):
+        vocab = make_vocab("a", "##a")
+        enc = assert_encode_matches_oracle(f"{'a' * 100} {'a' * 101} a", vocab, max_len=106)
+        assert enc.ids[1:104] == [vocab.id("a")] + [vocab.id("##a")] * 99 + [UNK, vocab.id("a"), SEP]
+
+    def test_word_failing_midway_is_one_unk_without_partial_ids(self):
+        vocab = make_vocab("ab", "##c")
+        enc = assert_encode_matches_oracle("abcd abc", vocab, max_len=8)
+        assert enc.ids[:6] == [CLS, UNK, vocab.id("ab"), vocab.id("##c"), SEP, PAD]
+
+    def test_vocabulary_without_continuation_pieces(self):
+        vocab = make_vocab("a", "ab", "b")
+        enc = assert_encode_matches_oracle("ab a ba b abab", vocab, max_len=10)
+        assert enc.ids[:7] == [CLS, vocab.id("ab"), vocab.id("a"), UNK, vocab.id("b"), UNK, SEP]
+
+    def test_bare_continuation_prefix_word(self):
+        vocab = make_vocab("##", "##a", "###", "a")
+        enc = assert_encode_matches_oracle("## ##a a## #", vocab, max_len=10)
+        bare, cont_hash = vocab.id("##"), vocab.id("###")
+        assert enc.ids[:9] == [CLS, bare, bare, vocab.id("##a"), vocab.id("a"), cont_hash, cont_hash, UNK, SEP]
+
+    @pytest.mark.parametrize("n_ids, overflow", [(6, False), (7, True)])
+    def test_rows_at_the_truncation_edge(self, n_ids, overflow):
+        vocab = make_vocab("a", "b", "##b")
+        text = " ".join(["ab"] * (n_ids // 2) + ["a"] * (n_ids % 2))  # "ab" is two ids
+        enc = assert_encode_matches_oracle(text, vocab, max_len=8)
+        assert enc.overflow is overflow
+        assert enc.attention_mask == [1] * 8 and enc.ids[-1] == SEP
 
 
 class TestDecode:

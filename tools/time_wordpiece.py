@@ -1,10 +1,12 @@
-"""Time `train_wordpiece` up to the paper's 50k-piece vocabulary.
+"""Time `train_wordpiece` up to the paper's 50k-piece vocabulary, and `encode` with it.
 
 Generates a seeded corpus in-process (no download): a lexicon of distinct
 Central Kurdish-script words built from random syllables, every word used at
 least once, plus Zipf-distributed repeats. Then trains 5k and 50k pieces in
-separate calls and prints seconds per 1k merges, the time to each size and
-the process's peak RSS.
+separate calls and prints seconds per 1k merges and the time to each size.
+With each trained vocabulary it encodes the whole corpus (``max_len`` 128)
+and prints the lines and words encoded per second. Last comes the process's
+peak RSS.
 
     PYTHONPATH=src python tools/time_wordpiece.py
 """
@@ -15,13 +17,14 @@ import random
 import resource
 import time
 
-from kusent.wordpiece import CONTINUATION_PREFIX, SPECIAL_TOKENS, train_wordpiece
+from kusent.wordpiece import CONTINUATION_PREFIX, SPECIAL_TOKENS, encode, train_wordpiece
 
 CONSONANTS = "بپتجچحخدرڕزژسشعغفڤقکگلڵمنهھ"
 VOWELS = "اوۆەیێ"
 WORDS = 54_000
 SEED = 0
 SIZES = (5_000, 50_000)
+MAX_LEN = 128
 
 
 def generate_corpus(n_words: int, seed: int, words_per_line: int = 12) -> list[str]:
@@ -45,7 +48,8 @@ def main() -> None:
     alphabet = {ch if pos == 0 else CONTINUATION_PREFIX + ch
                 for line in corpus for word in line.split() for pos, ch in enumerate(word)}
     minimum = len(SPECIAL_TOKENS) + len(alphabet)
-    print(f"corpus: {len(corpus)} lines, {WORDS} distinct words, {minimum} specials + alphabet")
+    n_words = sum(len(line.split()) for line in corpus)
+    print(f"corpus: {len(corpus)} lines, {n_words} words, {WORDS} distinct, {minimum} specials + alphabet")
     for size in SIZES:
         started = time.perf_counter()
         vocab = train_wordpiece(corpus, vocab_size=size)
@@ -53,6 +57,11 @@ def main() -> None:
         merges = len(vocab) - minimum
         print(f"{size} pieces: {len(vocab)} reached in {seconds:.2f} s, "
               f"{1000 * seconds / merges:.3f} s per 1k merges")
+        started = time.perf_counter()
+        for line in corpus:
+            encode(line, vocab, MAX_LEN)
+        seconds = time.perf_counter() - started
+        print(f"{size} pieces: encode {len(corpus) / seconds:,.0f} lines/s, {n_words / seconds:,.0f} words/s")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak_mb:.0f} MB")
 
