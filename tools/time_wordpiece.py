@@ -5,8 +5,8 @@ Central Kurdish-script words built from random syllables, every word used at
 least once, plus Zipf-distributed repeats. Then trains 5k and 50k pieces in
 separate calls and prints seconds per 1k merges and the time to each size.
 With each trained vocabulary it encodes the whole corpus (``max_len`` 128)
-and prints the lines and words encoded per second. Last comes the process's
-peak RSS.
+five times and prints the lines and words encoded per second in the median
+pass. Last comes the process's peak RSS.
 
     PYTHONPATH=src python tools/time_wordpiece.py
 """
@@ -15,6 +15,7 @@ from __future__ import annotations
 
 import random
 import resource
+import statistics
 import time
 
 from kusent.wordpiece import CONTINUATION_PREFIX, SPECIAL_TOKENS, encode, train_wordpiece
@@ -25,6 +26,7 @@ WORDS = 54_000
 SEED = 0
 SIZES = (5_000, 50_000)
 MAX_LEN = 128
+ENCODE_PASSES = 5
 
 
 def generate_corpus(n_words: int, seed: int, words_per_line: int = 12) -> list[str]:
@@ -57,11 +59,15 @@ def main() -> None:
         merges = len(vocab) - minimum
         print(f"{size} pieces: {len(vocab)} reached in {seconds:.2f} s, "
               f"{1000 * seconds / merges:.3f} s per 1k merges")
-        started = time.perf_counter()
-        for line in corpus:
-            encode(line, vocab, MAX_LEN)
-        seconds = time.perf_counter() - started
-        print(f"{size} pieces: encode {len(corpus) / seconds:,.0f} lines/s, {n_words / seconds:,.0f} words/s")
+        passes = []
+        for _ in range(ENCODE_PASSES):
+            started = time.perf_counter()
+            for line in corpus:
+                encode(line, vocab, MAX_LEN)
+            passes.append(time.perf_counter() - started)
+        seconds = statistics.median(passes)
+        print(f"{size} pieces: encode {len(corpus) / seconds:,.0f} lines/s, {n_words / seconds:,.0f} words/s "
+              f"(median of {ENCODE_PASSES} passes)")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak_mb:.0f} MB")
 
