@@ -815,10 +815,23 @@ def truncated_normal(
     rng: np.random.Generator,
     dtype=np.float32,
 ) -> np.ndarray:
-    """Normal(0, std) resampled until within 2 std, the BERT-style initializer."""
-    out = rng.normal(0.0, std, size=shape)
-    bad = np.abs(out) > 2 * std
-    while bad.any():
-        out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
-        bad = np.abs(out) > 2 * std
-    return out.astype(dtype)
+    """Normal(0, std) resampled until within 2 std, the BERT-style initializer.
+
+    Draws ``_BLOCK_VALUES`` float64 values at a time straight into the ``dtype`` output and
+    records the flat indices outside 2 std, then redraws only those, in C order, until none
+    is left. The stream and the bits are those of one whole-array draw whose out-of-range
+    values are redrawn by mask.
+    """
+    out = np.empty(shape, dtype=dtype)
+    flat = out.reshape(-1)
+    bad = [np.empty(0, dtype=np.intp)]
+    for start in range(0, flat.size, _BLOCK_VALUES):
+        draw = rng.normal(0.0, std, size=min(_BLOCK_VALUES, flat.size - start))
+        flat[start : start + draw.size] = draw
+        bad.append(start + np.flatnonzero(np.abs(draw) > 2 * std))
+    redraw = np.concatenate(bad)
+    while redraw.size:
+        draw = rng.normal(0.0, std, size=redraw.size)
+        flat[redraw] = draw
+        redraw = redraw[np.abs(draw) > 2 * std]
+    return out

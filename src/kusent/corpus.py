@@ -17,7 +17,7 @@ from typing import Sequence
 import numpy as np
 
 from .checkpoint import atomic_write_text
-from .normalize import NormalizationRules, normalize_text
+from .normalize import NormalizationRules, default_rules, normalize_text
 
 
 class SentimentLabel(enum.Enum):
@@ -76,6 +76,8 @@ def load_labeled(
     nothing to attach to); malformed rows and unknown labels report the
     1-based line number.
     """
+    if rules is None:
+        rules = default_rules()
     examples: list[LabeledExample] = []
     with open(path, encoding="utf-8") as fh:
         for lineno, raw_line in enumerate(fh, start=1):

@@ -12,6 +12,7 @@ can override everything.
 
 from __future__ import annotations
 
+import re
 import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
@@ -27,8 +28,10 @@ _EXT_ARABIC_INDIC_DIGITS = "".join(chr(0x06F0 + i) for i in range(10))
 RULES_VERSION = 1
 
 # Stripping can make previously separated code points adjacent, and NFC may
-# then compose them into a new character; normalization therefore iterates to
-# a fixpoint. Converges in 2 passes for anything non-pathological.
+# then compose them into a new character. A pass whose output is NFC is
+# already the fixpoint unless the table rewrites U+0020 (see normalize_text);
+# any other output is passed again until it stops changing, at most this many
+# passes in all. Converges in 2-3 passes for anything non-pathological.
 _MAX_PASSES = 10
 
 
@@ -87,13 +90,14 @@ class NormalizationRules:
                         f"replacement for U+{ord(src):04X} contains stripped code point U+{ord(ch):04X}"
                     )
         # The word-final heh rule is context-sensitive and applied separately;
-        # the translate table holds only position-independent rewrites.
-        table: dict[int, str | None] = {ord(c): None for c in self.strip_set}
-        for src, repl in self.char_map.items():
-            table[ord(src)] = repl
-        for src, repl in self._digit_map().items():
-            table[ord(src)] = repl
+        # the table holds only position-independent rewrites, a stripped code
+        # point rewritten to "". One character class of its keys finds them.
+        table = dict.fromkeys(self.strip_set, "")
+        table.update(self.char_map)
+        table.update(self._digit_map())
+        keys = re.compile("[" + "".join(map(re.escape, sorted(table))) + "]") if table else None
         object.__setattr__(self, "_table", table)
+        object.__setattr__(self, "_keys", keys)
 
     def _digit_map(self) -> dict[str, str]:
         if self.digit_policy == "keep":
@@ -117,7 +121,9 @@ def default_rules() -> NormalizationRules:
 
 def _one_pass(text: str, rules: NormalizationRules) -> str:
     text = unicodedata.normalize("NFC", text)
-    text = text.translate(rules._table)  # type: ignore[attr-defined]
+    keys, table = rules._keys, rules._table  # type: ignore[attr-defined]
+    if keys is not None:
+        text = keys.sub(lambda m: table[m[0]], text)
     text = " ".join(text.split())
     if rules.final_heh_to_ae and "ه" in text:
         text = " ".join(
@@ -127,11 +133,20 @@ def _one_pass(text: str, rules: NormalizationRules) -> str:
 
 
 def normalize_text(raw: str, rules: NormalizationRules | None = None) -> str:
-    """Normalize one string: NFC, rule table, digit policy, whitespace collapse."""
+    """Normalize one string: NFC, rule table, digit policy, whitespace collapse.
+
+    One pass reaches the fixpoint when it changes nothing, or when its output
+    is NFC and the table has no entry for U+0020. A pass leaves no table key
+    (no replacement holds one, and U+06D5 of the heh rewrite is none), and the
+    collapse leaves no whitespace but single U+0020s, so then only NFC could
+    change the line again. Otherwise passes repeat until one changes nothing.
+    """
     if rules is None:
         rules = default_rules()
     text = _one_pass(raw, rules)
     if text == raw:  # a pass that changes nothing has reached the fixpoint
+        return text
+    if " " not in rules._table and unicodedata.is_normalized("NFC", text):  # type: ignore[attr-defined]
         return text
     for _ in range(_MAX_PASSES - 1):
         nxt = _one_pass(text, rules)

@@ -13,6 +13,7 @@ from kusent.bert import (
     BertConfig,
     build_model,
     count_params,
+    count_tensors,
     epoch_batches,
     expected_shapes,
     forward,
@@ -224,12 +225,14 @@ class TestBuildAndCount:
     def test_count_equals_enumeration_toy(self):
         model = build_model(TOY, seed=0)
         assert count_params(TOY) == model.n_values()
+        assert count_tensors(TOY) == len(model.params)
 
     def test_count_equals_enumeration_all_presets(self):
         for name in ("model1", "model2", "model3", "model4"):
             cfg = preset_config(name)
             total = sum(int(np.prod(s)) for s in expected_shapes(cfg).values())
             assert count_params(cfg) == total
+            assert count_tensors(cfg) == len(expected_shapes(cfg))
 
     def test_doubling_layers_adds_block_size(self):
         one = tiny_config(num_hidden_layers=1)
@@ -258,6 +261,36 @@ class TestBuildAndCount:
         model = build_model(tiny_config(), seed=0)
         w = model["layer0.attn.q.weight"].data
         assert np.abs(w).max() <= 2 * 0.02 + 1e-9
+
+    @staticmethod
+    def oracle_truncated_normal(shape, std, rng, dtype):
+        """One float64 draw of the whole shape, out-of-range values redrawn by mask; the rounds."""
+        out = rng.normal(0.0, std, size=shape)
+        bad = np.abs(out) > 2 * std
+        rounds = 0
+        while bad.any():
+            out[bad] = rng.normal(0.0, std, size=int(bad.sum()))
+            bad = np.abs(out) > 2 * std
+            rounds += 1
+        return out.astype(dtype), rounds
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    @pytest.mark.parametrize("shape, std, block, min_rounds", [
+        ((300, 500), 0.02, None, 3),  # crosses two chunk boundaries; ~7k values redrawn
+        ((ad._BLOCK_VALUES + 3,), 1.5, None, 1),  # 1-D, one value past a chunk
+        ((0, 7), 0.02, None, 0),
+        ((13, 11), 0.7, 7, 1),  # chunks of 7 values: 21 boundaries, the last chunk short
+    ])
+    def test_truncated_normal_matches_whole_array_draw(self, monkeypatch, dtype, shape, std, block, min_rounds):
+        if block is not None:
+            monkeypatch.setattr(ad, "_BLOCK_VALUES", block)
+        rng, oracle_rng = np.random.default_rng(5), np.random.default_rng(5)
+        got = ad.truncated_normal(shape, std, rng, dtype=dtype)
+        want, rounds = self.oracle_truncated_normal(shape, std, oracle_rng, dtype)
+        assert rounds >= min_rounds
+        assert got.dtype == want.dtype and got.shape == want.shape
+        assert got.tobytes() == want.tobytes()
+        assert rng.random() == oracle_rng.random()
 
 
 class TestForward:

@@ -1,6 +1,8 @@
 import json
 import pathlib
+import os
 import re
+import resource
 import shutil
 
 import numpy as np
@@ -39,6 +41,14 @@ def write_corpus(path, n_lines=60, seed=1):
     ]
     path.write_text("".join(line + "\n" for line in lines), encoding="utf-8")
     return path
+
+
+def _layers_in_half_of_memory(hidden):
+    """An encoder layer count whose float32 values at ``hidden`` fill about half of physical memory."""
+    one, two = (BertConfig(hidden_size=hidden, num_hidden_layers=n, num_attention_heads=1, vocab_size=10)
+                for n in (1, 2))
+    per_layer = 4 * (count_params(two) - count_params(one))
+    return os.sysconf("SC_PHYS_PAGES") * os.sysconf("SC_PAGE_SIZE") // (2 * per_layer)
 
 
 class TestBasicSubcommands:
@@ -527,15 +537,29 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1 and "learning_rate must be > 0" in err
         assert not out.exists()
 
-    @pytest.mark.parametrize("key, value", [("num_hidden_layers", 10**30), ("hidden_size", 10**9)])
-    def test_model_beyond_physical_memory_is_one_error_line(self, pipeline, tmp_path, capsys, key, value):
+    @pytest.mark.parametrize("bert", [
+        pytest.param({"num_hidden_layers": 10**30}, id=f"num_hidden_layers-{10**30}"),
+        pytest.param({"hidden_size": 10**9}, id="hidden_size-1000000000"),
+        # values that fill half of memory, in so many tensors that their objects do not fit
+        pytest.param({"hidden_size": 4, "num_hidden_layers": _layers_in_half_of_memory(4)},
+                     id="tensor_count"),
+    ])
+    def test_model_beyond_physical_memory_is_one_error_line(self, pipeline, tmp_path, capsys, bert):
         raw = json.loads(pipeline["cfg"].read_text())
-        raw["bert"][key] = value
+        raw["bert"].update(bert)
         (tmp_path / "cfg.json").write_text(json.dumps(raw))
         out = tmp_path / "encoder"
         capsys.readouterr()
-        rc = main(["pretrain", "--config", str(tmp_path / "cfg.json"), "--corpus",
-                   str(pipeline["root"] / "corpus.txt"), "--vocab", str(pipeline["vocab"]), "--out", str(out)])
+        # a bound that lets the model through fails here at once instead of filling the host
+        soft, hard = resource.getrlimit(resource.RLIMIT_AS)
+        mapped = int(pathlib.Path("/proc/self/statm").read_text().split()[0]) * resource.getpagesize()
+        limit = mapped + 2**30
+        resource.setrlimit(resource.RLIMIT_AS, (limit if hard == resource.RLIM_INFINITY else min(limit, hard), hard))
+        try:
+            rc = main(["pretrain", "--config", str(tmp_path / "cfg.json"), "--corpus",
+                       str(pipeline["root"] / "corpus.txt"), "--vocab", str(pipeline["vocab"]), "--out", str(out)])
+        finally:
+            resource.setrlimit(resource.RLIMIT_AS, (soft, hard))
         err = capsys.readouterr().err
         n_params = count_params(BertConfig.from_dict(raw["bert"]))
         assert rc == 1

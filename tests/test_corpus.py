@@ -13,7 +13,7 @@ from kusent.corpus import (
     to_binary,
     undersample,
 )
-from kusent.normalize import normalize_text
+from kusent.normalize import NormalizationRules, default_rules, normalize_text
 
 
 def make_example(text, label, topic=None):
@@ -64,6 +64,21 @@ class TestLoadLabeled:
         path = tmp_path / "data.tsv"
         path.write_text("ك  x\tneutral\n", encoding="utf-8")
         assert load_labeled(str(path))[0].text == "ک x"
+
+    def test_default_rules_are_built_once_per_file(self, tmp_path, monkeypatch):
+        path = tmp_path / "data.tsv"
+        path.write_text("ك  x\tneutral\nي\tpositive\nx\tnegative\n", encoding="utf-8")
+        built = []
+        post_init = NormalizationRules.__post_init__
+
+        def counting_post_init(self):
+            built.append(self)
+            post_init(self)
+
+        monkeypatch.setattr(NormalizationRules, "__post_init__", counting_post_init)
+        assert [ex.text for ex in load_labeled(str(path))] == ["ک x", "ی", "x"]
+        assert len(built) == 1
+        assert default_rules() is not default_rules()
 
     def test_round_trip(self, tmp_path):
         examples = make_set(pos=3, neg=2, neu=1)

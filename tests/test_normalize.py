@@ -1,5 +1,6 @@
 import os
 import random
+import unicodedata
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from kusent.normalize import (
     normalize_text,
     save_rules,
 )
+from kusent.normalize import _default_strip_set
 
 # Documented unification pairs: Arabic Kaf -> Keheh, Arabic Yeh -> Farsi Yeh.
 MAPPING_PAIRS = [("ك", "ک"), ("ي", "ی")]
@@ -35,13 +37,8 @@ def test_whitespace_collapse():
     assert normalize_text("a  b ") == "a b"
 
 
-@pytest.mark.parametrize("raw, out, passes", [
-    ("ک a", "ک a", 1),  # already normalized: the first pass is the fixpoint check
-    ("", "", 1),
-    ("ك  a", "ک a", 2),  # a changed line is passed once more to confirm the fixpoint
-    (" a", "a", 2),
-])
-def test_unchanged_line_takes_one_pass(monkeypatch, raw, out, passes):
+def count_passes(monkeypatch):
+    """Record the text of every ``_one_pass`` call from here on."""
     calls = []
     one_pass = normalize._one_pass
 
@@ -50,8 +47,29 @@ def test_unchanged_line_takes_one_pass(monkeypatch, raw, out, passes):
         return one_pass(text, rules)
 
     monkeypatch.setattr(normalize, "_one_pass", counting_pass)
+    return calls
+
+
+@pytest.mark.parametrize("raw, out, passes", [
+    ("ک a", "ک a", 1),  # already normalized: the first pass is the fixpoint check
+    ("", "", 1),
+    ("ك  a", "ک a", 1),  # a changed line whose output is NFC is the fixpoint too
+    (" a", "a", 1),
+    # stripping the tatweel leaves alef + hamza above, which NFC composes to
+    # U+0623 only in the second pass; the third confirms
+    ("\u0627\u0640\u0654", "\u0623", 3),
+])
+def test_unchanged_line_takes_one_pass(monkeypatch, raw, out, passes):
+    calls = count_passes(monkeypatch)
     assert normalize_text(raw) == out
     assert len(calls) == passes
+
+
+def test_rules_that_rewrite_space_confirm_the_fixpoint(monkeypatch):
+    rules = NormalizationRules(strip_set=_default_strip_set() | {" "})
+    calls = count_passes(monkeypatch)
+    assert normalize_text("a b", rules) == "ab"
+    assert len(calls) == 2
 
 
 def test_digit_unification_to_ascii():
@@ -206,3 +224,83 @@ def test_idempotence_arbitrary_unicode(s):
 @settings(max_examples=200, deadline=None)
 def test_determinism(s):
     assert normalize_text(s) == normalize_text(s)
+
+
+def oracle_normalize_text(raw, rules):
+    """The normalizer as whole passes repeated until one changes nothing, each
+    rewriting through ``str.translate``."""
+    table = {ord(c): None for c in rules.strip_set}
+    table.update({ord(src): repl for src, repl in rules.char_map.items()})
+    table.update({ord(src): repl for src, repl in rules._digit_map().items()})
+
+    def one_pass(text):
+        text = unicodedata.normalize("NFC", text).translate(table)
+        text = " ".join(text.split())
+        if rules.final_heh_to_ae and "ه" in text:
+            text = " ".join(w[:-1] + "ە" if w.endswith("ه") else w for w in text.split(" "))
+        return text
+
+    text = one_pass(raw)
+    if text == raw:
+        return text
+    for _ in range(normalize._MAX_PASSES - 1):
+        nxt = one_pass(text)
+        if nxt == text:
+            return text
+        text = nxt
+    raise ValueError("normalization did not converge; rule table is pathological")
+
+
+RULE_TABLES = {
+    "default": NormalizationRules(),
+    "digits_arabic": NormalizationRules(digit_policy="arabic"),
+    "keep_final_heh": NormalizationRules(digit_policy="keep", final_heh_to_ae=True),
+    "decomposing_map": NormalizationRules(char_map={"ي": "ی", "ك": "ک", "\u00e9": "e\u0301"}),
+    "strips_space": NormalizationRules(strip_set=_default_strip_set() | {" "}),
+    "empty": NormalizationRules(char_map={}, strip_set=set(), digit_policy="keep"),
+}
+
+# Arabic script plus what the tables above rewrite or compose: hamza and
+# maddah above and below, é and its decomposition, other whitespace.
+ORACLE_ALPHABET = ARABIC_SCRIPT + list("\u0653\u0654\u0655\u00e9e\u0301\u00a0\u2028\n\r\ufeff\x01")
+
+
+def outcome(fn, raw, rules):
+    try:
+        return fn(raw, rules)
+    except ValueError as exc:
+        return ("error", str(exc))
+
+
+@pytest.mark.parametrize("name", list(RULE_TABLES))
+def test_one_scan_matches_oracle_on_fuzz_corpus(name):
+    rules = RULE_TABLES[name]
+    rng = random.Random(name)
+    for _ in range(3_000):
+        raw = "".join(rng.choice(ORACLE_ALPHABET) for _ in range(rng.randrange(0, 40)))
+        assert outcome(normalize_text, raw, rules) == outcome(oracle_normalize_text, raw, rules), raw
+
+
+@pytest.mark.parametrize("name", list(RULE_TABLES))
+def test_one_scan_matches_oracle_on_every_table_key(name):
+    rules = RULE_TABLES[name]
+    keys = set(rules.strip_set) | set(rules.char_map) | set(rules._digit_map())
+    for key in sorted(keys):
+        raw = f"a{key}b {key}ه"
+        assert normalize_text(raw, rules) == oracle_normalize_text(raw, rules), f"U+{ord(key):04X}"
+
+
+@pytest.mark.parametrize("name", list(RULE_TABLES))
+@given(s=st.text(alphabet=st.one_of(st.sampled_from(ORACLE_ALPHABET), st.characters()), max_size=60))
+@settings(max_examples=150, deadline=None)
+def test_one_scan_matches_oracle_on_arbitrary_text(name, s):
+    rules = RULE_TABLES[name]
+    assert outcome(normalize_text, s, rules) == outcome(oracle_normalize_text, s, rules)
+
+
+def test_pass_cap_error_matches_oracle(monkeypatch):
+    monkeypatch.setattr(normalize, "_MAX_PASSES", 2)
+    raw = "اـٔ"  # takes 3 passes
+    with pytest.raises(ValueError, match="did not converge"):
+        normalize_text(raw)
+    assert outcome(normalize_text, raw, default_rules()) == outcome(oracle_normalize_text, raw, default_rules())

@@ -19,10 +19,13 @@ in-process (no download):
   on a 1,001-row dataset, 1,000 rows of 4-42 tokens and one of 256, so every
   row is padded to T256.
 
-Prints each batch's pad fraction and the median, quartiles and fastest of
+Prints first the seconds ``build_model`` takes for the model1-shape encoder,
+then each batch's pad fraction and the median, quartiles and fastest of
 several timed calls after one warm-up call. The frozen features run once per
 kind, under ``tracemalloc``: their seconds, the MiB the head keeps and the
-peak of traced memory. Last comes the process's peak RSS. BLAS threads follow
+peak of traced memory. Then comes the process's peak RSS, and last a
+``build_model`` of the model3 preset (H768, 6 layers, 50k vocabulary) in a
+fresh process: its seconds and that process's peak RSS. BLAS threads follow
 the environment (``OPENBLAS_NUM_THREADS``).
 
     PYTHONPATH=src python tools/time_encoder.py
@@ -30,6 +33,7 @@ the environment (``OPENBLAS_NUM_THREADS``).
 
 from __future__ import annotations
 
+import multiprocessing
 import resource
 import statistics
 import time
@@ -38,7 +42,7 @@ import tracemalloc
 import numpy as np
 
 from kusent.autodiff import backward, no_grad
-from kusent.bert import BertConfig, build_model, forward, mask_for_mlm, mlm_loss
+from kusent.bert import BertConfig, build_model, forward, mask_for_mlm, mlm_loss, preset_config
 from kusent.classifiers import _frozen_features
 from kusent.wordpiece import CLS, PAD, SEP
 
@@ -76,9 +80,23 @@ def timed(fn, repeats: int) -> list[float]:
     return times
 
 
+def build_model3() -> None:
+    """Build the model3 preset and print the seconds and this process's peak RSS."""
+    started = time.perf_counter()
+    build_model(preset_config("model3"), seed=SEED)
+    seconds = time.perf_counter() - started
+    # VmHWM restarts at exec; ru_maxrss would carry over the parent's peak
+    with open("/proc/self/status") as fh:
+        peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
+    peak_mb = peak_kb / 1024
+    print(f"build_model model3 preset, fresh process: {seconds:.2f} s, peak RSS {peak_mb:.0f} MB", flush=True)
+
+
 def main() -> None:
     rng = np.random.default_rng(SEED)
+    started = time.perf_counter()
     model = build_model(CONFIG, seed=SEED)
+    print(f"build_model model1 shape: {time.perf_counter() - started:.2f} s")
     eval_ids, eval_mask = make_batch(rng, 32, 4, 42)
     train_ids, train_mask = make_batch(rng, 12, 40, 128)
     mlm = mask_for_mlm(train_ids, train_mask, 0.15, rng, CONFIG.vocab_size)
@@ -121,7 +139,10 @@ def main() -> None:
         print(f"frozen features {kind}, {FEATURE_ROWS} rows x T256, pad fraction {1 - feature_mask.mean():.3f}: "
               f"{seconds:.2f} s, keeps {features.nbytes / 2**20:.1f} MiB, tracemalloc peak {peak / 2**20:.0f} MiB")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
-    print(f"peak RSS: {peak_mb:.0f} MB")
+    print(f"peak RSS: {peak_mb:.0f} MB", flush=True)
+    child = multiprocessing.get_context("spawn").Process(target=build_model3)
+    child.start()
+    child.join()
 
 
 if __name__ == "__main__":
