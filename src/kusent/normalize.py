@@ -95,7 +95,7 @@ class NormalizationRules:
         table = dict.fromkeys(self.strip_set, "")
         table.update(self.char_map)
         table.update(self._digit_map())
-        keys = re.compile("[" + "".join(map(re.escape, sorted(table))) + "]") if table else None
+        keys = re.compile("[" + re.escape("".join(table)) + "]") if table else None
         object.__setattr__(self, "_table", table)
         object.__setattr__(self, "_keys", keys)
 
