@@ -567,10 +567,12 @@ def pretrain(
     """Minimize MLM cross-entropy with Adam over the corpus.
 
     Stops at ``config.epochs`` or ``config.iterations`` steps, whichever
-    comes first. A checkpoint (with optimizer state) is written at every
-    epoch boundary and at a stop mid-epoch. Masking, shuffling, and dropout
-    streams derive from (seed, epoch, batch), so a resume continues at the
-    batch where the run stopped and reproduces the uninterrupted run exactly.
+    comes first. A ``max_len`` above ``config.max_position`` is cut to it;
+    ``mask_rate`` must be in (0, 1). A checkpoint (with optimizer state) is
+    written at every epoch boundary and at a stop mid-epoch. Masking,
+    shuffling, and dropout streams derive from (seed, epoch, batch), so a
+    resume continues at the batch where the run stopped and reproduces the
+    uninterrupted run exactly.
     Only epochs and iterations may change on resume; the stored Adam state,
     learning rate included, is used. A resume needs ``state.json`` beside
     ``params.bin``; a directory without ``params.bin`` starts fresh.
@@ -582,6 +584,8 @@ def pretrain(
         raise ValueError("cannot pretrain on an empty corpus")
     if not 0 < lr < math.inf:
         raise ValueError(f"pretrain.learning_rate must be > 0, got {lr}")
+    if not 0 < mask_rate < 1:
+        raise ValueError(f"pretrain.mask_rate must be in (0, 1), got {mask_rate}")
     if log_every < 1:
         raise ValueError(f"pretrain.log_every must be >= 1, got {log_every}")
     if max_len < 3:

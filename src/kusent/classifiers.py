@@ -113,9 +113,12 @@ class SentimentModel:
 
 def check_widths(head_meta: dict, where: str) -> dict:
     """Return ``head_meta`` unchanged once each width in it (``lstm_hidden``, ``num_layers``,
-    every ``hidden_sizes`` entry) is >= 1; else a ValueError naming ``where`` and the key."""
+    every ``hidden_sizes`` entry) is >= 1 and ``hidden_sizes`` holds at least one; else a
+    ValueError naming ``where`` and the key."""
     for key, value in head_meta.items():
-        if min(value if isinstance(value, list) else [value], default=1) < 1:
+        if value == []:
+            raise ValueError(f"{where} key {key!r} must hold at least one width, got []")
+        if min(value if isinstance(value, list) else [value]) < 1:
             raise ValueError(f"{where} key {key!r} must be >= 1, got {value!r}")
     return head_meta
 

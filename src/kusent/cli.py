@@ -1,10 +1,12 @@
 """Command-line entry point exposing the whole pipeline as subcommands.
 
-Hyperparameters live in a strict sectioned JSON config (an unknown key, a
-missing required key or a wrong-typed value is named); paths can come from
-the config's ``paths`` section or from flags, with flags winning. Every file
-output is written atomically, and all randomness is seeded from the config,
-so reruns are byte-identical.
+Hyperparameters and paths live in a strict sectioned JSON config (an unknown
+key, a missing required key or a wrong-typed value is named). ``main`` loads
+it once into one settings dict, and each flag that stands for a config key
+writes over that key: the flag's argparse ``dest`` is ``@section.key`` (or
+``@seed``), so a flag always beats its key. Every file output is written
+atomically, and all randomness is seeded from the settings, so reruns are
+byte-identical.
 """
 
 from __future__ import annotations
@@ -74,39 +76,25 @@ def load_pipeline_config(path: str | None) -> dict:
     return raw
 
 
-def _resolve(flag_value, config: dict, section: str, key: str, required_as: str | None = None):
-    if flag_value is not None:
-        return flag_value
-    value = config.get(section, {}).get(key)
-    if value is None and required_as is not None:
-        raise ValueError(
-            f"missing required value: pass {required_as} or set {section}.{key} in the config"
-        )
+def _required(settings: dict, key: str, flag: str):
+    """The setting ``key`` (``section.name``); a ValueError naming ``flag`` and ``key`` when unset."""
+    section, name = key.split(".")
+    value = settings.get(section, {}).get(name)
+    if value is None:
+        raise ValueError(f"missing required value: pass {flag} or set {key} in the config")
     return value
 
 
-def _given(**values) -> dict:
-    """The values a flag or the config sets; the library's defaults fill the rest."""
-    return {key: value for key, value in values.items() if value is not None}
-
-
-def _rules_from(args, config) -> NormalizationRules:
-    rules_path = _resolve(getattr(args, "rules", None), config, "normalizer", "rules")
-    rules = load_rules(rules_path) if rules_path else default_rules()
-    if config.get("normalizer", {}).get("final_heh_ae") or getattr(args, "final_heh_ae", False):
+def _rules_from(settings: dict) -> NormalizationRules:
+    normalizer = settings.get("normalizer", {})
+    rules = load_rules(normalizer["rules"]) if normalizer.get("rules") else default_rules()
+    if normalizer.get("final_heh_ae"):
         rules = dataclasses.replace(rules, final_heh_to_ae=True)
     return rules
 
 
-def _seed_from(args, config) -> int:
-    if getattr(args, "seed", None) is not None:
-        return args.seed
-    return config.get("seed", 42)
-
-
-def cmd_normalize(args) -> int:
-    config = load_pipeline_config(args.config)
-    rules = _rules_from(args, config)
+def cmd_normalize(args, settings) -> int:
+    rules = _rules_from(settings)
     out_lines = []
     with open(args.infile, encoding="utf-8") as fh:
         for line in normalize_stream(fh, rules):
@@ -116,10 +104,8 @@ def cmd_normalize(args) -> int:
     return 0
 
 
-def cmd_corpus_stats(args) -> int:
-    config = load_pipeline_config(args.config)
-    rules = _rules_from(args, config)
-    examples = load_labeled(args.infile, rules)
+def cmd_corpus_stats(args, settings) -> int:
+    examples = load_labeled(args.infile, _rules_from(settings))
     payload = compute_stats(examples).to_json_dict()
     text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
     if args.out:
@@ -129,105 +115,79 @@ def cmd_corpus_stats(args) -> int:
     return 0
 
 
-def cmd_split(args) -> int:
-    config = load_pipeline_config(args.config)
-    rules = _rules_from(args, config)
-    examples = load_labeled(args.infile, rules)
-    ds = split(examples, ratio=args.ratio, seed=_seed_from(args, config))
+def cmd_split(args, settings) -> int:
+    examples = load_labeled(args.infile, _rules_from(settings))
+    ds = split(examples, ratio=args.ratio, seed=settings["seed"])
     save_labeled(ds.train, args.out_train)
     save_labeled(ds.test, args.out_test)
     print(f"split {len(examples)} examples -> {len(ds.train)} train / {len(ds.test)} test")
     return 0
 
 
-def cmd_to_binary(args) -> int:
-    config = load_pipeline_config(args.config)
-    rules = _rules_from(args, config)
-    examples = load_labeled(args.infile, rules)
+def cmd_to_binary(args, settings) -> int:
+    examples = load_labeled(args.infile, _rules_from(settings))
     kept = to_binary(examples)
     save_labeled(kept, args.out)
     print(f"kept {len(kept)} of {len(examples)} examples (neutral removed)")
     return 0
 
 
-def cmd_undersample(args) -> int:
-    config = load_pipeline_config(args.config)
-    rules = _rules_from(args, config)
-    examples = load_labeled(args.infile, rules)
-    kept = undersample(examples, seed=_seed_from(args, config))
+def cmd_undersample(args, settings) -> int:
+    examples = load_labeled(args.infile, _rules_from(settings))
+    kept = undersample(examples, seed=settings["seed"])
     save_labeled(kept, args.out)
     print(f"kept {len(kept)} of {len(examples)} examples (balanced)")
     return 0
 
 
-def cmd_train_tokenizer(args) -> int:
-    config = load_pipeline_config(args.config)
-    vocab_size = _resolve(args.vocab_size, config, "tokenizer", "vocab_size", "--vocab-size")
-    min_freq = _resolve(args.min_freq, config, "tokenizer", "min_freq")
+def cmd_train_tokenizer(args, settings) -> int:
+    _required(settings, "tokenizer.vocab_size", "--vocab-size")
     with open(args.infile, encoding="utf-8") as fh:
         lines = [line.rstrip("\n") for line in fh]
-    vocab = train_wordpiece(lines, vocab_size, **_given(min_freq=min_freq))
+    # the section's keys are train_wordpiece's vocab_size and min_freq
+    vocab = train_wordpiece(lines, **settings["tokenizer"])
     save_vocab(vocab, args.out)
     print(f"trained {len(vocab)}-piece vocabulary -> {args.out}")
     return 0
 
 
-def cmd_pretrain(args) -> int:
-    config = load_pipeline_config(args.config)
-    if "bert" not in config:
+def cmd_pretrain(args, settings) -> int:
+    if "bert" not in settings:
         raise ValueError("config missing required section 'bert'")
-    bert_config = BertConfig.from_dict(config["bert"], f"{args.config}: bert")
-    corpus_path = _resolve(args.corpus, config, "paths", "corpus", "--corpus")
-    vocab_path = _resolve(args.vocab, config, "paths", "vocab", "--vocab")
-    out_dir = _resolve(args.out, config, "paths", "out", "--out")
-    seed = _seed_from(args, config)
+    bert_config = BertConfig.from_dict(settings["bert"], f"{args.config}: bert")
+    corpus_path = _required(settings, "paths.corpus", "--corpus")
+    vocab_path = _required(settings, "paths.vocab", "--vocab")
+    out_dir = _required(settings, "paths.out", "--out")
     vocab = load_vocab(vocab_path)
     with open(corpus_path, encoding="utf-8") as fh:
         corpus = [line.rstrip("\n") for line in fh if line.strip()]
-    model = build_model(bert_config, seed=seed)
-    result = pretrain(
-        model,
-        corpus,
-        vocab,
-        bert_config,
-        seed=seed,
-        checkpoint_dir=out_dir,
-        resume=args.resume,
-        **_given(
-            max_len=_resolve(args.max_len, config, "pretrain", "max_len"),
-            lr=_resolve(args.lr, config, "pretrain", "learning_rate"),
-            mask_rate=_resolve(None, config, "pretrain", "mask_rate"),
-            log_every=_resolve(None, config, "pretrain", "log_every"),
-        ),
-    )
+    model = build_model(bert_config, seed=settings["seed"])
+    # the section's keys are pretrain's arguments, learning_rate spelled lr
+    knobs = {"lr" if k == "learning_rate" else k: v for k, v in settings.get("pretrain", {}).items()}
+    result = pretrain(model, corpus, vocab, bert_config, seed=settings["seed"], checkpoint_dir=out_dir,
+                      resume=args.resume, **knobs)
     final = result.losses[-1] if result.losses else float("nan")
     print(f"pretrained {result.steps} steps (final loss {final:.4f}) -> {out_dir}")
     return 0
 
 
-def _train_config_from(config: dict, args, encoder_hidden: int, where: str) -> TrainConfig:
-    section = {k: v for k, v in config.get("train", {}).items() if k in field_types(TrainConfig)}
-    section.setdefault("epochs", default_epochs(args.task, encoder_hidden))
-    section.setdefault("seed", _seed_from(args, config))
-    section.update(_given(epochs=args.epochs, num_classes=args.num_classes, seed=args.seed))
-    return from_dict(TrainConfig, section, where)
-
-
-def cmd_train(args) -> int:
-    config = load_pipeline_config(args.config)
-    encoder_dir = _resolve(args.encoder, config, "paths", "encoder", "--encoder")
-    data_path = _resolve(args.data, config, "paths", "labeled", "--data")
-    vocab_path = _resolve(args.vocab, config, "paths", "vocab", "--vocab")
-    out_dir = _resolve(args.out, config, "paths", "model", "--out")
-    rules = _rules_from(args, config)
+def cmd_train(args, settings) -> int:
+    encoder_dir = _required(settings, "paths.encoder", "--encoder")
+    data_path = _required(settings, "paths.labeled", "--data")
+    vocab_path = _required(settings, "paths.vocab", "--vocab")
+    out_dir = _required(settings, "paths.model", "--out")
+    rules = _rules_from(settings)
     encoder, bert_config = load_checkpoint(encoder_dir)
     where = f"{args.config}: train" if args.config else "train"
-    train_config = _train_config_from(config, args, bert_config.hidden_size, where)
+    section = settings.get("train", {})
+    fields = {k: v for k, v in section.items() if k in field_types(TrainConfig)}
+    fields.setdefault("epochs", default_epochs(args.task, bert_config.hidden_size))
+    fields.setdefault("seed", settings["seed"])
+    train_config = from_dict(TrainConfig, fields, where)
     vocab = load_vocab(vocab_path)
     dataset = load_labeled(data_path, rules)
     # the head's own keys (lstm_hidden, hidden_sizes) as the config sets them
-    head_args = {k: v for k, v in config.get("train", {}).items() if k in HEAD_META_TYPES[args.task]}
-    check_widths(head_args, where)
+    head_args = check_widths({k: v for k, v in section.items() if k in HEAD_META_TYPES[args.task]}, where)
     trainers = {"finetune": train_finetune, "bilstm": train_bilstm, "mlp": train_mlp}
     model = trainers[args.task](encoder, vocab, dataset, train_config, **head_args)
     save_sentiment_model(model, out_dir)
@@ -241,12 +201,11 @@ def _batch_predict(model, vocab, dataset):
     return [model.labels[int(i)] for i in np.argmax(predict_encoded(model, ids, masks), axis=1)]
 
 
-def cmd_evaluate(args) -> int:
-    config = load_pipeline_config(args.config)
-    model_dir = _resolve(args.model, config, "paths", "model", "--model")
-    data_path = _resolve(args.data, config, "paths", "labeled", "--data")
-    vocab_path = _resolve(args.vocab, config, "paths", "vocab", "--vocab")
-    rules = _rules_from(args, config)
+def cmd_evaluate(args, settings) -> int:
+    model_dir = _required(settings, "paths.model", "--model")
+    data_path = _required(settings, "paths.labeled", "--data")
+    vocab_path = _required(settings, "paths.vocab", "--vocab")
+    rules = _rules_from(settings)
     model = load_sentiment_model(model_dir)
     vocab = load_vocab(vocab_path)
     dataset = load_labeled(data_path, rules)
@@ -268,18 +227,16 @@ def cmd_evaluate(args) -> int:
     return 0
 
 
-def cmd_predict(args) -> int:
-    config = load_pipeline_config(args.config)
-    model_dir = _resolve(args.model, config, "paths", "model", "--model")
-    vocab_path = _resolve(args.vocab, config, "paths", "vocab", "--vocab")
-    rules = _rules_from(args, config)
+def cmd_predict(args, settings) -> int:
+    model_dir = _required(settings, "paths.model", "--model")
+    vocab_path = _required(settings, "paths.vocab", "--vocab")
+    rules = _rules_from(settings)
     model = load_sentiment_model(model_dir)
     vocab = load_vocab(vocab_path)
     label, probs = predict(model, args.text, vocab, rules)
     fields = [label.value] + [f"{p:.6f}" for p in probs]
     print("\t".join(fields))
     return 0
-
 
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
@@ -293,82 +250,77 @@ def build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add(name, fn, help_text):
-        p = sub.add_parser(name, help=help_text)
+    # a flag whose dest is "@section.key" (or "@seed") writes over that config key
+    def add(name, fn, help_text, rules=True):
+        p = sub.add_parser(name, help=help_text, epilog="a flag shown as @SECTION.KEY sets that config key")
         p.set_defaults(fn=fn)
         p.add_argument("--config", help="pipeline config JSON")
+        if rules:
+            p.add_argument("--rules", dest="@normalizer.rules", help="normalization rules file")
         return p
 
     p = add("normalize", cmd_normalize, "normalize a raw text file line by line")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rules", help="normalization rules file")
-    p.add_argument("--final-heh-ae", dest="final_heh_ae", action="store_true",
+    p.add_argument("--final-heh-ae", dest="@normalizer.final_heh_ae", action="store_true", default=None,
                    help="rewrite word-final heh to ae (off by default)")
 
     p = add("corpus-stats", cmd_corpus_stats, "token statistics of a labeled TSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out")
-    p.add_argument("--rules")
 
     p = add("split", cmd_split, "stratified train/test split of a labeled TSV")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out-train", required=True)
     p.add_argument("--out-test", required=True)
     p.add_argument("--ratio", type=float, default=0.8)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rules")
+    p.add_argument("--seed", dest="@seed", type=int)
 
     p = add("to-binary", cmd_to_binary, "drop neutral examples")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--rules")
 
     p = add("undersample", cmd_undersample, "balance classes down to the minority count")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--out", required=True)
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rules")
+    p.add_argument("--seed", dest="@seed", type=int)
 
-    p = add("train-tokenizer", cmd_train_tokenizer, "train a WordPiece vocabulary")
+    p = add("train-tokenizer", cmd_train_tokenizer, "train a WordPiece vocabulary", rules=False)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--vocab-size", type=int)
-    p.add_argument("--min-freq", type=int)
+    p.add_argument("--vocab-size", dest="@tokenizer.vocab_size", type=int)
+    p.add_argument("--min-freq", dest="@tokenizer.min_freq", type=int)
     p.add_argument("--out", required=True)
 
-    p = add("pretrain", cmd_pretrain, "masked-language-model pretraining")
-    p.add_argument("--corpus")
-    p.add_argument("--vocab")
-    p.add_argument("--out")
-    p.add_argument("--seed", type=int)
-    p.add_argument("--max-len", type=int, dest="max_len")
-    p.add_argument("--lr", type=float)
+    p = add("pretrain", cmd_pretrain, "masked-language-model pretraining", rules=False)
+    p.add_argument("--corpus", dest="@paths.corpus")
+    p.add_argument("--vocab", dest="@paths.vocab")
+    p.add_argument("--out", dest="@paths.out")
+    p.add_argument("--seed", dest="@seed", type=int)
+    p.add_argument("--max-len", dest="@pretrain.max_len", type=int)
+    p.add_argument("--lr", dest="@pretrain.learning_rate", type=float)
     p.add_argument("--resume", action="store_true")
 
     p = add("train", cmd_train, "train a sentiment classifier head")
     p.add_argument("--task", required=True, choices=tuple(HEAD_META_TYPES))
-    p.add_argument("--encoder")
-    p.add_argument("--data")
-    p.add_argument("--vocab")
-    p.add_argument("--out")
-    p.add_argument("--epochs", type=int)
-    p.add_argument("--num-classes", type=int, dest="num_classes", choices=(2, 3))
-    p.add_argument("--seed", type=int)
-    p.add_argument("--rules")
+    p.add_argument("--encoder", dest="@paths.encoder")
+    p.add_argument("--data", dest="@paths.labeled")
+    p.add_argument("--vocab", dest="@paths.vocab")
+    p.add_argument("--out", dest="@paths.model")
+    p.add_argument("--epochs", dest="@train.epochs", type=int)
+    p.add_argument("--num-classes", dest="@train.num_classes", type=int, choices=(2, 3))
+    p.add_argument("--seed", dest="@train.seed", type=int)
 
     p = add("evaluate", cmd_evaluate, "evaluate a model on a labeled TSV")
-    p.add_argument("--model")
-    p.add_argument("--data")
-    p.add_argument("--vocab")
+    p.add_argument("--model", dest="@paths.model")
+    p.add_argument("--data", dest="@paths.labeled")
+    p.add_argument("--vocab", dest="@paths.vocab")
     p.add_argument("--out")
     p.add_argument("--table", action="store_true", help="also print a plain-text table")
-    p.add_argument("--rules")
 
     p = add("predict", cmd_predict, "classify one text")
-    p.add_argument("--model")
-    p.add_argument("--vocab")
+    p.add_argument("--model", dest="@paths.model")
+    p.add_argument("--vocab", dest="@paths.vocab")
     p.add_argument("--text", required=True)
-    p.add_argument("--rules")
 
     return parser
 
@@ -378,7 +330,12 @@ def main(argv: list[str] | None = None) -> int:
     level = logging.INFO if args.command in ("pretrain", "train") else logging.WARNING
     logging.basicConfig(level=level, format="%(levelname)s %(name)s: %(message)s")
     try:
-        return args.fn(args)
+        settings = {"seed": 42} | load_pipeline_config(args.config)
+        for dest, value in vars(args).items():
+            if dest.startswith("@") and value is not None:
+                section, _, key = dest[1:].rpartition(".")
+                (settings.setdefault(section, {}) if section else settings)[key] = value
+        return args.fn(args, settings)
     except (ValueError, OSError, json.JSONDecodeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

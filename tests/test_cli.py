@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import pathlib
@@ -11,8 +12,9 @@ import pytest
 from kusent.bert import BertConfig, count_params
 from kusent.checkpoint import field_types, from_dict, read_blob, write_blob
 from kusent.classifiers import TrainConfig
-from kusent.cli import build_parser, load_pipeline_config, main
+from kusent.cli import _SECTION_TYPES, build_parser, load_pipeline_config, main
 from kusent.corpus import SentimentLabel, load_labeled
+from kusent.wordpiece import load_vocab
 
 WORDS = {
     "positive": ["good0", "good1", "good2", "good3"],
@@ -196,6 +198,22 @@ class TestErrors:
             assert exc.value.code == 0
             assert capsys.readouterr().out
 
+    def test_every_setting_flag_names_a_config_key(self):
+        """A flag's dest "@section.key" names the config key it writes over; the rest are plain."""
+        sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+        plain = {"-h", "--config", "--in", "--out", "--out-train", "--out-test", "--ratio", "--task",
+                 "--resume", "--table", "--text"}
+        settings = 0
+        for name, parser in sub.choices.items():
+            for action in parser._actions:
+                if not action.dest.startswith("@"):
+                    assert action.option_strings[0] in plain, (name, action.option_strings)
+                    continue
+                section, _, key = action.dest[1:].rpartition(".")
+                assert key in _SECTION_TYPES[section] if section else key == "seed", (name, action.dest)
+                settings += 1
+        assert settings == 31
+
     def test_version_flag(self, capsys):
         with pytest.raises(SystemExit) as exc:
             build_parser().parse_args(["--version"])
@@ -215,8 +233,6 @@ def pipeline(tmp_path_factory):
     assert main([
         "train-tokenizer", "--in", str(corpus), "--vocab-size", "60", "--out", str(vocab),
     ]) == 0
-    from kusent.wordpiece import load_vocab
-
     vocab_size = len(load_vocab(str(vocab)))
     cfg = root / "config.json"
     cfg.write_text(json.dumps({
@@ -377,6 +393,7 @@ class TestPipeline:
             ("head_manifest.json", "shape", ["a", 2]),
             # above the encoder's max_position 16
             ("head_config.json", "train_config.max_len", 10**30),
+            ("head_config.json", "head_meta.hidden_sizes", []),
         ],
     )
     def test_bad_artifact_is_one_error_line(self, pipeline, tmp_path, capsys, rel, key, value):
@@ -475,6 +492,10 @@ class TestPipeline:
             # split's outputs are flags only
             (["split"], "cfg.json", "paths.out_train", "elsewhere.tsv"),
             (["split"], "cfg.json", "paths.out_test", "elsewhere.tsv"),
+            # refused up front, here on a resume of a finished checkpoint
+            (["pretrain"], "cfg.json", "pretrain.mask_rate", 1.5),
+            # an mlp head needs a hidden layer
+            (["train", "--task", "mlp"], "cfg.json", "train.hidden_sizes", []),
         ],
     )
     def test_bad_input_value_is_one_error_line(
@@ -578,6 +599,37 @@ class TestPipeline:
         ]) == 0
         meta = json.loads((tmp_path / "model" / "head_config.json").read_text())
         assert meta["train_config"]["seed"] == 7
+
+    @pytest.mark.parametrize("argv, key, config_value, flag_value", [
+        (["pretrain", "--lr"], "pretrain.learning_rate", 3e-3, 5e-4),
+        (["train", "--task", "mlp", "--epochs"], "train.epochs", 2, 1),
+        (["train", "--task", "mlp", "--num-classes"], "train.num_classes", 2, 3),
+        (["train-tokenizer", "--vocab-size"], "tokenizer.vocab_size", 30, 34),
+    ])
+    def test_flag_beats_its_config_key(self, pipeline, tmp_path, argv, key, config_value, flag_value):
+        """The value a run used, read back from what it wrote, is the flag's."""
+        raw = json.loads(pipeline["cfg"].read_text())
+        raw["bert"]["iterations"] = 1
+        raw["train"]["epochs"] = 1
+        section, name = key.split(".")
+        raw.setdefault(section, {})[name] = config_value
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        out = tmp_path / "out"
+        inputs = {
+            "pretrain": ["--corpus", str(pipeline["root"] / "corpus.txt"), "--vocab", str(pipeline["vocab"])],
+            "train": ["--encoder", str(pipeline["encoder"]), "--data", str(pipeline["labeled"]),
+                      "--vocab", str(pipeline["vocab"])],
+            "train-tokenizer": ["--in", str(pipeline["root"] / "corpus.txt")],
+        }[argv[0]]
+        assert main(argv + [str(flag_value), "--config", str(tmp_path / "cfg.json"), "--out", str(out)]
+                    + inputs) == 0
+        if argv[0] == "pretrain":
+            used = json.loads((out / "state.json").read_text())["adam"]["lr"]
+        elif argv[0] == "train":
+            used = json.loads((out / "head_config.json").read_text())["train_config"][name]
+        else:
+            used = len(load_vocab(str(out)))
+        assert used == flag_value
 
     @pytest.mark.parametrize(
         "artifact, rel, edit, name",
