@@ -331,15 +331,31 @@ def softmax(x: Tensor) -> Tensor:
     return _node(s, (x,), lambda g: (_softmax_rows_backward(g, s),))
 
 
-def _attention_groups(attention_mask: np.ndarray) -> list[tuple[np.ndarray, np.ndarray]]:
-    """``attention``'s plan for a (B, T) mask: for each attended count L, ascending, the
-    batch rows with L attended positions, ascending, and their (G, L) packed rows."""
+def _attention_groups(
+    attention_mask: np.ndarray, queries: np.ndarray | None = None
+) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """``attention``'s plan for a (B, T) mask and the packed rows that query (every row when
+    ``queries`` is None): for each attended count L and query count r > 0, ascending in (L, r),
+    the batch rows with those counts, ascending, their (G, L) packed rows and the (G, r) rows
+    of their queries in ``q``. When every row queries, r is L and the two index arrays are one."""
     counts = np.count_nonzero(attention_mask, axis=1)
     offsets = np.cumsum(counts) - counts
+    if queries is None:
+        query_counts, query_offsets = counts, offsets
+    else:
+        # the batch row of each query: the last row starting at or before it
+        owners = np.searchsorted(offsets, queries, side="right") - 1
+        query_counts = np.bincount(owners, minlength=len(counts))
+        query_offsets = np.cumsum(query_counts) - query_counts
+    width = attention_mask.shape[1] + 1
+    keys = counts * width + query_counts
     groups = []
-    for length in np.unique(counts):
-        batch_rows = np.flatnonzero(counts == length)
-        groups.append((batch_rows, offsets[batch_rows, None] + np.arange(length)))
+    for key in np.unique(keys[query_counts > 0]):
+        batch_rows = np.flatnonzero(keys == key)
+        length, n_queries = divmod(int(key), width)
+        index = offsets[batch_rows, None] + np.arange(length)
+        query_index = index if queries is None else query_offsets[batch_rows, None] + np.arange(n_queries)
+        groups.append((batch_rows, index, query_index))
     return groups
 
 
@@ -375,23 +391,29 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-12) -> Te
     return _node(data, (x, gain, shift), backward)
 
 
-def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
-    """``rng.random(shape) >= rate``, drawn block by block in C order.
+# Keep masks compare 16-bit words with a threshold: a value is kept with probability
+# 1 - round(rate * 2**16) / 2**16.
+_KEEP_WORDS = 1 << 16
 
-    The values equal those of the one call, without its float64 temporary
-    of the whole shape.
+
+def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
+    """``rng.integers(0, 2**16, shape, dtype=np.uint16) >= round(rate * 2**16)``.
+
+    One draw of the whole shape, the same rule for every bit generator: ``integers`` cuts
+    each 32-bit output of the generator into two 16-bit words, so the draw takes well under
+    half the time of a float64 ``rng.random(shape) >= rate`` and 2 bytes a value. Drawn in
+    parts, the words of an odd-sized part would differ, so the mask is never split.
     """
-    keep = np.empty(shape, dtype=bool)
-    for (kb,) in _row_blocks(keep):
-        np.greater_equal(rng.random(kb.shape), rate, out=kb)
-    return keep
+    words = rng.integers(0, _KEEP_WORDS, size=shape, dtype=np.uint16)
+    return np.greater_equal(words, round(rate * _KEEP_WORDS))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
     """Inverted dropout: scales kept activations by 1/(1-rate) so inference is identity.
 
-    In training the keep mask is ``rng.random(x.shape) >= rate`` (see
-    ``_keep_mask``) and the result is ``(x * keep) * (1 / (1 - rate))``.
+    In training the keep mask is ``_keep_mask(x.shape, rate, rng)``, 16-bit words
+    against the threshold ``round(rate * 2**16)``, and the result is
+    ``(x * keep) * (1 / (1 - rate))``.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
@@ -457,27 +479,38 @@ def attention(
     rate: float = 0.0,
     rng: np.random.Generator | None = None,
     train: bool = False,
+    queries: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention, softmax(q kᵀ / √d) v, over packed rows.
 
-    ``attention_mask`` is the (B, T) 0/1 mask of a padded batch; ``q``, ``k``
-    and ``v`` are the (N, H) rows of its N attended positions in C order, and
-    the result is the (N, H) context of the same rows. d is H / ``heads``.
-    Each row's queries attend over that row's attended positions only, so
-    pads take no part and the batch's padded width T changes no bit.
+    ``attention_mask`` is the (B, T) 0/1 mask of a padded batch; ``k`` and ``v``
+    are the (N, H) rows of its N attended positions in C order. ``queries``
+    names the packed rows that query, strictly ascending, and ``q`` holds their
+    (R, H) rows; None means every row, with ``q`` of (N, H). The result is the
+    (R, H) context of the querying rows. d is H / ``heads``. Each row's
+    queries attend over that row's attended positions only, so pads take no
+    part and the batch's padded width T changes no bit.
 
-    The rows with the same attended count L run as one group
-    (``_attention_groups``), on (G, A, L, d) heads: ``s = (q * (1 / √d)) @ kᵀ``,
-    softmax, probability dropout and ``p @ v``; the backward scales ``dq`` by
-    the same 1 / √d. Probability dropout masks each group's (G, A, L, L)
-    probabilities as ``dropout`` masks an array: ``keep = rng.random((G, A, L,
-    L)) >= rate``, drawn one group after another in the order of
-    ``_attention_groups``.
+    The rows with the same attended count L and query count r run as one group
+    (``_attention_groups``), on (G, A, r, d) queries and (G, A, L, d) keys and
+    values: ``s = (q * (1 / √d)) @ kᵀ``, softmax, probability dropout and
+    ``p @ v``; the backward scales ``dq`` by the same 1 / √d. Probability
+    dropout masks each group's (G, A, r, L) probabilities as ``dropout`` masks
+    an array, ``_keep_mask((G, A, r, L), rate, rng)``, one group after another
+    in the order of ``_attention_groups``. A batch row without a query draws
+    nothing, and its keys and values get zero gradients.
     """
-    n, hidden = q.shape
-    if k.shape != q.shape or v.shape != q.shape or hidden % heads or n != np.count_nonzero(attention_mask):
+    n, hidden = k.shape
+    if v.shape != k.shape or hidden % heads or n != np.count_nonzero(attention_mask):
         raise ValueError(
             f"attention: q, k, v {q.shape}, {k.shape}, {v.shape} are not the mask's rows in {heads} heads")
+    if queries is not None:
+        queries = np.asarray(queries)
+        if queries.ndim != 1 or (queries.size and (queries[0] < 0 or queries[-1] >= n)) \
+                or (np.diff(queries) <= 0).any():
+            raise ValueError(f"attention: queries must be packed rows in [0, {n}), strictly ascending")
+    if q.shape != (n if queries is None else len(queries), hidden):
+        raise ValueError(f"attention: q {q.shape} does not hold one row of width {hidden} per query")
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"attention: rate must be in [0, 1), got {rate}")
     dropping = train and rate > 0.0
@@ -486,7 +519,7 @@ def attention(
     head_dim = hidden // heads
     scale_q = 1.0 / math.sqrt(head_dim)
     factor = 1.0 / (1.0 - rate)
-    groups = _attention_groups(attention_mask)
+    groups = _attention_groups(attention_mask, queries)
 
     def split(a: np.ndarray, index: np.ndarray) -> np.ndarray:
         # packed (N, H) rows -> (G, A, L, head_dim) heads of the group's rows
@@ -497,10 +530,10 @@ def attention(
         out[index] = heads_out.transpose(0, 2, 1, 3).reshape(index.shape + (hidden,))
 
     scaled_q = q.data * scale_q
-    out = np.empty((n, hidden), q.dtype)
+    out = np.empty(q.shape, q.dtype)
     saved = []
-    for _, index in groups:
-        qg, kg, vg = (split(a, index) for a in (scaled_q, k.data, v.data))
+    for _, index, query_index in groups:
+        qg, kg, vg = split(scaled_q, query_index), split(k.data, index), split(v.data, index)
         s = qg @ np.swapaxes(kg, -1, -2)
         p = _softmax_rows(s, s)
         pd, keep = p, None
@@ -508,20 +541,21 @@ def attention(
             keep = _keep_mask(p.shape, rate, rng)
             pd = np.multiply(p, keep)
             pd *= factor
-        merge(pd @ vg, index, out)
-        saved.append((index, qg, kg, vg, p, pd, keep))
+        merge(pd @ vg, query_index, out)
+        saved.append((index, query_index, qg, kg, vg, p, pd, keep))
 
     def backward(g):
-        dq, dk, dv = (np.empty((n, hidden), g.dtype) for _ in range(3))
-        for index, qg, kg, vg, p, pd, keep in saved:
-            gctx = split(g, index)
+        dq = np.empty(q.shape, g.dtype)
+        dk, dv = (np.zeros((n, hidden), g.dtype) for _ in range(2))
+        for index, query_index, qg, kg, vg, p, pd, keep in saved:
+            gctx = split(g, query_index)
             dp = gctx @ np.swapaxes(vg, -1, -2)
             merge(np.swapaxes(pd, -1, -2) @ gctx, index, dv)
             if dropping:
                 dp *= keep
                 dp *= factor
             ds = _softmax_rows_backward(dp, p)
-            merge(ds @ kg, index, dq)
+            merge(ds @ kg, query_index, dq)
             merge(np.swapaxes(np.swapaxes(qg, -1, -2) @ ds, -1, -2), index, dk)
         dq *= scale_q
         return dq, dk, dv

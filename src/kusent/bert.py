@@ -255,8 +255,11 @@ def forward(
     attention_mask: np.ndarray,
     train: bool = False,
     dropout_rng: np.random.Generator | None = None,
-) -> tuple[Tensor, Tensor]:
-    """Encode a batch: returns (sequence states B x T x H, CLS state B x H).
+    *,
+    positions: np.ndarray | None = None,
+) -> tuple[Tensor, Tensor] | Tensor:
+    """Encode a batch: returns (sequence states B x T x H, CLS state B x H), or with
+    ``positions`` only the (R, H) states of those positions.
 
     ``attention_mask`` holds 0/1 in the shape of ``input_ids`` and attends
     position 0 (CLS) of every row. The attended positions are gathered once,
@@ -265,11 +268,21 @@ def forward(
     one ``autodiff.attention`` call on the raw packed Q, K and V and the mask,
     which scales Q and runs each row over its attended positions only, so the
     batch's padded width changes no bit. The states are exactly zero at pad
-    positions. Each dropout draws a keep mask for exactly the array it masks
-    (``autodiff.dropout``): the packed (N, H) rows, and in attention each
-    group's probabilities. K is computed without ``layerN.attn.k.bias``:
-    softmax ignores a bias on every key, so the tensor stays in the format and
-    gets no gradient.
+    positions. K is computed without ``layerN.attn.k.bias``: softmax ignores a
+    bias on every key, so the tensor stays in the format and gets no gradient.
+
+    ``positions`` names the flat (B*T) positions the caller reads, strictly
+    ascending and attended: the masked positions for the MLM loss, ``b * T``
+    for the CLS rows. The last layer then computes K and V for every attended
+    row, and Q, the attention context (``attention``'s query subset), the
+    output projection, both layer norms, the FFN and their dropouts for the
+    read rows only. In eval mode those rows equal the full forward's rows to
+    float32 rounding: the GEMMs of fewer rows may sum in another order.
+
+    Each dropout draws a keep mask for exactly the array it masks
+    (``autodiff.dropout``): the packed (N, H) rows, or in the last layer with
+    ``positions`` the (R, H) read rows, and in attention each group's
+    probabilities.
     """
     config = model.config
     input_ids = np.asarray(input_ids)
@@ -295,6 +308,13 @@ def forward(
     hidden_size = config.hidden_size
     # the attended positions, as rows of the flattened (B*T, H) layout
     rows = np.flatnonzero(attention_mask)
+    reads = None
+    if positions is not None:
+        positions = np.asarray(positions)
+        reads = np.searchsorted(rows, positions)
+        if (positions.ndim != 1 or (np.diff(positions) <= 0).any() or (reads == len(rows)).any()
+                or (rows[reads % len(rows)] != positions).any()):
+            raise ValueError("positions must be attended flat positions of the batch, strictly ascending")
 
     tok = ad.embedding_lookup(model["embeddings.token"], input_ids.reshape(-1)[rows])
     pos = ad.embedding_lookup(model["embeddings.position"], rows % seq_len)
@@ -303,6 +323,7 @@ def forward(
     x = ad.layer_norm(x, model["embeddings.norm.gain"], model["embeddings.norm.bias"])
     x = ad.dropout(x, rate, dropout_rng, train)
 
+    last = config.num_hidden_layers - 1
     for layer in range(config.num_hidden_layers):
         prefix = f"layer{layer}"
 
@@ -311,16 +332,19 @@ def forward(
             b = model[f"{prefix}.attn.{name}.bias"]
             return ad.matmul(inp, w, b)
 
+        # the rows that query; in the last layer with positions, only the rows read
+        queries = reads if layer == last else None
+        x_query = x if queries is None else ad.gather_rows(x, queries)
         # no K bias: it shifts all of a query's scores by q·b, which softmax ignores
         k = ad.matmul(x, model[f"{prefix}.attn.k.weight"])
-        ctx = ad.attention(proj("q", x), k, proj("v", x), config.num_attention_heads, attention_mask,
-                           rate, dropout_rng, train)
+        ctx = ad.attention(proj("q", x_query), k, proj("v", x), config.num_attention_heads,
+                           attention_mask, rate, dropout_rng, train, queries)
         attn_out = ad.matmul(
             ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"]
         )
         attn_out = ad.dropout(attn_out, rate, dropout_rng, train)
         x = ad.layer_norm(
-            ad.add(x, attn_out),
+            ad.add(x_query, attn_out),
             model[f"{prefix}.attn.norm.gain"],
             model[f"{prefix}.attn.norm.bias"],
         )
@@ -333,6 +357,8 @@ def forward(
             model[f"{prefix}.ffn.norm.bias"],
         )
 
+    if positions is not None:
+        return x
     states = ad.reshape(ad.scatter_rows(x, rows, batch * seq_len), (batch, seq_len, hidden_size))
     # row b's CLS, its position 0, is the packed row of flat position b * T
     cls_state = ad.gather_rows(x, np.searchsorted(rows, np.arange(batch) * seq_len))
@@ -355,19 +381,26 @@ def mlm_logits(model: ModelParams, sequence_states: Tensor) -> Tensor:
     return ad.reshape(logits, (batch, seq_len, model.config.vocab_size))
 
 
-def mlm_loss(model: ModelParams, sequence_states: Tensor, labels: np.ndarray) -> Tensor:
+def masked_positions(labels: np.ndarray) -> np.ndarray:
+    """The flat positions whose label is not IGNORE_INDEX, ascending: what the MLM loss reads."""
+    return np.flatnonzero(np.asarray(labels).reshape(-1) != IGNORE_INDEX)
+
+
+def mlm_loss(model: ModelParams, masked_states: Tensor, labels: np.ndarray) -> Tensor:
     """Mean MLM cross-entropy over the positions whose label is not IGNORE_INDEX.
 
-    Those rows are gathered from the (B*T, H) states before the head, as
-    BERT's ``masked_lm_positions`` does, so the H x V logit GEMM skips every
-    unmasked position. Equals ``cross_entropy(mlm_logits(model, states),
-    labels)``; 0 with zero gradients when nothing is masked.
+    ``masked_states`` holds the (R, H) states of exactly those positions, in
+    order: ``forward(..., positions=masked_positions(labels))``, as BERT's
+    ``masked_lm_positions`` gather does, so neither the last encoder layer nor
+    the H x V logit GEMM runs on an unmasked position. On the same states this
+    equals ``cross_entropy(mlm_logits(model, states), labels)``; it is 0 with
+    zero gradients when nothing is masked.
     """
-    labels = np.asarray(labels).reshape(-1)
-    rows = np.flatnonzero(labels != IGNORE_INDEX)[None, :]
-    flat = ad.reshape(sequence_states, (labels.size, sequence_states.shape[-1]))
-    masked = ad.gather_rows(flat, rows)
-    return ad.cross_entropy(mlm_logits(model, masked), labels[rows])
+    targets = np.asarray(labels).reshape(-1)[masked_positions(labels)]
+    if masked_states.shape != (targets.size, model.config.hidden_size):
+        raise ValueError(f"mlm_loss: states {masked_states.shape} are not the {targets.size} masked rows")
+    hidden = ad.reshape(masked_states, (1,) + masked_states.shape)
+    return ad.cross_entropy(mlm_logits(model, hidden), targets[None, :])
 
 
 @dataclass
@@ -544,6 +577,27 @@ def check_grad_norm(params: list[Parameter], epoch: int, step: int) -> None:
         raise ValueError(f"non-finite gradient norm at epoch {epoch}, step {step}")
 
 
+def check_pretrain_values(
+    lr: float | None = None,
+    mask_rate: float | None = None,
+    log_every: int | None = None,
+    max_len: int | None = None,
+) -> None:
+    """Refuse a value of ``pretrain`` out of its range with a ValueError naming its config key.
+
+    A value left as None is not checked: the CLI passes the ``pretrain`` section's keys before
+    it builds the model, so a bad value costs no build, and ``pretrain`` passes all four.
+    """
+    if lr is not None and not 0 < lr < math.inf:
+        raise ValueError(f"pretrain.learning_rate must be > 0, got {lr}")
+    if mask_rate is not None and not 0 < mask_rate < 1:
+        raise ValueError(f"pretrain.mask_rate must be in (0, 1), got {mask_rate}")
+    if log_every is not None and log_every < 1:
+        raise ValueError(f"pretrain.log_every must be >= 1, got {log_every}")
+    if max_len is not None and max_len < 3:
+        raise ValueError(f"pretrain.max_len must be >= 3 (CLS, one piece, SEP), got {max_len}")
+
+
 @dataclass
 class PretrainResult:
     losses: list[float]
@@ -582,14 +636,7 @@ def pretrain(
     """
     if not corpus:
         raise ValueError("cannot pretrain on an empty corpus")
-    if not 0 < lr < math.inf:
-        raise ValueError(f"pretrain.learning_rate must be > 0, got {lr}")
-    if not 0 < mask_rate < 1:
-        raise ValueError(f"pretrain.mask_rate must be in (0, 1), got {mask_rate}")
-    if log_every < 1:
-        raise ValueError(f"pretrain.log_every must be >= 1, got {log_every}")
-    if max_len < 3:
-        raise ValueError(f"pretrain.max_len must be >= 3 (CLS, one piece, SEP), got {max_len}")
+    check_pretrain_values(lr=lr, mask_rate=mask_rate, log_every=log_every, max_len=max_len)
     if len(vocab) != config.vocab_size:
         logger.warning(
             "vocab has %d pieces but config.vocab_size is %d; ids must stay in range",
@@ -667,10 +714,9 @@ def pretrain(
                 np.random.SeedSequence(seed, spawn_key=(1, epoch, batch_idx))
             )
             batch = mask_for_mlm(ids, mask, mask_rate, mask_rng, config.vocab_size)
-            seq, _ = forward(
-                model, batch.input_ids, batch.attention_mask, train=True, dropout_rng=drop_rng
-            )
-            loss = mlm_loss(model, seq, batch.labels)
+            masked = forward(model, batch.input_ids, batch.attention_mask, train=True,
+                             dropout_rng=drop_rng, positions=masked_positions(batch.labels))
+            loss = mlm_loss(model, masked, batch.labels)
             global_step += 1
             losses.append(finite_loss(loss, epoch, global_step))
             backward(loss)

@@ -273,6 +273,11 @@ def _label_indices(dataset, labels):
     return np.array([index[ex.label] for ex in dataset], dtype=np.int64)
 
 
+def _cls_states(encoder, ids, masks, train=False, rng=None):
+    """The (rows, H) CLS states of the encoder: its last layer runs the CLS rows only."""
+    return forward(encoder, ids, masks, train, rng, positions=np.arange(len(ids)) * ids.shape[1])
+
+
 def _frozen_features(encoder, ids, masks, kind):
     """What a frozen ``kind`` head reads of the eval-mode encoder, computed without a graph.
 
@@ -290,7 +295,7 @@ def _frozen_features(encoder, ids, masks, kind):
             chunk = slice(start, start + EVAL_ROWS)
             # the array the head reads, only: what is bound here lives through the next forward
             if kind == "mlp":
-                part = forward(encoder, ids[chunk], masks[chunk])[1].data
+                part = _cls_states(encoder, ids[chunk], masks[chunk]).data
             else:
                 part = forward(encoder, ids[chunk], masks[chunk])[0].data[attended[chunk]]
             features[filled : filled + len(part)] = part
@@ -330,7 +335,7 @@ def _train_head(model, encoder, vocab, dataset, config):
     for epoch in range(config.epochs):
         for _, pick, drop_rng in epoch_batches(len(dataset), config.batch_size, config.seed, epoch):
             if joint:
-                seq, cls_state = forward(encoder, ids[pick], masks[pick], train=True, dropout_rng=drop_rng)
+                seq, cls_state = None, _cls_states(encoder, ids[pick], masks[pick], True, drop_rng)
             elif model.head_kind == "mlp":
                 seq, cls_state = None, Tensor(features[pick])
             else:
@@ -381,7 +386,10 @@ def predict_encoded(model: SentimentModel, ids: np.ndarray, masks: np.ndarray) -
     with ad.no_grad():
         for start in range(0, len(ids), EVAL_ROWS):
             chunk = slice(start, start + EVAL_ROWS)
-            seq, cls_state = forward(model.encoder, ids[chunk], masks[chunk])
+            if model.head_kind == "bilstm":
+                seq, cls_state = forward(model.encoder, ids[chunk], masks[chunk])[0], None
+            else:
+                seq, cls_state = None, _cls_states(model.encoder, ids[chunk], masks[chunk])
             probs.append(ad.softmax(head_logits(model, seq, cls_state, masks[chunk])).data)
     return np.concatenate(probs)
 

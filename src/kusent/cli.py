@@ -20,7 +20,7 @@ import sys
 import numpy as np
 
 from . import FORMAT_VERSION, __version__
-from .bert import BERT_CONFIG_TYPES, BertConfig, build_model, load_checkpoint, pretrain
+from .bert import BERT_CONFIG_TYPES, BertConfig, build_model, check_pretrain_values, load_checkpoint, pretrain
 from .checkpoint import atomic_write_text, check_fields, field_types, from_dict, read_json
 from .classifiers import (
     HEAD_META_TYPES,
@@ -161,9 +161,10 @@ def cmd_pretrain(args, settings) -> int:
     vocab = load_vocab(vocab_path)
     with open(corpus_path, encoding="utf-8") as fh:
         corpus = [line.rstrip("\n") for line in fh if line.strip()]
-    model = build_model(bert_config, seed=settings["seed"])
-    # the section's keys are pretrain's arguments, learning_rate spelled lr
+    # the section's keys are pretrain's arguments, learning_rate spelled lr; checked before the build
     knobs = {"lr" if k == "learning_rate" else k: v for k, v in settings.get("pretrain", {}).items()}
+    check_pretrain_values(**knobs)
+    model = build_model(bert_config, seed=settings["seed"])
     result = pretrain(model, corpus, vocab, bert_config, seed=settings["seed"], checkpoint_dir=out_dir,
                       resume=args.resume, **knobs)
     final = result.losses[-1] if result.losses else float("nan")

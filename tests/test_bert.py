@@ -19,6 +19,7 @@ from kusent.bert import (
     forward,
     load_checkpoint,
     mask_for_mlm,
+    masked_positions,
     mlm_logits,
     mlm_loss,
     preset_config,
@@ -58,14 +59,23 @@ def batch_of(config, rng, batch=2, seq_len=8, n_pad=2):
     return ids, mask
 
 
-def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=None, k_bias=False):
+def keep_words(rng, shape, rate):
+    """The documented keep-mask rule: 16-bit words of one draw against round(rate * 2**16)."""
+    return rng.integers(0, 2**16, size=shape, dtype=np.uint16) >= round(rate * 2**16)
+
+
+def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=None, k_bias=False,
+                   positions=None):
     """The encoder with every token-wise layer on the padded (B, T, H) layout and
     attention run row by row over the row's attended positions: the oracle for
     ``forward``'s attended states, CLS, dropout stream and gradients. Each dropout
-    draws its keep mask by ``forward``'s rule, for the packed attended rows or, in
-    attention, for the (G, A, L, L) probabilities of the rows with L attended
-    positions, in ascending L and rows ascending, and applies it as
-    ``(x * keep) * factor``. K has no bias unless ``k_bias``."""
+    draws its keep mask by ``forward``'s rule (``keep_words``) for the rows it
+    masks, or in attention for the (G, A, r, L) probabilities of the rows with L
+    attended positions and r queries, in ascending (L, r) and rows ascending, and
+    applies it as ``(x * keep) * factor``. With ``positions`` the last layer's
+    masks cover only the rows read, its attention draws for their queries only,
+    and the result is the (R, H) states at ``positions``. K has no bias unless
+    ``k_bias``."""
     config = model.config
     batch, seq_len = input_ids.shape
     heads = config.num_attention_heads
@@ -75,41 +85,47 @@ def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=No
     factor = 1.0 / (1.0 - rate)
     dropping = train and rate > 0.0
     attended = np.asarray(attention_mask).reshape(-1) == 1
-    positions = [np.flatnonzero(row) for row in attention_mask]
+    read = attended if positions is None else np.isin(np.arange(batch * seq_len), positions)
+    positions_of = [np.flatnonzero(row) for row in attention_mask]
 
-    def drop(x):
-        # (B, T, H): the keep mask of the (N, H) attended rows
+    def drop(x, rows):
+        # (B, T, H): the keep mask of the (N, H) rows flagged in ``rows``, zeros elsewhere
         if not dropping:
             return x
         keep = np.zeros(x.shape, bool)
-        keep.reshape(-1, x.shape[-1])[attended] = dropout_rng.random((attended.sum(), x.shape[-1])) >= rate
+        keep.reshape(-1, x.shape[-1])[rows] = keep_words(dropout_rng, (rows.sum(), x.shape[-1]), rate)
         return ad.scale(ad.mul(x, Tensor(keep)), factor)
 
-    def probs_keep():
-        # each row's (A, L, L) keep mask: one (G, A, L, L) draw per count L, ascending
-        counts = [len(pos) for pos in positions]
+    def probs_keep(queries):
+        # each row's (A, r, L) keep mask: one (G, A, r, L) draw per (L, r), ascending, r > 0
+        keys = [(len(pos), len(q)) for pos, q in zip(positions_of, queries)]
         keep = {}
-        for length in sorted(set(counts)):
-            rows = [b for b in range(batch) if counts[b] == length]
-            keep.update(zip(rows, dropout_rng.random((len(rows), heads, length, length)) >= rate))
+        for length, n_queries in sorted(set(k for k in keys if k[1])):
+            rows = [b for b in range(batch) if keys[b] == (length, n_queries)]
+            keep.update(zip(rows, keep_words(dropout_rng, (len(rows), heads, n_queries, length), rate)))
         return keep
 
-    def attend(q, k, v):
-        # (B*T, H) padded rows of Q, K and V -> (B, T, H) context, zero at pads
-        keep = probs_keep() if dropping else None
+    def attend(q, k, v, rows):
+        # (B*T, H) padded rows of Q, K and V -> (B, T, H) context of the ``rows`` flagged,
+        # zero elsewhere
+        queries = [pos[rows.reshape(batch, seq_len)[b, pos]] for b, pos in enumerate(positions_of)]
+        keep = probs_keep(queries) if dropping else None
         ctx = []
-        for b, pos in enumerate(positions):
-            def row_heads(a):
-                rows = ad.reshape(ad.gather_rows(a, b * seq_len + pos), (len(pos), heads, head_dim))
-                return ad.transpose(rows, (1, 0, 2))
+        for b, pos in enumerate(positions_of):
+            if not len(queries[b]):
+                continue
 
-            qb, kb, vb = row_heads(q), row_heads(k), row_heads(v)
+            def row_heads(a, at):
+                rows_b = ad.reshape(ad.gather_rows(a, b * seq_len + at), (len(at), heads, head_dim))
+                return ad.transpose(rows_b, (1, 0, 2))
+
+            qb, kb, vb = row_heads(q, queries[b]), row_heads(k, pos), row_heads(v, pos)
             probs = ad.softmax(ad.matmul(qb, ad.transpose(kb, (0, 2, 1))))
             if dropping:
                 probs = ad.scale(ad.mul(probs, Tensor(keep[b])), factor)
             out = ad.transpose(ad.matmul(probs, vb), (1, 0, 2))
-            ctx.append(ad.reshape(out, (len(pos), hidden_size)))
-        ctx = ad.scatter_rows(ad.concat(ctx, axis=0), np.flatnonzero(attended), batch * seq_len)
+            ctx.append(ad.reshape(out, (len(queries[b]), hidden_size)))
+        ctx = ad.scatter_rows(ad.concat(ctx, axis=0), np.flatnonzero(rows), batch * seq_len)
         return ad.reshape(ctx, (batch, seq_len, hidden_size))
 
     tok = ad.embedding_lookup(model["embeddings.token"], input_ids)
@@ -117,9 +133,10 @@ def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=No
     seg = ad.embedding_lookup(model["embeddings.segment"], np.zeros_like(input_ids))
     x = ad.add(ad.add(tok, pos), seg)
     x = ad.layer_norm(x, model["embeddings.norm.gain"], model["embeddings.norm.bias"])
-    x = drop(x)
+    x = drop(x, attended)
     for layer in range(config.num_hidden_layers):
         prefix = f"layer{layer}"
+        rows = read if layer == config.num_hidden_layers - 1 else attended
 
         def proj(name, inp, bias=True):
             b = model[f"{prefix}.attn.{name}.bias"] if bias else None
@@ -127,18 +144,25 @@ def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=No
             return ad.reshape(out, (batch * seq_len, hidden_size))
 
         q = ad.scale(proj("q", x), 1.0 / math.sqrt(head_dim))
-        ctx = attend(q, proj("k", x, bias=k_bias), proj("v", x))
+        ctx = attend(q, proj("k", x, bias=k_bias), proj("v", x), rows)
         attn_out = ad.matmul(ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"])
-        attn_out = drop(attn_out)
+        attn_out = drop(attn_out, rows)
         x = ad.layer_norm(ad.add(x, attn_out), model[f"{prefix}.attn.norm.gain"],
                           model[f"{prefix}.attn.norm.bias"])
         hidden = ad.gelu(ad.matmul(x, model[f"{prefix}.ffn.w1"], model[f"{prefix}.ffn.b1"]))
         ffn_out = ad.matmul(hidden, model[f"{prefix}.ffn.w2"], model[f"{prefix}.ffn.b2"])
-        ffn_out = drop(ffn_out)
+        ffn_out = drop(ffn_out, rows)
         x = ad.layer_norm(ad.add(x, ffn_out), model[f"{prefix}.ffn.norm.gain"],
                           model[f"{prefix}.ffn.norm.bias"])
+    if positions is not None:
+        return ad.gather_rows(ad.reshape(x, (batch * seq_len, hidden_size)), positions)
     cls_state = ad.reshape(ad.narrow(x, 1, 0, 1), (batch, config.hidden_size))
     return x, cls_state
+
+
+def full_states_loss(model, states, labels):
+    """The MLM loss on a full forward's (B, T, H) states, every row through the head."""
+    return ad.cross_entropy(mlm_logits(model, states), labels, IGNORE_INDEX)
 
 
 def ragged_batch(config, rng, lengths):
@@ -412,7 +436,7 @@ class TestPackedForward:
 
     def _loss(self, encode, model, ids, mask, labels, weights):
         seq, cls_state = encode(model, ids, mask, True, np.random.default_rng(23))
-        return ad.add(mlm_loss(model, seq, labels), ad.reduce_sum(ad.mul(cls_state, weights)))
+        return ad.add(full_states_loss(model, seq, labels), ad.reduce_sum(ad.mul(cls_state, weights)))
 
     def _setup(self):
         cfg = tiny_config(hidden_size=8, num_attention_heads=2, vocab_size=12, max_position=10,
@@ -482,10 +506,11 @@ class TestWidthGroups:
         ids, mask = self._batch(tiny_config(max_position=200), lengths)
         groups = ad._attention_groups(mask)
         # in ascending attended count: attention draws its dropout masks in this order
-        assert [(index.shape[1], list(batch_rows)) for batch_rows, index in groups] == list(want.items())
+        assert [(index.shape[1], list(batch_rows)) for batch_rows, index, _ in groups] == list(want.items())
+        assert all(query_index is index for _, index, query_index in groups)
         packed = np.full(mask.shape, -1)
         packed.flat[np.flatnonzero(mask)] = np.arange(np.count_nonzero(mask))
-        for batch_rows, index in groups:
+        for batch_rows, index, _ in groups:
             for b, row_index in zip(batch_rows, index, strict=True):
                 np.testing.assert_array_equal(row_index, packed[b][mask[b] == 1])
 
@@ -530,7 +555,7 @@ class TestWidthGroups:
             for p in model.params:
                 p.zero_grad()
             seq, cls_state = encode(model, ids, mask, True, np.random.default_rng(36))
-            backward(ad.add(mlm_loss(model, seq, labels), ad.reduce_sum(ad.mul(cls_state, weights))))
+            backward(ad.add(full_states_loss(model, seq, labels), ad.reduce_sum(ad.mul(cls_state, weights))))
             grads[encode] = {p.name: p.grad.copy() for p in model.params}
         for name, want in grads[oracle_forward].items():
             np.testing.assert_allclose(grads[forward][name], want, rtol=1e-10, atol=1e-14, err_msg=name)
@@ -539,7 +564,7 @@ class TestWidthGroups:
         lengths = [50, 3, 41, 7, 30]
         ids, mask = self._batch(tiny_config(max_position=50), lengths)
         rows = np.flatnonzero(mask)
-        assert [index.shape[1] for _, index in ad._attention_groups(mask)] == [3, 7, 30, 41, 50]
+        assert [index.shape[1] for _, index, _ in ad._attention_groups(mask)] == [3, 7, 30, 41, 50]
         rng = np.random.default_rng(37)
         q, k, v = (Parameter(name, rng.normal(size=(len(rows), 8))) for name in "qkv")
         weights = Tensor(rng.normal(size=(len(rows), 8)))
@@ -569,6 +594,95 @@ class TestWidthGroups:
             np.testing.assert_array_equal(states, want_states)
             np.testing.assert_array_equal(cls_state, want_cls)
             assert rng_state == want_rng
+
+
+class TestReadRows:
+    """With ``positions``, ``forward`` runs the last layer's queries, FFN, layer norms and
+    dropouts on the rows read only and returns their (R, H) states; the oracle with the
+    same positions gives the same values, generator state and gradients."""
+
+    LENGTHS = [7, 3, 9, 1, 9, 5]
+
+    @staticmethod
+    def _positions(mask, kind):
+        if kind == "cls":
+            return np.arange(len(mask)) * mask.shape[1]
+        # about a third of the attended positions: rows 1 and 3 read nothing
+        picked = (np.random.default_rng(50).random(mask.shape) < 0.35) & (mask == 1)
+        picked[[1, 3]] = False
+        return np.flatnonzero(picked)
+
+    @pytest.mark.parametrize("train", [False, True])
+    @pytest.mark.parametrize("kind", ["cls", "masked"])
+    def test_matches_the_oracle(self, train, kind):
+        cfg = tiny_config(dropout_rate=0.2)
+        model = build_model(cfg, seed=51, dtype=np.float64)
+        ids, mask = ragged_batch(cfg, np.random.default_rng(52), self.LENGTHS)
+        positions = self._positions(mask, kind)
+        want_rng, got_rng = np.random.default_rng(53), np.random.default_rng(53)
+        want = oracle_forward(model, ids, mask, train, want_rng, positions=positions)
+        got = forward(model, ids, mask, train, got_rng, positions=positions)
+        assert got.shape == (len(positions), cfg.hidden_size)
+        np.testing.assert_allclose(got.data, want.data, rtol=1e-10, atol=1e-12)
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
+
+    @pytest.mark.parametrize("kind", ["cls", "masked"])
+    def test_eval_rows_equal_the_full_forwards_rows(self, kind):
+        # float32 at model1 width: equal to float32 rounding, not bit for bit, because the
+        # GEMMs of fewer rows may sum in another order (up to 7e-7 apart at H384)
+        cfg = tiny_config(hidden_size=384, num_attention_heads=12, dropout_rate=0.1)
+        model = build_model(cfg, seed=54)
+        ids, mask = ragged_batch(cfg, np.random.default_rng(55), self.LENGTHS)
+        positions = self._positions(mask, kind)
+        seq, cls_state = forward(model, ids, mask)
+        got = forward(model, ids, mask, positions=positions)
+        want = seq.data.reshape(-1, cfg.hidden_size)[positions]
+        np.testing.assert_allclose(got.data, want, rtol=0, atol=1e-5)
+        if kind == "cls":
+            np.testing.assert_allclose(got.data, cls_state.data, rtol=0, atol=1e-5)
+
+    def test_parameter_gradients_match_oracle(self):
+        cfg = tiny_config(hidden_size=8, num_attention_heads=2, vocab_size=12, max_position=10,
+                          dropout_rate=0.2)
+        model = build_model(cfg, seed=56, dtype=np.float64)
+        rng = np.random.default_rng(57)
+        ids, mask = ragged_batch(cfg, rng, self.LENGTHS)
+        positions = self._positions(mask, "masked")
+        weights = Tensor(rng.normal(size=(len(positions), cfg.hidden_size)))
+        grads = {}
+        for encode in (oracle_forward, forward):
+            for p in model.params:
+                p.zero_grad()
+            states = encode(model, ids, mask, True, np.random.default_rng(58), positions=positions)
+            backward(ad.reduce_sum(ad.mul(states, weights)))
+            grads[encode] = {p.name: p.grad.copy() for p in model.params}
+        for name, want in grads[oracle_forward].items():
+            np.testing.assert_allclose(grads[forward][name], want, rtol=1e-10, atol=1e-14, err_msg=name)
+
+    def test_gradcheck_with_pads_and_dropout(self):
+        cfg = tiny_config(hidden_size=8, num_attention_heads=2, vocab_size=12, max_position=10,
+                          dropout_rate=0.2)
+        model = build_model(cfg, seed=59, dtype=np.float64)
+        rng = np.random.default_rng(60)
+        ids, mask = ragged_batch(cfg, rng, self.LENGTHS)
+        positions = self._positions(mask, "masked")
+        weights = Tensor(rng.normal(size=(len(positions), cfg.hidden_size)))
+
+        def loss_fn():
+            states = forward(model, ids, mask, True, np.random.default_rng(61), positions=positions)
+            return ad.reduce_sum(ad.mul(states, weights))
+
+        report = grad_check(loss_fn, model.params, tolerance=1e-4, max_elements_per_param=6)
+        assert report.passed, str(report)
+
+    @pytest.mark.parametrize("positions", [[4, 0], [0, 0], [3], [9], [-1], [[0, 4]]],
+                             ids=["descending", "repeated", "pad", "past-the-end", "negative", "2-D"])
+    def test_bad_positions_rejected(self, positions):
+        model = build_model(tiny_config(), seed=0)
+        ids = np.array([[CLS, 7, SEP, PAD], [CLS, 7, 8, SEP]])
+        mask = (ids != PAD).astype(np.int64)
+        with pytest.raises(ValueError, match="positions must be attended flat positions of the batch"):
+            forward(model, ids, mask, positions=np.array(positions))
 
 
 class TestKeyBias:
@@ -660,31 +774,64 @@ class TestMlmLoss:
 
         def full():
             seq, _ = forward(model, ids, mask)
-            return ad.cross_entropy(mlm_logits(model, seq), labels, IGNORE_INDEX)
+            return full_states_loss(model, seq, labels)
 
-        def gathered():
-            seq, _ = forward(model, ids, mask)
-            return mlm_loss(model, seq, labels)
+        def read_rows():
+            return mlm_loss(model, forward(model, ids, mask, positions=masked_positions(labels)), labels)
 
         want, want_grads = self._loss_and_grads(model, full)
-        got, got_grads = self._loss_and_grads(model, gathered)
+        got, got_grads = self._loss_and_grads(model, read_rows)
         assert abs(got - want) <= 1e-10 * abs(want)
         for name, grad in want_grads.items():
             np.testing.assert_allclose(got_grads[name], grad, rtol=1e-10, atol=1e-12)
-        report = grad_check(gathered, model.params, tolerance=1e-4, max_elements_per_param=4)
+        report = grad_check(read_rows, model.params, tolerance=1e-4, max_elements_per_param=4)
         assert report.passed, str(report)
 
     def test_no_masked_position_is_zero_loss_and_zero_grads(self):
         model, ids, mask, _ = self._setup(0.0)
         labels = np.full(ids.shape, IGNORE_INDEX)
+        assert masked_positions(labels).size == 0
 
         def loss_fn():
-            seq, _ = forward(model, ids, mask)
-            return mlm_loss(model, seq, labels)
+            states = forward(model, ids, mask, positions=masked_positions(labels))
+            assert states.shape == (0, model.config.hidden_size)
+            return mlm_loss(model, states, labels)
 
         loss, grads = self._loss_and_grads(model, loss_fn)
         assert loss == 0.0
         assert not any(g.any() for g in grads.values())
+
+    def test_states_that_are_not_the_masked_rows_rejected(self):
+        model, ids, mask, labels = self._setup(0.4)
+        seq, _ = forward(model, ids, mask)
+        with pytest.raises(ValueError, match=r"mlm_loss: states \(3, 7, 8\) are not the \d+ masked rows"):
+            mlm_loss(model, seq, labels)
+
+    def test_step_at_dropout_zero_equals_full_states_step_in_float32(self):
+        # a float32 model1-width encoder with a pretraining batch: the read rows' GEMMs sum
+        # in another order than the full ones, so loss and gradients agree to float32 rounding
+        cfg = BertConfig(hidden_size=384, num_hidden_layers=2, num_attention_heads=12, vocab_size=500,
+                         max_position=64, dropout_rate=0.0)
+        model = build_model(cfg, seed=17)
+        rng = np.random.default_rng(18)
+        ids, mask = ragged_batch(cfg, rng, [64, 21, 40, 33, 57, 9])
+        labels = mask_for_mlm(ids, mask, 0.15, rng, cfg.vocab_size).labels
+        assert masked_positions(labels).size > 10
+
+        def full():
+            seq, _ = forward(model, ids, mask, True, np.random.default_rng(19))
+            return full_states_loss(model, seq, labels)
+
+        def read_rows():
+            states = forward(model, ids, mask, True, np.random.default_rng(19), positions=masked_positions(labels))
+            return mlm_loss(model, states, labels)
+
+        want, want_grads = self._loss_and_grads(model, full)
+        got, got_grads = self._loss_and_grads(model, read_rows)
+        assert abs(got - want) <= 1e-6 * abs(want)
+        for name, grad in want_grads.items():
+            scale = np.abs(grad).max()
+            np.testing.assert_allclose(got_grads[name], grad, rtol=0, atol=1e-5 * scale, err_msg=name)
 
 
 class TestMasking:

@@ -82,7 +82,12 @@ def pretrained_encoder():
 
     A randomly initialized encoder emits a near-constant CLS state, so the
     frozen-feature heads have nothing to learn from; the overfit gates run on
-    a briefly pretrained encoder, matching the pipeline order.
+    a briefly pretrained encoder, matching the pipeline order. The MLM loss of
+    this encoder sits on a plateau until it learns to read the context, and
+    only then do the frozen heads pass their gates. 20 epochs at lr 1e-3 leave
+    the plateau for every one of 8 pretraining seeds tried, so the gates do not
+    rest on one lucky dropout stream; 5 epochs at lr 3e-3 left it for 2 to 3
+    of 8.
     """
     global _PRETRAIN_DIR
     if _PRETRAIN_DIR is None:
@@ -99,13 +104,13 @@ def pretrained_encoder():
             num_attention_heads=4,
             vocab_size=len(vocab),
             max_position=16,
-            epochs=5,
+            epochs=20,
             batch_size=16,
         )
         model = build_model(cfg, seed=8)
         _PRETRAIN_DIR = tempfile.mkdtemp(prefix="kusent-test-encoder-")
         pretrain(model, lines, vocab, cfg, seed=0, checkpoint_dir=_PRETRAIN_DIR,
-                 max_len=10, lr=3e-3)
+                 max_len=10, lr=1e-3)
     return load_checkpoint(_PRETRAIN_DIR)[0]
 
 
@@ -495,18 +500,20 @@ class TestTrainingContracts:
 
         def watched_forward(*args, **kwargs):
             assert all(ref() is None for ref in refs), "the previous chunk's output is still alive"
+            out = forward(*args, **kwargs)
             outputs = []
-            for t in forward(*args, **kwargs):
+            # the CLS rows alone when the caller names them, else (states, CLS)
+            for t in out if isinstance(out, tuple) else (out,):
                 w = Watched(t.data)
                 w.inner = t
                 refs.append(weakref.ref(w))
                 outputs.append(w)
-            return tuple(outputs)
+            return tuple(outputs) if isinstance(out, tuple) else outputs[0]
 
         monkeypatch.setattr(classifiers, "forward", watched_forward)
         dataset = synthetic_dataset(n_per_class=12)  # 36 rows: two 32-row chunks
         train_mlp(tiny_encoder(seed=7), synthetic_vocab(), dataset, TrainConfig(epochs=1, max_len=10))
-        assert len(refs) == 4
+        assert len(refs) == 2
 
     def test_default_epochs_schedule(self):
         assert default_epochs("finetune", 384) == 3
@@ -528,6 +535,14 @@ def ragged_dataset(max_len):
 def padded_oracle_states(encoder, ids, masks):
     """The dataset's (rows, T, H) eval-mode states, 32-row chunk by chunk, as frozen heads kept them."""
     return np.concatenate([forward(encoder, ids[s : s + 32], masks[s : s + 32])[0].data
+                           for s in range(0, len(ids), 32)])
+
+
+def cls_oracle_states(encoder, ids, masks):
+    """The dataset's (rows, H) eval-mode CLS states, 32-row chunk by chunk, each chunk's last
+    layer run on its CLS rows only, as the mlp head keeps them."""
+    return np.concatenate([forward(encoder, ids[s : s + 32], masks[s : s + 32],
+                                   positions=np.arange(len(ids[s : s + 32])) * ids.shape[1]).data
                            for s in range(0, len(ids), 32)])
 
 
@@ -634,6 +649,7 @@ class TestPackedFeatures:
         ids, masks = encode_batch([ex.text for ex in dataset], vocab, self.MAX_LEN)
         assert ids.shape[1] == self.MAX_LEN and masks.sum(axis=1).min() < self.MAX_LEN
         states = padded_oracle_states(encoder, ids, masks)
+        cls = cls_oracle_states(encoder, ids, masks)
         received = []
 
         def recording_head_logits(model, seq_states, cls_state, *args, **kwargs):
@@ -645,7 +661,7 @@ class TestPackedFeatures:
         picks = [pick for epoch in range(2) for _, pick, _ in epoch_batches(len(dataset), 8, 3, epoch)]
         assert len(received) == len(picks) == 10
         for (seq_states, cls_state), pick in zip(received, picks):
-            got, want = (seq_states, states[pick]) if kind == "bilstm" else (cls_state, states[pick, 0])
+            got, want = (seq_states, states[pick]) if kind == "bilstm" else (cls_state, cls[pick])
             assert got.dtype == want.dtype and got.shape == want.shape
             assert got.data.tobytes() == want.tobytes()
 
@@ -656,10 +672,19 @@ class TestPackedFeatures:
         hidden = encoder.config.hidden_size
         cls = classifiers._frozen_features(encoder, ids, masks, "mlp")
         assert cls.shape == (len(ids), hidden)
-        assert cls.tobytes() == states[:, 0].tobytes()
+        assert cls.tobytes() == cls_oracle_states(encoder, ids, masks).tobytes()
         packed = classifiers._frozen_features(encoder, ids, masks, "bilstm")
         assert packed.shape == (int(masks.sum()), hidden)
         assert packed.tobytes() == states[masks != 0].tobytes()
+
+
+    def test_cls_features_equal_the_full_forwards_cls_rows(self):
+        # the CLS-only last layer gives the full forward's CLS states to float32 rounding, not
+        # bit for bit: its GEMMs of one row a sequence may sum in another order
+        encoder, vocab = tiny_encoder(seed=16), synthetic_vocab()
+        ids, masks = encode_batch([ex.text for ex in ragged_dataset(self.MAX_LEN)], vocab, self.MAX_LEN)
+        cls = classifiers._frozen_features(encoder, ids, masks, "mlp")
+        np.testing.assert_allclose(cls, padded_oracle_states(encoder, ids, masks)[:, 0], rtol=0, atol=1e-5)
 
 
 class TestOverfitGates:

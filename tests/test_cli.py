@@ -9,6 +9,7 @@ import shutil
 import numpy as np
 import pytest
 
+from kusent import cli
 from kusent.bert import BertConfig, count_params
 from kusent.checkpoint import field_types, from_dict, read_blob, write_blob
 from kusent.classifiers import TrainConfig
@@ -586,6 +587,31 @@ class TestPipeline:
         assert rc == 1
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"a model of {n_params} parameters needs" in err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("key, value", [
+        ("mask_rate", 1.5), ("learning_rate", 0.0), ("log_every", 0), ("max_len", 2),
+    ])
+    def test_bad_pretrain_value_is_refused_before_the_build(self, pipeline, tmp_path, capsys, monkeypatch,
+                                                            key, value):
+        raw = json.loads(pipeline["cfg"].read_text())
+        raw["bert"].update(hidden_size=768, num_hidden_layers=6, num_attention_heads=12, vocab_size=50_000)
+        raw["pretrain"][key] = value
+        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+        builds = []
+
+        def refused_build(*args, **kwargs):
+            builds.append(args)
+            raise AssertionError("build_model ran before the pretrain values were checked")
+
+        monkeypatch.setattr(cli, "build_model", refused_build)
+        out = tmp_path / "encoder"
+        capsys.readouterr()
+        rc = main(["pretrain", "--config", str(tmp_path / "cfg.json"), "--corpus",
+                   str(pipeline["root"] / "corpus.txt"), "--vocab", str(pipeline["vocab"]), "--out", str(out)])
+        err = capsys.readouterr().err
+        assert rc == 1 and builds == []
+        assert err.startswith(f"error: pretrain.{key} must be ") and err.count("\n") == 1
         assert not out.exists()
 
     def test_seed_flag_beats_train_seed(self, pipeline, tmp_path):

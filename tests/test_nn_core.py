@@ -136,16 +136,21 @@ class TestBackward:
 
 
 class DrawLog:
-    """A generator that logs the number of values of each ``random`` draw."""
+    """A generator that logs the number of values of each ``integers`` draw."""
 
     def __init__(self, rng: np.random.Generator):
         self.bit_generator = rng.bit_generator
         self.rng = rng
         self.sizes = []
 
-    def random(self, shape):
-        self.sizes.append(int(np.prod(shape)))
-        return self.rng.random(shape)
+    def integers(self, low, high, size, dtype):
+        self.sizes.append(int(np.prod(size)))
+        return self.rng.integers(low, high, size=size, dtype=dtype)
+
+
+def keep_words(rng: np.random.Generator, shape, rate: float) -> np.ndarray:
+    """The documented keep-mask rule: 16-bit words of one draw against round(rate * 2**16)."""
+    return rng.integers(0, 2**16, size=shape, dtype=np.uint16) >= round(rate * 2**16)
 
 
 class TestFusedAndBlockedOps:
@@ -237,7 +242,7 @@ class TestFusedAndBlockedOps:
     def test_dropout_mask_equals_one_draw_over_the_whole_array(self):
         x = np.random.default_rng(26).normal(size=(3, 70, 500)).astype(np.float32)
         out = ad.dropout(Parameter("x", x), 0.1, np.random.default_rng(27), train=True)
-        keep = np.random.default_rng(27).random(x.shape) >= 0.1
+        keep = keep_words(np.random.default_rng(27), x.shape, 0.1)
         np.testing.assert_array_equal(out.data, x * keep.astype(np.float32) * (1.0 / 0.9))
         g = np.ones_like(x)
         np.testing.assert_array_equal(out._backward(g)[0], g * keep * (1.0 / 0.9))
@@ -245,9 +250,9 @@ class TestFusedAndBlockedOps:
     @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
     @pytest.mark.parametrize("block_values", [ad._BLOCK_VALUES, 12])
     def test_keep_mask_is_one_draw_over_the_masked_array(self, monkeypatch, bits, block_values):
-        # dropout's keep mask is rng.random(x.shape) >= rate; attention's is
-        # rng.random((G, A, L, L)) >= rate for each group in turn, on its probabilities.
-        # The draws come in blocks of at most _BLOCK_VALUES values or one row.
+        # dropout's keep mask is integers(0, 2**16, x.shape, uint16) >= round(rate * 2**16);
+        # attention's is the same rule on (G, A, r, L) for each group in turn, on its
+        # probabilities. Each mask is one draw, whatever the elementwise blocks are.
         monkeypatch.setattr(ad, "_BLOCK_VALUES", block_values)
         rate, factor = 0.3, 1.0 / 0.7
         rng = np.random.default_rng(28)
@@ -255,11 +260,11 @@ class TestFusedAndBlockedOps:
         g = rng.normal(size=x.shape).astype(np.float32)
         got_rng, want_rng = DrawLog(np.random.Generator(bits(29))), np.random.Generator(bits(29))
         out = ad.dropout(Parameter("x", x), rate, got_rng, train=True)
-        keep = want_rng.random(x.shape) >= rate
+        keep = keep_words(want_rng, x.shape, rate)
         np.testing.assert_array_equal(out.data, (x * keep) * np.float32(factor))
         np.testing.assert_array_equal(out._backward(g)[0], (g * keep) * np.float32(factor))
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
-        assert max(got_rng.sizes) <= max(block_values, 4)
+        assert got_rng.sizes == [x.size]
 
         # attended counts 33, 45, 33 (two holes in a row of 35) and 56: three groups, the
         # first of rows 0 and 2
@@ -267,17 +272,18 @@ class TestFusedAndBlockedOps:
         mask[2, [3, 17]] = 0
         rows = np.flatnonzero(mask)
         groups = ad._attention_groups(mask)
-        assert [(list(batch_rows), index.shape[1]) for batch_rows, index in groups] == \
+        assert [(list(batch_rows), index.shape[1]) for batch_rows, index, _ in groups] == \
             [([0, 2], 33), ([1], 45), ([3], 56)]
+        assert all(query_index is index for _, index, query_index in groups)
         q, k, v = (Parameter(name, rng.normal(size=(len(rows), 4))) for name in "qkv")
         got_rng.sizes.clear()
         out = ad.attention(q, k, v, 2, mask, rate, got_rng, True)
         packed = np.full(mask.shape, -1)
         packed.flat[rows] = np.arange(len(rows))
         want = np.zeros((len(rows), 4))
-        for batch_rows, index in groups:
+        for batch_rows, index, _ in groups:
             length = index.shape[1]
-            keep = want_rng.random((len(batch_rows), 2, length, length)) >= rate
+            keep = keep_words(want_rng, (len(batch_rows), 2, length, length), rate)
             for j, b in enumerate(batch_rows):
                 src = packed[b][mask[b] == 1]
                 qh, kh, vh = (a.data[src].reshape(-1, 2, 2).transpose(1, 0, 2) for a in (q, k, v))
@@ -287,7 +293,12 @@ class TestFusedAndBlockedOps:
                 want[src] = (((probs * keep[j]) * factor) @ vh).transpose(1, 0, 2).reshape(-1, 4)
         np.testing.assert_allclose(out.data, want, rtol=1e-12, atol=1e-15)
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
-        assert max(got_rng.sizes) <= max(block_values, 56)
+        assert got_rng.sizes == [2 * 2 * 33 * 33, 2 * 45 * 45, 2 * 56 * 56]
+
+        # the words use every bit of the generator's outputs: MT19937 returns 32-bit outputs
+        # in 64-bit words, which a raw view as 32-bit integers would half fill with zeros
+        kept = ad._keep_mask((1000, 1000), rate, np.random.Generator(bits(30))).mean()
+        assert abs(kept - (1 - rate)) < 0.002
 
     # attended counts 5, 8, 5 (a hole in a row of 6), 1, 8 and 3: rows 0 and 2, and 1 and 4,
     # share a group
@@ -322,7 +333,7 @@ class TestFusedAndBlockedOps:
         if train:
             for length in np.unique(counts):
                 rows = np.flatnonzero(counts == length)
-                keep.update(zip(rows, want_rng.random((len(rows), 3, length, length)) >= rate))
+                keep.update(zip(rows, keep_words(want_rng, (len(rows), 3, length, length), rate)))
         # the test oracle's expressions (tests/test_bert.py)
         scaled_q = ad.scale(Tensor(q), 1.0 / math.sqrt(head_dim))
         for b, src in enumerate(srcs):
@@ -355,6 +366,46 @@ class TestFusedAndBlockedOps:
             others = np.setdiff1d(np.arange(len(q)), changed)
             assert out[others].tobytes() == base[others].tobytes()
             assert (out[changed] != base[changed]).any()
+
+    @pytest.mark.parametrize("train", [False, True])
+    def test_attention_query_subset_is_the_full_ops_rows(self, train):
+        # rows 0, 2 and 4 query 2, 1 and 3 of their positions; rows 1, 3 and 5 query nothing
+        rate, factor = 0.3, 1.0 / 0.7
+        mask, srcs, q, k, v = self._probs_case()
+        picked = {0: [0, 3], 2: [4], 4: [1, 2, 7]}
+        queries = np.concatenate([srcs[b][picked[b]] for b in sorted(picked)])
+        groups = ad._attention_groups(mask, queries)
+        # in ascending (attended count, query count): (5, 1), (5, 2), (8, 3)
+        assert [(list(rows), index.shape[1], query_index.tolist()) for rows, index, query_index in groups] == \
+            [([2], 5, [[2]]), ([0], 5, [[0, 1]]), ([4], 8, [[3, 4, 5]])]
+        got_rng, want_rng = np.random.default_rng(74), np.random.default_rng(74)
+        out = ad.attention(Tensor(q[queries]), Tensor(k), Tensor(v), 3, mask, rate, got_rng, train, queries)
+        # with e_j values, each query's context is its probabilities, as the full op gives them
+        want = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask).data[queries]
+        if train:
+            for b in (2, 0, 4):
+                keep = keep_words(want_rng, (1, 3, len(picked[b]), len(srcs[b])), rate)[0]
+                at = np.isin(queries, srcs[b])
+                heads = want[at].reshape(-1, 3, 8).transpose(1, 0, 2)
+                heads[..., : len(srcs[b])] *= keep
+                want[at] = (heads * np.float32(factor)).transpose(1, 0, 2).reshape(-1, 24)
+        # float32 rounding only: the scores of fewer queries are other GEMMs
+        np.testing.assert_allclose(out.data, want, rtol=1e-5, atol=1e-7)
+        np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
+
+    @pytest.mark.parametrize("queries, q_rows, message", [
+        ([3, 1], 2, "strictly ascending"),
+        ([1, 1], 2, "strictly ascending"),
+        ([0, 5], 2, "strictly ascending"),
+        ([-1, 2], 2, "strictly ascending"),
+        ([[0, 1]], 2, "strictly ascending"),
+        ([0, 2], 3, r"q \(3, 4\) does not hold one row of width 4 per query"),
+    ])
+    def test_attention_rejects_bad_queries(self, queries, q_rows, message):
+        mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
+        kv = Parameter("kv", np.zeros((5, 4)))
+        with pytest.raises(ValueError, match=message):
+            ad.attention(Parameter("q", np.zeros((q_rows, 4))), kv, kv, 2, mask, queries=np.array(queries))
 
     @pytest.mark.parametrize("mask", [[[1, 1, 1, 0], [1, 0, 0, 0]], [[1, 1, 1, 1], [1, 1, 0, 0]]])
     def test_attention_rejects_rows_that_are_not_the_masks(self, mask):
@@ -407,6 +458,7 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
         "scatter_rows": lambda: ad.scatter_rows(a, np.array([4, 0, 2]), 6),
         "attention": lambda: ad.attention(q, k, v, 2, mask),
         "attention_train": lambda: ad.attention(q, k, v, 2, mask, 0.4, rng, True),
+        "attention_queries": lambda: ad.attention(p("q2", 2, 4), k, v, 2, mask, 0.4, rng, True, np.array([0, 4])),
         "lstm_layer": lambda: ad.lstm_layer(p("x", 4, 2, 3), lstm_weights, mask, 2),
         "cross_entropy": lambda: ad.cross_entropy(a, np.array([3, -100, 0])),
         "concat": lambda: ad.concat([a, b], axis=1),
@@ -423,7 +475,7 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
 NO_GRAD_CASES = [
     "add", "sub", "mul", "scale", "matmul", "matmul_bias", "relu", "gelu", "tanh", "sigmoid", "softmax",
     "layer_norm", "dropout_train", "embedding_lookup", "gather_rows", "scatter_rows",
-    "attention", "attention_train", "lstm_layer", "cross_entropy", "concat", "stack", "narrow", "reshape",
+    "attention", "attention_train", "attention_queries", "lstm_layer", "cross_entropy", "concat", "stack", "narrow", "reshape",
     "transpose", "reduce_sum", "reduce_mean",
 ]
 
@@ -584,6 +636,24 @@ class TestGradCheckPerOp:
             ),
             [a],
         )
+
+    def test_attention_query_subset(self):
+        # rows of 4, 6 (a hole in 7) and 3 attended positions, packed as 0-3, 4-9 and 10-12:
+        # rows 0 and 2 query 3 and 2 positions, row 1 none, so its keys and values get zeros
+        mask = (np.arange(7) < np.array([[4], [7], [3]])).astype(np.int64)
+        mask[1, 2] = 0
+        queries = np.array([0, 2, 3, 10, 12])
+        q, k, v = fparam("q", (5, 4)), fparam("k", (13, 4)), fparam("v", (13, 4))
+        w = Tensor(np.random.default_rng(32).normal(size=(5, 4)))
+
+        def loss_fn():
+            out = ad.attention(q, k, v, 2, mask, 0.3, np.random.default_rng(33), True, queries)
+            return ad.reduce_sum(ad.mul(out, w))
+
+        check(loss_fn, [q, k, v])
+        backward(loss_fn())
+        assert not k.grad[4:10].any() and not v.grad[4:10].any()
+        assert k.grad[:4].any() and v.grad[10:].any()
 
     def test_embedding_lookup(self):
         table = fparam("emb", (7, 3))

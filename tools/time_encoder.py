@@ -8,8 +8,9 @@ in-process (no download):
   eval mode under ``no_grad``, as the library evaluates (so are apply and
   frozen chunk);
 - train: a pretrain-like batch, B12 x T128 with 40-128 tokens per row, masked
-  as in pretraining, ``forward`` with dropout, ``mlm_loss`` and ``backward``
-  (no optimizer step);
+  as in pretraining, the step ``pretrain`` runs without its optimizer:
+  ``forward`` with dropout on the masked positions (the last layer computes
+  only those rows), ``mlm_loss`` and ``backward``;
 - apply: like the held-out scoring after pretraining, B16 x T128 with 12-128
   tokens per row, ``forward`` in eval mode;
 - frozen chunk: one 32-row chunk of frozen head features, rows of 4-42 tokens
@@ -23,10 +24,13 @@ Prints first the seconds ``build_model`` takes for the model1-shape encoder,
 then each batch's pad fraction and the median, quartiles and fastest of
 several timed calls after one warm-up call. The frozen features run once per
 kind, under ``tracemalloc``: their seconds, the MiB the head keeps and the
-peak of traced memory. Then comes the process's peak RSS, and last a
-``build_model`` of the model3 preset (H768, 6 layers, 50k vocabulary) in a
-fresh process: its seconds and that process's peak RSS. BLAS threads follow
-the environment (``OPENBLAS_NUM_THREADS``).
+peak of traced memory. Then comes the process's peak RSS, and last the model3
+preset (H768, 6 layers, 50k vocabulary) in a fresh process: the seconds of
+its ``build_model`` and that process's peak RSS, then the MLM step with Adam
+as ``pretrain`` runs it on a B12 x T16 batch of 4-16 tokens per row: the
+median, quartiles and fastest of several steps after one warm-up step, the
+median forward, backward and Adam seconds, and the process's peak RSS after
+them. BLAS threads follow the environment (``OPENBLAS_NUM_THREADS``).
 
     PYTHONPATH=src python tools/time_encoder.py
 """
@@ -42,8 +46,11 @@ import tracemalloc
 import numpy as np
 
 from kusent.autodiff import backward, no_grad
-from kusent.bert import BertConfig, build_model, forward, mask_for_mlm, mlm_loss, preset_config
+from kusent.bert import (
+    BertConfig, build_model, forward, mask_for_mlm, masked_positions, mlm_loss, preset_config,
+)
 from kusent.classifiers import _frozen_features
+from kusent.optim import AdamState, adam_step
 from kusent.wordpiece import CLS, PAD, SEP
 
 CONFIG = BertConfig(hidden_size=384, num_hidden_layers=6, num_attention_heads=12, vocab_size=8_000,
@@ -53,6 +60,7 @@ EVAL_REPEATS = 20
 # the train step spreads most from call to call on a shared host
 TRAIN_REPEATS = 15
 REPEATS = 5
+MODEL3_STEPS = 6
 FEATURE_ROWS = 1_001
 
 
@@ -80,16 +88,49 @@ def timed(fn, repeats: int) -> list[float]:
     return times
 
 
-def build_model3() -> None:
-    """Build the model3 preset and print the seconds and this process's peak RSS."""
-    started = time.perf_counter()
-    build_model(preset_config("model3"), seed=SEED)
-    seconds = time.perf_counter() - started
-    # VmHWM restarts at exec; ru_maxrss would carry over the parent's peak
+def peak_rss_mb() -> float:
+    """This process's peak RSS. VmHWM restarts at exec; ru_maxrss would carry over the parent's peak."""
     with open("/proc/self/status") as fh:
-        peak_kb = next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:"))
-    peak_mb = peak_kb / 1024
-    print(f"build_model model3 preset, fresh process: {seconds:.2f} s, peak RSS {peak_mb:.0f} MB", flush=True)
+        return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
+
+
+def quartiles(times: list[float]) -> str:
+    p25, median, p75 = statistics.quantiles(times, n=4, method="inclusive")
+    return f"median {median:.4f} s (p25 {p25:.4f}, p75 {p75:.4f}), min {min(times):.4f} s"
+
+
+def model3() -> None:
+    """Build the model3 preset and time its pretraining step with Adam at B12 x T16."""
+    started = time.perf_counter()
+    model = build_model(preset_config("model3"), seed=SEED)
+    seconds = time.perf_counter() - started
+    print(f"build_model model3 preset, fresh process: {seconds:.2f} s, peak RSS {peak_rss_mb():.0f} MB",
+          flush=True)
+    rng = np.random.default_rng(SEED)
+    ids, mask = make_batch(rng, 12, 4, 16)
+    mlm = mask_for_mlm(ids, mask, 0.15, rng, model.config.vocab_size)
+    positions = masked_positions(mlm.labels)
+    optimizer = AdamState(lr=1e-4)
+    parts = {"step": [], "forward": [], "backward": [], "adam": []}
+    for step in range(MODEL3_STEPS + 1):
+        drop_rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(2, step)))
+        started = time.perf_counter()
+        masked = forward(model, mlm.input_ids, mlm.attention_mask, train=True, dropout_rng=drop_rng,
+                         positions=positions)
+        loss = mlm_loss(model, masked, mlm.labels)
+        forwarded = time.perf_counter()
+        backward(loss)
+        backwarded = time.perf_counter()
+        adam_step(model.params, optimizer)
+        done = time.perf_counter()
+        if step:  # the first step warms up
+            for name, seconds in (("step", done - started), ("forward", forwarded - started),
+                                  ("backward", backwarded - forwarded), ("adam", done - backwarded)):
+                parts[name].append(seconds)
+    split = ", ".join(f"{name} {statistics.median(parts[name]):.3f} s" for name in ("forward", "backward", "adam"))
+    print(f"model3 MLM step with Adam B12x16 ({int(mask.sum())} tokens, {len(positions)} masked): "
+          f"{quartiles(parts['step'])} over {MODEL3_STEPS} steps; {split}; peak RSS {peak_rss_mb():.0f} MB",
+          flush=True)
 
 
 def main() -> None:
@@ -112,10 +153,13 @@ def main() -> None:
         with no_grad():
             forward(model, ids, mask)
 
+    positions = masked_positions(mlm.labels)
+
     def train_step():
         drop_rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(2,)))
-        seq, _ = forward(model, mlm.input_ids, mlm.attention_mask, train=True, dropout_rng=drop_rng)
-        backward(mlm_loss(model, seq, mlm.labels))
+        masked = forward(model, mlm.input_ids, mlm.attention_mask, train=True, dropout_rng=drop_rng,
+                         positions=positions)
+        backward(mlm_loss(model, masked, mlm.labels))
         for p in model.params:
             p.zero_grad()
 
@@ -126,9 +170,7 @@ def main() -> None:
         ("frozen-feature chunk B32x256", lambda: eval_forward(chunk_ids, chunk_mask), chunk_mask, REPEATS),
     ):
         times = timed(fn, repeats)
-        p25, median, p75 = statistics.quantiles(times, n=4, method="inclusive")
-        print(f"{name}: pad fraction {1 - mask.mean():.3f}, median {median:.4f} s "
-              f"(p25 {p25:.4f}, p75 {p75:.4f}), min {min(times):.4f} s over {repeats} calls")
+        print(f"{name}: pad fraction {1 - mask.mean():.3f}, {quartiles(times)} over {repeats} calls")
     for kind in ("mlp", "bilstm"):
         tracemalloc.start()
         started = time.perf_counter()
@@ -140,7 +182,7 @@ def main() -> None:
               f"{seconds:.2f} s, keeps {features.nbytes / 2**20:.1f} MiB, tracemalloc peak {peak / 2**20:.0f} MiB")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak_mb:.0f} MB", flush=True)
-    child = multiprocessing.get_context("spawn").Process(target=build_model3)
+    child = multiprocessing.get_context("spawn").Process(target=model3)
     child.start()
     child.join()
 
