@@ -391,21 +391,17 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-12) -> Te
     return _node(data, (x, gain, shift), backward)
 
 
-# Keep masks compare 16-bit words with a threshold: a value is kept with probability
-# 1 - round(rate * 2**16) / 2**16.
-_KEEP_WORDS = 1 << 16
-
-
 def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
     """``rng.integers(0, 2**16, shape, dtype=np.uint16) >= round(rate * 2**16)``.
 
-    One draw of the whole shape, the same rule for every bit generator: ``integers`` cuts
-    each 32-bit output of the generator into two 16-bit words, so the draw takes well under
-    half the time of a float64 ``rng.random(shape) >= rate`` and 2 bytes a value. Drawn in
-    parts, the words of an odd-sized part would differ, so the mask is never split.
+    A value is kept with probability 1 - round(rate * 2**16) / 2**16. The mask is one draw of
+    the whole shape, the same rule for every bit generator: ``integers`` cuts each 32-bit
+    output of the generator into two 16-bit words, so the draw takes well under half the time
+    of a float64 ``rng.random(shape) >= rate`` and 2 bytes a value. Drawn in parts, the words
+    of an odd-sized part would differ, so the mask is never split.
     """
-    words = rng.integers(0, _KEEP_WORDS, size=shape, dtype=np.uint16)
-    return np.greater_equal(words, round(rate * _KEEP_WORDS))
+    words = rng.integers(0, 1 << 16, size=shape, dtype=np.uint16)
+    return np.greater_equal(words, round(rate * (1 << 16)))
 
 
 def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:

@@ -311,10 +311,9 @@ def forward(
     reads = None
     if positions is not None:
         positions = np.asarray(positions)
-        reads = np.searchsorted(rows, positions)
-        if (positions.ndim != 1 or (np.diff(positions) <= 0).any() or (reads == len(rows)).any()
-                or (rows[reads % len(rows)] != positions).any()):
+        if positions.ndim != 1 or (np.diff(positions) <= 0).any() or not np.isin(positions, rows).all():
             raise ValueError("positions must be attended flat positions of the batch, strictly ascending")
+        reads = np.searchsorted(rows, positions)
 
     tok = ad.embedding_lookup(model["embeddings.token"], input_ids.reshape(-1)[rows])
     pos = ad.embedding_lookup(model["embeddings.position"], rows % seq_len)
@@ -632,7 +631,9 @@ def pretrain(
     ``params.bin``; a directory without ``params.bin`` starts fresh.
     ``state.json`` keeps a sha256 of the corpus (each line UTF-8 encoded and
     followed by a newline), and a resume on another corpus is refused. Each
-    batch's lines are encoded with ``encode_batch`` as the batch is drawn.
+    batch's lines are encoded with ``encode_batch`` as the batch is drawn, and
+    ``forward`` returns the states of its masked positions only
+    (``masked_positions``), which is all ``mlm_loss`` reads.
     """
     if not corpus:
         raise ValueError("cannot pretrain on an empty corpus")

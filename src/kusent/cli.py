@@ -20,7 +20,9 @@ import sys
 import numpy as np
 
 from . import FORMAT_VERSION, __version__
-from .bert import BERT_CONFIG_TYPES, BertConfig, build_model, check_pretrain_values, load_checkpoint, pretrain
+from .bert import (
+    BERT_CONFIG_TYPES, BertConfig, build_model, check_pretrain_values, load_checkpoint, pretrain,
+)
 from .checkpoint import atomic_write_text, check_fields, field_types, from_dict, read_json
 from .classifiers import (
     HEAD_META_TYPES,
@@ -158,12 +160,12 @@ def cmd_pretrain(args, settings) -> int:
     corpus_path = _required(settings, "paths.corpus", "--corpus")
     vocab_path = _required(settings, "paths.vocab", "--vocab")
     out_dir = _required(settings, "paths.out", "--out")
-    vocab = load_vocab(vocab_path)
-    with open(corpus_path, encoding="utf-8") as fh:
-        corpus = [line.rstrip("\n") for line in fh if line.strip()]
     # the section's keys are pretrain's arguments, learning_rate spelled lr; checked before the build
     knobs = {"lr" if k == "learning_rate" else k: v for k, v in settings.get("pretrain", {}).items()}
     check_pretrain_values(**knobs)
+    vocab = load_vocab(vocab_path)
+    with open(corpus_path, encoding="utf-8") as fh:
+        corpus = [line.rstrip("\n") for line in fh if line.strip()]
     model = build_model(bert_config, seed=settings["seed"])
     result = pretrain(model, corpus, vocab, bert_config, seed=settings["seed"], checkpoint_dir=out_dir,
                       resume=args.resume, **knobs)

@@ -823,7 +823,8 @@ class TestMlmLoss:
             return full_states_loss(model, seq, labels)
 
         def read_rows():
-            states = forward(model, ids, mask, True, np.random.default_rng(19), positions=masked_positions(labels))
+            states = forward(model, ids, mask, True, np.random.default_rng(19),
+                             positions=masked_positions(labels))
             return mlm_loss(model, states, labels)
 
         want, want_grads = self._loss_and_grads(model, full)

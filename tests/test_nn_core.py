@@ -458,7 +458,8 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
         "scatter_rows": lambda: ad.scatter_rows(a, np.array([4, 0, 2]), 6),
         "attention": lambda: ad.attention(q, k, v, 2, mask),
         "attention_train": lambda: ad.attention(q, k, v, 2, mask, 0.4, rng, True),
-        "attention_queries": lambda: ad.attention(p("q2", 2, 4), k, v, 2, mask, 0.4, rng, True, np.array([0, 4])),
+        "attention_queries": lambda: ad.attention(p("q2", 2, 4), k, v, 2, mask, 0.4, rng, True,
+                                                  np.array([0, 4])),
         "lstm_layer": lambda: ad.lstm_layer(p("x", 4, 2, 3), lstm_weights, mask, 2),
         "cross_entropy": lambda: ad.cross_entropy(a, np.array([3, -100, 0])),
         "concat": lambda: ad.concat([a, b], axis=1),
@@ -475,8 +476,8 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
 NO_GRAD_CASES = [
     "add", "sub", "mul", "scale", "matmul", "matmul_bias", "relu", "gelu", "tanh", "sigmoid", "softmax",
     "layer_norm", "dropout_train", "embedding_lookup", "gather_rows", "scatter_rows",
-    "attention", "attention_train", "attention_queries", "lstm_layer", "cross_entropy", "concat", "stack", "narrow", "reshape",
-    "transpose", "reduce_sum", "reduce_mean",
+    "attention", "attention_train", "attention_queries", "lstm_layer", "cross_entropy", "concat", "stack",
+    "narrow", "reshape", "transpose", "reduce_sum", "reduce_mean",
 ]
 
 

@@ -127,7 +127,8 @@ def model3() -> None:
             for name, seconds in (("step", done - started), ("forward", forwarded - started),
                                   ("backward", backwarded - forwarded), ("adam", done - backwarded)):
                 parts[name].append(seconds)
-    split = ", ".join(f"{name} {statistics.median(parts[name]):.3f} s" for name in ("forward", "backward", "adam"))
+    split = ", ".join(f"{name} {statistics.median(parts[name]):.3f} s"
+                      for name in ("forward", "backward", "adam"))
     print(f"model3 MLM step with Adam B12x16 ({int(mask.sum())} tokens, {len(positions)} masked): "
           f"{quartiles(parts['step'])} over {MODEL3_STEPS} steps; {split}; peak RSS {peak_rss_mb():.0f} MB",
           flush=True)
