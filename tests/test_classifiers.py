@@ -677,14 +677,14 @@ class TestPackedFeatures:
         assert packed.shape == (int(masks.sum()), hidden)
         assert packed.tobytes() == states[masks != 0].tobytes()
 
-
     def test_cls_features_equal_the_full_forwards_cls_rows(self):
         # the CLS-only last layer gives the full forward's CLS states to float32 rounding, not
         # bit for bit: its GEMMs of one row a sequence may sum in another order
         encoder, vocab = tiny_encoder(seed=16), synthetic_vocab()
         ids, masks = encode_batch([ex.text for ex in ragged_dataset(self.MAX_LEN)], vocab, self.MAX_LEN)
         cls = classifiers._frozen_features(encoder, ids, masks, "mlp")
-        np.testing.assert_allclose(cls, padded_oracle_states(encoder, ids, masks)[:, 0], rtol=0, atol=1e-5)
+        full_cls = padded_oracle_states(encoder, ids, masks)[:, 0]
+        np.testing.assert_allclose(cls, full_cls, rtol=0, atol=1e-5)
 
 
 class TestOverfitGates:
