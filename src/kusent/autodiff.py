@@ -1,9 +1,10 @@
 """Reverse-mode automatic differentiation over dense numpy arrays.
 
-Every op records its parents and a backward rule on the output tensor;
-``backward(loss)`` walks the graph once in reverse topological order and
-accumulates gradients into leaf tensors (parameters). Inside ``no_grad()`` ops
-compute the same arrays and record nothing, so evaluation holds no graph.
+Every op gives its output tensor a ``_Node``: an edge per input and a backward
+rule that holds only the arrays it reads. ``backward(loss)`` walks the nodes
+once in reverse topological order and adds gradients into leaf tensors
+(parameters) as they arrive. Inside ``no_grad()`` ops compute the same arrays
+and record nothing, so evaluation holds no graph.
 Arrays are float32 in training, float64 for finite-difference gradient
 checks; ops preserve the input dtype.
 """
@@ -16,7 +17,7 @@ import ctypes
 import functools
 import math
 import sys
-from typing import Callable, Sequence
+from typing import Callable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -54,18 +55,49 @@ def _keep_freed_memory() -> None:
     mallopt(_M_TRIM_THRESHOLD, (1 << 31) - 1)
 
 
-class Tensor:
-    """A dense array plus the graph edge that produced it."""
+class _Node:
+    """One recorded op in the graph: an edge per input, the backward rule, and whether
+    ``backward`` has run the rule.
 
-    __slots__ = ("data", "grad", "requires_grad", "_parents", "_backward", "_consumed")
+    An input's edge is the input's own ``_Node`` when a recorded op made it, the input itself
+    when it is a leaf that requires a gradient, and None when no gradient flows to it. A node
+    holds no tensor an op made, so an intermediate the caller drops is freed during the
+    forward, and its array with it unless a rule saved that array.
+    """
+
+    __slots__ = ("inputs", "rule", "consumed")
+
+    def __init__(self, inputs: tuple, rule: Callable[[np.ndarray], tuple]):
+        self.inputs = inputs
+        self.rule = rule
+        self.consumed = False
+
+
+class _Rows(NamedTuple):
+    """A gradient that is zero but at the distinct row indices ``ids`` of a ``shape`` array,
+    where it holds ``rows``."""
+
+    ids: np.ndarray
+    rows: np.ndarray
+    shape: tuple[int, ...]
+
+    def dense(self) -> np.ndarray:
+        out = np.zeros(self.shape, self.rows.dtype)
+        out[self.ids] = self.rows
+        return out
+
+
+class Tensor:
+    """A dense array, its gradient as a leaf, and the ``_Node`` of the op that made it (None
+    for a leaf and for a result recorded without a graph)."""
+
+    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
 
     def __init__(self, data, requires_grad: bool = False):
         self.data = np.asarray(data)
         self.grad: np.ndarray | None = None
         self.requires_grad = requires_grad
-        self._parents: tuple[Tensor, ...] = ()
-        self._backward: Callable[[np.ndarray], tuple] | None = None
-        self._consumed = False
+        self._node: _Node | None = None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -83,7 +115,13 @@ class Tensor:
 
 
 class Parameter(Tensor):
-    """A named trainable leaf; ``grad`` persists and accumulates across backward calls."""
+    """A named trainable leaf; ``grad`` persists and accumulates across backward calls.
+
+    ``backward`` adds each of a step's contributions into ``grad`` as it arrives. From a zero
+    ``grad``, as ``adam_step`` leaves it, that rounds exactly as summing the contributions
+    first and adding the sum would. Onto a nonzero ``grad`` (several backward calls between
+    two updates) it may round differently than that sum did; no library code does it.
+    """
 
     __slots__ = ("name",)
 
@@ -120,14 +158,20 @@ def no_grad():
         _GRAD_ENABLED.reset(token)
 
 
-def _node(data: np.ndarray, parents: Sequence[Tensor], backward) -> Tensor:
+def _record(data: np.ndarray, inputs: Sequence[Tensor], rule) -> Tensor:
+    """The op's result; with a ``_Node`` of ``rule`` when grad is enabled and an input needs one.
+
+    ``rule`` maps the result's gradient to one gradient (or None) per input. It holds only
+    what it reads: arrays, shapes and flags, never a ``Tensor``.
+    """
     _keep_freed_memory()
     if not _GRAD_ENABLED.get():
         return Tensor(data)
-    out = Tensor(data, requires_grad=any(p.requires_grad for p in parents))
-    if out.requires_grad:
-        out._parents = tuple(parents)
-        out._backward = backward
+    edges = tuple(t._node if t._node is not None else t if t.requires_grad else None for t in inputs)
+    out = Tensor(data)
+    if any(edge is not None for edge in edges):
+        out.requires_grad = True
+        out._node = _Node(edges, rule)
     return out
 
 
@@ -168,36 +212,28 @@ def _binary_data(op: str, a: Tensor, b: Tensor, fn) -> np.ndarray:
 
 def add(a: Tensor, b: Tensor) -> Tensor:
     data = _binary_data("add", a, b, np.add)
-    return _node(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(g, b.shape)),
-    )
+    a_shape, b_shape = a.shape, b.shape
+    return _record(data, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(g, b_shape)))
 
 
 def sub(a: Tensor, b: Tensor) -> Tensor:
     data = _binary_data("sub", a, b, np.subtract)
-    return _node(
-        data,
-        (a, b),
-        lambda g: (_unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)),
-    )
+    a_shape, b_shape = a.shape, b.shape
+    return _record(data, (a, b), lambda g: (_unbroadcast(g, a_shape), _unbroadcast(-g, b_shape)))
 
 
 def mul(a: Tensor, b: Tensor) -> Tensor:
     data = _binary_data("mul", a, b, np.multiply)
-    return _node(
+    a_data, b_data = a.data, b.data
+    return _record(
         data,
         (a, b),
-        lambda g: (
-            _unbroadcast(g * b.data, a.shape),
-            _unbroadcast(g * a.data, b.shape),
-        ),
+        lambda g: (_unbroadcast(g * b_data, a_data.shape), _unbroadcast(g * a_data, b_data.shape)),
     )
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    return _node(a.data * s, (a,), lambda g: (g * s,))
+    return _record(a.data * s, (a,), lambda g: (g * s,))
 
 
 def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
@@ -211,45 +247,70 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
         raise ValueError(f"matmul: operands must be at least 2-D, got {a.shape} and {b.shape}")
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
-    if a.data.ndim > 2 and b.data.ndim == 2:
+    a_data, b_data = a.data, b.data
+    if a_data.ndim > 2 and b_data.ndim == 2:
         # (..., K) @ (K, N) as one 2-D GEMM over all leading rows; the weight
         # gradient is then a single a2.T @ g2 with no batch-sized temporary
-        a2 = a.data.reshape(-1, a.shape[-1])
-        data = (a2 @ b.data).reshape(a.shape[:-1] + (b.shape[1],))
+        a_shape = a.shape
+        a2 = a_data.reshape(-1, a_shape[-1])
+        data = (a2 @ b_data).reshape(a_shape[:-1] + (b.shape[1],))
 
         def backward(g):
             g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b.data.T).reshape(a.shape), a2.T @ g2
+            return (g2 @ b_data.T).reshape(a_shape), a2.T @ g2
 
     else:
-        data = a.data @ b.data
+        data = a_data @ b_data
 
         def backward(g):
-            ga = _unbroadcast(g @ np.swapaxes(b.data, -1, -2), a.shape)
-            gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
+            ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape)
+            gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape)
             return ga, gb
 
+    return _with_bias("matmul", data, (a, b), backward, bias)
+
+
+def _with_bias(op: str, data: np.ndarray, inputs: tuple[Tensor, ...], backward, bias: Tensor | None) -> Tensor:
+    """``op``'s product ``data`` recorded with ``backward``, after ``bias`` is added into it in place."""
     if bias is None:
-        return _node(data, (a, b), backward)
+        return _record(data, inputs, backward)
     try:
         fits = np.broadcast_shapes(data.shape, bias.shape) == data.shape
     except ValueError:
         fits = False
     if not fits:
-        raise ValueError(
-            f"matmul: bias {bias.shape} does not broadcast to the product {data.shape}"
-        )
+        raise ValueError(f"{op}: bias {bias.shape} does not broadcast to the product {data.shape}")
     data += bias.data
+    bias_shape, bias_grad = bias.shape, bias.requires_grad
 
     def backward_with_bias(g):
-        return backward(g) + (_unbroadcast(g, bias.shape) if bias.requires_grad else None,)
+        return backward(g) + (_unbroadcast(g, bias_shape) if bias_grad else None,)
 
-    return _node(data, (a, b, bias), backward_with_bias)
+    return _record(data, inputs + (bias,), backward_with_bias)
+
+
+def linear(x: Tensor, w: Tensor, bias: Tensor | None = None) -> Tensor:
+    """x @ wᵀ, plus ``bias`` when given, for ``x`` of (N, K) and ``w`` of (M, K).
+
+    The product is ``matmul(x, transpose(w, (1, 0)), bias)``'s. The weight's
+    gradient is ``gᵀ @ x``, made in ``w``'s own (M, K) layout, so a (V, H) table
+    used as a decoder adds it into its ``grad`` without a pass over a transposed view.
+    """
+    if x.data.ndim != 2 or w.data.ndim != 2 or x.shape[1] != w.shape[1]:
+        raise ValueError(f"linear: x {x.shape} and w {w.shape} must be (N, K) and (M, K)")
+    x_data, w_data = x.data, w.data
+    data = x_data @ w_data.T
+
+    def backward(g):
+        return g @ w_data, g.T @ x_data
+
+    return _with_bias("linear", data, (x, w), backward, bias)
 
 
 def relu(x: Tensor) -> Tensor:
     data = np.maximum(x.data, 0)
-    return _node(data, (x,), lambda g: (g * (x.data > 0),))
+    positive = x.data > 0
+    return _record(data, (x,), lambda g: (g * positive,))
 
 
 _GELU_C = math.sqrt(2.0 / math.pi)
@@ -293,17 +354,17 @@ def gelu(x: Tensor) -> Tensor:
             db *= gb
         return (dx,)
 
-    return _node(data, (x,), backward)
+    return _record(data, (x,), backward)
 
 
 def tanh(x: Tensor) -> Tensor:
     t = np.tanh(x.data)
-    return _node(t, (x,), lambda g: (g * (1.0 - t**2),))
+    return _record(t, (x,), lambda g: (g * (1.0 - t**2),))
 
 
 def sigmoid(x: Tensor) -> Tensor:
     s = 1.0 / (1.0 + np.exp(-x.data))
-    return _node(s, (x,), lambda g: (g * s * (1.0 - s),))
+    return _record(s, (x,), lambda g: (g * s * (1.0 - s),))
 
 
 def _softmax_rows(x: np.ndarray, out: np.ndarray) -> np.ndarray:
@@ -328,7 +389,7 @@ def _softmax_rows_backward(g: np.ndarray, s: np.ndarray) -> np.ndarray:
 def softmax(x: Tensor) -> Tensor:
     """Softmax over the last axis."""
     s = _softmax_rows(x.data, np.empty(x.shape, x.dtype))
-    return _node(s, (x,), lambda g: (_softmax_rows_backward(g, s),))
+    return _record(s, (x,), lambda g: (_softmax_rows_backward(g, s),))
 
 
 def _attention_groups(
@@ -376,11 +437,13 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-12) -> Te
         np.multiply(hb, gain.data, out=db)
         db += shift.data
 
+    gain_data = gain.data
+
     def backward(g):
         axes = tuple(range(g.ndim - 1))
         dgain = (g * xhat).sum(axis=axes)
         dshift = g.sum(axis=axes)
-        dxhat = g * gain.data
+        dxhat = g * gain_data
         dx = inv * (
             dxhat
             - dxhat.mean(axis=-1, keepdims=True)
@@ -388,7 +451,7 @@ def layer_norm(x: Tensor, gain: Tensor, shift: Tensor, eps: float = 1e-12) -> Te
         )
         return dx, dgain, dshift
 
-    return _node(data, (x, gain, shift), backward)
+    return _record(data, (x, gain, shift), backward)
 
 
 def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) -> np.ndarray:
@@ -429,41 +492,46 @@ def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool
         dx *= factor
         return (dx,)
 
-    return _node(data, (x,), backward)
+    return _record(data, (x,), backward)
 
 
 def embedding_lookup(table: Tensor, ids: np.ndarray) -> Tensor:
+    """``table[ids]``; the table's gradient is ``_Rows``: the distinct ids and their summed rows."""
     ids = np.asarray(ids)
     if ids.size and (ids.min() < 0 or ids.max() >= table.shape[0]):
         bad = int(ids.min()) if ids.min() < 0 else int(ids.max())
         raise ValueError(f"embedding_lookup: id {bad} out of range for table of {table.shape[0]}")
     data = table.data[ids]
+    flat_ids, table_shape, dtype = ids.reshape(-1), table.shape, table.dtype
 
     def backward(g):
-        dt = np.zeros_like(table.data)
-        np.add.at(dt, ids, g)
-        return (dt,)
+        # each id's rows summed in their order into zeros, as np.add.at sums them into a table
+        distinct, inverse = np.unique(flat_ids, return_inverse=True)
+        rows = np.zeros((distinct.size,) + table_shape[1:], dtype)
+        np.add.at(rows, inverse, g.reshape((flat_ids.size,) + table_shape[1:]))
+        return (_Rows(distinct, rows, table_shape),)
 
-    return _node(data, (table,), backward)
+    return _record(data, (table,), backward)
 
 
 def gather_rows(x: Tensor, rows: np.ndarray) -> Tensor:
     """``x[rows]`` for distinct ``rows``: its gradient is set, not summed, into place."""
     data = x.data[rows]
+    x_shape, dtype = x.shape, x.dtype
 
     def backward(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(x_shape, dtype)
         dx[rows] = g
         return (dx,)
 
-    return _node(data, (x,), backward)
+    return _record(data, (x,), backward)
 
 
 def scatter_rows(x: Tensor, rows: np.ndarray, n_rows: int) -> Tensor:
     """The rows of ``x`` placed at distinct ``rows`` of an (n_rows, ...) array of zeros."""
     data = np.zeros((n_rows,) + x.shape[1:], x.dtype)
     data[rows] = x.data
-    return _node(data, (x,), lambda g: (g[rows],))
+    return _record(data, (x,), lambda g: (g[rows],))
 
 
 def attention(
@@ -540,8 +608,10 @@ def attention(
         merge(pd @ vg, query_index, out)
         saved.append((index, query_index, qg, kg, vg, p, pd, keep))
 
+    q_shape = q.shape
+
     def backward(g):
-        dq = np.empty(q.shape, g.dtype)
+        dq = np.empty(q_shape, g.dtype)
         dk, dv = (np.zeros((n, hidden), g.dtype) for _ in range(2))
         for index, query_index, qg, kg, vg, p, pd, keep in saved:
             gctx = split(g, query_index)
@@ -556,7 +626,7 @@ def attention(
         dq *= scale_q
         return dq, dk, dv
 
-    return _node(out, (q, k, v), backward)
+    return _record(out, (q, k, v), backward)
 
 
 def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100) -> Tensor:
@@ -573,9 +643,9 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100)
     flat_targets = targets.reshape(-1)
     valid = flat_targets != ignore_index
     n_valid = int(valid.sum())
+    logits_shape, dtype = logits.shape, logits.dtype
     if n_valid == 0:
-        data = np.zeros((), dtype=logits.dtype)
-        return _node(data, (logits,), lambda g: (np.zeros_like(logits.data),))
+        return _record(np.zeros((), dtype), (logits,), lambda g: (np.zeros(logits_shape, dtype),))
     picked_targets = flat_targets[valid]
     if picked_targets.min() < 0 or picked_targets.max() >= logits.shape[-1]:
         raise ValueError("cross_entropy: target class out of range")
@@ -586,7 +656,8 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100)
     shifted = rows - row_max
     logsumexp = np.log(np.exp(shifted).sum(axis=-1)) + row_max[:, 0]
     picked = rows[np.arange(n_valid), picked_targets]
-    data = np.asarray((logsumexp - picked).sum() / n_valid, dtype=logits.dtype)
+    data = np.asarray((logsumexp - picked).sum() / n_valid, dtype=dtype)
+    flat_shape = flat_logits.shape
 
     def backward(g):
         probs = np.exp(shifted)
@@ -596,12 +667,12 @@ def cross_entropy(logits: Tensor, targets: np.ndarray, ignore_index: int = -100)
         probs *= np.float64(1.0 / n_valid)
         probs = float(g) * probs
         if all_valid:
-            return (probs.reshape(logits.shape),)
-        grad = np.zeros(flat_logits.shape, dtype=logits.dtype)
+            return (probs.reshape(logits_shape),)
+        grad = np.zeros(flat_shape, dtype=dtype)
         grad[valid] = probs
-        return (grad.reshape(logits.shape),)
+        return (grad.reshape(logits_shape),)
 
-    return _node(data, (logits,), backward)
+    return _record(data, (logits,), backward)
 
 
 def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
@@ -612,21 +683,22 @@ def concat(tensors: Sequence[Tensor], axis: int) -> Tensor:
     def backward(g):
         slicer = [slice(None)] * g.ndim
         outs = []
-        for i in range(len(tensors)):
+        for i in range(len(sizes)):
             slicer[axis] = slice(offsets[i], offsets[i + 1])
             outs.append(g[tuple(slicer)])
         return tuple(outs)
 
-    return _node(data, tuple(tensors), backward)
+    return _record(data, tuple(tensors), backward)
 
 
 def stack(tensors: Sequence[Tensor], axis: int) -> Tensor:
     data = np.stack([t.data for t in tensors], axis=axis)
+    count = len(tensors)
 
     def backward(g):
-        return tuple(np.moveaxis(g, axis, 0)[i] for i in range(len(tensors)))
+        return tuple(np.moveaxis(g, axis, 0)[i] for i in range(count))
 
-    return _node(data, tuple(tensors), backward)
+    return _record(data, tuple(tensors), backward)
 
 
 def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
@@ -635,37 +707,38 @@ def narrow(x: Tensor, axis: int, start: int, length: int) -> Tensor:
     slicer[axis] = slice(start, start + length)
     slicer = tuple(slicer)
     data = x.data[slicer]
+    x_shape, dtype = x.shape, x.dtype
 
     def backward(g):
-        dx = np.zeros_like(x.data)
+        dx = np.zeros(x_shape, dtype)
         dx[slicer] = g
         return (dx,)
 
-    return _node(data, (x,), backward)
+    return _record(data, (x,), backward)
 
 
 def reshape(x: Tensor, shape: tuple[int, ...]) -> Tensor:
     data = x.data.reshape(shape)
-    return _node(data, (x,), lambda g: (g.reshape(x.shape),))
+    x_shape = x.shape
+    return _record(data, (x,), lambda g: (g.reshape(x_shape),))
 
 
 def transpose(x: Tensor, axes: tuple[int, ...]) -> Tensor:
     data = x.data.transpose(axes)
     inverse = tuple(np.argsort(axes))
-    return _node(data, (x,), lambda g: (g.transpose(inverse),))
+    return _record(data, (x,), lambda g: (g.transpose(inverse),))
 
 
 def reduce_sum(x: Tensor) -> Tensor:
-    data = np.asarray(x.data.sum(), dtype=x.dtype)
-    return _node(data, (x,), lambda g: (np.broadcast_to(g, x.shape).astype(x.dtype),))
+    x_shape, dtype = x.shape, x.dtype
+    data = np.asarray(x.data.sum(), dtype=dtype)
+    return _record(data, (x,), lambda g: (np.broadcast_to(g, x_shape).astype(dtype),))
 
 
 def reduce_mean(x: Tensor) -> Tensor:
-    n = x.data.size
-    data = np.asarray(x.data.mean(), dtype=x.dtype)
-    return _node(
-        data, (x,), lambda g: ((np.broadcast_to(g, x.shape) / n).astype(x.dtype),)
-    )
+    n, x_shape, dtype = x.data.size, x.shape, x.dtype
+    data = np.asarray(x.data.mean(), dtype=dtype)
+    return _record(data, (x,), lambda g: ((np.broadcast_to(g, x_shape) / n).astype(dtype),))
 
 
 def lstm_layer(x: Tensor, weights: Sequence[Tensor], attention_mask: np.ndarray, d_h: int) -> Tensor:
@@ -733,6 +806,7 @@ def lstm_layer(x: Tensor, weights: Sequence[Tensor], attention_mask: np.ndarray,
         h = np.add(h_new * m, h * k, out=hs[:, t])
         c = np.add(c_new * m, c * k, out=cs[:, t])
     out = np.concatenate([hs[0], hs[1, ::-1]], axis=-1)
+    x_grad = x.requires_grad
 
     def backward(g):
         gy = np.stack([g[:, :, :d_h], g[::-1, :, d_h:]])
@@ -771,72 +845,84 @@ def lstm_layer(x: Tensor, weights: Sequence[Tensor], attention_mask: np.ndarray,
             for d in (0, 1) for k in range(4) for grad in (dwx, dwh, db)
         ]
         dx = None
-        if x.requires_grad:
+        if x_grad:
             dxs = (dpre @ wx.transpose(0, 2, 1)).reshape(2, steps, batch, d_in)
             dx = dxs[0] + dxs[1, ::-1]
         return (dx, *grads)
 
-    return _node(out, (x, *weights), backward)
+    return _record(out, (x, *weights), backward)
 
 
-def _topo_order(loss: Tensor) -> list[Tensor]:
+def _topo_order(root: _Node) -> list[_Node]:
+    """The nodes reachable from ``root``, each after the nodes of its inputs."""
     # iterative DFS: recurrent graphs get deeper than the recursion limit
-    order: list[Tensor] = []
-    visited: set[int] = set()
-    stack: list[tuple[Tensor, bool]] = [(loss, False)]
+    order: list[_Node] = []
+    visited: set[_Node] = set()
+    stack: list[tuple[_Node, bool]] = [(root, False)]
     while stack:
         node, expanded = stack.pop()
         if expanded:
             order.append(node)
             continue
-        if id(node) in visited:
+        if node in visited:
             continue
-        visited.add(id(node))
+        visited.add(node)
         stack.append((node, True))
-        for parent in node._parents:
-            if id(parent) not in visited:
-                stack.append((parent, False))
+        for edge in node.inputs:
+            if type(edge) is _Node and edge not in visited:
+                stack.append((edge, False))
     return order
 
 
-def backward(loss: Tensor) -> None:
-    """Accumulate d(loss)/d(leaf) into every reachable requires-grad leaf.
+def _add_to_leaf(leaf: Tensor, grad) -> None:
+    if leaf.grad is None:
+        leaf.grad = np.zeros_like(leaf.data)
+    if type(grad) is _Rows:
+        leaf.grad[grad.ids] += grad.rows
+    else:
+        leaf.grad += grad
 
-    Each node drops its parents and backward rule once the rule has run, so
-    the activations a rule holds are freed while the pass goes on. A graph
-    is therefore good for one backward: a second one through any of its
-    nodes raises.
+
+def backward(loss: Tensor) -> None:
+    """Add d(loss)/d(leaf) into the ``grad`` of every reachable leaf that requires one.
+
+    The graph holds nodes and leaves, not the tensors the ops made, so what
+    lives until here is what the rules saved. The pass runs each node's rule
+    once, in reverse topological order. A node's incoming gradients are summed
+    into one array for its rule; a leaf's are added into its ``grad`` as they
+    arrive. ``embedding_lookup`` hands its table the distinct ids and their
+    summed rows (``_Rows``), which are added into those rows of the ``grad``;
+    only a table that is not a leaf gets them as a dense array. Each node drops
+    its inputs and rule once the rule has run, so the arrays the rule holds are
+    freed while the pass goes on. A graph is therefore good for one backward: a
+    second one through any of its nodes raises.
     """
     if loss.data.size != 1:
         raise ValueError(f"backward: loss must be a scalar, got shape {loss.shape}")
-    if loss._consumed:
-        raise RuntimeError("backward: graph already consumed; rerun the forward pass")
-    loss._consumed = True
-    if not loss.requires_grad:
+    root = loss._node
+    if root is None:
+        if loss.requires_grad:
+            _add_to_leaf(loss, np.ones_like(loss.data))
         return
-    order = _topo_order(loss)
-    if any(node._consumed for node in order[:-1]):
+    order = _topo_order(root)
+    if any(node.consumed for node in order):
         raise RuntimeError("backward: graph already consumed; rerun the forward pass")
-    grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
+    grads: dict[_Node, np.ndarray] = {root: np.ones_like(loss.data)}
     for node in reversed(order):
-        g = grads.pop(id(node), None)
-        parents, rule = node._parents, node._backward
-        if parents:
-            node._parents, node._backward, node._consumed = (), None, True
+        g = grads.pop(node, None)
+        inputs, rule = node.inputs, node.rule
+        node.inputs, node.rule, node.consumed = (), None, True
         if g is None:
             continue
-        if parents:
-            for parent, pg in zip(parents, rule(g)):
-                if pg is None or not parent.requires_grad:
-                    continue
-                if id(parent) in grads:
-                    grads[id(parent)] = grads[id(parent)] + pg
-                else:
-                    grads[id(parent)] = pg
-        elif node.requires_grad:
-            if node.grad is None:
-                node.grad = np.zeros_like(node.data)
-            node.grad += g
+        for edge, grad in zip(inputs, rule(g)):
+            if grad is None or edge is None:
+                continue
+            if type(edge) is not _Node:
+                _add_to_leaf(edge, grad)
+                continue
+            if type(grad) is _Rows:
+                grad = grad.dense()
+            grads[edge] = grads[edge] + grad if edge in grads else grad
 
 
 def truncated_normal(

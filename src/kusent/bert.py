@@ -374,9 +374,8 @@ def mlm_logits(model: ModelParams, sequence_states: Tensor) -> Tensor:
     )
     h = ad.layer_norm(h, model["mlm.norm.gain"], model["mlm.norm.bias"])
     flat = ad.reshape(h, (batch * seq_len, hidden))
-    logits = ad.matmul(
-        flat, ad.transpose(model["embeddings.token"], (1, 0)), model["mlm.out_bias"]
-    )
+    # the tied decoder, x @ tableᵀ, takes its gradient in the table's own (V, H) layout
+    logits = ad.linear(flat, model["embeddings.token"], model["mlm.out_bias"])
     return ad.reshape(logits, (batch, seq_len, model.config.vocab_size))
 
 

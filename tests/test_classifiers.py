@@ -493,8 +493,9 @@ class TestTrainingContracts:
 
     def test_frozen_features_drop_each_chunk_before_the_next(self, monkeypatch):
         class Watched(Tensor):
-            """A weakly referenceable stand-in that keeps the returned tensor, and its graph, alive."""
-            __slots__ = ("inner", "__weakref__")
+            """A stand-in, weakly referenceable as every tensor, that keeps the returned tensor, and its
+            graph, alive."""
+            __slots__ = ("inner",)
 
         refs = []
 
@@ -553,14 +554,14 @@ class TestGraphFreeEvaluation:
     def _graph_nodes(monkeypatch):
         """A list that gets, for each op run from here on, whether it recorded a backward rule."""
         made = []
-        real = ad._node
+        real = ad._record
 
-        def counting(data, parents, backward):
-            out = real(data, parents, backward)
-            made.append(out._backward is not None)
+        def counting(data, inputs, rule):
+            out = real(data, inputs, rule)
+            made.append(out._node is not None)
             return out
 
-        monkeypatch.setattr(ad, "_node", counting)
+        monkeypatch.setattr(ad, "_record", counting)
         return made
 
     @staticmethod
@@ -569,7 +570,7 @@ class TestGraphFreeEvaluation:
         steps = []
 
         def checked_backward(loss):
-            assert ad._GRAD_ENABLED.get() and loss._backward is not None
+            assert ad._GRAD_ENABLED.get() and loss._node is not None
             steps.append(loss)
             ad.backward(loss)
 

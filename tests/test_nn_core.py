@@ -1,6 +1,7 @@
 import ctypes
 import math
 import threading
+import weakref
 import zlib
 
 import numpy as np
@@ -107,11 +108,11 @@ class TestBackward:
         x = Tensor(rng.normal(size=(3, 4)))
         hidden = ad.layer_norm(ad.gelu(ad.matmul(x, w)), gain, shift)
         loss = ad.cross_entropy(ad.dropout(hidden, 0.2, rng, train=True), np.array([0, 5, 2]))
-        nodes = ad._topo_order(loss)
-        inner = [node for node in nodes if node._parents]
+        nodes = ad._topo_order(loss._node)
+        inner = [node for node in nodes if node.inputs]
         assert len(inner) == 5
         backward(loss)
-        assert all(node._backward is None and node._parents == () for node in nodes)
+        assert all(node.rule is None and node.inputs == () for node in nodes)
         assert all(np.any(p.grad != 0) for p in (w, gain, shift))
 
     def test_grad_accumulates_until_zeroed(self):
@@ -216,14 +217,14 @@ class TestFusedAndBlockedOps:
         np.testing.assert_array_equal(out.data, 0.5 * x * (1.0 + t))
         dinner = c * (1.0 + 3 * 0.044715 * x**2)
         dx = 0.5 * (1.0 + t) + 0.5 * x * (1.0 - t**2) * dinner
-        np.testing.assert_array_equal(out._backward(g)[0], g * dx)
+        np.testing.assert_array_equal(out._node.rule(g)[0], g * dx)
 
         shifted = x - x.max(axis=-1, keepdims=True)
         s = np.exp(shifted) / np.exp(shifted).sum(axis=-1, keepdims=True)
         out = ad.softmax(Parameter("x", x))
         np.testing.assert_array_equal(out.data, s)
         np.testing.assert_array_equal(
-            out._backward(g)[0], (g - (g * s).sum(axis=-1, keepdims=True)) * s
+            out._node.rule(g)[0], (g - (g * s).sum(axis=-1, keepdims=True)) * s
         )
 
         centered = x - x.mean(axis=-1, keepdims=True)
@@ -245,7 +246,7 @@ class TestFusedAndBlockedOps:
         keep = keep_words(np.random.default_rng(27), x.shape, 0.1)
         np.testing.assert_array_equal(out.data, x * keep.astype(np.float32) * (1.0 / 0.9))
         g = np.ones_like(x)
-        np.testing.assert_array_equal(out._backward(g)[0], g * keep * (1.0 / 0.9))
+        np.testing.assert_array_equal(out._node.rule(g)[0], g * keep * (1.0 / 0.9))
 
     @pytest.mark.parametrize("bits", [np.random.PCG64, np.random.MT19937])
     @pytest.mark.parametrize("block_values", [ad._BLOCK_VALUES, 12])
@@ -262,7 +263,7 @@ class TestFusedAndBlockedOps:
         out = ad.dropout(Parameter("x", x), rate, got_rng, train=True)
         keep = keep_words(want_rng, x.shape, rate)
         np.testing.assert_array_equal(out.data, (x * keep) * np.float32(factor))
-        np.testing.assert_array_equal(out._backward(g)[0], (g * keep) * np.float32(factor))
+        np.testing.assert_array_equal(out._node.rule(g)[0], (g * keep) * np.float32(factor))
         np.testing.assert_equal(got_rng.bit_generator.state, want_rng.bit_generator.state)
         assert got_rng.sizes == [x.size]
 
@@ -446,6 +447,7 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
         "scale": lambda: ad.scale(a, 0.3),
         "matmul": lambda: ad.matmul(a, w),
         "matmul_bias": lambda: ad.matmul(a, w, bias),
+        "linear": lambda: ad.linear(a, p("wt", 5, 4), bias),
         "relu": lambda: ad.relu(a),
         "gelu": lambda: ad.gelu(a),
         "tanh": lambda: ad.tanh(a),
@@ -474,7 +476,7 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
 
 
 NO_GRAD_CASES = [
-    "add", "sub", "mul", "scale", "matmul", "matmul_bias", "relu", "gelu", "tanh", "sigmoid", "softmax",
+    "add", "sub", "mul", "scale", "matmul", "matmul_bias", "linear", "relu", "gelu", "tanh", "sigmoid", "softmax",
     "layer_norm", "dropout_train", "embedding_lookup", "gather_rows", "scatter_rows",
     "attention", "attention_train", "attention_queries", "lstm_layer", "cross_entropy", "concat", "stack",
     "narrow", "reshape", "transpose", "reduce_sum", "reduce_mean",
@@ -491,8 +493,8 @@ class TestNoGrad:
         with ad.no_grad():
             bare_rng = np.random.default_rng(62)
             bare = _no_grad_case(name, bare_rng)
-        assert graphed._backward is not None and graphed._parents
-        assert bare._backward is None and bare._parents == () and not bare.requires_grad
+        assert graphed._node is not None and graphed._node.inputs
+        assert bare._node is None and not bare.requires_grad
         assert bare.dtype == graphed.dtype and bare.shape == graphed.shape
         assert bare.data.tobytes() == graphed.data.tobytes()
         assert bare_rng.bit_generator.state == rng.bit_generator.state
@@ -501,7 +503,7 @@ class TestNoGrad:
         x = Parameter("x", np.array([1.0, -2.0]))
 
         def records() -> bool:
-            return ad.mul(x, x)._backward is not None
+            return ad.mul(x, x)._node is not None
 
         with ad.no_grad():
             with ad.no_grad():
@@ -523,7 +525,7 @@ class TestNoGrad:
         x = Parameter("x", np.ones(2))
         seen = []
         with ad.no_grad():
-            worker = threading.Thread(target=lambda: seen.append(ad.mul(x, x)._backward is not None))
+            worker = threading.Thread(target=lambda: seen.append(ad.mul(x, x)._node is not None))
             worker.start()
             worker.join(timeout=30)
         assert not worker.is_alive() and seen == [True]
@@ -534,6 +536,105 @@ class TestNoGrad:
             loss = ad.reduce_sum(ad.mul(x, x))
         backward(loss)
         np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+
+
+def _held_case(name: str, x: Tensor, leaf) -> Tensor:
+    """Op ``name`` with the intermediate ``x`` as one input and leaves from ``leaf(label, *shape)``
+    as the others; ``HELD_CASES[name]`` gives ``x``'s shape."""
+    mask = np.array([[1, 1, 1, 0], [1, 1, 0, 0]])
+    lstm_mask = np.array([[1, 1, 1, 1], [1, 1, 1, 0]])
+    rng = np.random.default_rng(64)
+    b = leaf("b", 5, 4)
+    cases = {
+        "add": lambda: ad.add(x, b),
+        "sub": lambda: ad.sub(b, x),
+        "mul": lambda: ad.mul(x, b),
+        "scale": lambda: ad.scale(x, 0.3),
+        "matmul": lambda: ad.matmul(x, leaf("w", 4, 3)),
+        "matmul_3d": lambda: ad.matmul(ad.reshape(x, (5, 1, 4)), leaf("w", 4, 3), leaf("bias", 3)),
+        "matmul_batched": lambda: ad.matmul(leaf("a", 2, 3, 5), ad.reshape(x, (1, 5, 4))),
+        "linear_x": lambda: ad.linear(x, leaf("w", 3, 4), leaf("bias", 3)),
+        "linear_w": lambda: ad.linear(leaf("a", 2, 4), x, leaf("bias", 5)),
+        "relu": lambda: ad.relu(x),
+        "gelu": lambda: ad.gelu(x),
+        "tanh": lambda: ad.tanh(x),
+        "sigmoid": lambda: ad.sigmoid(x),
+        "softmax": lambda: ad.softmax(x),
+        "layer_norm": lambda: ad.layer_norm(x, leaf("gain", 4), leaf("shift", 4)),
+        "dropout": lambda: ad.dropout(x, 0.4, rng, train=True),
+        "embedding_lookup": lambda: ad.embedding_lookup(x, np.array([[2, 0, 2], [4, 2, 1]])),
+        "gather_rows": lambda: ad.gather_rows(x, np.array([3, 0, 4])),
+        "scatter_rows": lambda: ad.scatter_rows(x, np.array([6, 0, 2, 3, 5]), 7),
+        "attention_q": lambda: ad.attention(x, leaf("k", 5, 4), leaf("v", 5, 4), 2, mask, 0.4, rng, True),
+        "attention_k": lambda: ad.attention(leaf("q", 5, 4), x, leaf("v", 5, 4), 2, mask, 0.4, rng, True),
+        "attention_v": lambda: ad.attention(leaf("q", 5, 4), leaf("k", 5, 4), x, 2, mask, 0.4, rng, True),
+        "attention_queries": lambda: ad.attention(ad.narrow(x, 0, 0, 2), leaf("k", 5, 4), leaf("v", 5, 4),
+                                                  2, mask, 0.4, rng, True, np.array([1, 3])),
+        "lstm_layer": lambda: ad.lstm_layer(
+            ad.reshape(x, (4, 2, 3)),
+            [leaf(f"lstm{i}", *shape) for i, shape in enumerate([(3, 2), (2, 2), (2,)] * 8)], lstm_mask, 2),
+        "cross_entropy": lambda: ad.cross_entropy(x, np.array([3, -100, 0, 1, -100])),
+        "concat": lambda: ad.concat([b, x], axis=1),
+        "stack": lambda: ad.stack([x, b], axis=0),
+        "narrow": lambda: ad.narrow(x, 1, 1, 2),
+        "reshape": lambda: ad.reshape(x, (4, 5)),
+        "transpose": lambda: ad.transpose(x, (1, 0)),
+        "reduce_sum": lambda: ad.reduce_sum(x),
+        "reduce_mean": lambda: ad.reduce_mean(x),
+    }
+    return cases[name]()
+
+
+# op -> (the intermediate input's shape, whether the op's rule reads that input's array)
+HELD_CASES = {
+    "add": ((5, 4), False), "sub": ((5, 4), False), "mul": ((5, 4), True), "scale": ((5, 4), False),
+    "matmul": ((5, 4), True), "matmul_3d": ((5, 4), True), "matmul_batched": ((5, 4), True),
+    "linear_x": ((5, 4), True), "linear_w": ((5, 4), True),
+    "relu": ((5, 4), False), "gelu": ((5, 4), True), "tanh": ((5, 4), False), "sigmoid": ((5, 4), False),
+    "softmax": ((5, 4), False), "layer_norm": ((5, 4), False), "dropout": ((5, 4), False),
+    "embedding_lookup": ((5, 4), False), "gather_rows": ((5, 4), False), "scatter_rows": ((5, 4), False),
+    "attention_q": ((5, 4), False), "attention_k": ((5, 4), False), "attention_v": ((5, 4), False),
+    "attention_queries": ((5, 4), False), "lstm_layer": ((8, 3), False), "cross_entropy": ((5, 4), False),
+    "concat": ((5, 4), False), "stack": ((5, 4), False), "narrow": ((5, 4), False),
+    "reshape": ((5, 4), False), "transpose": ((5, 4), False), "reduce_sum": ((5, 4), False),
+    "reduce_mean": ((5, 4), False),
+}
+
+
+class TestGraphHoldsOnlyWhatRulesRead:
+    """The graph holds nodes and leaves, and each rule only what it reads: an intermediate
+    input dies once the caller drops it, while the loss still holds the graph. Its array dies
+    too unless the rule reads it. The gradients are the same either way."""
+
+    @staticmethod
+    def _run(name: str, drop: bool):
+        r = np.random.default_rng(63)
+        leaves = []
+
+        def leaf(label, *shape):
+            leaves.append(Parameter(label, r.normal(size=shape)))
+            return leaves[-1]
+
+        shape, reads = HELD_CASES[name]
+        x = ad.scale(leaf("source", *shape), 1.0)  # an intermediate with an array of its own
+        out = _held_case(name, x, leaf)
+        weights = Tensor(np.random.default_rng(65).normal(size=out.shape))
+        loss = ad.reduce_sum(ad.mul(ad.scale(out, 1.0), weights))
+        refs = weakref.ref(x), weakref.ref(x.data)
+        if drop:
+            del x, out
+            assert loss._node is not None and not loss._node.consumed
+            assert refs[0]() is None, "the dropped input is still alive"
+            assert (refs[1]() is None) is not reads, "its array lives on" if not reads else "its array died"
+        backward(loss)
+        return [p.grad for p in leaves]
+
+    @pytest.mark.parametrize("name", list(HELD_CASES))
+    def test_dropped_input_dies_and_gradients_stay(self, name):
+        kept, dropped = self._run(name, drop=False), self._run(name, drop=True)
+        assert any(g.any() for g in kept)
+        for k, d in zip(kept, dropped):
+            assert k.tobytes() == d.tobytes()
 
 
 class _MallInfo2(ctypes.Structure):
@@ -661,6 +762,49 @@ class TestGradCheckPerOp:
         ids = np.array([[0, 3, 3], [6, 1, 0]])
         w = Tensor(np.random.default_rng(5).normal(size=(2, 3, 3)))
         check(lambda: ad.reduce_sum(ad.mul(ad.embedding_lookup(table, ids), w)), [table])
+        # a table that is not a leaf gets its rows as a dense gradient
+        check(lambda: ad.reduce_sum(ad.mul(ad.embedding_lookup(ad.scale(table, 1.5), ids), w)), [table])
+
+    def test_embedding_lookup_sums_repeats_in_order_into_the_rows_it_read(self):
+        # in float32, 1e8 + 1 - 1e8 is 0 in that order and 1 in another: the repeats of id 2 sum as
+        # np.add.at sums them into a zero table, and the rows no id names stay zero
+        table = Parameter("emb", np.zeros((5, 1), np.float32))
+        ids = np.array([2, 4, 2, 2])
+        g = np.array([[1e8], [3.0], [1.0], [-1e8]], np.float32)
+        want = np.zeros((5, 1), np.float32)
+        np.add.at(want, ids, g)
+        backward(ad.reduce_sum(ad.mul(ad.embedding_lookup(table, ids), Tensor(g))))
+        assert table.grad.tobytes() == want.tobytes() and table.grad[2, 0] == 0.0
+
+    @pytest.mark.parametrize("with_bias", [False, True])
+    def test_linear(self, with_bias):
+        x, w, bias = fparam("x", (5, 4)), fparam("w", (3, 4)), fparam("bias", (3,))
+        g = Tensor(np.random.default_rng(34).normal(size=(5, 3)))
+        params = [x, w, bias] if with_bias else [x, w]
+        check(lambda: ad.reduce_sum(ad.mul(ad.linear(x, w, bias if with_bias else None), g)), params)
+
+    def test_linear_is_matmul_by_the_transpose(self):
+        rng = np.random.default_rng(35)
+
+        def params():
+            r = np.random.default_rng(36)
+            return [Parameter(n, r.normal(size=sh).astype(np.float32))
+                    for n, sh in (("x", (6, 5)), ("w", (7, 5)), ("bias", (7,)))]
+
+        g = Tensor(rng.normal(size=(6, 7)).astype(np.float32))
+        lin, mm = params(), params()
+        out_lin = ad.linear(*lin)
+        out_mm = ad.matmul(mm[0], ad.transpose(mm[1], (1, 0)), mm[2])
+        assert out_lin.data.tobytes() == out_mm.data.tobytes()
+        backward(ad.reduce_sum(ad.mul(out_lin, g)))
+        backward(ad.reduce_sum(ad.mul(out_mm, g)))
+        for a, b in zip(lin, mm):
+            # the weight's gradient is another GEMM, gᵀ @ x in place of (xᵀ @ g)ᵀ
+            np.testing.assert_allclose(a.grad, b.grad, rtol=1e-6, atol=1e-6)
+        with pytest.raises(ValueError, match=r"linear: x \(6, 5\) and w \(5, 7\)"):
+            ad.linear(lin[0], Tensor(np.zeros((5, 7))))
+        with pytest.raises(ValueError, match=r"linear: bias \(6,\) does not broadcast"):
+            ad.linear(lin[0], lin[1], Tensor(np.zeros(6)))
 
     def test_gather_and_scatter_rows(self):
         x = fparam("x", (5, 3))
@@ -718,10 +862,7 @@ class TestGradCheckPerOp:
         a = fparam("a", (3, 3))
 
         def bad_square(x):
-            out = Tensor(x.data**2, requires_grad=True)
-            out._parents = (x,)
-            out._backward = lambda g: (g * 3.0 * x.data,)  # wrong rule on purpose
-            return out
+            return ad._record(x.data**2, (x,), lambda g: (g * 3.0 * x.data,))  # wrong rule on purpose
 
         report = grad_check(lambda: ad.reduce_sum(bad_square(a)), [a])
         assert not report.passed

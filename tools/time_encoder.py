@@ -10,7 +10,9 @@ in-process (no download):
 - train: a pretrain-like batch, B12 x T128 with 40-128 tokens per row, masked
   as in pretraining, the step ``pretrain`` runs without its optimizer:
   ``forward`` with dropout on the masked positions (the last layer computes
-  only those rows), ``mlm_loss`` and ``backward``;
+  only those rows), ``mlm_loss`` and ``backward``. After its timed calls one
+  more runs under ``tracemalloc``: the peak MiB of memory traced during it
+  (mostly the arrays the graph keeps) and the process's peak RSS so far;
 - apply: like the held-out scoring after pretraining, B16 x T128 with 12-128
   tokens per row, ``forward`` in eval mode;
 - frozen chunk: one 32-row chunk of frozen head features, rows of 4-42 tokens
@@ -29,8 +31,9 @@ preset (H768, 6 layers, 50k vocabulary) in a fresh process: the seconds of
 its ``build_model`` and that process's peak RSS, then the MLM step with Adam
 as ``pretrain`` runs it on a B12 x T16 batch of 4-16 tokens per row: the
 median, quartiles and fastest of several steps after one warm-up step, the
-median forward, backward and Adam seconds, and the process's peak RSS after
-them. BLAS threads follow the environment (``OPENBLAS_NUM_THREADS``).
+median forward, backward and Adam seconds, the peak MiB traced by
+``tracemalloc`` during one more step, and the process's peak RSS after them.
+BLAS threads follow the environment (``OPENBLAS_NUM_THREADS``).
 
     PYTHONPATH=src python tools/time_encoder.py
 """
@@ -94,6 +97,16 @@ def peak_rss_mb() -> float:
         return next(int(line.split()[1]) for line in fh if line.startswith("VmHWM:")) / 1024
 
 
+def traced_peak_mib(fn) -> float:
+    """The peak of memory ``tracemalloc`` traces while ``fn`` runs, in MiB (numpy reports its arrays)."""
+    tracemalloc.start()
+    try:
+        fn()
+        return tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+
+
 def quartiles(times: list[float]) -> str:
     p25, median, p75 = statistics.quantiles(times, n=4, method="inclusive")
     return f"median {median:.4f} s (p25 {p25:.4f}, p75 {p75:.4f}), min {min(times):.4f} s"
@@ -112,8 +125,9 @@ def model3() -> None:
     positions = masked_positions(mlm.labels)
     optimizer = AdamState(lr=1e-4)
     parts = {"step": [], "forward": [], "backward": [], "adam": []}
-    for step in range(MODEL3_STEPS + 1):
-        drop_rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(2, step)))
+
+    def step(index: int) -> dict[str, float]:
+        drop_rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(2, index)))
         started = time.perf_counter()
         masked = forward(model, mlm.input_ids, mlm.attention_mask, train=True, dropout_rng=drop_rng,
                          positions=positions)
@@ -123,15 +137,20 @@ def model3() -> None:
         backwarded = time.perf_counter()
         adam_step(model.params, optimizer)
         done = time.perf_counter()
-        if step:  # the first step warms up
-            for name, seconds in (("step", done - started), ("forward", forwarded - started),
-                                  ("backward", backwarded - forwarded), ("adam", done - backwarded)):
-                parts[name].append(seconds)
+        return {"step": done - started, "forward": forwarded - started,
+                "backward": backwarded - forwarded, "adam": done - backwarded}
+
+    for index in range(MODEL3_STEPS + 1):
+        seconds = step(index)
+        if index:  # the first step warms up
+            for name, value in seconds.items():
+                parts[name].append(value)
+    traced = traced_peak_mib(lambda: step(MODEL3_STEPS + 1))
     split = ", ".join(f"{name} {statistics.median(parts[name]):.3f} s"
                       for name in ("forward", "backward", "adam"))
     print(f"model3 MLM step with Adam B12x16 ({int(mask.sum())} tokens, {len(positions)} masked): "
-          f"{quartiles(parts['step'])} over {MODEL3_STEPS} steps; {split}; peak RSS {peak_rss_mb():.0f} MB",
-          flush=True)
+          f"{quartiles(parts['step'])} over {MODEL3_STEPS} steps; {split}; tracemalloc peak {traced:.0f} MiB; "
+          f"peak RSS {peak_rss_mb():.0f} MB", flush=True)
 
 
 def main() -> None:
@@ -172,6 +191,9 @@ def main() -> None:
     ):
         times = timed(fn, repeats)
         print(f"{name}: pad fraction {1 - mask.mean():.3f}, {quartiles(times)} over {repeats} calls")
+        if fn is train_step:
+            print(f"{name}, one more call: tracemalloc peak {traced_peak_mib(train_step):.0f} MiB; "
+                  f"peak RSS {peak_rss_mb():.0f} MB")
     for kind in ("mlp", "bilstm"):
         tracemalloc.start()
         started = time.perf_counter()
