@@ -19,11 +19,14 @@ as recounting every pair for every merge.
 
 Encoding takes the normalized ``str`` that ``normalize_text`` returns. It is
 greedy longest-match-first per whitespace word, then CLS/SEP framing,
-truncation and padding (``encode``). The match kernel,
-``Vocab.segment_ids``, probes two tables that map piece bodies straight to
-ids (initial pieces, and continuation pieces without their ``##``) and
-emits ids; no piece string is built or looked up again on the way.
-``Vocab.segment_word`` is the piece-string view of the same kernel.
+truncation and padding (``encode``). The match kernel, ``Vocab.line_ids``,
+makes one pass over a line's words: it probes two tables that map piece
+bodies straight to ids (initial pieces, and continuation pieces without
+their ``##``) and appends the ids to the row; no piece string is built or
+looked up again on the way. The pass stops once the row holds more pieces
+than fit between CLS and SEP, so words past the cut are never segmented;
+``Encoding.overflow`` still says whether the whole line had more.
+``Vocab.segment_ids`` and ``Vocab.segment_word`` are its one-word views.
 ``encode_batch`` stacks a list of texts into id and mask arrays, and is the
 one way a model gets its ids.
 """
@@ -70,7 +73,7 @@ class Vocab:
     it. A piece continues a word when ``is_continuation`` says so. The match
     tables map a piece's body to its id: ``_initial`` holds the initial
     pieces, ``_cont`` the continuation pieces keyed without their ``##``,
-    and ``segment_ids`` emits the ids it finds there.
+    and ``line_ids`` emits the ids it finds there.
     """
 
     pieces: list[str]
@@ -113,37 +116,57 @@ class Vocab:
     def id(self, piece: str) -> int:
         return self.piece_to_id[piece]
 
-    def segment_ids(self, word: str) -> list[int] | None:
-        """Greedy longest-match ids for one word, or None if unmatchable.
+    def line_ids(self, words: Sequence[str], limit: int) -> list[int]:
+        """Greedy longest-match ids for a line's ``words``, stopping past ``limit`` ids.
 
-        The one match kernel: at each position it probes the initial table
+        The one match kernel. For each word it probes the initial table
         (first piece) or the continuation table (later pieces) from the
-        longest possible length down and takes the first hit. Returns None
-        when no full segmentation exists or the word is longer than
-        ``MAX_WORD_CHARS`` (the caller substitutes UNK).
+        longest possible length down, takes the first hit and appends its id
+        to the row. A word with no full segmentation, or longer than
+        ``MAX_WORD_CHARS``, becomes one UNK. Once the row holds more than
+        ``limit`` ids no further word is segmented, so a longer row means
+        the line overflows ``limit``; the caller cuts it.
         """
-        n = len(word)
-        if n > MAX_WORD_CHARS:
-            return None
-        get, cap = self._initial.get, self._max_init
+        ids: list[int] = []
+        append = ids.append
+        initial_get, initial_cap = self._initial.get, self._max_init
         # continuation pieces are keyed without their prefix
         cont_get, cont_cap = self._cont.get, self._max_cont
-        ids: list[int] = []
-        start = 0
-        while start < n:
-            end = start + cap
-            if end > n:
-                end = n
-            i = get(word[start:end])
-            while i is None:
-                end -= 1
-                if end <= start:
-                    return None
+        for word in words:
+            mark = len(ids)
+            if mark > limit:
+                break
+            n = len(word)
+            if n > MAX_WORD_CHARS:
+                append(UNK)
+                continue
+            get, cap = initial_get, initial_cap
+            start = 0
+            while start < n:
+                end = start + cap
+                if end > n:
+                    end = n
                 i = get(word[start:end])
-            ids.append(i)
-            start = end
-            get, cap = cont_get, cont_cap
+                while i is None and end > start + 1:
+                    end -= 1
+                    i = get(word[start:end])
+                if i is None:  # no piece starts here: drop the word's ids
+                    del ids[mark:]
+                    append(UNK)
+                    break
+                append(i)
+                start = end
+                get, cap = cont_get, cont_cap
         return ids
+
+    def segment_ids(self, word: str) -> list[int] | None:
+        """``line_ids`` of the one word ``word``, or None where it gives UNK.
+
+        No match is a special id, so ``[UNK]`` means no full segmentation.
+        """
+        # a word gives at most MAX_WORD_CHARS ids, so this limit never stops it
+        ids = self.line_ids((word,), MAX_WORD_CHARS)
+        return None if ids == [UNK] else ids
 
     def segment_word(self, word: str) -> list[str] | None:
         """``segment_ids`` as piece strings, continuation pieces with their ``##``."""
@@ -351,44 +374,49 @@ def train_wordpiece(
     return Vocab(pieces=pieces)
 
 
+def _piece_limit(max_len: int) -> int:
+    """The pieces a row of ``max_len`` holds between CLS and SEP."""
+    if max_len < 3:
+        raise ValueError(f"max_len must be >= 3 (CLS, one piece, SEP), got {max_len}")
+    return max_len - 2
+
+
 def encode(text: str, vocab: Vocab, max_len: int) -> Encoding:
     """Tokenize normalized ``text``, add CLS/SEP, truncate to ``max_len``, pad with PAD.
 
-    Words with no valid segmentation (or longer than 100 chars) become UNK.
+    One ``Vocab.line_ids`` pass over the line's words; words with no valid
+    segmentation (or longer than 100 chars) become UNK. The pass stops once
+    the row holds more than ``max_len - 2`` pieces, so words past the cut are
+    never segmented. ``overflow`` still says whether the whole line had more
+    than ``max_len - 2`` pieces.
     """
-    if max_len < 3:
-        raise ValueError(f"max_len must be >= 3 (CLS, one piece, SEP), got {max_len}")
-    ids: list[int] = []
-    segment = vocab.segment_ids
-    for word in text.split():
-        word_ids = segment(word)
-        if word_ids is None:
-            ids.append(UNK)
-        else:
-            ids.extend(word_ids)
-    overflow = len(ids) > max_len - 2
+    limit = _piece_limit(max_len)
+    ids = vocab.line_ids(text.split(), limit)
+    overflow = len(ids) > limit
     if overflow:
-        ids = ids[: max_len - 2]
-    ids = [CLS] + ids + [SEP]
-    n = len(ids)
-    ids.extend([PAD] * (max_len - n))
-    mask = [1] * n + [0] * (max_len - n)
-    return Encoding(ids=ids, attention_mask=mask, overflow=overflow)
+        del ids[limit:]
+    n = len(ids) + 2
+    # positional: a frozen dataclass takes keywords more slowly, once per line
+    return Encoding([CLS, *ids, SEP, *[PAD] * (max_len - n)], [1] * n + [0] * (max_len - n), overflow)
 
 
 def encode_batch(texts: Sequence[str], vocab: Vocab, max_len: int) -> tuple[np.ndarray, np.ndarray]:
-    """``encode`` each text and stack the rows into int64 (ids, masks) arrays.
+    """Encode each text as ``encode`` does and stack the rows into int64 (ids, masks) arrays.
 
-    Columns past the longest real row are dropped, keeping at least 3 (CLS,
-    one piece, SEP), so a batch of short texts does not pay for ``max_len``.
+    Each line takes one ``Vocab.line_ids`` pass cut at ``max_len - 2``
+    pieces. Rows are padded to the widest framed row, with at least 3
+    columns (CLS, one piece, SEP), so a batch of short texts does not pay
+    for ``max_len``: the arrays equal ``encode``'s rows trimmed to that width.
     """
     if not texts:
         raise ValueError("cannot encode an empty batch")
-    encodings = [encode(text, vocab, max_len) for text in texts]
-    ids = np.array([e.ids for e in encodings], dtype=np.int64)
-    masks = np.array([e.attention_mask for e in encodings], dtype=np.int64)
-    width = max(int(masks.sum(axis=1).max()), 3)
-    return ids[:, :width], masks[:, :width]
+    limit = _piece_limit(max_len)
+    rows = [vocab.line_ids(text.split(), limit)[:limit] for text in texts]
+    width = max(max(map(len, rows)) + 2, 3)
+    ids = np.array([[CLS, *row, SEP, *[PAD] * (width - 2 - len(row))] for row in rows], dtype=np.int64)
+    lengths = np.array([len(row) + 2 for row in rows])
+    masks = (np.arange(width) < lengths[:, None]).astype(np.int64)
+    return ids, masks
 
 
 def decode(ids: Sequence[int], vocab: Vocab) -> str:

@@ -12,7 +12,7 @@ from typing import Callable
 
 import numpy as np
 
-from .autodiff import Parameter, Tensor, backward
+from kusent.autodiff import Parameter, Tensor, backward
 
 
 @dataclass

@@ -37,7 +37,6 @@ from kusent.classifiers import (
     train_mlp,
 )
 from kusent.cli import main
-from kusent.gradcheck import grad_check
 from kusent.metrics import ConfusionMatrix, confusion, report
 from kusent.normalize import default_rules, normalize_text
 from kusent.wordpiece import (
@@ -53,6 +52,7 @@ from kusent.wordpiece import (
 )
 
 import test_classifiers
+from gradcheck import grad_check
 from test_classifiers import synthetic_dataset, synthetic_vocab, train_accuracy
 from test_normalize import ARABIC_SCRIPT
 from test_wordpiece import oracle_segment

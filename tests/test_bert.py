@@ -28,8 +28,9 @@ from kusent.bert import (
 )
 from kusent.checkpoint import check_fields, read_blob, write_blob
 from kusent.optim import AdamState, adam_step
-from kusent.gradcheck import grad_check
 from kusent.wordpiece import CLS, MASK, PAD, SEP, Vocab, SPECIAL_TOKENS, encode
+
+from gradcheck import grad_check
 
 TOY = BertConfig(
     hidden_size=8, num_hidden_layers=1, num_attention_heads=2, vocab_size=10, max_position=4

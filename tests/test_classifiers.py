@@ -34,9 +34,10 @@ from kusent.classifiers import (
     train_mlp,
 )
 from kusent.corpus import LabeledExample, SentimentLabel
-from kusent.gradcheck import grad_check
 from kusent.normalize import normalize_text
 from kusent.wordpiece import SPECIAL_TOKENS, Vocab, encode, encode_batch
+
+from gradcheck import grad_check
 
 CLASS_WORDS = {
     SentimentLabel.POSITIVE: [f"good{i}" for i in range(8)],

@@ -9,8 +9,9 @@ import pytest
 
 from kusent import autodiff as ad
 from kusent.autodiff import Parameter, Tensor, backward
-from kusent.gradcheck import grad_check
 from kusent.optim import AdamState, adam_step
+
+from gradcheck import grad_check
 
 RNG = np.random.default_rng(42)
 

@@ -365,20 +365,41 @@ class TestEncode:
             (["a", "a a a", "q"], 5),
             (["", ""], 3),  # CLS SEP only: still 3 columns
             (["a a a a a a a a a a", "a"], 6),  # overflowing row fills max_len
+            (["a", "q", "ab", "b"], 3),  # one piece each, "q" and "b" as UNK
+            (["ab a", "", "q a"], 4),  # an empty text among the others
+            (["abcc a a a a", "", "a"], 6),  # a three-piece word, then the cut
+            (["a a a a", "abc abc"], 6),  # rows of exactly max_len - 2 pieces
+            (["abcc abcc", "a b a b a b a"], 6),  # every row overflows
         ],
     )
     def test_batch_stacks_rows_trimmed_to_longest(self, texts, width):
-        vocab = make_vocab("a")
+        vocab = make_vocab("a", "ab", "##b", "##c")
         ids, masks = encode_batch(texts, vocab, max_len=6)
-        encodings = [encode(t, vocab, max_len=6) for t in texts]
         assert ids.dtype == masks.dtype == np.int64
         assert ids.shape == masks.shape == (len(texts), width)
-        np.testing.assert_array_equal(ids, [e.ids[:width] for e in encodings])
-        np.testing.assert_array_equal(masks, [e.attention_mask[:width] for e in encodings])
+        assert_batch_is_encode_trimmed(texts, vocab, 6)
+
+    def test_random_batches_are_encode_trimmed(self):
+        rng = random.Random(77)
+        vocab = make_vocab("a", "b", "ab", "##a", "##b", "##ab", "##bb")
+        for _ in range(200):
+            texts = [" ".join("".join(rng.choice("abc") for _ in range(rng.randint(1, 6)))
+                              for _ in range(rng.randint(0, 7)))
+                     for _ in range(rng.randint(1, 6))]
+            assert_batch_is_encode_trimmed(texts, vocab, max_len=rng.randint(3, 16))
 
     def test_empty_batch_rejected(self):
         with pytest.raises(ValueError, match="empty batch"):
             encode_batch([], make_vocab("a"), max_len=6)
+
+
+def assert_batch_is_encode_trimmed(texts, vocab, max_len):
+    """``encode_batch`` equals ``encode``'s rows cut to the widest real row, at least 3 wide."""
+    ids, masks = encode_batch(texts, vocab, max_len)
+    encodings = [encode(t, vocab, max_len) for t in texts]
+    width = max(max(sum(e.attention_mask) for e in encodings), 3)
+    np.testing.assert_array_equal(ids, [e.ids[:width] for e in encodings])
+    np.testing.assert_array_equal(masks, [e.attention_mask[:width] for e in encodings])
 
 
 def oracle_encode(text, pieces, max_len):
@@ -447,6 +468,69 @@ class TestEncodeMatchesOracle:
         enc = assert_encode_matches_oracle(text, vocab, max_len=8)
         assert enc.overflow is overflow
         assert enc.attention_mask == [1] * 8 and enc.ids[-1] == SEP
+
+
+class CountingTable(dict):
+    """A match table that counts its ``get`` calls."""
+
+    probes = 0
+
+    def get(self, key, default=None):
+        self.probes += 1
+        return super().get(key, default)
+
+
+def count_probes(vocab):
+    """Swap ``vocab``'s match tables for counting copies; returns the running probe count."""
+    tables = CountingTable(vocab._initial), CountingTable(vocab._cont)
+    object.__setattr__(vocab, "_initial", tables[0])
+    object.__setattr__(vocab, "_cont", tables[1])
+    return lambda: sum(table.probes for table in tables)
+
+
+class TestEncodeStopsAtTheCut:
+    """One pass per line stops once the row holds more than ``max_len - 2`` pieces; ids,
+    masks and ``overflow`` stay those of segmenting every word and then cutting."""
+
+    # at max_len 8 the cut falls after 6 pieces; "abbb" is four pieces, "abbc"
+    # fails at its "c" after three, and "q" has no piece
+    @pytest.mark.parametrize(
+        "text, overflow",
+        [
+            ("a a a a a a", False),  # exactly max_len - 2 pieces
+            ("a a a a a a a", True),  # max_len - 1 pieces
+            ("a a a a abbb a", True),  # a four-piece word straddles the cut
+            ("a a a a a abbb", True),  # ... and starts on the last kept position
+            ("a a a a a q", False),  # an UNK word at the cut
+            ("a a a a a q a", True),
+            ("a a a a a a q", True),  # ... and just past it
+            ("a a a abbc a a", False),  # a word fails midway just before the cut
+            ("a a a a a abbc", False),  # its three partial pieces would cross the cut
+            ("a a a a a abbc a", True),
+        ],
+    )
+    def test_boundaries_match_the_oracle(self, text, overflow):
+        vocab = make_vocab("a", "##b")
+        enc = assert_encode_matches_oracle(text, vocab, max_len=8)
+        assert enc.overflow is overflow
+        assert_batch_is_encode_trimmed([text, "a"], vocab, max_len=8)
+
+    def test_probes_are_bounded_by_the_kept_pieces(self):
+        vocab = make_vocab("a", "ab", "##b", "##c", "##bc")
+        words = ["abc", "q", "abcbc", "ab", "abd"]  # several pieces, no piece, failing midway
+        probes = count_probes(vocab)
+        most = 0
+        for word in words:
+            before = probes()
+            vocab.segment_ids(word)
+            most = max(most, probes() - before)
+        text = " ".join(words[i % len(words)] for i in range(10_000))
+        before = probes()
+        enc = assert_encode_matches_oracle(text, vocab, max_len=8)
+        assert enc.overflow
+        # every word gives at least one id, so the pass segments at most the
+        # words of the 6 kept pieces and one more
+        assert probes() - before <= (6 + 1) * most
 
 
 class TestDecode:

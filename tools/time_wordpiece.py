@@ -4,9 +4,11 @@ Generates a seeded corpus in-process (no download): a lexicon of distinct
 Central Kurdish-script words built from random syllables, every word used at
 least once, plus Zipf-distributed repeats. Then trains 5k and 50k pieces in
 separate calls and prints seconds per 1k merges and the time to each size.
-With each trained vocabulary it encodes the whole corpus (``max_len`` 128)
-five times and prints the lines and words encoded per second in the median
-pass. Last comes the process's peak RSS.
+With each trained vocabulary it encodes the whole corpus five times at
+``max_len`` 128, where no line is cut, and prints the lines and words
+encoded per second in the median pass; then five times at ``max_len`` 16,
+where lines are cut and the words past the cut are never segmented, with the
+share of lines cut. Last comes the process's peak RSS.
 
     PYTHONPATH=src python tools/time_wordpiece.py
 """
@@ -26,6 +28,7 @@ WORDS = 54_000
 SEED = 0
 SIZES = (5_000, 50_000)
 MAX_LEN = 128
+TRUNCATING_MAX_LEN = 16
 ENCODE_PASSES = 5
 
 
@@ -59,15 +62,16 @@ def main() -> None:
         merges = len(vocab) - minimum
         print(f"{size} pieces: {len(vocab)} reached in {seconds:.2f} s, "
               f"{1000 * seconds / merges:.3f} s per 1k merges")
-        passes = []
-        for _ in range(ENCODE_PASSES):
-            started = time.perf_counter()
-            for line in corpus:
-                encode(line, vocab, MAX_LEN)
-            passes.append(time.perf_counter() - started)
-        seconds = statistics.median(passes)
-        print(f"{size} pieces: encode {len(corpus) / seconds:,.0f} lines/s, {n_words / seconds:,.0f} words/s "
-              f"(median of {ENCODE_PASSES} passes)")
+        for max_len in (MAX_LEN, TRUNCATING_MAX_LEN):
+            passes = []
+            for _ in range(ENCODE_PASSES):
+                started = time.perf_counter()
+                cut = sum(encode(line, vocab, max_len).overflow for line in corpus)
+                passes.append(time.perf_counter() - started)
+            seconds = statistics.median(passes)
+            print(f"{size} pieces: encode max_len {max_len}: {len(corpus) / seconds:,.0f} lines/s, "
+                  f"{n_words / seconds:,.0f} words/s, {cut / len(corpus):.1%} of lines cut "
+                  f"(median of {ENCODE_PASSES} passes)")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak_mb:.0f} MB")
 
