@@ -468,6 +468,7 @@ class TestEncodeMatchesOracle:
         enc = assert_encode_matches_oracle(text, vocab, max_len=8)
         assert enc.overflow is overflow
         assert enc.attention_mask == [1] * 8 and enc.ids[-1] == SEP
+        assert_batch_is_encode_trimmed([text, "a"], vocab, max_len=8)
 
 
 class CountingTable(dict):
@@ -493,12 +494,11 @@ class TestEncodeStopsAtTheCut:
     masks and ``overflow`` stay those of segmenting every word and then cutting."""
 
     # at max_len 8 the cut falls after 6 pieces; "abbb" is four pieces, "abbc"
-    # fails at its "c" after three, and "q" has no piece
+    # fails at its "c" after three, and "q" has no piece. Rows of exactly 6
+    # and 7 pieces are TestEncodeMatchesOracle.test_rows_at_the_truncation_edge.
     @pytest.mark.parametrize(
         "text, overflow",
         [
-            ("a a a a a a", False),  # exactly max_len - 2 pieces
-            ("a a a a a a a", True),  # max_len - 1 pieces
             ("a a a a abbb a", True),  # a four-piece word straddles the cut
             ("a a a a a abbb", True),  # ... and starts on the last kept position
             ("a a a a a q", False),  # an UNK word at the cut
