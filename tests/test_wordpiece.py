@@ -377,7 +377,7 @@ class TestEncode:
         ids, masks = encode_batch(texts, vocab, max_len=6)
         assert ids.dtype == masks.dtype == np.int64
         assert ids.shape == masks.shape == (len(texts), width)
-        assert_batch_is_encode_trimmed(texts, vocab, 6)
+        assert_batch_is_encode_trimmed(texts, vocab, max_len=6)
 
     def test_random_batches_are_encode_trimmed(self):
         rng = random.Random(77)
