@@ -576,7 +576,7 @@ def check_grad_norm(params: list[Parameter], epoch: int, step: int) -> None:
 
 
 def check_pretrain_values(
-    lr: float | None = None,
+    learning_rate: float | None = None,
     mask_rate: float | None = None,
     log_every: int | None = None,
     max_len: int | None = None,
@@ -586,8 +586,8 @@ def check_pretrain_values(
     A value left as None is not checked: the CLI passes the ``pretrain`` section's keys before
     it builds the model, so a bad value costs no build, and ``pretrain`` passes all four.
     """
-    if lr is not None and not 0 < lr < math.inf:
-        raise ValueError(f"pretrain.learning_rate must be > 0, got {lr}")
+    if learning_rate is not None and not 0 < learning_rate < math.inf:
+        raise ValueError(f"pretrain.learning_rate must be > 0, got {learning_rate}")
     if mask_rate is not None and not 0 < mask_rate < 1:
         raise ValueError(f"pretrain.mask_rate must be in (0, 1), got {mask_rate}")
     if log_every is not None and log_every < 1:
@@ -611,7 +611,7 @@ def pretrain(
     seed: int,
     checkpoint_dir: str,
     max_len: int = 128,
-    lr: float = 1e-4,
+    learning_rate: float = 1e-4,
     mask_rate: float = 0.15,
     log_every: int = 50,
     resume: bool = False,
@@ -636,7 +636,9 @@ def pretrain(
     """
     if not corpus:
         raise ValueError("cannot pretrain on an empty corpus")
-    check_pretrain_values(lr=lr, mask_rate=mask_rate, log_every=log_every, max_len=max_len)
+    check_pretrain_values(
+        learning_rate=learning_rate, mask_rate=mask_rate, log_every=log_every, max_len=max_len
+    )
     if len(vocab) != config.vocab_size:
         logger.warning(
             "vocab has %d pieces but config.vocab_size is %d; ids must stay in range",
@@ -654,7 +656,7 @@ def pretrain(
         digest.update(line.encode("utf-8") + b"\n")
     corpus_sha256 = digest.hexdigest()
     global_step = 0
-    optimizer = AdamState(lr=lr)
+    optimizer = AdamState(lr=learning_rate)
     state_path = os.path.join(checkpoint_dir, "state.json")
     # a directory with weights is a checkpoint; without state.json it cannot be resumed
     if resume and os.path.exists(os.path.join(checkpoint_dir, "params.bin")):

@@ -7,16 +7,20 @@
   layer.
 - mlp: two ReLU hidden layers over the frozen encoder's CLS state.
 
+Every head reads the encoder states at the positions ``read_positions`` names
+(the CLS rows for finetune and mlp, every attended position for bilstm), and
+every encoder call asks ``forward`` for those rows only, so its last layer
+computes nothing else. ``head_logits`` takes them as one (R, H) tensor; bilstm
+scatters them back into the zero-padded (B, T, H) layout.
+
 Frozen means frozen: bilstm/mlp training never touches encoder tensors (a
 loaded encoder's are read-only, so a write into one raises), their saved
 model hard-links the encoder's unchanged ``params.bin`` instead of writing it
-again (see ``save_sentiment_model``), and their features are precomputed once
-per dataset, without a graph, in the layout the head reads: mlp keeps the
-(rows, H) CLS states, bilstm the token states of attended positions only,
-packed row after row, and scatters each drawn batch back into the
-zero-padded (B, T, H) layout at the dataset's width. Evaluation
-(``predict_encoded`` and everything built on it) runs under
-``autodiff.no_grad`` too; training loops always record a graph.
+again (see ``save_sentiment_model``), and their features, those read rows,
+are precomputed once per dataset, without a graph, row after row; each drawn
+batch takes its rows' features. Evaluation (``predict_encoded`` and
+everything built on it) runs under ``autodiff.no_grad`` too; training loops
+always record a graph.
 """
 
 from __future__ import annotations
@@ -57,7 +61,7 @@ LABEL_ORDERS = {
     2: [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE],
     3: [SentimentLabel.POSITIVE, SentimentLabel.NEGATIVE, SentimentLabel.NEUTRAL],
 }
-# Rows per eval-mode encoder forward: its (rows, T, H) padded states stay one chunk's size
+# Rows per eval-mode encoder forward: its packed states and attention stay one chunk's size
 EVAL_ROWS = 32
 
 
@@ -204,23 +208,32 @@ def bilstm_summary(
     return ad.dropout(summary, dropout_rate, rng, train)
 
 
+def read_positions(masks: np.ndarray, kind: str) -> np.ndarray:
+    """The flat (B*T) positions a ``kind`` head reads of a (B, T) batch, ascending: each
+    row's CLS position ``b * T`` for finetune and mlp, every attended position for bilstm."""
+    if kind == "bilstm":
+        return np.flatnonzero(masks)
+    return np.arange(len(masks)) * masks.shape[1]
+
+
 def head_logits(
     model: SentimentModel,
-    seq_states: Tensor,
-    cls_state: Tensor,
+    reads: Tensor,
     attention_mask: np.ndarray,
     train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
-    """Logits of the head; finetune and mlp read ``cls_state`` only, bilstm ``seq_states`` only."""
+    """Logits of the head over ``reads``, the (R, H) encoder states of the positions
+    ``read_positions`` names in the (B, T) ``attention_mask``; bilstm puts them back into
+    the zero-padded (B, T, H) layout."""
     by_name = model.head_by_name
     rate = model.train_config.dropout_rate
     if model.head_kind == "finetune":
-        x = ad.dropout(cls_state, rate, rng, train)
+        x = ad.dropout(reads, rate, rng, train)
         return ad.matmul(x, by_name["head.weight"], by_name["head.bias"])
     if model.head_kind == "mlp":
         sizes = model.head_meta["hidden_sizes"]
-        x = cls_state
+        x = reads
         for i in range(1, len(sizes) + 2):
             x = ad.matmul(x, by_name[f"head.w{i}"], by_name[f"head.b{i}"])
             if i <= len(sizes):
@@ -229,9 +242,11 @@ def head_logits(
                 x = ad.dropout(x, rate, rng, train)
         return x
     if model.head_kind == "bilstm":
+        batch, seq_len = attention_mask.shape
+        flat = ad.scatter_rows(reads, read_positions(attention_mask, "bilstm"), batch * seq_len)
         summary = bilstm_summary(
             by_name,
-            seq_states,
+            ad.reshape(flat, (batch, seq_len, reads.shape[1])),
             attention_mask,
             model.head_meta["num_layers"],
             model.head_meta["lstm_hidden"],
@@ -273,49 +288,22 @@ def _label_indices(dataset, labels):
     return np.array([index[ex.label] for ex in dataset], dtype=np.int64)
 
 
-def _cls_states(encoder, ids, masks, train=False, rng=None):
-    """The (rows, H) CLS states of the encoder: its last layer runs the CLS rows only."""
-    return forward(encoder, ids, masks, train, rng, positions=np.arange(len(ids)) * ids.shape[1])
-
-
 def _frozen_features(encoder, ids, masks, kind):
-    """What a frozen ``kind`` head reads of the eval-mode encoder, computed without a graph.
-
-    mlp: the (rows, H) CLS states. bilstm: the (attended positions, H) token
-    states of every row's attended positions, row after row; ``_padded_states``
-    puts a batch of rows back into the encoder's zero-padded layout.
-    """
-    attended = masks != 0
-    rows = len(ids) if kind == "mlp" else int(attended.sum())
+    """The eval-mode encoder states at ``read_positions(masks, kind)``, computed without a
+    graph, row after row: (rows, H) CLS states for mlp, (attended positions, H) for bilstm."""
+    rows = len(read_positions(masks, kind))
     # filled in place: a list of chunks joined at the end would hold every value twice
     features = np.empty((rows, encoder.config.hidden_size), encoder.params[0].data.dtype)
     filled = 0
     with ad.no_grad():
         for start in range(0, len(ids), EVAL_ROWS):
             chunk = slice(start, start + EVAL_ROWS)
+            positions = read_positions(masks[chunk], kind)
             # the array the head reads, only: what is bound here lives through the next forward
-            if kind == "mlp":
-                part = _cls_states(encoder, ids[chunk], masks[chunk]).data
-            else:
-                part = forward(encoder, ids[chunk], masks[chunk])[0].data[attended[chunk]]
+            part = forward(encoder, ids[chunk], masks[chunk], positions=positions).data
             features[filled : filled + len(part)] = part
             filled += len(part)
     return features
-
-
-def _padded_states(packed, offsets, pick, masks):
-    """The (B, T, H) token states of rows ``pick`` of a bilstm head's packed features.
-
-    Row r's states are ``packed[offsets[r]:offsets[r + 1]]``, one per nonzero
-    position of its mask; ``masks`` holds the picked rows' (B, T) masks. Pad
-    positions are zero, as ``forward`` returns them.
-    """
-    counts = offsets[pick + 1] - offsets[pick]
-    # the packed row of each attended position of the batch, in C order
-    index = np.arange(counts.sum()) + np.repeat(offsets[pick] - (np.cumsum(counts) - counts), counts)
-    states = np.zeros(masks.shape + packed.shape[1:], packed.dtype)
-    states[masks != 0] = packed[index]
-    return states
 
 
 def _train_head(model, encoder, vocab, dataset, config):
@@ -324,23 +312,28 @@ def _train_head(model, encoder, vocab, dataset, config):
     _check_inputs(dataset, model.labels, config, encoder)
     ids, masks = encode_batch([ex.text for ex in dataset], vocab, config.max_len)
     targets = _label_indices(dataset, model.labels)
-    joint = model.head_kind == "finetune"
+    kind = model.head_kind
+    joint = kind == "finetune"
     if joint:
         trainable = encoder.params + model.head_params
     else:
         trainable = model.head_params
-        features = _frozen_features(encoder, ids, masks, model.head_kind)
-        offsets = np.concatenate([[0], np.cumsum(np.count_nonzero(masks, axis=1))])
+        features = _frozen_features(encoder, ids, masks, kind)
+        # row r's features are features[offsets[r] : offsets[r] + counts[r]]
+        counts = np.bincount(read_positions(masks, kind) // ids.shape[1], minlength=len(ids))
+        offsets = np.cumsum(counts) - counts
     optimizer = AdamState(lr=config.learning_rate)
     for epoch in range(config.epochs):
         for _, pick, drop_rng in epoch_batches(len(dataset), config.batch_size, config.seed, epoch):
             if joint:
-                seq, cls_state = None, _cls_states(encoder, ids[pick], masks[pick], True, drop_rng)
-            elif model.head_kind == "mlp":
-                seq, cls_state = None, Tensor(features[pick])
+                reads = forward(encoder, ids[pick], masks[pick], True, drop_rng,
+                                positions=read_positions(masks[pick], kind))
             else:
-                seq, cls_state = Tensor(_padded_states(features, offsets, pick, masks[pick])), None
-            logits = head_logits(model, seq, cls_state, masks[pick], train=True, rng=drop_rng)
+                # the picked rows' features, row after row; starts: each row's first read in the batch
+                n = counts[pick]
+                starts = np.cumsum(n) - n
+                reads = Tensor(features[np.arange(n.sum()) + np.repeat(offsets[pick] - starts, n)])
+            logits = head_logits(model, reads, masks[pick], train=True, rng=drop_rng)
             loss = ad.cross_entropy(logits, targets[pick])
             step = len(model.train_losses) + 1
             model.train_losses.append(finite_loss(loss, epoch, step))
@@ -386,11 +379,9 @@ def predict_encoded(model: SentimentModel, ids: np.ndarray, masks: np.ndarray) -
     with ad.no_grad():
         for start in range(0, len(ids), EVAL_ROWS):
             chunk = slice(start, start + EVAL_ROWS)
-            if model.head_kind == "bilstm":
-                seq, cls_state = forward(model.encoder, ids[chunk], masks[chunk])[0], None
-            else:
-                seq, cls_state = None, _cls_states(model.encoder, ids[chunk], masks[chunk])
-            probs.append(ad.softmax(head_logits(model, seq, cls_state, masks[chunk])).data)
+            positions = read_positions(masks[chunk], model.head_kind)
+            reads = forward(model.encoder, ids[chunk], masks[chunk], positions=positions)
+            probs.append(ad.softmax(head_logits(model, reads, masks[chunk])).data)
     return np.concatenate(probs)
 
 

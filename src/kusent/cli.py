@@ -160,8 +160,8 @@ def cmd_pretrain(args, settings) -> int:
     corpus_path = _required(settings, "paths.corpus", "--corpus")
     vocab_path = _required(settings, "paths.vocab", "--vocab")
     out_dir = _required(settings, "paths.out", "--out")
-    # the section's keys are pretrain's arguments, learning_rate spelled lr; checked before the build
-    knobs = {"lr" if k == "learning_rate" else k: v for k, v in settings.get("pretrain", {}).items()}
+    # the section's keys are pretrain's arguments; checked before the build
+    knobs = settings.get("pretrain", {})
     check_pretrain_values(**knobs)
     vocab = load_vocab(vocab_path)
     with open(corpus_path, encoding="utf-8") as fh:

@@ -337,7 +337,7 @@ def test_criterion_5_desk_pretraining(tmp_path):
     model = build_model(config, seed=0)
     result = pretrain(
         model, lines, vocab, config, seed=0,
-        checkpoint_dir=str(tmp_path / "ck"), max_len=36, lr=4e-3, mask_rate=0.3,
+        checkpoint_dir=str(tmp_path / "ck"), max_len=36, learning_rate=4e-3, mask_rate=0.3,
     )
     steps_per_epoch = result.steps // config.epochs
     baseline = float(np.mean(result.losses[:100]))
@@ -471,7 +471,7 @@ def test_criterion_8_configuration_fidelity(tmp_path):
         built = model.n_values()
         result = pretrain(
             model, lines, big_vocab, config, seed=0,
-            checkpoint_dir=str(tmp_path / name), max_len=16, lr=1e-4, log_every=5,
+            checkpoint_dir=str(tmp_path / name), max_len=16, learning_rate=1e-4, log_every=5,
         )
         ok = counted == enumerated == built and result.steps == 10 and all(
             np.isfinite(x) for x in result.losses

@@ -942,7 +942,7 @@ class TestPretrain:
         model = build_model(cfg, seed=6)
         result = pretrain(
             model, lines, vocab, cfg, seed=2, checkpoint_dir=str(tmp_path / "ck"),
-            max_len=12, lr=1e-3,
+            max_len=12, learning_rate=1e-3,
         )
         assert all(np.isfinite(result.losses))
         assert np.mean(result.losses[-5:]) < np.mean(result.losses[:5])
@@ -962,7 +962,7 @@ class TestPretrain:
             model = build_model(cfg, seed=model_seed)
             return pretrain(
                 model, lines, vocab, cfg, seed=data_seed, checkpoint_dir=ck,
-                max_len=12, lr=1e-3, resume=resume,
+                max_len=12, learning_rate=1e-3, resume=resume,
             )
 
         full = run(2, str(tmp_path / "full"))
@@ -981,7 +981,7 @@ class TestPretrain:
             cfg = tiny_config(vocab_size=len(vocab), epochs=2, iterations=iterations, batch_size=4)
             return pretrain(
                 build_model(cfg, seed=8), lines, vocab, cfg, seed=4, checkpoint_dir=str(ck),
-                max_len=12, lr=1e-3, resume=resume,
+                max_len=12, learning_rate=1e-3, resume=resume,
             )
 
         full = run(8, tmp_path / "full")

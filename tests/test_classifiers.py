@@ -28,6 +28,7 @@ from kusent.classifiers import (
     load_sentiment_model,
     predict,
     predict_encoded,
+    read_positions,
     save_sentiment_model,
     train_bilstm,
     train_finetune,
@@ -111,7 +112,7 @@ def pretrained_encoder():
         model = build_model(cfg, seed=8)
         _PRETRAIN_DIR = tempfile.mkdtemp(prefix="kusent-test-encoder-")
         pretrain(model, lines, vocab, cfg, seed=0, checkpoint_dir=_PRETRAIN_DIR,
-                 max_len=10, lr=1e-3)
+                 max_len=10, learning_rate=1e-3)
     return load_checkpoint(_PRETRAIN_DIR)[0]
 
 
@@ -612,6 +613,33 @@ class TestGraphFreeEvaluation:
         assert sizes == [32, 32, 6]
         assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
 
+    @pytest.mark.parametrize("kind, head_meta", [
+        ("finetune", {}), ("bilstm", {"lstm_hidden": 4, "num_layers": 2}),
+    ])
+    def test_predict_encoded_equals_the_head_on_the_encoders_states(self, kind, head_meta):
+        """Byte for byte: the bilstm head over the full forward's padded states, and the
+        finetune head over the CLS rows of a forward asked for those rows, 32 rows a forward."""
+        model = init_model(kind, tiny_encoder(seed=17), TrainConfig(epochs=1, max_len=16), head_meta)
+        texts = [ex.text for ex in ragged_dataset(16)]
+        ids, masks = encode_batch((texts * 2)[:70], synthetic_vocab(), 16)
+        assert masks.sum(axis=1).min() < ids.shape[1] == 16
+        by_name, want = model.head_by_name, []
+        with ad.no_grad():
+            for s in range(0, 70, 32):
+                chunk_ids, chunk_masks = ids[s : s + 32], masks[s : s + 32]
+                if kind == "bilstm":
+                    states = forward(model.encoder, chunk_ids, chunk_masks)[0]
+                    x = bilstm_summary(by_name, states, chunk_masks, 2, 4, model.train_config.dropout_rate,
+                                       None, False)
+                else:
+                    x = forward(model.encoder, chunk_ids, chunk_masks,
+                                positions=np.arange(len(chunk_ids)) * ids.shape[1])
+                want.append(ad.softmax(ad.matmul(x, by_name["head.weight"], by_name["head.bias"])).data)
+        want = np.concatenate(want)
+        got = predict_encoded(model, ids, masks)
+        assert got.dtype == want.dtype and got.shape == (70, 3)
+        assert got.tobytes() == want.tobytes()
+
     @pytest.mark.parametrize("kind", ["bilstm", "mlp"])
     def test_frozen_features_record_no_graph(self, monkeypatch, kind):
         ids, masks = encode_batch([ex.text for ex in ragged_dataset(12)], synthetic_vocab(), 12)
@@ -650,22 +678,30 @@ class TestPackedFeatures:
         config = TrainConfig(epochs=2, max_len=self.MAX_LEN, learning_rate=1e-2, batch_size=8, seed=3)
         ids, masks = encode_batch([ex.text for ex in dataset], vocab, self.MAX_LEN)
         assert ids.shape[1] == self.MAX_LEN and masks.sum(axis=1).min() < self.MAX_LEN
-        states = padded_oracle_states(encoder, ids, masks)
-        cls = cls_oracle_states(encoder, ids, masks)
         received = []
+        if kind == "bilstm":
+            # the bilstm head's input once its reads are scattered back into the padded layout
+            want = padded_oracle_states(encoder, ids, masks)
 
-        def recording_head_logits(model, seq_states, cls_state, *args, **kwargs):
-            received.append((seq_states, cls_state))
-            return head_logits(model, seq_states, cls_state, *args, **kwargs)
+            def recording_summary(by_name, states, *args, **kwargs):
+                received.append(states)
+                return bilstm_summary(by_name, states, *args, **kwargs)
 
-        monkeypatch.setattr(classifiers, "head_logits", recording_head_logits)
+            monkeypatch.setattr(classifiers, "bilstm_summary", recording_summary)
+        else:
+            want = cls_oracle_states(encoder, ids, masks)
+
+            def recording_head_logits(model, reads, *args, **kwargs):
+                received.append(reads)
+                return head_logits(model, reads, *args, **kwargs)
+
+            monkeypatch.setattr(classifiers, "head_logits", recording_head_logits)
         train(encoder, vocab, dataset, config)
         picks = [pick for epoch in range(2) for _, pick, _ in epoch_batches(len(dataset), 8, 3, epoch)]
         assert len(received) == len(picks) == 10
-        for (seq_states, cls_state), pick in zip(received, picks):
-            got, want = (seq_states, states[pick]) if kind == "bilstm" else (cls_state, cls[pick])
-            assert got.dtype == want.dtype and got.shape == want.shape
-            assert got.data.tobytes() == want.tobytes()
+        for got, pick in zip(received, picks):
+            assert got.dtype == want.dtype and got.shape == want[pick].shape
+            assert got.data.tobytes() == want[pick].tobytes()
 
     def test_layouts_store_what_the_head_reads(self):
         encoder, vocab = tiny_encoder(seed=13), synthetic_vocab()
@@ -865,8 +901,8 @@ class TestSaveLoad:
         model = init_model(kind, encoder, config, head_meta)
         texts = [ex.text for ex in synthetic_dataset(n_per_class=2)]
         ids, masks = encode_batch(texts, synthetic_vocab(), config.max_len)
-        seq, cls_state = forward(encoder, ids, masks)
-        logits = head_logits(model, seq, cls_state, masks)
+        reads = forward(encoder, ids, masks, positions=read_positions(masks, kind))
+        logits = head_logits(model, reads, masks)
         ad.backward(ad.cross_entropy(logits, np.arange(len(ids)) % 3))
         shapes = head_shapes(kind, 8, 3, head_meta)
         assert [(p.name, p.data.shape) for p in model.head_params] == list(shapes.items())
