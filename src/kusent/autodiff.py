@@ -467,19 +467,18 @@ def _keep_mask(shape: tuple[int, ...], rate: float, rng: np.random.Generator) ->
     return np.greater_equal(words, round(rate * (1 << 16)))
 
 
-def dropout(x: Tensor, rate: float, rng: np.random.Generator | None, train: bool) -> Tensor:
+def dropout(x: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
     """Inverted dropout: scales kept activations by 1/(1-rate) so inference is identity.
 
-    In training the keep mask is ``_keep_mask(x.shape, rate, rng)``, 16-bit words
-    against the threshold ``round(rate * 2**16)``, and the result is
-    ``(x * keep) * (1 / (1 - rate))``.
+    It drops exactly when given a generator and ``rate`` is above 0; with no
+    generator (evaluation) it returns ``x``. The keep mask is
+    ``_keep_mask(x.shape, rate, rng)``, 16-bit words against the threshold
+    ``round(rate * 2**16)``, and the result is ``(x * keep) * (1 / (1 - rate))``.
     """
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"dropout: rate must be in [0, 1), got {rate}")
-    if not train or rate == 0.0:
+    if rng is None or rate == 0.0:
         return x
-    if rng is None:
-        raise ValueError("dropout: training mode needs a random generator")
     keep = _keep_mask(x.shape, rate, rng)
     data = np.empty(x.shape, x.dtype)
     factor = 1.0 / (1.0 - rate)
@@ -542,7 +541,6 @@ def attention(
     attention_mask: np.ndarray,
     rate: float = 0.0,
     rng: np.random.Generator | None = None,
-    train: bool = False,
     queries: np.ndarray | None = None,
 ) -> Tensor:
     """Multi-head scaled dot-product attention, softmax(q kᵀ / √d) v, over packed rows.
@@ -559,9 +557,10 @@ def attention(
     (``_attention_groups``), on (G, A, r, d) queries and (G, A, L, d) keys and
     values: ``s = (q * (1 / √d)) @ kᵀ``, softmax, probability dropout and
     ``p @ v``; the backward scales ``dq`` by the same 1 / √d. Probability
-    dropout masks each group's (G, A, r, L) probabilities as ``dropout`` masks
-    an array, ``_keep_mask((G, A, r, L), rate, rng)``, one group after another
-    in the order of ``_attention_groups``. A batch row without a query draws
+    dropout runs, as ``dropout`` does, exactly when ``rng`` is given and
+    ``rate`` is above 0. It masks each group's (G, A, r, L) probabilities as
+    ``dropout`` masks an array, ``_keep_mask((G, A, r, L), rate, rng)``, one
+    group after another in the order of ``_attention_groups``. A batch row without a query draws
     nothing, and its keys and values get zero gradients.
     """
     n, hidden = k.shape
@@ -577,9 +576,7 @@ def attention(
         raise ValueError(f"attention: q {q.shape} does not hold one row of width {hidden} per query")
     if not 0.0 <= rate < 1.0:
         raise ValueError(f"attention: rate must be in [0, 1), got {rate}")
-    dropping = train and rate > 0.0
-    if dropping and rng is None:
-        raise ValueError("attention: training mode needs a random generator")
+    dropping = rng is not None and rate > 0.0
     head_dim = hidden // heads
     scale_q = 1.0 / math.sqrt(head_dim)
     factor = 1.0 / (1.0 - rate)

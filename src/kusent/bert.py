@@ -253,7 +253,6 @@ def forward(
     model: ModelParams,
     input_ids: np.ndarray,
     attention_mask: np.ndarray,
-    train: bool = False,
     dropout_rng: np.random.Generator | None = None,
     *,
     positions: np.ndarray | None = None,
@@ -276,13 +275,13 @@ def forward(
     for the CLS rows. The last layer then computes K and V for every attended
     row, and Q, the attention context (``attention``'s query subset), the
     output projection, both layer norms, the FFN and their dropouts for the
-    read rows only. In eval mode those rows equal the full forward's rows to
-    float32 rounding: the GEMMs of fewer rows may sum in another order.
+    read rows only. Without dropout those rows equal the full forward's rows
+    to float32 rounding: the GEMMs of fewer rows may sum in another order.
 
-    Each dropout draws a keep mask for exactly the array it masks
-    (``autodiff.dropout``): the packed (N, H) rows, or in the last layer with
-    ``positions`` the (R, H) read rows, and in attention each group's
-    probabilities.
+    Given ``dropout_rng`` (training), each dropout draws a keep mask for
+    exactly the array it masks (``autodiff.dropout``): the packed (N, H) rows,
+    or in the last layer with ``positions`` the (R, H) read rows, and in
+    attention each group's probabilities. Without it nothing is dropped.
     """
     config = model.config
     input_ids = np.asarray(input_ids)
@@ -320,7 +319,7 @@ def forward(
     seg = ad.embedding_lookup(model["embeddings.segment"], np.zeros_like(rows))
     x = ad.add(ad.add(tok, pos), seg)
     x = ad.layer_norm(x, model["embeddings.norm.gain"], model["embeddings.norm.bias"])
-    x = ad.dropout(x, rate, dropout_rng, train)
+    x = ad.dropout(x, rate, dropout_rng)
 
     last = config.num_hidden_layers - 1
     for layer in range(config.num_hidden_layers):
@@ -337,11 +336,11 @@ def forward(
         # no K bias: it shifts all of a query's scores by q·b, which softmax ignores
         k = ad.matmul(x, model[f"{prefix}.attn.k.weight"])
         ctx = ad.attention(proj("q", x_query), k, proj("v", x), config.num_attention_heads,
-                           attention_mask, rate, dropout_rng, train, queries)
+                           attention_mask, rate, dropout_rng, queries)
         attn_out = ad.matmul(
             ctx, model[f"{prefix}.attn.o.weight"], model[f"{prefix}.attn.o.bias"]
         )
-        attn_out = ad.dropout(attn_out, rate, dropout_rng, train)
+        attn_out = ad.dropout(attn_out, rate, dropout_rng)
         x = ad.layer_norm(
             ad.add(x_query, attn_out),
             model[f"{prefix}.attn.norm.gain"],
@@ -349,7 +348,7 @@ def forward(
         )
         hidden = ad.gelu(ad.matmul(x, model[f"{prefix}.ffn.w1"], model[f"{prefix}.ffn.b1"]))
         ffn_out = ad.matmul(hidden, model[f"{prefix}.ffn.w2"], model[f"{prefix}.ffn.b2"])
-        ffn_out = ad.dropout(ffn_out, rate, dropout_rng, train)
+        ffn_out = ad.dropout(ffn_out, rate, dropout_rng)
         x = ad.layer_norm(
             ad.add(x, ffn_out),
             model[f"{prefix}.ffn.norm.gain"],
@@ -543,10 +542,11 @@ def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
     """Yield ``(batch_idx, pick, dropout_rng)`` for one epoch over ``n`` rows.
 
     ``batch_idx`` is the offset of the batch in the epoch's permutation and
-    ``pick`` the row indices it holds. The permutation derives from
-    ``(seed, epoch)`` and the dropout stream from ``(seed, epoch,
-    batch_idx)``, so a resumed run draws exactly the streams of the
-    uninterrupted one.
+    ``pick`` the row indices it holds. ``dropout_rng`` is the batch's dropout
+    stream; passing it to ``forward`` (or a head's ``head_logits``) is what
+    makes that call drop out. The permutation derives from ``(seed, epoch)``
+    and the dropout stream from ``(seed, epoch, batch_idx)``, so a resumed run
+    draws exactly the streams of the uninterrupted one.
     """
     order = np.random.default_rng(
         np.random.SeedSequence(seed, spawn_key=(0, epoch))
@@ -558,21 +558,23 @@ def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
         yield batch_idx, order[batch_idx : batch_idx + batch_size], drop_rng
 
 
-def finite_loss(loss: Tensor, epoch: int, step: int) -> float:
-    """The loss value; a NaN or infinite loss stops training with a ValueError."""
+def train_step(loss: Tensor, params: list[Parameter], optimizer: AdamState, epoch: int, step: int) -> float:
+    """The step of pretraining and of every head: backpropagate ``loss``, take an Adam step on
+    ``params`` and return the loss value.
+
+    A NaN or infinite loss or global gradient norm stops training with a ValueError naming the
+    epoch and step, before Adam writes into the parameters. Each tensor's squared norm is one
+    float32 dot product, so a gradient whose squared norm overflows float32 stops it too
+    (Adam's ``g * g`` would overflow there as well).
+    """
     value = loss.item()
     if not math.isfinite(value):
         raise ValueError(f"non-finite training loss {value} at epoch {epoch}, step {step}")
-    return value
-
-
-def check_grad_norm(params: list[Parameter], epoch: int, step: int) -> None:
-    """Stop training with a ValueError when the global norm of the gradients of ``params`` is
-    NaN or infinite, before Adam writes it into the parameters. Each tensor's squared norm is
-    one float32 dot product, so a gradient whose squared norm overflows float32 stops it too
-    (Adam's ``g * g`` would overflow there as well)."""
+    backward(loss)
     if not math.isfinite(sum(float(np.dot(g, g)) for g in (p.grad.ravel() for p in params))):
         raise ValueError(f"non-finite gradient norm at epoch {epoch}, step {step}")
+    adam_step(params, optimizer)
+    return value
 
 
 def check_pretrain_values(
@@ -620,11 +622,13 @@ def pretrain(
 
     Stops at ``config.epochs`` or ``config.iterations`` steps, whichever
     comes first. A ``max_len`` above ``config.max_position`` is cut to it;
-    ``mask_rate`` must be in (0, 1). A checkpoint (with optimizer state) is
-    written at every epoch boundary and at a stop mid-epoch. Masking,
-    shuffling, and dropout streams derive from (seed, epoch, batch), so a
-    resume continues at the batch where the run stopped and reproduces the
-    uninterrupted run exactly.
+    ``mask_rate`` must be in (0, 1). A vocabulary of more than
+    ``config.vocab_size`` pieces, and a ``checkpoint_dir`` whose nearest
+    existing path is not a writable directory, are refused before the first
+    step. A checkpoint (with optimizer state) is written at every epoch
+    boundary and at a stop mid-epoch. Masking, shuffling, and dropout streams
+    derive from (seed, epoch, batch), so a resume continues at the batch where
+    the run stopped and reproduces the uninterrupted run exactly.
     Only epochs and iterations may change on resume; the stored Adam state,
     learning rate included, is used. A resume needs ``state.json`` beside
     ``params.bin``; a directory without ``params.bin`` starts fresh.
@@ -639,15 +643,18 @@ def pretrain(
     check_pretrain_values(
         learning_rate=learning_rate, mask_rate=mask_rate, log_every=log_every, max_len=max_len
     )
-    if len(vocab) != config.vocab_size:
-        logger.warning(
-            "vocab has %d pieces but config.vocab_size is %d; ids must stay in range",
-            len(vocab),
-            config.vocab_size,
-        )
-    parent = os.path.dirname(os.path.abspath(checkpoint_dir)) or "."
-    if not os.access(parent, os.W_OK):
-        raise ValueError(f"checkpoint directory {checkpoint_dir} is not writable")
+    if len(vocab) > config.vocab_size:
+        raise ValueError(f"vocab has {len(vocab)} pieces but config.vocab_size is {config.vocab_size}: "
+                         f"its last ids are out of range")
+    if len(vocab) < config.vocab_size:
+        logger.warning("vocab has %d pieces but config.vocab_size is %d", len(vocab), config.vocab_size)
+    # save_checkpoint makes the missing directories under the nearest existing path
+    existing = os.path.abspath(checkpoint_dir)
+    while not os.path.exists(existing):
+        existing = os.path.dirname(existing)
+    if not os.path.isdir(existing) or not os.access(existing, os.W_OK):
+        raise ValueError(f"checkpoint directory {checkpoint_dir} is not writable: {existing} is not "
+                         f"a writable directory")
     max_len = min(max_len, config.max_position)
 
     steps_per_epoch = -(-len(corpus) // config.batch_size)
@@ -716,14 +723,11 @@ def pretrain(
                 np.random.SeedSequence(seed, spawn_key=(1, epoch, batch_idx))
             )
             batch = mask_for_mlm(ids, mask, mask_rate, mask_rng, config.vocab_size)
-            masked = forward(model, batch.input_ids, batch.attention_mask, train=True,
-                             dropout_rng=drop_rng, positions=masked_positions(batch.labels))
-            loss = mlm_loss(model, masked, batch.labels)
+            masked = forward(model, batch.input_ids, batch.attention_mask, drop_rng,
+                             positions=masked_positions(batch.labels))
             global_step += 1
-            losses.append(finite_loss(loss, epoch, global_step))
-            backward(loss)
-            check_grad_norm(model.params, epoch, global_step)
-            adam_step(model.params, optimizer)
+            losses.append(train_step(mlm_loss(model, masked, batch.labels), model.params, optimizer,
+                                     epoch, global_step))
             if global_step % log_every == 0:
                 logger.info("step %d: mlm loss %.4f", global_step, losses[-1])
         save_checkpoint(

@@ -20,7 +20,9 @@ again (see ``save_sentiment_model``), and their features, those read rows,
 are precomputed once per dataset, without a graph, row after row; each drawn
 batch takes its rows' features. Evaluation (``predict_encoded`` and
 everything built on it) runs under ``autodiff.no_grad`` too; training loops
-always record a graph.
+always record a graph. Training passes each batch's dropout stream
+(``epoch_batches``) to ``forward`` and ``head_logits`` and ends each step with
+``bert.train_step``, as pretraining does; evaluation passes none.
 """
 
 from __future__ import annotations
@@ -31,24 +33,18 @@ from dataclasses import asdict, dataclass, field
 import numpy as np
 
 from . import autodiff as ad
-from .autodiff import Parameter, Tensor, backward
+from .autodiff import Parameter, Tensor, backward  # noqa: F401
 from .bert import (
-    ModelParams,
-    check_grad_norm,
-    epoch_batches,
-    finite_loss,
-    forward,
-    init_params,
-    load_checkpoint,
-    save_checkpoint,
+    ModelParams, epoch_batches, forward, init_params, load_checkpoint, save_checkpoint, train_step
 )
 from .checkpoint import (
     atomic_write_json, check_fields, check_tensors, from_dict, read_blob, read_json, write_blob
 )
 from .corpus import LabeledExample, SentimentLabel
 from .normalize import NormalizationRules, normalize_text
-from .optim import AdamState, adam_step
-# ``encode`` is unused here, but the traced benchmark patches ``classifiers.encode`` by name
+from .optim import AdamState, adam_step  # noqa: F401
+# ``encode``, ``backward`` and ``adam_step`` are unused here (``bert.train_step`` runs every step),
+# but the traced benchmark patches ``classifiers.encode``, ``.backward`` and ``.adam_step`` by name
 from .wordpiece import Vocab, encode, encode_batch  # noqa: F401
 
 # head kind -> the head_config.json "head_meta" it needs: key -> type
@@ -181,14 +177,13 @@ def bilstm_summary(
     num_layers: int,
     lstm_hidden: int,
     dropout_rate: float,
-    rng,
-    train: bool,
+    rng: np.random.Generator | None,
 ) -> Tensor:
     """Concatenated final forward/backward states of the top layer.
 
     Each layer is one ``lstm_layer`` over the time-major states, with dropout
-    between layers in training. The forward direction ends at the last step,
-    the backward one at the first.
+    between layers and on the summary when ``rng`` is given (training). The
+    forward direction ends at the last step, the backward one at the first.
     """
     batch, seq_len, _ = states.shape
     x = ad.transpose(states, (1, 0, 2))
@@ -201,11 +196,11 @@ def bilstm_summary(
         ]
         x = ad.lstm_layer(x, weights, attention_mask, lstm_hidden)
         if layer < num_layers - 1:
-            x = ad.dropout(x, dropout_rate, rng, train)
+            x = ad.dropout(x, dropout_rate, rng)
     final_fwd = ad.narrow(ad.narrow(x, 0, seq_len - 1, 1), 2, 0, lstm_hidden)
     final_bwd = ad.narrow(ad.narrow(x, 0, 0, 1), 2, lstm_hidden, lstm_hidden)
     summary = ad.reshape(ad.concat([final_fwd, final_bwd], axis=2), (batch, 2 * lstm_hidden))
-    return ad.dropout(summary, dropout_rate, rng, train)
+    return ad.dropout(summary, dropout_rate, rng)
 
 
 def read_positions(masks: np.ndarray, kind: str) -> np.ndarray:
@@ -220,16 +215,15 @@ def head_logits(
     model: SentimentModel,
     reads: Tensor,
     attention_mask: np.ndarray,
-    train: bool = False,
     rng: np.random.Generator | None = None,
 ) -> Tensor:
     """Logits of the head over ``reads``, the (R, H) encoder states of the positions
     ``read_positions`` names in the (B, T) ``attention_mask``; bilstm puts them back into
-    the zero-padded (B, T, H) layout."""
+    the zero-padded (B, T, H) layout. The head drops out when given ``rng`` (training)."""
     by_name = model.head_by_name
     rate = model.train_config.dropout_rate
     if model.head_kind == "finetune":
-        x = ad.dropout(reads, rate, rng, train)
+        x = ad.dropout(reads, rate, rng)
         return ad.matmul(x, by_name["head.weight"], by_name["head.bias"])
     if model.head_kind == "mlp":
         sizes = model.head_meta["hidden_sizes"]
@@ -239,7 +233,7 @@ def head_logits(
             if i <= len(sizes):
                 x = ad.relu(x)
             if i == 1:
-                x = ad.dropout(x, rate, rng, train)
+                x = ad.dropout(x, rate, rng)
         return x
     if model.head_kind == "bilstm":
         batch, seq_len = attention_mask.shape
@@ -252,7 +246,6 @@ def head_logits(
             model.head_meta["lstm_hidden"],
             rate,
             rng,
-            train,
         )
         return ad.matmul(summary, by_name["head.weight"], by_name["head.bias"])
     raise ValueError(f"unknown head kind {model.head_kind!r}")
@@ -307,8 +300,8 @@ def _frozen_features(encoder, ids, masks, kind):
 
 
 def _train_head(model, encoder, vocab, dataset, config):
-    """Adam over seeded batches. finetune runs the encoder on each batch and trains it with
-    the head; bilstm and mlp train the head alone on frozen features computed once."""
+    """One ``train_step`` per seeded batch. finetune runs the encoder on each batch and trains
+    it with the head; bilstm and mlp train the head alone on frozen features computed once."""
     _check_inputs(dataset, model.labels, config, encoder)
     ids, masks = encode_batch([ex.text for ex in dataset], vocab, config.max_len)
     targets = _label_indices(dataset, model.labels)
@@ -326,20 +319,16 @@ def _train_head(model, encoder, vocab, dataset, config):
     for epoch in range(config.epochs):
         for _, pick, drop_rng in epoch_batches(len(dataset), config.batch_size, config.seed, epoch):
             if joint:
-                reads = forward(encoder, ids[pick], masks[pick], True, drop_rng,
+                reads = forward(encoder, ids[pick], masks[pick], drop_rng,
                                 positions=read_positions(masks[pick], kind))
             else:
                 # the picked rows' features, row after row; starts: each row's first read in the batch
                 n = counts[pick]
                 starts = np.cumsum(n) - n
                 reads = Tensor(features[np.arange(n.sum()) + np.repeat(offsets[pick] - starts, n)])
-            logits = head_logits(model, reads, masks[pick], train=True, rng=drop_rng)
-            loss = ad.cross_entropy(logits, targets[pick])
+            loss = ad.cross_entropy(head_logits(model, reads, masks[pick], drop_rng), targets[pick])
             step = len(model.train_losses) + 1
-            model.train_losses.append(finite_loss(loss, epoch, step))
-            backward(loss)
-            check_grad_norm(trainable, epoch, step)
-            adam_step(trainable, optimizer)
+            model.train_losses.append(train_step(loss, trainable, optimizer, epoch, step))
     return model
 
 

@@ -99,7 +99,7 @@ def test_criterion_1_gradient_checks():
     h = fparam("h", (6, 6), 13)
     run(
         "dropout",
-        lambda: ad.reduce_sum(ad.dropout(h, 0.4, np.random.default_rng(14), train=True)),
+        lambda: ad.reduce_sum(ad.dropout(h, 0.4, np.random.default_rng(14))),
         [h],
     )
     table = fparam("table", (7, 3), 15)
@@ -156,7 +156,7 @@ def test_criterion_1_gradient_checks():
     s_targets = np.array([0, 2])
 
     def lstm_loss():
-        summary = bilstm_summary(by_name, states, s_mask, 1, 4, 0.0, None, False)
+        summary = bilstm_summary(by_name, states, s_mask, 1, 4, 0.0, None)
         lg = ad.add(ad.matmul(summary, by_name["head.weight"]), by_name["head.bias"])
         return ad.cross_entropy(lg, s_targets)
 
@@ -580,4 +580,36 @@ def test_criterion_9_determinism(tmp_path):
         f"{name} {hashlib.sha256(run_a[name].read_bytes()).hexdigest()[:16]}" for name in names
     )
     announce(9, "determinism", ok, f"{sum(same)}/{len(same)} artifacts byte-identical; {ledger}")
+    assert ok
+
+
+def test_head_determinism(tmp_path):
+    """The bilstm and finetune heads, trained twice through the CLI on the desk run's encoder,
+    give byte-identical artifacts and evaluate reports (criterion 9 trains only an mlp)."""
+    encoder, _, _ = _desk_run(tmp_path, "a")
+    # the desk run's config, vocabulary and labeled set, as _desk_run names them
+    inputs = ["--config", str(tmp_path / "cfg_a.json"), "--vocab", str(tmp_path / "vocab_a.txt"),
+              "--data", str(tmp_path / "labeled_a.tsv")]
+
+    def outputs(tag):
+        """Every file each head's training and evaluation writes, by task and relative path."""
+        files = {}
+        for task in ("bilstm", "finetune"):
+            model, rep = tmp_path / f"{task}_{tag}", tmp_path / f"{task}_report_{tag}.json"
+            assert main(["train", "--task", task, "--encoder", str(encoder), "--out", str(model), *inputs]) == 0
+            assert main(["evaluate", "--model", str(model), "--out", str(rep), *inputs]) == 0
+            files.update({f"{task}/{p.relative_to(model)}": p for p in model.rglob("*") if p.is_file()})
+            files[f"{task}/report.json"] = rep
+        return files
+
+    run_a, run_b = outputs("a"), outputs("b")
+    names = sorted(run_a)
+    same = [name in run_b and run_a[name].read_bytes() == run_b[name].read_bytes() for name in names]
+    ok = all(same) and sorted(run_b) == names
+    # the sha256 prefix of each artifact, so refactors can be checked byte for byte across trees
+    ledger = ", ".join(
+        f"{name} {hashlib.sha256(run_a[name].read_bytes()).hexdigest()[:16]}" for name in names
+    )
+    print(f"\nHEAD DETERMINISM: {'PASS' if ok else 'FAIL'} ({sum(same)}/{len(same)} artifacts "
+          f"byte-identical; {ledger})")
     assert ok

@@ -109,8 +109,7 @@ def encoder_steps(run_backward):
     for step in range(3):
         ids, mask = ragged_batch(rng, config.vocab_size, 8, 6, 64)
         batch = mask_for_mlm(ids, mask, 0.15, rng, config.vocab_size)
-        states = forward(model, batch.input_ids, batch.attention_mask, train=True,
-                         dropout_rng=np.random.default_rng(10 + step),
+        states = forward(model, batch.input_ids, batch.attention_mask, np.random.default_rng(10 + step),
                          positions=masked_positions(batch.labels))
         run_backward(mlm_loss(model, states, batch.labels))
         adam_step(model.params, optimizer)

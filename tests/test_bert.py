@@ -1,6 +1,7 @@
 import json
 import math
 import os
+import re
 
 import numpy as np
 import pytest
@@ -65,15 +66,14 @@ def keep_words(rng, shape, rate):
     return rng.integers(0, 2**16, size=shape, dtype=np.uint16) >= round(rate * 2**16)
 
 
-def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=None, k_bias=False,
-                   positions=None):
+def oracle_forward(model, input_ids, attention_mask, dropout_rng=None, k_bias=False, positions=None):
     """The encoder with every token-wise layer on the padded (B, T, H) layout and
     attention run row by row over the row's attended positions: the oracle for
-    ``forward``'s attended states, CLS, dropout stream and gradients. Each dropout
-    draws its keep mask by ``forward``'s rule (``keep_words``) for the rows it
-    masks, or in attention for the (G, A, r, L) probabilities of the rows with L
-    attended positions and r queries, in ascending (L, r) and rows ascending, and
-    applies it as ``(x * keep) * factor``. With ``positions`` the last layer's
+    ``forward``'s attended states, CLS, dropout stream and gradients. With
+    ``dropout_rng`` each dropout draws its keep mask by ``forward``'s rule
+    (``keep_words``) for the rows it masks, or in attention for the (G, A, r, L)
+    probabilities of the rows with L attended positions and r queries, in
+    ascending (L, r) and rows ascending, and applies it as ``(x * keep) * factor``. With ``positions`` the last layer's
     masks cover only the rows read, its attention draws for their queries only,
     and the result is the (R, H) states at ``positions``. K has no bias unless
     ``k_bias``."""
@@ -84,7 +84,7 @@ def oracle_forward(model, input_ids, attention_mask, train=False, dropout_rng=No
     head_dim = hidden_size // heads
     rate = config.dropout_rate
     factor = 1.0 / (1.0 - rate)
-    dropping = train and rate > 0.0
+    dropping = dropout_rng is not None and rate > 0.0
     attended = np.asarray(attention_mask).reshape(-1) == 1
     read = attended if positions is None else np.isin(np.arange(batch * seq_len), positions)
     positions_of = [np.flatnonzero(row) for row in attention_mask]
@@ -427,8 +427,8 @@ class TestPackedForward:
         ids, mask = ragged_batch(cfg, np.random.default_rng(21), self.LENGTHS)
         attended = mask == 1
         want_rng, got_rng = np.random.default_rng(22), np.random.default_rng(22)
-        want, want_cls = oracle_forward(model, ids, mask, train, want_rng)
-        got, got_cls = forward(model, ids, mask, train, got_rng)
+        want, want_cls = oracle_forward(model, ids, mask, want_rng if train else None)
+        got, got_cls = forward(model, ids, mask, got_rng if train else None)
         assert got.shape == want.shape and got.dtype == want.dtype
         np.testing.assert_array_equal(got.data[attended], want.data[attended])
         assert not got.data[~attended].any()  # pad rows are exactly zero
@@ -436,7 +436,7 @@ class TestPackedForward:
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def _loss(self, encode, model, ids, mask, labels, weights):
-        seq, cls_state = encode(model, ids, mask, True, np.random.default_rng(23))
+        seq, cls_state = encode(model, ids, mask, np.random.default_rng(23))
         return ad.add(full_states_loss(model, seq, labels), ad.reduce_sum(ad.mul(cls_state, weights)))
 
     def _setup(self):
@@ -520,8 +520,8 @@ class TestWidthGroups:
         ids, mask = self._batch(cfg, lengths)
         attended = mask == 1
         want_rng, got_rng = make_rng(), make_rng()
-        want, want_cls = oracle_forward(model, ids, mask, train, want_rng)
-        got, got_cls = forward(model, ids, mask, train, got_rng)
+        want, want_cls = oracle_forward(model, ids, mask, want_rng if train else None)
+        got, got_cls = forward(model, ids, mask, got_rng if train else None)
         np.testing.assert_array_equal(got.data[attended], want.data[attended])
         assert not got.data[~attended].any()
         np.testing.assert_array_equal(got_cls.data, want_cls.data)
@@ -555,7 +555,7 @@ class TestWidthGroups:
         for encode in (oracle_forward, forward):
             for p in model.params:
                 p.zero_grad()
-            seq, cls_state = encode(model, ids, mask, True, np.random.default_rng(36))
+            seq, cls_state = encode(model, ids, mask, np.random.default_rng(36))
             backward(ad.add(full_states_loss(model, seq, labels), ad.reduce_sum(ad.mul(cls_state, weights))))
             grads[encode] = {p.name: p.grad.copy() for p in model.params}
         for name, want in grads[oracle_forward].items():
@@ -571,7 +571,7 @@ class TestWidthGroups:
         weights = Tensor(rng.normal(size=(len(rows), 8)))
 
         def loss_fn():
-            out = ad.attention(q, k, v, 2, mask, 0.3, np.random.default_rng(38), True)
+            out = ad.attention(q, k, v, 2, mask, 0.3, np.random.default_rng(38))
             return ad.reduce_sum(ad.mul(out, weights))
 
         report = grad_check(loss_fn, [q, k, v], tolerance=1e-4, max_elements_per_param=12)
@@ -588,7 +588,7 @@ class TestWidthGroups:
             pad = ((0, 0), (0, seq_len - ids.shape[1]))
             padded_ids, padded_mask = np.pad(ids, pad, constant_values=PAD), np.pad(mask, pad)
             rng = np.random.default_rng(41)
-            states, cls_state = forward(model, padded_ids, padded_mask, True, rng)
+            states, cls_state = forward(model, padded_ids, padded_mask, rng)
             runs.append((states.data[padded_mask == 1], cls_state.data, rng.bit_generator.state))
         (want_states, want_cls, want_rng), *others = runs
         for states, cls_state, rng_state in others:
@@ -621,8 +621,8 @@ class TestReadRows:
         ids, mask = ragged_batch(cfg, np.random.default_rng(52), self.LENGTHS)
         positions = self._positions(mask, kind)
         want_rng, got_rng = np.random.default_rng(53), np.random.default_rng(53)
-        want = oracle_forward(model, ids, mask, train, want_rng, positions=positions)
-        got = forward(model, ids, mask, train, got_rng, positions=positions)
+        want = oracle_forward(model, ids, mask, want_rng if train else None, positions=positions)
+        got = forward(model, ids, mask, got_rng if train else None, positions=positions)
         assert got.shape == (len(positions), cfg.hidden_size)
         np.testing.assert_allclose(got.data, want.data, rtol=1e-10, atol=1e-12)
         assert got_rng.bit_generator.state == want_rng.bit_generator.state
@@ -654,7 +654,7 @@ class TestReadRows:
         for encode in (oracle_forward, forward):
             for p in model.params:
                 p.zero_grad()
-            states = encode(model, ids, mask, True, np.random.default_rng(58), positions=positions)
+            states = encode(model, ids, mask, np.random.default_rng(58), positions=positions)
             backward(ad.reduce_sum(ad.mul(states, weights)))
             grads[encode] = {p.name: p.grad.copy() for p in model.params}
         for name, want in grads[oracle_forward].items():
@@ -670,7 +670,7 @@ class TestReadRows:
         weights = Tensor(rng.normal(size=(len(positions), cfg.hidden_size)))
 
         def loss_fn():
-            states = forward(model, ids, mask, True, np.random.default_rng(61), positions=positions)
+            states = forward(model, ids, mask, np.random.default_rng(61), positions=positions)
             return ad.reduce_sum(ad.mul(states, weights))
 
         report = grad_check(loss_fn, model.params, tolerance=1e-4, max_elements_per_param=6)
@@ -820,11 +820,11 @@ class TestMlmLoss:
         assert masked_positions(labels).size > 10
 
         def full():
-            seq, _ = forward(model, ids, mask, True, np.random.default_rng(19))
+            seq, _ = forward(model, ids, mask, np.random.default_rng(19))
             return full_states_loss(model, seq, labels)
 
         def read_rows():
-            states = forward(model, ids, mask, True, np.random.default_rng(19),
+            states = forward(model, ids, mask, np.random.default_rng(19),
                              positions=masked_positions(labels))
             return mlm_loss(model, states, labels)
 
@@ -1088,6 +1088,55 @@ class TestPretrain:
                      max_len=12)
         for fname in ("params.bin", "manifest.json", "config.json", "optim.bin"):
             assert (tmp_path / "a" / fname).read_bytes() == (tmp_path / "b" / fname).read_bytes()
+
+    @staticmethod
+    def _counted_forwards(monkeypatch):
+        """A list that gets one entry per encoder forward ``pretrain`` runs, one a step."""
+        forwards, real_forward = [], bert.forward
+
+        def counted(*args, **kwargs):
+            forwards.append(len(forwards))
+            return real_forward(*args, **kwargs)
+
+        monkeypatch.setattr(bert, "forward", counted)
+        return forwards
+
+    def test_new_nested_checkpoint_directory_is_made(self, tmp_path):
+        vocab, lines = toy_vocab_corpus(n_lines=8)
+        cfg = tiny_config(vocab_size=len(vocab), iterations=2, batch_size=4)
+        ck = tmp_path / "new" / "deeper" / "enc"
+        result = pretrain(build_model(cfg, seed=3), lines, vocab, cfg, seed=1, checkpoint_dir=str(ck))
+        assert result.steps == 2
+        assert load_checkpoint(str(ck))[1] == cfg
+
+    def test_checkpoint_path_under_a_file_is_refused_before_the_first_step(self, tmp_path, monkeypatch):
+        vocab, lines = toy_vocab_corpus(n_lines=8)
+        cfg = tiny_config(vocab_size=len(vocab), batch_size=4)
+        (tmp_path / "afile").write_text("not a directory\n")
+        ck = tmp_path / "afile" / "enc"
+        forwards = self._counted_forwards(monkeypatch)
+        message = f"checkpoint directory {ck} is not writable: {tmp_path / 'afile'} is not a writable directory"
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            pretrain(build_model(cfg, seed=3), lines, vocab, cfg, seed=1, checkpoint_dir=str(ck))
+        assert forwards == []
+
+    def test_vocab_larger_than_vocab_size_is_refused_before_the_first_step(self, tmp_path, monkeypatch,
+                                                                             caplog):
+        vocab, lines = toy_vocab_corpus()
+        forwards = self._counted_forwards(monkeypatch)
+        small = tiny_config(vocab_size=len(vocab) - 1, batch_size=4)
+        with pytest.raises(ValueError, match=rf"^vocab has {len(vocab)} pieces but config.vocab_size is "
+                                             rf"{len(vocab) - 1}: its last ids are out of range$"):
+            pretrain(build_model(small, seed=3), lines, vocab, small, seed=1,
+                     checkpoint_dir=str(tmp_path / "small"))
+        assert forwards == [] and not (tmp_path / "small").exists()
+        # a larger vocab_size holds every id: a warning, and training runs
+        large = tiny_config(vocab_size=len(vocab) + 1, iterations=1, batch_size=4)
+        with caplog.at_level("WARNING", logger="kusent.bert"):
+            pretrain(build_model(large, seed=3), lines, vocab, large, seed=1,
+                     checkpoint_dir=str(tmp_path / "large"))
+        assert f"vocab has {len(vocab)} pieces but config.vocab_size is {len(vocab) + 1}" in caplog.text
+        assert forwards == [0]
 
 
 class TestCheckpoint:

@@ -156,8 +156,9 @@ def oracle_direction(gates, inputs, step_mask, d_h, reverse):
     return [outputs[t] for t in range(len(inputs))], h
 
 
-def oracle_bilstm(by_name, states, attention_mask, num_layers, d_h, rate, rng, train):
-    """Oracle for ``bilstm_summary``: (each layer's per-step outputs, the summary)."""
+def oracle_bilstm(by_name, states, attention_mask, num_layers, d_h, rate, rng):
+    """Oracle for ``bilstm_summary``: (each layer's per-step outputs, the summary); it drops
+    out when given ``rng``."""
     batch, seq_len, d_in = states.shape
     step_mask = [Tensor(attention_mask[:, t : t + 1].astype(states.dtype)) for t in range(seq_len)]
     inputs = [ad.reshape(ad.narrow(states, 1, t, 1), (batch, d_in)) for t in range(seq_len)]
@@ -173,10 +174,10 @@ def oracle_bilstm(by_name, states, attention_mask, num_layers, d_h, rate, rng, t
         bwd_out, final_bwd = oracle_direction(gates("bwd"), inputs, step_mask, d_h, True)
         inputs = [ad.concat([f, b], axis=1) for f, b in zip(fwd_out, bwd_out)]
         layers.append(inputs)
-        if layer < num_layers - 1 and train:
-            inputs = [ad.dropout(x, rate, rng, train) for x in inputs]
+        if layer < num_layers - 1:
+            inputs = [ad.dropout(x, rate, rng) for x in inputs]
     summary = ad.concat([final_fwd, final_bwd], axis=1)
-    return layers, ad.dropout(summary, rate, rng, train)
+    return layers, ad.dropout(summary, rate, rng)
 
 
 def layer_weights(by_name, layer):
@@ -237,7 +238,7 @@ class TestLstmCell:
         by_name = {p.name: p for p in head}
         states = Tensor(rng.normal(size=(2, 1, 4)))
         mask = np.ones((2, 1), dtype=np.int64)
-        summary = bilstm_summary(by_name, states, mask, 3, 3, 0.0, None, train=False)
+        summary = bilstm_summary(by_name, states, mask, 3, 3, 0.0, None)
         assert summary.shape == (2, 6)
         assert np.isfinite(summary.data).all()
 
@@ -247,10 +248,10 @@ class TestLstmCell:
         by_name = {p.name: p for p in head}
         real = rng.normal(size=(1, 3, 4))
         mask_short = np.ones((1, 3), dtype=np.int64)
-        short = bilstm_summary(by_name, Tensor(real), mask_short, 2, 3, 0.0, None, False)
+        short = bilstm_summary(by_name, Tensor(real), mask_short, 2, 3, 0.0, None)
         padded = np.concatenate([real, rng.normal(size=(1, 2, 4)) * 50], axis=1)
         mask_padded = np.array([[1, 1, 1, 0, 0]])
-        long = bilstm_summary(by_name, Tensor(padded), mask_padded, 2, 3, 0.0, None, False)
+        long = bilstm_summary(by_name, Tensor(padded), mask_padded, 2, 3, 0.0, None)
         np.testing.assert_allclose(short.data, long.data, atol=1e-12)
 
 
@@ -268,10 +269,10 @@ class TestLstmLayer:
 
     def test_float32_forward_bit_identical_on_padded_batch(self):
         by_name, states, mask = bilstm_case(30, 12, 8, 3, np.float32, [7, 3, 5, 1], 7)
-        layers, summary = oracle_bilstm(by_name, states, mask, 3, 8, 0.0, None, False)
+        layers, summary = oracle_bilstm(by_name, states, mask, 3, 8, 0.0, None)
         for got, want in zip(self.fused(by_name, states, mask, 3, 8), layers):
             np.testing.assert_array_equal(got, np.stack([t.data for t in want]))
-        got = bilstm_summary(by_name, states, mask, 3, 8, 0.0, None, False)
+        got = bilstm_summary(by_name, states, mask, 3, 8, 0.0, None)
         assert got.dtype == np.float32
         np.testing.assert_array_equal(got.data, summary.data)
 
@@ -286,8 +287,8 @@ class TestLstmLayer:
             ad.backward(ad.reduce_sum(ad.mul(summary_fn(), weight)))
             return [p.grad.copy() for p in params]
 
-        want = grads(lambda: oracle_bilstm(by_name, states, mask, 3, 5, 0.0, None, False)[1])
-        got = grads(lambda: bilstm_summary(by_name, states, mask, 3, 5, 0.0, None, False))
+        want = grads(lambda: oracle_bilstm(by_name, states, mask, 3, 5, 0.0, None)[1])
+        got = grads(lambda: bilstm_summary(by_name, states, mask, 3, 5, 0.0, None))
         for p, g, w in zip(params, got, want):
             np.testing.assert_allclose(g, w, rtol=1e-12, atol=1e-12, err_msg=p.name)
         assert np.any(got[0] != 0)
@@ -295,8 +296,8 @@ class TestLstmLayer:
     def test_train_mode_dropout_equals_oracle(self):
         by_name, states, mask = bilstm_case(33, 12, 8, 3, np.float32, [6, 6, 2], 6)
         rng_a, rng_b = np.random.default_rng(34), np.random.default_rng(34)
-        _, want = oracle_bilstm(by_name, states, mask, 3, 8, 0.3, rng_a, True)
-        got = bilstm_summary(by_name, states, mask, 3, 8, 0.3, rng_b, True)
+        _, want = oracle_bilstm(by_name, states, mask, 3, 8, 0.3, rng_a)
+        got = bilstm_summary(by_name, states, mask, 3, 8, 0.3, rng_b)
         np.testing.assert_array_equal(got.data, want.data)
         assert rng_a.random() == rng_b.random()
 
@@ -329,7 +330,7 @@ class TestGradChecks:
         targets = np.array([0, 2])
 
         def loss_fn():
-            summary = bilstm_summary(by_name, states, mask, 1, 4, 0.0, None, False)
+            summary = bilstm_summary(by_name, states, mask, 1, 4, 0.0, None)
             logits = ad.add(
                 ad.matmul(summary, by_name["head.weight"]), by_name["head.bias"]
             )
@@ -417,7 +418,7 @@ class TestTrainingContracts:
         dataset = synthetic_dataset(n_per_class=4)
         encoder = tiny_encoder(seed=2)
         config = TrainConfig(epochs=2, max_len=10, learning_rate=1e-2, batch_size=8, seed=0)
-        real_backward, real_adam_step = classifiers.backward, classifiers.adam_step
+        real_backward, real_adam_step = bert.backward, bert.adam_step
         stepped = []
 
         def poisoned_backward(loss):
@@ -429,8 +430,9 @@ class TestTrainingContracts:
             real_adam_step(params, optimizer)
             stepped.append((params, [p.data.copy() for p in params]))
 
-        monkeypatch.setattr(classifiers, "backward", poisoned_backward)
-        monkeypatch.setattr(classifiers, "adam_step", recording_adam_step)
+        # every step's backward and Adam step run in bert.train_step
+        monkeypatch.setattr(bert, "backward", poisoned_backward)
+        monkeypatch.setattr(bert, "adam_step", recording_adam_step)
         with pytest.raises(ValueError, match=r"^non-finite gradient norm at epoch 0, step 2$"):
             train_fn(encoder, vocab, dataset, config)
         params, after_first_step = stepped[0]
@@ -630,7 +632,7 @@ class TestGraphFreeEvaluation:
                 if kind == "bilstm":
                     states = forward(model.encoder, chunk_ids, chunk_masks)[0]
                     x = bilstm_summary(by_name, states, chunk_masks, 2, 4, model.train_config.dropout_rate,
-                                       None, False)
+                                       None)
                 else:
                     x = forward(model.encoder, chunk_ids, chunk_masks,
                                 positions=np.arange(len(chunk_ids)) * ids.shape[1])
@@ -651,7 +653,7 @@ class TestGraphFreeEvaluation:
         train_finetune, functools.partial(train_bilstm, lstm_hidden=4, num_layers=2), train_mlp,
     ], ids=["finetune", "bilstm", "mlp"])
     def test_every_training_step_records_a_graph(self, monkeypatch, train):
-        steps = self._graph_checked_backward(monkeypatch, classifiers)
+        steps = self._graph_checked_backward(monkeypatch, bert)  # the step runs in bert.train_step
         config = TrainConfig(epochs=2, max_len=10, learning_rate=1e-2, batch_size=8, seed=0)
         train(tiny_encoder(seed=10), synthetic_vocab(), synthetic_dataset(n_per_class=4), config)
         assert len(steps) == 2 * 2  # 12 rows in batches of 8, two epochs

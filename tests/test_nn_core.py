@@ -108,7 +108,7 @@ class TestBackward:
         w, gain, shift = fparam("w", (4, 6)), fparam("g", (6,)), fparam("s", (6,))
         x = Tensor(rng.normal(size=(3, 4)))
         hidden = ad.layer_norm(ad.gelu(ad.matmul(x, w)), gain, shift)
-        loss = ad.cross_entropy(ad.dropout(hidden, 0.2, rng, train=True), np.array([0, 5, 2]))
+        loss = ad.cross_entropy(ad.dropout(hidden, 0.2, rng), np.array([0, 5, 2]))
         nodes = ad._topo_order(loss._node)
         inner = [node for node in nodes if node.inputs]
         assert len(inner) == 5
@@ -243,7 +243,7 @@ class TestFusedAndBlockedOps:
 
     def test_dropout_mask_equals_one_draw_over_the_whole_array(self):
         x = np.random.default_rng(26).normal(size=(3, 70, 500)).astype(np.float32)
-        out = ad.dropout(Parameter("x", x), 0.1, np.random.default_rng(27), train=True)
+        out = ad.dropout(Parameter("x", x), 0.1, np.random.default_rng(27))
         keep = keep_words(np.random.default_rng(27), x.shape, 0.1)
         np.testing.assert_array_equal(out.data, x * keep.astype(np.float32) * (1.0 / 0.9))
         g = np.ones_like(x)
@@ -261,7 +261,7 @@ class TestFusedAndBlockedOps:
         x = rng.normal(size=(5, 3, 4)).astype(np.float32)
         g = rng.normal(size=x.shape).astype(np.float32)
         got_rng, want_rng = DrawLog(np.random.Generator(bits(29))), np.random.Generator(bits(29))
-        out = ad.dropout(Parameter("x", x), rate, got_rng, train=True)
+        out = ad.dropout(Parameter("x", x), rate, got_rng)
         keep = keep_words(want_rng, x.shape, rate)
         np.testing.assert_array_equal(out.data, (x * keep) * np.float32(factor))
         np.testing.assert_array_equal(out._node.rule(g)[0], (g * keep) * np.float32(factor))
@@ -279,7 +279,7 @@ class TestFusedAndBlockedOps:
         assert all(query_index is index for _, index, query_index in groups)
         q, k, v = (Parameter(name, rng.normal(size=(len(rows), 4))) for name in "qkv")
         got_rng.sizes.clear()
-        out = ad.attention(q, k, v, 2, mask, rate, got_rng, True)
+        out = ad.attention(q, k, v, 2, mask, rate, got_rng)
         packed = np.full(mask.shape, -1)
         packed.flat[rows] = np.arange(len(rows))
         want = np.zeros((len(rows), 4))
@@ -328,7 +328,8 @@ class TestFusedAndBlockedOps:
         rate, head_dim = 0.3, 8
         mask, srcs, q, k, v = self._probs_case()
         got_rng, want_rng = np.random.default_rng(71), np.random.default_rng(71)
-        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask, rate, got_rng, train).data
+        # a generator is what makes the op drop out
+        out = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask, rate, got_rng if train else None).data
         # the keep masks as documented: one (G, A, L, L) draw per count L, ascending
         counts = mask.sum(axis=1)
         keep = {}
@@ -355,8 +356,8 @@ class TestFusedAndBlockedOps:
         mask, srcs, q, k, v = self._probs_case()
 
         def run(k, v):
-            return ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask, 0.3, np.random.default_rng(72),
-                                train).data
+            return ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask, 0.3,
+                                np.random.default_rng(72) if train else None).data
 
         base = run(k, v)
         noise = np.random.default_rng(73)
@@ -381,7 +382,8 @@ class TestFusedAndBlockedOps:
         assert [(list(rows), index.shape[1], query_index.tolist()) for rows, index, query_index in groups] == \
             [([2], 5, [[2]]), ([0], 5, [[0, 1]]), ([4], 8, [[3, 4, 5]])]
         got_rng, want_rng = np.random.default_rng(74), np.random.default_rng(74)
-        out = ad.attention(Tensor(q[queries]), Tensor(k), Tensor(v), 3, mask, rate, got_rng, train, queries)
+        out = ad.attention(Tensor(q[queries]), Tensor(k), Tensor(v), 3, mask, rate, got_rng if train else None,
+                           queries)
         # with e_j values, each query's context is its probabilities, as the full op gives them
         want = ad.attention(Tensor(q), Tensor(k), Tensor(v), 3, mask).data[queries]
         if train:
@@ -455,13 +457,13 @@ def _no_grad_case(name: str, rng: np.random.Generator) -> Tensor:
         "sigmoid": lambda: ad.sigmoid(a),
         "softmax": lambda: ad.softmax(a),
         "layer_norm": lambda: ad.layer_norm(a, p("gain", 4), p("shift", 4)),
-        "dropout_train": lambda: ad.dropout(a, 0.4, rng, train=True),
+        "dropout_train": lambda: ad.dropout(a, 0.4, rng),
         "embedding_lookup": lambda: ad.embedding_lookup(a, np.array([2, 0, 2])),
         "gather_rows": lambda: ad.gather_rows(a, np.array([2, 0])),
         "scatter_rows": lambda: ad.scatter_rows(a, np.array([4, 0, 2]), 6),
         "attention": lambda: ad.attention(q, k, v, 2, mask),
-        "attention_train": lambda: ad.attention(q, k, v, 2, mask, 0.4, rng, True),
-        "attention_queries": lambda: ad.attention(p("q2", 2, 4), k, v, 2, mask, 0.4, rng, True,
+        "attention_train": lambda: ad.attention(q, k, v, 2, mask, 0.4, rng),
+        "attention_queries": lambda: ad.attention(p("q2", 2, 4), k, v, 2, mask, 0.4, rng,
                                                   np.array([0, 4])),
         "lstm_layer": lambda: ad.lstm_layer(p("x", 4, 2, 3), lstm_weights, mask, 2),
         "cross_entropy": lambda: ad.cross_entropy(a, np.array([3, -100, 0])),
@@ -562,15 +564,15 @@ def _held_case(name: str, x: Tensor, leaf) -> Tensor:
         "sigmoid": lambda: ad.sigmoid(x),
         "softmax": lambda: ad.softmax(x),
         "layer_norm": lambda: ad.layer_norm(x, leaf("gain", 4), leaf("shift", 4)),
-        "dropout": lambda: ad.dropout(x, 0.4, rng, train=True),
+        "dropout": lambda: ad.dropout(x, 0.4, rng),
         "embedding_lookup": lambda: ad.embedding_lookup(x, np.array([[2, 0, 2], [4, 2, 1]])),
         "gather_rows": lambda: ad.gather_rows(x, np.array([3, 0, 4])),
         "scatter_rows": lambda: ad.scatter_rows(x, np.array([6, 0, 2, 3, 5]), 7),
-        "attention_q": lambda: ad.attention(x, leaf("k", 5, 4), leaf("v", 5, 4), 2, mask, 0.4, rng, True),
-        "attention_k": lambda: ad.attention(leaf("q", 5, 4), x, leaf("v", 5, 4), 2, mask, 0.4, rng, True),
-        "attention_v": lambda: ad.attention(leaf("q", 5, 4), leaf("k", 5, 4), x, 2, mask, 0.4, rng, True),
+        "attention_q": lambda: ad.attention(x, leaf("k", 5, 4), leaf("v", 5, 4), 2, mask, 0.4, rng),
+        "attention_k": lambda: ad.attention(leaf("q", 5, 4), x, leaf("v", 5, 4), 2, mask, 0.4, rng),
+        "attention_v": lambda: ad.attention(leaf("q", 5, 4), leaf("k", 5, 4), x, 2, mask, 0.4, rng),
         "attention_queries": lambda: ad.attention(ad.narrow(x, 0, 0, 2), leaf("k", 5, 4), leaf("v", 5, 4),
-                                                  2, mask, 0.4, rng, True, np.array([1, 3])),
+                                                  2, mask, 0.4, rng, np.array([1, 3])),
         "lstm_layer": lambda: ad.lstm_layer(
             ad.reshape(x, (4, 2, 3)),
             [leaf(f"lstm{i}", *shape) for i, shape in enumerate([(3, 2), (2, 2), (2,)] * 8)], lstm_mask, 2),
@@ -735,7 +737,7 @@ class TestGradCheckPerOp:
         a = fparam("a", (6, 6))
         check(
             lambda: ad.reduce_sum(
-                ad.dropout(a, 0.4, np.random.default_rng(11), train=True)
+                ad.dropout(a, 0.4, np.random.default_rng(11))
             ),
             [a],
         )
@@ -750,7 +752,7 @@ class TestGradCheckPerOp:
         w = Tensor(np.random.default_rng(32).normal(size=(5, 4)))
 
         def loss_fn():
-            out = ad.attention(q, k, v, 2, mask, 0.3, np.random.default_rng(33), True, queries)
+            out = ad.attention(q, k, v, 2, mask, 0.3, np.random.default_rng(33), queries)
             return ad.reduce_sum(ad.mul(out, w))
 
         check(loss_fn, [q, k, v])
@@ -1021,14 +1023,14 @@ class TestProperties:
 
     def test_dropout_eval_identity(self):
         x = Tensor(np.random.default_rng(2).normal(size=(100,)))
-        out = ad.dropout(x, 0.5, None, train=False)
+        out = ad.dropout(x, 0.5, None)
         assert out is x
 
     def test_dropout_drop_fraction(self):
         n = 200_000
         x = Tensor(np.ones(n))
         for rate in (0.1, 0.3, 0.5):
-            out = ad.dropout(x, rate, np.random.default_rng(3), train=True).data
+            out = ad.dropout(x, rate, np.random.default_rng(3)).data
             dropped = float((out == 0).mean())
             assert abs(dropped - rate) < 0.01
             kept = out[out != 0]

@@ -129,7 +129,7 @@ def model3() -> None:
     def step(index: int) -> dict[str, float]:
         drop_rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(2, index)))
         started = time.perf_counter()
-        masked = forward(model, mlm.input_ids, mlm.attention_mask, train=True, dropout_rng=drop_rng,
+        masked = forward(model, mlm.input_ids, mlm.attention_mask, drop_rng,
                          positions=positions)
         loss = mlm_loss(model, masked, mlm.labels)
         forwarded = time.perf_counter()
@@ -177,7 +177,7 @@ def main() -> None:
 
     def train_step():
         drop_rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(2,)))
-        masked = forward(model, mlm.input_ids, mlm.attention_mask, train=True, dropout_rng=drop_rng,
+        masked = forward(model, mlm.input_ids, mlm.attention_mask, drop_rng,
                          positions=positions)
         backward(mlm_loss(model, masked, mlm.labels))
         for p in model.params:
