@@ -992,20 +992,41 @@ class TestPretrain:
         for fname in ("params.bin", "optim.bin", "state.json"):
             assert (tmp_path / "part" / fname).read_bytes() == (tmp_path / "full" / fname).read_bytes()
 
-    def test_cap_on_epoch_boundary_writes_one_checkpoint(self, tmp_path, monkeypatch):
+    # 16 lines at batch size 4: 4 steps an epoch. resumed_from: the iteration cap of a first,
+    # unrecorded run in the same directory; written: the (next_epoch, global_step) of each
+    # checkpoint the recorded run writes
+    @pytest.mark.parametrize("epochs, iterations, resumed_from, written, steps, n_losses", [
+        (3, 8, None, [(1, 4), (2, 8)], 8, 8),
+        (3, 7, None, [(1, 4), (1, 7)], 7, 7),
+        (3, 0, None, [(0, 0)], 0, 0),
+        (3, None, None, [(1, 4), (2, 8), (3, 12)], 12, 12),
+        (3, 6, 8, [(2, 8)], 8, 0),
+        (3, 12, 7, [(2, 8), (3, 12)], 12, 5),
+    ], ids=["cap-on-boundary", "cap-mid-epoch", "zero-steps", "epochs-only", "resume-past-cap",
+            "resume-mid-epoch"])
+    def test_checkpoint_cadence(self, tmp_path, monkeypatch, epochs, iterations, resumed_from, written,
+                                steps, n_losses):
         vocab, lines = toy_vocab_corpus(n_lines=16)
-        cfg = tiny_config(vocab_size=len(vocab), epochs=3, iterations=8, batch_size=4)
-        written = []
+        ck = str(tmp_path / "ck")
+
+        def run(iterations, resume):
+            cfg = tiny_config(vocab_size=len(vocab), epochs=epochs, iterations=iterations, batch_size=4)
+            return pretrain(build_model(cfg, seed=3), lines, vocab, cfg, seed=2, checkpoint_dir=ck,
+                            max_len=12, resume=resume)
+
+        if resumed_from is not None:
+            run(resumed_from, resume=False)
+        recorded = []
         real_save = bert.save_checkpoint
 
         def recording_save(directory, model, optimizer=None, train_state=None):
-            written.append((train_state["next_epoch"], train_state["global_step"]))
+            recorded.append((train_state["next_epoch"], train_state["global_step"]))
             real_save(directory, model, optimizer, train_state)
 
         monkeypatch.setattr(bert, "save_checkpoint", recording_save)
-        pretrain(build_model(cfg, seed=3), lines, vocab, cfg, seed=2,
-                 checkpoint_dir=str(tmp_path / "ck"), max_len=12)
-        assert written == [(1, 4), (2, 8)]
+        result = run(iterations, resume=resumed_from is not None)
+        assert recorded == written
+        assert (result.steps, len(result.losses)) == (steps, n_losses)
 
     def test_resume_warns_only_when_threads_differ(self, tmp_path, monkeypatch, caplog):
         vocab, lines = toy_vocab_corpus(n_lines=8)
