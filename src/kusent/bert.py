@@ -10,7 +10,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import itertools
 import logging
 import math
 import os
@@ -538,24 +537,25 @@ def _load_train_state(directory: str, model: ModelParams) -> tuple[AdamState, di
     return optimizer, state
 
 
-def epoch_batches(n: int, batch_size: int, seed: int, epoch: int):
-    """Yield ``(batch_idx, pick, dropout_rng)`` for one epoch over ``n`` rows.
+def train_batches(n: int, batch_size: int, seed: int, start: int, stop: int):
+    """Yield ``(epoch, step, batch_idx, pick, dropout_rng)`` for the global steps ``start + 1``
+    to ``stop`` of training over ``n`` rows, ``batch_size`` rows a step.
 
-    ``batch_idx`` is the offset of the batch in the epoch's permutation and
-    ``pick`` the row indices it holds. ``dropout_rng`` is the batch's dropout
-    stream; passing it to ``forward`` (or a head's ``head_logits``) is what
-    makes that call drop out. The permutation derives from ``(seed, epoch)``
-    and the dropout stream from ``(seed, epoch, batch_idx)``, so a resumed run
-    draws exactly the streams of the uninterrupted one.
+    Each epoch is one pass over a permutation of the rows drawn from ``(seed, epoch)``;
+    ``batch_idx`` is the offset of the batch in it and ``pick`` the row indices it holds.
+    ``dropout_rng`` is the batch's dropout stream, drawn from ``(seed, epoch, batch_idx)``;
+    passing it to ``forward`` (or a head's ``head_logits``) is what makes that call drop out.
+    Every stream follows from the step alone, so a run resumed at ``start`` draws exactly
+    the streams of the uninterrupted one.
     """
-    order = np.random.default_rng(
-        np.random.SeedSequence(seed, spawn_key=(0, epoch))
-    ).permutation(n)
-    for batch_idx in range(0, n, batch_size):
-        drop_rng = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(2, epoch, batch_idx))
-        )
-        yield batch_idx, order[batch_idx : batch_idx + batch_size], drop_rng
+    steps_per_epoch = -(-n // batch_size)
+    for step in range(start + 1, stop + 1):
+        epoch, batch = divmod(step - 1, steps_per_epoch)
+        if batch == 0 or step == start + 1:
+            order = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, epoch))).permutation(n)
+        batch_idx = batch * batch_size
+        drop_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, epoch, batch_idx)))
+        yield epoch, step, batch_idx, order[batch_idx : batch_idx + batch_size], drop_rng
 
 
 def train_step(loss: Tensor, params: list[Parameter], optimizer: AdamState, epoch: int, step: int) -> float:
@@ -626,9 +626,10 @@ def pretrain(
     ``config.vocab_size`` pieces, and a ``checkpoint_dir`` whose nearest
     existing path is not a writable directory, are refused before the first
     step. A checkpoint (with optimizer state) is written at every epoch
-    boundary and at a stop mid-epoch. Masking, shuffling, and dropout streams
-    derive from (seed, epoch, batch), so a resume continues at the batch where
-    the run stopped and reproduces the uninterrupted run exactly.
+    boundary before the stop, then once at the stop. Steps come from
+    ``train_batches``, and masking, shuffling and dropout streams derive from
+    (seed, epoch, batch), so a resume continues at the batch where the run
+    stopped and reproduces the uninterrupted run exactly.
     Only epochs and iterations may change on resume; the stored Adam state,
     learning rate included, is used. A resume needs ``state.json`` beside
     ``params.bin``; a directory without ``params.bin`` starts fresh.
@@ -712,34 +713,23 @@ def pretrain(
     cap = math.inf if config.iterations is None else config.iterations
     total = max(global_step, min(config.epochs * steps_per_epoch, cap))
 
+    def state(step):
+        return {"next_epoch": step // steps_per_epoch, "global_step": step, "seed": seed,
+                "corpus_sha256": corpus_sha256}
+
     losses: list[float] = []
-    while True:
-        # one pass per epoch: the rest of the current epoch up to the stop point
-        epoch, done = divmod(global_step, steps_per_epoch)
-        batches = epoch_batches(len(corpus), config.batch_size, seed, epoch)
-        for batch_idx, pick, drop_rng in itertools.islice(batches, done, total - epoch * steps_per_epoch):
-            ids, mask = encode_batch([corpus[i] for i in pick], vocab, max_len)
-            mask_rng = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(1, epoch, batch_idx))
-            )
-            batch = mask_for_mlm(ids, mask, mask_rate, mask_rng, config.vocab_size)
-            masked = forward(model, batch.input_ids, batch.attention_mask, drop_rng,
-                             positions=masked_positions(batch.labels))
-            global_step += 1
-            losses.append(train_step(mlm_loss(model, masked, batch.labels), model.params, optimizer,
-                                     epoch, global_step))
-            if global_step % log_every == 0:
-                logger.info("step %d: mlm loss %.4f", global_step, losses[-1])
-        save_checkpoint(
-            checkpoint_dir,
-            model,
-            optimizer,
-            {
-                "next_epoch": global_step // steps_per_epoch,
-                "global_step": global_step,
-                "seed": seed,
-                "corpus_sha256": corpus_sha256,
-            },
-        )
-        if global_step >= total:
-            return PretrainResult(losses=losses, steps=global_step, checkpoint_dir=checkpoint_dir)
+    for epoch, step, batch_idx, pick, drop_rng in train_batches(len(corpus), config.batch_size, seed,
+                                                                global_step, total):
+        ids, mask = encode_batch([corpus[i] for i in pick], vocab, max_len)
+        mask_rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(1, epoch, batch_idx)))
+        batch = mask_for_mlm(ids, mask, mask_rate, mask_rng, config.vocab_size)
+        masked = forward(model, batch.input_ids, batch.attention_mask, drop_rng,
+                         positions=masked_positions(batch.labels))
+        losses.append(train_step(mlm_loss(model, masked, batch.labels), model.params, optimizer, epoch, step))
+        if step % log_every == 0:
+            logger.info("step %d: mlm loss %.4f", step, losses[-1])
+        # each epoch boundary before the stop; the stop itself is written below
+        if step % steps_per_epoch == 0 and step < total:
+            save_checkpoint(checkpoint_dir, model, optimizer, state(step))
+    save_checkpoint(checkpoint_dir, model, optimizer, state(total))
+    return PretrainResult(losses=losses, steps=total, checkpoint_dir=checkpoint_dir)

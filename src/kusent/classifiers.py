@@ -19,10 +19,11 @@ model hard-links the encoder's unchanged ``params.bin`` instead of writing it
 again (see ``save_sentiment_model``), and their features, those read rows,
 are precomputed once per dataset, without a graph, row after row; each drawn
 batch takes its rows' features. Evaluation (``predict_encoded`` and
-everything built on it) runs under ``autodiff.no_grad`` too; training loops
-always record a graph. Training passes each batch's dropout stream
-(``epoch_batches``) to ``forward`` and ``head_logits`` and ends each step with
-``bert.train_step``, as pretraining does; evaluation passes none.
+everything built on it) runs under ``autodiff.no_grad`` too, and it and the
+frozen features share one chunk loop, ``_eval_reads``. Training always
+records a graph: like pretraining, it is one loop over the ``bert.train_batches``
+cursor, passes each step's dropout stream to ``forward`` and ``head_logits``,
+and ends each step with ``bert.train_step``; evaluation passes no stream.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import numpy as np
 from . import autodiff as ad
 from .autodiff import Parameter, Tensor, backward  # noqa: F401
 from .bert import (
-    ModelParams, epoch_batches, forward, init_params, load_checkpoint, save_checkpoint, train_step
+    ModelParams, forward, init_params, load_checkpoint, save_checkpoint, train_batches, train_step
 )
 from .checkpoint import (
     atomic_write_json, check_fields, check_tensors, from_dict, read_blob, read_json, write_blob
@@ -281,6 +282,17 @@ def _label_indices(dataset, labels):
     return np.array([index[ex.label] for ex in dataset], dtype=np.int64)
 
 
+def _eval_reads(encoder, ids, masks, kind):
+    """Yield ``(chunk, reads)`` for each ``EVAL_ROWS``-row chunk of the batch: its row slice
+    and, as an array, the eval-mode encoder states at ``read_positions`` of its rows. The
+    caller holds ``autodiff.no_grad``. Only the array is kept, so no chunk's output tensor
+    lives through the next forward."""
+    for start in range(0, len(ids), EVAL_ROWS):
+        chunk = slice(start, start + EVAL_ROWS)
+        positions = read_positions(masks[chunk], kind)
+        yield chunk, forward(encoder, ids[chunk], masks[chunk], positions=positions).data
+
+
 def _frozen_features(encoder, ids, masks, kind):
     """The eval-mode encoder states at ``read_positions(masks, kind)``, computed without a
     graph, row after row: (rows, H) CLS states for mlp, (attended positions, H) for bilstm."""
@@ -289,11 +301,7 @@ def _frozen_features(encoder, ids, masks, kind):
     features = np.empty((rows, encoder.config.hidden_size), encoder.params[0].data.dtype)
     filled = 0
     with ad.no_grad():
-        for start in range(0, len(ids), EVAL_ROWS):
-            chunk = slice(start, start + EVAL_ROWS)
-            positions = read_positions(masks[chunk], kind)
-            # the array the head reads, only: what is bound here lives through the next forward
-            part = forward(encoder, ids[chunk], masks[chunk], positions=positions).data
+        for _, part in _eval_reads(encoder, ids, masks, kind):
             features[filled : filled + len(part)] = part
             filled += len(part)
     return features
@@ -316,19 +324,19 @@ def _train_head(model, encoder, vocab, dataset, config):
         counts = np.bincount(read_positions(masks, kind) // ids.shape[1], minlength=len(ids))
         offsets = np.cumsum(counts) - counts
     optimizer = AdamState(lr=config.learning_rate)
-    for epoch in range(config.epochs):
-        for _, pick, drop_rng in epoch_batches(len(dataset), config.batch_size, config.seed, epoch):
-            if joint:
-                reads = forward(encoder, ids[pick], masks[pick], drop_rng,
-                                positions=read_positions(masks[pick], kind))
-            else:
-                # the picked rows' features, row after row; starts: each row's first read in the batch
-                n = counts[pick]
-                starts = np.cumsum(n) - n
-                reads = Tensor(features[np.arange(n.sum()) + np.repeat(offsets[pick] - starts, n)])
-            loss = ad.cross_entropy(head_logits(model, reads, masks[pick], drop_rng), targets[pick])
-            step = len(model.train_losses) + 1
-            model.train_losses.append(train_step(loss, trainable, optimizer, epoch, step))
+    batches = train_batches(len(dataset), config.batch_size, config.seed, 0,
+                            config.epochs * -(-len(dataset) // config.batch_size))
+    for epoch, step, _, pick, drop_rng in batches:
+        if joint:
+            reads = forward(encoder, ids[pick], masks[pick], drop_rng,
+                            positions=read_positions(masks[pick], kind))
+        else:
+            # the picked rows' features, row after row; starts: each row's first read in the batch
+            n = counts[pick]
+            starts = np.cumsum(n) - n
+            reads = Tensor(features[np.arange(n.sum()) + np.repeat(offsets[pick] - starts, n)])
+        loss = ad.cross_entropy(head_logits(model, reads, masks[pick], drop_rng), targets[pick])
+        model.train_losses.append(train_step(loss, trainable, optimizer, epoch, step))
     return model
 
 
@@ -364,13 +372,9 @@ def train_mlp(
 
 def predict_encoded(model: SentimentModel, ids: np.ndarray, masks: np.ndarray) -> np.ndarray:
     """Class probabilities for pre-encoded rows, eval mode, without a graph, EVAL_ROWS rows a forward."""
-    probs = []
     with ad.no_grad():
-        for start in range(0, len(ids), EVAL_ROWS):
-            chunk = slice(start, start + EVAL_ROWS)
-            positions = read_positions(masks[chunk], model.head_kind)
-            reads = forward(model.encoder, ids[chunk], masks[chunk], positions=positions)
-            probs.append(ad.softmax(head_logits(model, reads, masks[chunk])).data)
+        probs = [ad.softmax(head_logits(model, Tensor(reads), masks[chunk])).data
+                 for chunk, reads in _eval_reads(model.encoder, ids, masks, model.head_kind)]
     return np.concatenate(probs)
 
 

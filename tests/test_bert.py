@@ -15,7 +15,6 @@ from kusent.bert import (
     build_model,
     count_params,
     count_tensors,
-    epoch_batches,
     expected_shapes,
     forward,
     load_checkpoint,
@@ -26,6 +25,7 @@ from kusent.bert import (
     preset_config,
     pretrain,
     save_checkpoint,
+    train_batches,
 )
 from kusent.checkpoint import check_fields, read_blob, write_blob
 from kusent.optim import AdamState, adam_step
@@ -901,22 +901,31 @@ def toy_vocab_corpus(n_lines=60, n_words=24, seed=0):
 
 class TestPretrain:
     @pytest.mark.parametrize("n, batch_size", [(10, 4), (8, 8), (3, 5)])
-    def test_epoch_batches_streams(self, n, batch_size):
-        seed, epoch = 13, 2
-        batches = list(epoch_batches(n, batch_size, seed, epoch))
-        order = np.random.default_rng(
-            np.random.SeedSequence(seed, spawn_key=(0, epoch))
-        ).permutation(n)
-        picks = np.concatenate([pick for _, pick, _ in batches])
-        assert sorted(picks.tolist()) == list(range(n))  # each index exactly once
-        np.testing.assert_array_equal(picks, order)
-        for batch_idx, pick, drop_rng in batches:
-            assert len(pick) == min(batch_size, n - batch_idx)
-            expected = np.random.default_rng(
-                np.random.SeedSequence(seed, spawn_key=(2, epoch, batch_idx))
-            )
-            assert drop_rng.random(4).tolist() == expected.random(4).tolist()
-        assert [b for b, _, _ in batches] == list(range(0, n, batch_size))
+    def test_train_batches_streams(self, n, batch_size):
+        seed, epochs = 13, 3
+        stop = epochs * -(-n // batch_size)
+
+        def drawn(start, stop):
+            """The cursor's run as plain values, each dropout stream as its first four draws."""
+            return [(epoch, step, batch_idx, pick.tolist(), rng.random(4).tolist())
+                    for epoch, step, batch_idx, pick, rng in train_batches(n, batch_size, seed, start, stop)]
+
+        run = drawn(0, stop)
+        assert [step for _, step, *_ in run] == list(range(1, stop + 1))
+        for epoch in range(epochs):
+            batches = [b for b in run if b[0] == epoch]
+            order = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(0, epoch))).permutation(n)
+            assert [i for _, _, _, pick, _ in batches for i in pick] == order.tolist()
+            assert [batch_idx for _, _, batch_idx, _, _ in batches] == list(range(0, n, batch_size))
+            for _, _, batch_idx, pick, draws in batches:
+                assert len(pick) == min(batch_size, n - batch_idx)
+                expected = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(2, epoch, batch_idx)))
+                assert draws == expected.random(4).tolist()
+        # a run cut at any step, mid-epoch included, and resumed there draws the unsplit run
+        for k in range(stop + 1):
+            head, tail = drawn(0, k), drawn(k, stop)
+            assert [step for _, step, *_ in tail] == list(range(k + 1, stop + 1))
+            assert head + tail == run
 
     def test_empty_corpus_rejected(self, tmp_path):
         vocab, _ = toy_vocab_corpus()

@@ -14,7 +14,7 @@ from kusent import autodiff as ad
 from kusent import bert, classifiers
 from kusent.autodiff import Parameter, Tensor
 from kusent.bert import (
-    BertConfig, build_model, epoch_batches, forward, init_params, load_checkpoint, pretrain, save_checkpoint
+    BertConfig, build_model, forward, init_params, load_checkpoint, pretrain, save_checkpoint, train_batches
 )
 from kusent.classifiers import (
     GATES,
@@ -495,7 +495,8 @@ class TestTrainingContracts:
         assert abs(probs.sum() - 1.0) < 1e-6
         assert (probs >= 0).all()
 
-    def test_frozen_features_drop_each_chunk_before_the_next(self, monkeypatch):
+    @pytest.mark.parametrize("path", ["frozen_features", "predict_encoded"])
+    def test_eval_drops_each_chunk_before_the_next(self, monkeypatch, path):
         class Watched(Tensor):
             """A stand-in, weakly referenceable as every tensor, that keeps the returned tensor, and its
             graph, alive."""
@@ -515,9 +516,16 @@ class TestTrainingContracts:
                 outputs.append(w)
             return tuple(outputs) if isinstance(out, tuple) else outputs[0]
 
-        monkeypatch.setattr(classifiers, "forward", watched_forward)
         dataset = synthetic_dataset(n_per_class=12)  # 36 rows: two 32-row chunks
-        train_mlp(tiny_encoder(seed=7), synthetic_vocab(), dataset, TrainConfig(epochs=1, max_len=10))
+        config = TrainConfig(epochs=1, max_len=10)
+        if path == "frozen_features":
+            monkeypatch.setattr(classifiers, "forward", watched_forward)
+            train_mlp(tiny_encoder(seed=7), synthetic_vocab(), dataset, config)
+        else:
+            model = init_model("mlp", tiny_encoder(seed=7), config, {"hidden_sizes": [4]})
+            ids, masks = encode_batch([ex.text for ex in dataset], synthetic_vocab(), config.max_len)
+            monkeypatch.setattr(classifiers, "forward", watched_forward)
+            assert predict_encoded(model, ids, masks).shape == (36, 3)
         assert len(refs) == 2
 
     def test_default_epochs_schedule(self):
@@ -699,7 +707,7 @@ class TestPackedFeatures:
 
             monkeypatch.setattr(classifiers, "head_logits", recording_head_logits)
         train(encoder, vocab, dataset, config)
-        picks = [pick for epoch in range(2) for _, pick, _ in epoch_batches(len(dataset), 8, 3, epoch)]
+        picks = [pick for *_, pick, _ in train_batches(len(dataset), 8, 3, 0, 2 * -(-len(dataset) // 8))]
         assert len(received) == len(picks) == 10
         for got, pick in zip(received, picks):
             assert got.dtype == want.dtype and got.shape == want[pick].shape

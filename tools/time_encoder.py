@@ -20,13 +20,20 @@ in-process (no download):
   eval mode;
 - frozen features: ``classifiers._frozen_features`` for each frozen head kind
   on a 1,001-row dataset, 1,000 rows of 4-42 tokens and one of 256, so every
-  row is padded to T256.
+  row is padded to T256;
+- bilstm head step: the default bilstm head (3 layers, ``lstm_hidden`` 128)
+  on the frozen features of a B8 batch of 4-42 tokens per row: ``head_logits``
+  with dropout, cross-entropy and ``backward``, once with the mask padded to
+  T256, as a dataset with one long row pads it, and once with the mask cut
+  to the batch's longest row. The reads are the same rows in the same order
+  at either width, so only the mask is cut.
 
 Prints first the seconds ``build_model`` takes for the model1-shape encoder,
 then each batch's pad fraction and the median, quartiles and fastest of
 several timed calls after one warm-up call. The frozen features run once per
 kind, under ``tracemalloc``: their seconds, the MiB the head keeps and the
-peak of traced memory. Then comes the process's peak RSS, and last the model3
+peak of traced memory. The bilstm head step follows, timed as the batches are
+at each width. Then comes the process's peak RSS, and last the model3
 preset (H768, 6 layers, 50k vocabulary) in a fresh process: the seconds of
 its ``build_model`` and that process's peak RSS, then the MLM step with Adam
 as ``pretrain`` runs it on a B12 x T16 batch of 4-16 tokens per row: the
@@ -48,11 +55,11 @@ import tracemalloc
 
 import numpy as np
 
-from kusent.autodiff import backward, no_grad
+from kusent.autodiff import Tensor, backward, cross_entropy, no_grad
 from kusent.bert import (
     BertConfig, build_model, forward, mask_for_mlm, masked_positions, mlm_loss, preset_config,
 )
-from kusent.classifiers import _frozen_features
+from kusent.classifiers import TrainConfig, _frozen_features, head_logits, init_model
 from kusent.optim import AdamState, adam_step
 from kusent.wordpiece import CLS, PAD, SEP
 
@@ -203,6 +210,22 @@ def main() -> None:
         tracemalloc.stop()
         print(f"frozen features {kind}, {FEATURE_ROWS} rows x T256, pad fraction {1 - feature_mask.mean():.3f}: "
               f"{seconds:.2f} s, keeps {features.nbytes / 2**20:.1f} MiB, tracemalloc peak {peak / 2**20:.0f} MiB")
+    head_ids, head_mask = make_batch(rng, 8, 4, 42, width=256)
+    head = init_model("bilstm", model, TrainConfig(epochs=1), {"lstm_hidden": 128, "num_layers": 3})
+    reads = Tensor(_frozen_features(model, head_ids, head_mask, "bilstm"))
+    targets = rng.integers(0, 3, size=len(head_ids))
+
+    def head_step(mask):
+        drop_rng = np.random.default_rng(np.random.SeedSequence(SEED, spawn_key=(2,)))
+        backward(cross_entropy(head_logits(head, reads, mask, drop_rng), targets))
+        for p in head.head_params:
+            p.zero_grad()
+
+    width = int(head_mask.sum(axis=1).max())
+    for mask in (head_mask, head_mask[:, :width]):
+        times = timed(lambda: head_step(mask), REPEATS)
+        print(f"bilstm head step B8x{mask.shape[1]} with dropout: pad fraction {1 - mask.mean():.3f}, "
+              f"{quartiles(times)} over {REPEATS} calls")
     peak_mb = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024
     print(f"peak RSS: {peak_mb:.0f} MB", flush=True)
     child = multiprocessing.get_context("spawn").Process(target=model3)
