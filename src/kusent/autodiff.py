@@ -108,31 +108,44 @@ class Tensor:
         return self.data.dtype
 
     def item(self) -> float:
-        return float(self.data)
+        """The value of a one-element tensor of any shape; ValueError for any other size."""
+        return float(self.data.item())
 
     def __repr__(self) -> str:
         return f"Tensor(shape={self.data.shape}, dtype={self.data.dtype})"
 
 
 class Parameter(Tensor):
-    """A named trainable leaf; ``grad`` persists and accumulates across backward calls.
+    """A named trainable leaf; ``grad`` accumulates across backward calls until released.
 
-    ``backward`` adds each of a step's contributions into ``grad`` as it arrives. From a zero
-    ``grad``, as ``adam_step`` leaves it, that rounds exactly as summing the contributions
-    first and adding the sum would. Onto a nonzero ``grad`` (several backward calls between
-    two updates) it may round differently than that sum did; no library code does it.
+    The gradient buffer exists only while it holds a gradient: the first contribution of a
+    ``backward`` creates it, and ``adam_step`` and ``zero_grad`` release it after. Reading
+    ``grad`` when there is none gives a fresh zero buffer, kept, so it can be written into.
+    ``backward`` adds each of a step's contributions into ``grad`` as it arrives. From zero,
+    as ``adam_step`` leaves it, that rounds exactly as summing the contributions first and
+    adding the sum would. Onto a nonzero ``grad`` (several backward calls between two
+    updates) it may round differently than that sum did; no library code does it.
     """
 
-    __slots__ = ("name",)
+    # the ``grad`` property below shadows Tensor's slot; the buffer lives in ``_grad``
+    __slots__ = ("name", "_grad")
 
     def __init__(self, name: str, data):
         super().__init__(data, requires_grad=True)
         self.name = name
-        # np.zeros, not zeros_like: its pages stay untouched until a gradient lands
-        self.grad = np.zeros(self.data.shape, self.data.dtype)
+
+    @property
+    def grad(self) -> np.ndarray:
+        if self._grad is None:
+            self._grad = np.zeros(self.data.shape, self.data.dtype)
+        return self._grad
+
+    @grad.setter
+    def grad(self, value: np.ndarray | None) -> None:
+        self._grad = value
 
     def zero_grad(self) -> None:
-        self.grad[...] = 0
+        self._grad = None
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -316,29 +329,39 @@ def relu(x: Tensor) -> Tensor:
 _GELU_C = math.sqrt(2.0 / math.pi)
 
 
+def _gelu_tanh(xb: np.ndarray, out: np.ndarray) -> np.ndarray:
+    """tanh(c(x + 0.044715 x^3)) into ``out``: the forward's ops, in the forward's order, so
+    the backward recomputes the same bits. The cube is x * x * x, not x**3 (float32 powf is
+    ~50x slower on negative inputs)."""
+    np.multiply(xb, xb, out=out)
+    out *= xb
+    out *= 0.044715
+    out += xb
+    out *= _GELU_C
+    return np.tanh(out, out=out)
+
+
 def gelu(x: Tensor) -> Tensor:
-    """tanh-approximation GELU: 0.5x(1 + tanh(c(x + 0.044715 x^3)))."""
+    """tanh-approximation GELU: 0.5x(1 + tanh(c(x + 0.044715 x^3))).
+
+    The graph keeps only the input: the backward recomputes the tanh term block by block
+    instead of holding a third array as large as the input.
+    """
     xd = x.data
-    t = np.empty(xd.shape, xd.dtype)
     data = np.empty(xd.shape, xd.dtype)
-    # In place, block by block, in the order of the formula above. The cube is
-    # x * x * x, not x**3 (float32 powf is ~50x slower on negative inputs), and
-    # halving is exact, so 0.5(1 + t) * x equals 0.5x * (1 + t).
-    for xb, tb, db in _row_blocks(xd, t, data):
-        np.multiply(xb, xb, out=tb)
-        tb *= xb
-        tb *= 0.044715
-        tb += xb
-        tb *= _GELU_C
-        np.tanh(tb, out=tb)
-        np.add(tb, 1.0, out=db)
+    # In place, block by block, in the order of the formula above; halving is exact, so
+    # 0.5(1 + t) * x equals 0.5x * (1 + t).
+    for xb, db in _row_blocks(xd, data):
+        _gelu_tanh(xb, db)
+        db += 1.0
         db *= 0.5
         db *= xb
 
     def backward(g):
         # g * (0.5(1 + t) + 0.5x(1 - t^2) * c(1 + 3 * 0.044715 x^2))
         dx = np.empty(xd.shape, xd.dtype)
-        for xb, tb, gb, db in _row_blocks(xd, t, g, dx):
+        for xb, gb, db in _row_blocks(xd, g, dx):
+            tb = _gelu_tanh(xb, np.empty_like(xb))
             dinner = xb * xb
             dinner *= 3 * 0.044715
             dinner += 1.0
@@ -872,12 +895,14 @@ def _topo_order(root: _Node) -> list[_Node]:
 
 
 def _add_to_leaf(leaf: Tensor, grad) -> None:
-    if leaf.grad is None:
-        leaf.grad = np.zeros_like(leaf.data)
+    # a Parameter creates its zero buffer on this read, a plain leaf below
+    buf = leaf.grad
+    if buf is None:
+        buf = leaf.grad = np.zeros_like(leaf.data)
     if type(grad) is _Rows:
-        leaf.grad[grad.ids] += grad.rows
+        buf[grad.ids] += grad.rows
     else:
-        leaf.grad += grad
+        buf += grad
 
 
 def backward(loss: Tensor) -> None:

@@ -33,12 +33,14 @@ class AdamState:
 
 
 def adam_step(params: list[Parameter], state: AdamState) -> None:
-    """One update: theta -= lr * m_hat / (sqrt(v_hat) + eps); grads are zeroed after.
+    """One update: theta -= lr * m_hat / (sqrt(v_hat) + eps); grads are released after.
 
     Runs in place through ``out=`` buffers over cache-sized blocks of rows
-    (``autodiff._row_blocks``), with each gradient block doubling as scratch
-    before it is zeroed; every value equals the plain whole-array expression
-    ``(lr / bc1) * m / (sqrt(v / bc2) + eps)`` bit for bit.
+    (``autodiff._row_blocks``), with each gradient block doubling as scratch;
+    every value equals the plain whole-array expression
+    ``(lr / bc1) * m / (sqrt(v / bc2) + eps)`` bit for bit. Each gradient
+    buffer is released once its update is done, so a step's next forward runs
+    without them; ``p.grad`` reads as zeros until the next ``backward``.
 
     A read-only or non-contiguous ``p.data`` (every tensor ``load_checkpoint``
     returns is read-only) is first replaced by a private contiguous copy, all
@@ -72,4 +74,4 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
             np.multiply(mb, state.lr / bc1, out=buf)
             buf /= g
             data -= buf
-            g[...] = 0
+        p.zero_grad()

@@ -2,6 +2,7 @@ import json
 import math
 import os
 import re
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -1314,6 +1315,20 @@ class TestLoadedParams:
             loaded["layer0.ffn.w1"].data[0, 0] = 1.0
         with pytest.raises(ValueError, match="read-only"):
             loaded["embeddings.norm.gain"].data += 1.0
+
+    def test_load_adds_one_copy_of_the_parameter_bytes(self, tmp_path):
+        model = build_model(tiny_config(hidden_size=64, vocab_size=2000, max_position=64), seed=30)
+        save_checkpoint(str(tmp_path / "src"), model)
+        tracemalloc.start()
+        try:
+            loaded, _ = load_checkpoint(str(tmp_path / "src"))
+            added = tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        # the tensors themselves, and no gradient buffer beside them
+        param_bytes = sum(p.data.nbytes for p in model.params)
+        assert param_bytes <= added < 1.25 * param_bytes, (added, param_bytes)
+        assert all(p._grad is None for p in loaded.params)
 
     def test_adam_step_trains_a_private_copy(self, tmp_path):
         built = self.saved(tmp_path / "src")

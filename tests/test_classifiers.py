@@ -485,6 +485,24 @@ class TestTrainingContracts:
             runs.append(np.array(probs))
         np.testing.assert_array_equal(runs[0], runs[1])
 
+    @pytest.mark.parametrize("use", ["mlp", "bilstm", "predict_encoded"])
+    def test_frozen_use_leaves_the_loaded_encoder_without_gradients(self, tmp_path, use):
+        save_checkpoint(str(tmp_path / "encoder"), tiny_encoder(seed=16))
+        encoder = load_checkpoint(str(tmp_path / "encoder"))[0]
+        vocab, dataset = synthetic_vocab(), synthetic_dataset(n_per_class=4)
+        config = TrainConfig(epochs=1, max_len=10, batch_size=8)
+        if use == "mlp":
+            model = train_mlp(encoder, vocab, dataset, config, hidden_sizes=(8,))
+        elif use == "bilstm":
+            model = train_bilstm(encoder, vocab, dataset, config, lstm_hidden=4, num_layers=1)
+        else:
+            model = init_model("mlp", encoder, config, {"hidden_sizes": [8]})
+            ids, masks = encode_batch([ex.text for ex in dataset], vocab, config.max_len)
+            predict_encoded(model, ids, masks)
+        # a trained head released its buffers in its last Adam step; a frozen encoder never had any
+        assert all(p._grad is None for p in encoder.params + model.head_params)
+        assert not any(p.grad.any() for p in encoder.params + model.head_params)
+
     def test_degenerate_mlp_widths(self):
         vocab = synthetic_vocab()
         dataset = synthetic_dataset(n_per_class=3)

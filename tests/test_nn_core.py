@@ -1,6 +1,7 @@
 import ctypes
 import math
 import threading
+import tracemalloc
 import weakref
 import zlib
 
@@ -9,6 +10,7 @@ import pytest
 
 from kusent import autodiff as ad
 from kusent.autodiff import Parameter, Tensor, backward
+from kusent.bert import train_step
 from kusent.optim import AdamState, adam_step
 
 from gradcheck import grad_check
@@ -46,6 +48,21 @@ class TestForwardValues:
         assert loss.item() == 0.0
         backward(loss)
         assert not logits.grad.any()
+
+    @pytest.mark.parametrize("shape", [(), (1,), (1, 1)])
+    def test_item_of_any_one_element_tensor(self, shape):
+        value = Tensor(np.full(shape, 2.5, dtype=np.float32)).item()
+        assert type(value) is float and value == 2.5
+
+    def test_item_of_two_values_rejected(self):
+        with pytest.raises(ValueError, match="size 1"):
+            Tensor(np.array([1.0, 2.0])).item()
+
+    def test_train_step_takes_a_one_element_loss_of_any_shape(self):
+        w = Parameter("w", np.array([1.5]))
+        loss = ad.reshape(ad.reduce_sum(ad.mul(w, w)), (1, 1))
+        assert train_step(loss, [w], AdamState(lr=0.5), 1, 1) == 2.25
+        np.testing.assert_allclose(w.data, [1.0], rtol=0, atol=1e-7)
 
     def test_gelu_reference_values(self):
         # reference: 0.5*x*(1+tanh(sqrt(2/pi)*(x+0.044715*x^3))) evaluated directly
@@ -135,6 +152,55 @@ class TestBackward:
         x = Parameter("x", np.array([1.0, 2.0]))
         with pytest.raises(ValueError, match="scalar"):
             backward(ad.mul(x, x))
+
+
+class TestGradientBuffers:
+    """A parameter holds a gradient buffer only from a backward's first contribution until
+    ``adam_step`` or ``zero_grad`` releases it; when it holds none, ``grad`` reads as zeros."""
+
+    def test_no_buffer_until_a_gradient_lands(self):
+        x, unreached = Parameter("x", np.array([3.0])), Parameter("u", np.ones((2, 2)))
+        assert x._grad is None and unreached._grad is None
+        backward(ad.reduce_sum(ad.mul(x, x)))
+        assert x._grad is not None and unreached._grad is None
+        # a read makes a zero buffer and keeps it, so it can be written into
+        assert not unreached.grad.any() and unreached.grad.shape == (2, 2)
+        unreached.grad[0, 1] = 4.0
+        assert unreached.grad[0, 1] == 4.0
+
+    def test_adam_step_releases_the_gradients(self):
+        rng = np.random.default_rng(29)
+        params = [Parameter(f"p{i}", rng.normal(size=s).astype(np.float32))
+                  for i, s in enumerate([(256, 128), (128,), (128, 64)])]
+        inputs = Tensor(rng.normal(size=(32, 256)).astype(np.float32))
+
+        def loss():
+            hidden = ad.gelu(ad.matmul(inputs, params[0], params[1]))
+            return ad.reduce_sum(ad.matmul(hidden, params[2]))
+
+        state = AdamState(lr=1e-3)
+        backward(loss())
+        adam_step(params, state)  # the moments exist from here on
+        tracemalloc.start()
+        try:
+            backward(loss())
+            held = tracemalloc.get_traced_memory()[0]
+            adam_step(params, state)
+            released = held - tracemalloc.get_traced_memory()[0]
+        finally:
+            tracemalloc.stop()
+        grad_bytes = sum(p.data.nbytes for p in params)
+        assert abs(released - grad_bytes) < grad_bytes / 16, (released, grad_bytes)
+        assert all(p._grad is None for p in params)
+        assert all(p.grad.shape == p.shape and not p.grad.any() for p in params)
+
+    def test_zero_grad_restarts_accumulation(self):
+        x = Parameter("x", np.array([3.0]))
+        backward(ad.reduce_sum(ad.mul(x, x)))
+        x.zero_grad()
+        assert x._grad is None
+        backward(ad.reduce_sum(ad.mul(x, x)))
+        np.testing.assert_array_equal(x.grad, [6.0])
 
 
 class DrawLog:
@@ -240,6 +306,53 @@ class TestFusedAndBlockedOps:
         check(lambda: ad.reduce_sum(ad.mul(ad.gelu(x), w)), [x])
         check(lambda: ad.reduce_sum(ad.mul(ad.softmax(x), w)), [x])
         check(lambda: ad.reduce_sum(ad.mul(ad.layer_norm(x, gain, shift), w)), [x, gain, shift])
+
+    def test_gelu_graph_keeps_only_its_input(self):
+        x = ad.scale(Parameter("x", np.ones((64, 4096), dtype=np.float32)), 1.0)
+        tracemalloc.start()
+        try:
+            out = ad.gelu(x)
+            kept = tracemalloc.get_traced_memory()[0] - out.data.nbytes
+        finally:
+            tracemalloc.stop()
+        # the rule holds x's array, made before tracing, and no array of its own
+        assert kept < x.data.nbytes / 8, f"the graph keeps {kept} more bytes"
+
+    @pytest.mark.parametrize("block_values, shape", [
+        (1, (3, 7, 33)),  # one row per block
+        (None, (3, ad._BLOCK_VALUES + 37)),  # each row wider than a block
+    ])
+    def test_gelu_gradient_equals_the_stored_tanh_formula(self, monkeypatch, block_values, shape):
+        if block_values is not None:
+            monkeypatch.setattr(ad, "_BLOCK_VALUES", block_values)
+        rng = np.random.default_rng(25)
+        x = rng.normal(scale=3.0, size=shape).astype(np.float32)
+        x.flat[:4] = [0.0, -0.0, 12.0, -12.0]
+        g = rng.normal(size=shape).astype(np.float32)
+        # the backward's formula over the tanh term as the forward computes it, kept whole
+        c = math.sqrt(2.0 / math.pi)
+        t = x * x
+        t *= x
+        t *= 0.044715
+        t += x
+        t *= c
+        np.tanh(t, out=t)
+        dinner = x * x
+        dinner *= 3 * 0.044715
+        dinner += 1.0
+        dinner *= c
+        want = t * t
+        np.subtract(1.0, want, out=want)
+        want *= 0.5
+        want *= x
+        want *= dinner
+        np.add(t, 1.0, out=dinner)
+        dinner *= 0.5
+        want += dinner
+        want *= g
+        out = ad.gelu(Parameter("x", x))
+        assert out.data.tobytes() == (0.5 * (t + 1.0) * x).tobytes()
+        assert out._node.rule(g)[0].tobytes() == want.tobytes()
 
     def test_dropout_mask_equals_one_draw_over_the_whole_array(self):
         x = np.random.default_rng(26).normal(size=(3, 70, 500)).astype(np.float32)

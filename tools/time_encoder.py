@@ -10,9 +10,11 @@ in-process (no download):
 - train: a pretrain-like batch, B12 x T128 with 40-128 tokens per row, masked
   as in pretraining, the step ``pretrain`` runs without its optimizer:
   ``forward`` with dropout on the masked positions (the last layer computes
-  only those rows), ``mlm_loss`` and ``backward``. After its timed calls one
-  more runs under ``tracemalloc``: the peak MiB of memory traced during it
-  (mostly the arrays the graph keeps) and the process's peak RSS so far;
+  only those rows), ``mlm_loss`` and ``backward``, whose gradients
+  ``zero_grad`` releases. After its timed calls one more runs under
+  ``tracemalloc``: the peak MiB of memory traced during it (the arrays the
+  graph keeps and the gradient buffers the backward makes) and the process's
+  peak RSS so far;
 - apply: like the held-out scoring after pretraining, B16 x T128 with 12-128
   tokens per row, ``forward`` in eval mode;
 - frozen chunk: one 32-row chunk of frozen head features, rows of 4-42 tokens
@@ -37,9 +39,11 @@ at each width. Then comes the process's peak RSS, and last the model3
 preset (H768, 6 layers, 50k vocabulary) in a fresh process: the seconds of
 its ``build_model`` and that process's peak RSS, then the MLM step with Adam
 as ``pretrain`` runs it on a B12 x T16 batch of 4-16 tokens per row: the
-median, quartiles and fastest of several steps after one warm-up step, the
-median forward, backward and Adam seconds, the peak MiB traced by
-``tracemalloc`` during one more step, and the process's peak RSS after them.
+median, quartiles and fastest of several timed steps, the median forward,
+backward and Adam seconds, the MiB ``tracemalloc`` traces between steps
+(after Adam) and its peak during a step, both counted from before the build
+over two untimed steps that precede the timed ones, and the process's peak
+RSS after them.
 BLAS threads follow the environment (``OPENBLAS_NUM_THREADS``).
 
     PYTHONPATH=src python tools/time_encoder.py
@@ -120,7 +124,15 @@ def quartiles(times: list[float]) -> str:
 
 
 def model3() -> None:
-    """Build the model3 preset and time its pretraining step with Adam at B12 x T16."""
+    """Build the model3 preset and time its pretraining step with Adam at B12 x T16.
+
+    ``tracemalloc`` runs from before the build to the end of two untimed steps, so its counts
+    are of every array the process holds: after the first step (between steps) the parameters,
+    Adam's moments and any gradient buffer Adam leaves, and at the second step's peak also its
+    graph and the gradients its backward makes. Tracing is stopped before the timed steps,
+    which it slowed by about a quarter on a 2-CPU host.
+    """
+    tracemalloc.start()
     started = time.perf_counter()
     model = build_model(preset_config("model3"), seed=SEED)
     seconds = time.perf_counter() - started
@@ -147,17 +159,21 @@ def model3() -> None:
         return {"step": done - started, "forward": forwarded - started,
                 "backward": backwarded - forwarded, "adam": done - backwarded}
 
-    for index in range(MODEL3_STEPS + 1):
-        seconds = step(index)
-        if index:  # the first step warms up
-            for name, value in seconds.items():
-                parts[name].append(value)
-    traced = traced_peak_mib(lambda: step(MODEL3_STEPS + 1))
+    step(0)  # also warms up the timed steps
+    between = tracemalloc.get_traced_memory()[0] / 2**20
+    tracemalloc.reset_peak()
+    step(1)
+    traced = tracemalloc.get_traced_memory()[1] / 2**20
+    tracemalloc.stop()
+    for index in range(2, MODEL3_STEPS + 2):
+        for name, value in step(index).items():
+            parts[name].append(value)
     split = ", ".join(f"{name} {statistics.median(parts[name]):.3f} s"
                       for name in ("forward", "backward", "adam"))
     print(f"model3 MLM step with Adam B12x16 ({int(mask.sum())} tokens, {len(positions)} masked): "
-          f"{quartiles(parts['step'])} over {MODEL3_STEPS} steps; {split}; tracemalloc peak {traced:.0f} MiB; "
-          f"peak RSS {peak_rss_mb():.0f} MB", flush=True)
+          f"{quartiles(parts['step'])} over {MODEL3_STEPS} steps; {split}; tracemalloc {between:.0f} MiB "
+          f"held between steps, peak {traced:.0f} MiB during a step; peak RSS {peak_rss_mb():.0f} MB",
+          flush=True)
 
 
 def main() -> None:
