@@ -23,7 +23,7 @@ import numpy as np
 
 # glibc mallopt parameters (malloc.h)
 _M_TRIM_THRESHOLD = -1
-_M_MMAP_THRESHOLD = -3
+_M_MMAP_MAX = -4
 
 
 @functools.cache
@@ -36,12 +36,14 @@ def _keep_freed_memory() -> None:
     whenever enough of it ends up at the top of the heap, and the next pass
     page-faults it all in again: 15-30% of a pretraining job and of a
     classifier evaluation, more or less from run to run with the heap's
-    layout. Here blocks under 32 MiB (every activation of the model1 shape)
-    come from the heap, and the heap is trimmed only when more than 2 GiB at
-    its top is free, the most mallopt takes. It runs once, on the first op,
-    with or without a graph (an eval pass under ``no_grad`` frees as much), so
-    a process that runs no op (normalizing text, training a tokenizer) keeps
-    glibc's defaults and their smaller footprint.
+    layout. Here every block comes from the heap, none from a mapping of its
+    own (a checkpoint's one read buffer, 56 MB at the model1 shape, would be
+    mapped and faulted in again on every load), and the heap is trimmed only
+    when more than 2 GiB at its top is free, the most mallopt takes. It runs
+    once, on the first op, with or without a graph (an eval pass under
+    ``no_grad`` frees as much), so a process that runs no op (normalizing
+    text, training a tokenizer) keeps glibc's defaults and their smaller
+    footprint.
     """
     if not sys.platform.startswith("linux"):
         return
@@ -51,7 +53,7 @@ def _keep_freed_memory() -> None:
         return
     mallopt.argtypes = (ctypes.c_int, ctypes.c_int)
     mallopt.restype = ctypes.c_int
-    mallopt(_M_MMAP_THRESHOLD, 32 << 20)
+    mallopt(_M_MMAP_MAX, 0)
     mallopt(_M_TRIM_THRESHOLD, (1 << 31) - 1)
 
 
@@ -118,13 +120,12 @@ class Tensor:
 class Parameter(Tensor):
     """A named trainable leaf; ``grad`` accumulates across backward calls until released.
 
-    The gradient buffer exists only while it holds a gradient: the first contribution of a
-    ``backward`` creates it, and ``adam_step`` and ``zero_grad`` release it after. Reading
-    ``grad`` when there is none gives a fresh zero buffer, kept, so it can be written into.
-    ``backward`` adds each of a step's contributions into ``grad`` as it arrives. From zero,
-    as ``adam_step`` leaves it, that rounds exactly as summing the contributions first and
-    adding the sum would. Onto a nonzero ``grad`` (several backward calls between two
-    updates) it may round differently than that sum did; no library code does it.
+    The gradient buffer exists only while it holds a gradient: a backward's first contribution
+    makes it, and ``adam_step`` or ``zero_grad`` releases it. Without one, ``grad`` reads as a
+    fresh zero buffer, which is kept, so it can be written into. From zero, adding each
+    contribution as it arrives rounds exactly as summing them first would; onto a nonzero
+    ``grad`` (several backward calls between two updates) it may round differently, and no
+    library code does that.
     """
 
     # the ``grad`` property below shadows Tensor's slot; the buffer lives in ``_grad``

@@ -759,7 +759,9 @@ class _MallInfo2(ctypes.Structure):
         "usmblks", "fsmblks", "uordblks", "fordblks", "keepcost")]
 
 
-def test_freed_activations_stay_in_the_process():
+# 24 MiB, an activation-sized array; 64 MiB, larger than a model1 checkpoint's read buffer
+@pytest.mark.parametrize("mib", [24, 64])
+def test_freed_activations_stay_in_the_process(mib):
     try:
         mallinfo2 = ctypes.CDLL(None).mallinfo2
     except (OSError, AttributeError):
@@ -767,7 +769,7 @@ def test_freed_activations_stay_in_the_process():
     mallinfo2.restype = _MallInfo2
     ad.add(Tensor(np.ones(2)), Tensor(np.ones(2)))  # the first graph node sets the policy
     before = mallinfo2()
-    block = np.ones(24 << 18, dtype=np.float32)  # 24 MiB, an activation-sized array
+    block = np.ones(mib << 18, dtype=np.float32)
     during = mallinfo2()
     del block
     after = mallinfo2()
