@@ -585,11 +585,20 @@ def test_criterion_9_determinism(tmp_path):
 
 def test_head_determinism(tmp_path):
     """The bilstm and finetune heads, trained twice through the CLI on the desk run's encoder,
-    give byte-identical artifacts and evaluate reports (criterion 9 trains only an mlp)."""
+    give byte-identical artifacts and evaluate reports (criterion 9 trains only an mlp).
+
+    The labeled set is the desk run's plus one row of 8 words, so its batch is padded wider
+    than the batches without it (10 tokens against 5)."""
     encoder, _, _ = _desk_run(tmp_path, "a")
-    # the desk run's config, vocabulary and labeled set, as _desk_run names them
+    labeled = tmp_path / "labeled_ragged.tsv"
+    labeled.write_text(
+        (tmp_path / "labeled_a.tsv").read_text(encoding="utf-8")
+        + "g0_0 g0_1 g0_2 g0_3 g0_0 g0_1 g0_2 g0_3\tpositive\n",
+        encoding="utf-8",
+    )
+    # the desk run's config and vocabulary, as _desk_run names them
     inputs = ["--config", str(tmp_path / "cfg_a.json"), "--vocab", str(tmp_path / "vocab_a.txt"),
-              "--data", str(tmp_path / "labeled_a.tsv")]
+              "--data", str(labeled)]
 
     def outputs(tag):
         """Every file each head's training and evaluation writes, by task and relative path."""
