@@ -62,9 +62,9 @@ class _Node:
     ``backward`` has run the rule.
 
     An input's edge is the input's own ``_Node`` when a recorded op made it, the input itself
-    when it is a leaf that requires a gradient, and None when no gradient flows to it. A node
-    holds no tensor an op made, so an intermediate the caller drops is freed during the
-    forward, and its array with it unless a rule saved that array.
+    when it is a ``Parameter``, and None when no gradient flows to it. A node holds no tensor
+    an op made, so an intermediate the caller drops is freed during the forward, and its array
+    with it unless a rule saved that array.
     """
 
     __slots__ = ("inputs", "rule", "consumed")
@@ -90,16 +90,18 @@ class _Rows(NamedTuple):
 
 
 class Tensor:
-    """A dense array, its gradient as a leaf, and the ``_Node`` of the op that made it (None
-    for a leaf and for a result recorded without a graph)."""
+    """A dense array and the ``_Node`` of the op that made it (None for a constant and for a
+    result recorded without a graph). Only a ``Parameter`` holds a gradient."""
 
-    __slots__ = ("data", "grad", "requires_grad", "_node", "__weakref__")
+    __slots__ = ("data", "_node", "__weakref__")
 
-    def __init__(self, data, requires_grad: bool = False):
+    def __init__(self, data):
         self.data = np.asarray(data)
-        self.grad: np.ndarray | None = None
-        self.requires_grad = requires_grad
         self._node: _Node | None = None
+
+    @property
+    def requires_grad(self) -> bool:
+        return self._node is not None
 
     @property
     def shape(self) -> tuple[int, ...]:
@@ -120,33 +122,23 @@ class Tensor:
 class Parameter(Tensor):
     """A named trainable leaf; ``grad`` accumulates across backward calls until released.
 
-    The gradient buffer exists only while it holds a gradient: a backward's first contribution
-    makes it, and ``adam_step`` or ``zero_grad`` releases it. Without one, ``grad`` reads as a
-    fresh zero buffer, which is kept, so it can be written into. From zero, adding each
-    contribution as it arrives rounds exactly as summing them first would; onto a nonzero
-    ``grad`` (several backward calls between two updates) it may round differently, and no
-    library code does that.
+    ``grad`` is None until a backward reaches the parameter: its first contribution is added
+    into a fresh zero buffer, and ``adam_step`` or ``zero_grad`` sets it back to None. From
+    zero, adding each contribution as it arrives rounds exactly as summing them first would;
+    onto a nonzero ``grad`` (several backward calls between two updates) it may round
+    differently, and no library code does that.
     """
 
-    # the ``grad`` property below shadows Tensor's slot; the buffer lives in ``_grad``
-    __slots__ = ("name", "_grad")
+    __slots__ = ("name", "grad")
+    requires_grad = True
 
     def __init__(self, name: str, data):
-        super().__init__(data, requires_grad=True)
+        super().__init__(data)
         self.name = name
-
-    @property
-    def grad(self) -> np.ndarray:
-        if self._grad is None:
-            self._grad = np.zeros(self.data.shape, self.data.dtype)
-        return self._grad
-
-    @grad.setter
-    def grad(self, value: np.ndarray | None) -> None:
-        self._grad = value
+        self.grad: np.ndarray | None = None
 
     def zero_grad(self) -> None:
-        self._grad = None
+        self.grad = None
 
     def __repr__(self) -> str:
         return f"Parameter({self.name!r}, shape={self.data.shape})"
@@ -184,7 +176,6 @@ def _record(data: np.ndarray, inputs: Sequence[Tensor], rule) -> Tensor:
     edges = tuple(t._node if t._node is not None else t if t.requires_grad else None for t in inputs)
     out = Tensor(data)
     if any(edge is not None for edge in edges):
-        out.requires_grad = True
         out._node = _Node(edges, rule)
     return out
 
@@ -895,8 +886,7 @@ def _topo_order(root: _Node) -> list[_Node]:
     return order
 
 
-def _add_to_leaf(leaf: Tensor, grad) -> None:
-    # a Parameter creates its zero buffer on this read, a plain leaf below
+def _add_to_leaf(leaf: Parameter, grad) -> None:
     buf = leaf.grad
     if buf is None:
         buf = leaf.grad = np.zeros_like(leaf.data)
@@ -907,7 +897,7 @@ def _add_to_leaf(leaf: Tensor, grad) -> None:
 
 
 def backward(loss: Tensor) -> None:
-    """Add d(loss)/d(leaf) into the ``grad`` of every reachable leaf that requires one.
+    """Add d(loss)/d(p) into the ``grad`` of every reachable ``Parameter`` p.
 
     The graph holds nodes and leaves, not the tensors the ops made, so what
     lives until here is what the rules saved. The pass runs each node's rule

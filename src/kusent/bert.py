@@ -563,15 +563,18 @@ def train_step(loss: Tensor, params: list[Parameter], optimizer: AdamState, epoc
     ``params`` and return the loss value.
 
     A NaN or infinite loss or global gradient norm stops training with a ValueError naming the
-    epoch and step, before Adam writes into the parameters. Each tensor's squared norm is one
-    float32 dot product, so a gradient whose squared norm overflows float32 stops it too
+    epoch and step, before Adam writes into the parameters. The norm sums the gradients that
+    exist: a parameter the backward did not reach (each layer's attention key bias, which
+    softmax cancels) has ``grad`` None, and Adam leaves it alone. Each tensor's squared norm is
+    one float32 dot product, so a gradient whose squared norm overflows float32 stops it too
     (Adam's ``g * g`` would overflow there as well).
     """
     value = loss.item()
     if not math.isfinite(value):
         raise ValueError(f"non-finite training loss {value} at epoch {epoch}, step {step}")
     backward(loss)
-    if not math.isfinite(sum(float(np.dot(g, g)) for g in (p.grad.ravel() for p in params))):
+    grads = [p.grad.ravel() for p in params if p.grad is not None]
+    if not math.isfinite(sum(float(np.dot(g, g)) for g in grads)):
         raise ValueError(f"non-finite gradient norm at epoch {epoch}, step {step}")
     adam_step(params, optimizer)
     return value

@@ -29,10 +29,6 @@ def _file_identity(st: os.stat_result) -> FileIdentity:
     return st.st_dev, st.st_ino, st.st_size, st.st_mtime_ns
 
 
-def atomic_write_bytes(path: str, payload: bytes) -> None:
-    atomic_write_chunks(path, [payload])
-
-
 def atomic_write_chunks(path: str, chunks) -> None:
     """Write the bytes-like ``chunks`` one after another to ``path``, atomically."""
     directory = os.path.dirname(os.path.abspath(path))
@@ -50,7 +46,7 @@ def atomic_write_chunks(path: str, chunks) -> None:
 
 
 def atomic_write_text(path: str, text: str) -> None:
-    atomic_write_bytes(path, text.encode("utf-8"))
+    atomic_write_chunks(path, [text.encode("utf-8")])
 
 
 def atomic_write_json(path: str, obj) -> None:

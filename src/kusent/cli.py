@@ -339,7 +339,7 @@ def main(argv: list[str] | None = None) -> int:
                 section, _, key = dest[1:].rpartition(".")
                 (settings.setdefault(section, {}) if section else settings)[key] = value
         return args.fn(args, settings)
-    except (ValueError, OSError, json.JSONDecodeError) as exc:
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -40,7 +40,11 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
     every value equals the plain whole-array expression
     ``(lr / bc1) * m / (sqrt(v / bc2) + eps)`` bit for bit. Each gradient
     buffer is released once its update is done, so a step's next forward runs
-    without them; ``p.grad`` reads as zeros until the next ``backward``.
+    without them; ``p.grad`` is None until the next ``backward`` reaches ``p``.
+
+    Every parameter given gets its two zero moments on the first step, so the
+    saved optimizer state names them all; a parameter whose ``grad`` is None
+    is not updated, and its data and moments stay as they are.
 
     A read-only or non-contiguous ``p.data`` (every tensor ``load_checkpoint``
     returns is read-only) is first replaced by a private contiguous copy, all
@@ -60,6 +64,8 @@ def adam_step(params: list[Parameter], state: AdamState) -> None:
         if m is None:
             m = state.m[p.name] = np.zeros_like(p.data)
             state.v[p.name] = np.zeros_like(p.data)
+        if p.grad is None:
+            continue
         for data, g, mb, vb in _row_blocks(p.data, p.grad, m, state.v[p.name]):
             buf = np.multiply(g, 1.0 - beta1)
             mb *= beta1

@@ -41,6 +41,11 @@ class GradCheckReport:
         )
 
 
+def gradients(params: list[Parameter]) -> dict[str, np.ndarray]:
+    """A copy of each parameter's gradient by name; zeros for one no backward reached."""
+    return {p.name: np.zeros_like(p.data) if p.grad is None else p.grad.copy() for p in params}
+
+
 def grad_check(
     loss_fn: Callable[[], Tensor],
     params: list[Parameter],
@@ -63,7 +68,7 @@ def grad_check(
         p.zero_grad()
     loss = loss_fn()
     backward(loss)
-    analytic = {p.name: p.grad.copy() for p in params}
+    analytic = gradients(params)
 
     rng = np.random.default_rng(seed)
     entries: list[GradCheckEntry] = []

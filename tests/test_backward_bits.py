@@ -57,6 +57,9 @@ def reference_backward(loss):
                     continue
                 grads[id(edge)] = grads[id(edge)] + pg if id(edge) in grads else pg
         elif g is not None:
+            # onto zeros, not a copy of g: 0.0 + -0.0 is +0.0, as the engine rounds it
+            if item.grad is None:
+                item.grad = np.zeros_like(item.data)
             item.grad += g
 
 

@@ -32,7 +32,7 @@ from kusent.checkpoint import check_fields, read_blob, write_blob
 from kusent.optim import AdamState, adam_step
 from kusent.wordpiece import CLS, MASK, PAD, SEP, Vocab, SPECIAL_TOKENS, encode
 
-from gradcheck import grad_check
+from gradcheck import grad_check, gradients
 
 TOY = BertConfig(
     hidden_size=8, num_hidden_layers=1, num_attention_heads=2, vocab_size=10, max_position=4
@@ -457,7 +457,7 @@ class TestPackedForward:
             for p in model.params:
                 p.zero_grad()
             backward(self._loss(encode, model, *batch))
-            grads[encode] = {p.name: p.grad.copy() for p in model.params}
+            grads[encode] = gradients(model.params)
         for name, want in grads[oracle_forward].items():
             # only the summation order of the weight gradients differs
             np.testing.assert_allclose(grads[forward][name], want, rtol=1e-10, atol=1e-14, err_msg=name)
@@ -558,7 +558,7 @@ class TestWidthGroups:
                 p.zero_grad()
             seq, cls_state = encode(model, ids, mask, np.random.default_rng(36))
             backward(ad.add(full_states_loss(model, seq, labels), ad.reduce_sum(ad.mul(cls_state, weights))))
-            grads[encode] = {p.name: p.grad.copy() for p in model.params}
+            grads[encode] = gradients(model.params)
         for name, want in grads[oracle_forward].items():
             np.testing.assert_allclose(grads[forward][name], want, rtol=1e-10, atol=1e-14, err_msg=name)
 
@@ -657,7 +657,7 @@ class TestReadRows:
                 p.zero_grad()
             states = encode(model, ids, mask, np.random.default_rng(58), positions=positions)
             backward(ad.reduce_sum(ad.mul(states, weights)))
-            grads[encode] = {p.name: p.grad.copy() for p in model.params}
+            grads[encode] = gradients(model.params)
         for name, want in grads[oracle_forward].items():
             np.testing.assert_allclose(grads[forward][name], want, rtol=1e-10, atol=1e-14, err_msg=name)
 
@@ -705,8 +705,10 @@ class TestKeyBias:
         adam_step = bert.adam_step
 
         def checked_adam_step(params, optimizer):
-            # after the step's backward, before Adam reads and zeroes the gradients
-            assert all(p.grad.tobytes() == bytes(p.grad.nbytes) for p in k_biases)
+            # after train_step's backward and norm check, before Adam reads and releases the
+            # gradients: the key biases have none, every other parameter has one
+            assert params == model.params
+            assert all((p.grad is None) == (p in k_biases) for p in params)
             assert model["layer0.attn.q.bias"].grad.any() and model["layer0.attn.k.weight"].grad.any()
             steps.append(optimizer.step_count)
             adam_step(params, optimizer)
@@ -768,7 +770,7 @@ class TestMlmLoss:
             p.zero_grad()
         loss = loss_fn()
         backward(loss)
-        return loss.item(), {p.name: p.grad.copy() for p in model.params}
+        return loss.item(), gradients(model.params)
 
     def test_gathered_rows_equal_full_logits(self):
         model, ids, mask, labels = self._setup(0.4)
@@ -1328,7 +1330,7 @@ class TestLoadedParams:
         # the tensors themselves, and no gradient buffer beside them
         param_bytes = sum(p.data.nbytes for p in model.params)
         assert param_bytes <= added < 1.25 * param_bytes, (added, param_bytes)
-        assert all(p._grad is None for p in loaded.params)
+        assert all(p.grad is None for p in loaded.params)
 
     def test_adam_step_trains_a_private_copy(self, tmp_path):
         built = self.saved(tmp_path / "src")
@@ -1337,7 +1339,8 @@ class TestLoadedParams:
         read = [p.data for p in loaded.params]
         rng = np.random.default_rng(31)
         for p, lp in zip(built.params, loaded.params):
-            p.grad[...] = lp.grad[...] = rng.normal(size=p.shape)
+            g = rng.normal(size=p.shape).astype(p.dtype)
+            p.grad, lp.grad = g, g.copy()  # adam_step uses each as scratch
         adam_step(built.params, AdamState(lr=1e-2))
         adam_step(loaded.params, AdamState(lr=1e-2))
         for p, lp, old in zip(built.params, loaded.params, read):

@@ -102,11 +102,11 @@ class TestBackward:
         backward(ad.reduce_sum(ad.mul(x, x)))
         np.testing.assert_allclose(x.grad, [2.0, 4.0])
 
-    def test_unreachable_param_zero_grad(self):
+    def test_unreachable_param_has_no_grad(self):
         x = Parameter("x", np.array([1.0]))
         y = Parameter("y", np.array([3.0]))
         backward(ad.reduce_sum(ad.mul(x, x)))
-        assert y.grad == 0.0
+        assert y.grad is None
 
     def test_double_backward_rejected(self):
         x = Parameter("x", np.array([1.0]))
@@ -131,7 +131,7 @@ class TestBackward:
         assert len(inner) == 5
         backward(loss)
         assert all(node.rule is None and node.inputs == () for node in nodes)
-        assert all(np.any(p.grad != 0) for p in (w, gain, shift))
+        assert all(p.grad is not None and p.grad.any() for p in (w, gain, shift))
 
     def test_grad_accumulates_until_zeroed(self):
         x = Parameter("x", np.array([3.0]))
@@ -139,7 +139,7 @@ class TestBackward:
         backward(ad.reduce_sum(ad.mul(x, x)))
         np.testing.assert_allclose(x.grad, [12.0])
         x.zero_grad()
-        assert x.grad[0] == 0.0
+        assert x.grad is None
 
     def test_diamond_graph_accumulates(self):
         x = Parameter("x", np.array([2.0]))
@@ -155,18 +155,24 @@ class TestBackward:
 
 
 class TestGradientBuffers:
-    """A parameter holds a gradient buffer only from a backward's first contribution until
-    ``adam_step`` or ``zero_grad`` releases it; when it holds none, ``grad`` reads as zeros."""
+    """Only a parameter holds a gradient, and only from a backward's first contribution until
+    ``adam_step`` or ``zero_grad`` releases it; without one, ``grad`` is None."""
 
     def test_no_buffer_until_a_gradient_lands(self):
         x, unreached = Parameter("x", np.array([3.0])), Parameter("u", np.ones((2, 2)))
-        assert x._grad is None and unreached._grad is None
+        assert x.grad is None and unreached.grad is None
         backward(ad.reduce_sum(ad.mul(x, x)))
-        assert x._grad is not None and unreached._grad is None
-        # a read makes a zero buffer and keeps it, so it can be written into
-        assert not unreached.grad.any() and unreached.grad.shape == (2, 2)
-        unreached.grad[0, 1] = 4.0
-        assert unreached.grad[0, 1] == 4.0
+        assert x.grad is not None and unreached.grad is None
+
+    def test_a_tensor_has_no_gradient(self):
+        x = Parameter("x", np.array([3.0]))
+        constant, result = Tensor(np.array([2.0])), ad.mul(x, Tensor(np.array([2.0])))
+        backward(ad.reduce_sum(result))
+        for t in (constant, result):
+            assert not hasattr(t, "grad")
+            with pytest.raises(AttributeError):
+                t.grad = np.zeros(1)
+        assert not constant.requires_grad and result.requires_grad and x.requires_grad
 
     def test_adam_step_releases_the_gradients(self):
         rng = np.random.default_rng(29)
@@ -191,14 +197,13 @@ class TestGradientBuffers:
             tracemalloc.stop()
         grad_bytes = sum(p.data.nbytes for p in params)
         assert abs(released - grad_bytes) < grad_bytes / 16, (released, grad_bytes)
-        assert all(p._grad is None for p in params)
-        assert all(p.grad.shape == p.shape and not p.grad.any() for p in params)
+        assert all(p.grad is None for p in params)
 
     def test_zero_grad_restarts_accumulation(self):
         x = Parameter("x", np.array([3.0]))
         backward(ad.reduce_sum(ad.mul(x, x)))
         x.zero_grad()
-        assert x._grad is None
+        assert x.grad is None
         backward(ad.reduce_sum(ad.mul(x, x)))
         np.testing.assert_array_equal(x.grad, [6.0])
 
@@ -252,8 +257,9 @@ class TestFusedAndBlockedOps:
     def test_matmul_constant_bias_gets_no_gradient(self):
         a, b = fparam("a", (2, 3, 4)), fparam("b", (4, 5))
         mask = Tensor(np.zeros((2, 1, 5)))
-        backward(ad.reduce_sum(ad.matmul(a, b, mask)))
-        assert mask.grad is None
+        out = ad.matmul(a, b, mask)
+        assert out._node.inputs[2] is None
+        backward(ad.reduce_sum(out))
         assert a.grad.any() and b.grad.any()
 
     @pytest.mark.parametrize("a_shape, b_shape", [((3, 4), (4, 5)), ((2, 3, 4), (4, 5)),
@@ -651,7 +657,7 @@ class TestNoGrad:
         with ad.no_grad():
             loss = ad.reduce_sum(ad.mul(x, x))
         backward(loss)
-        np.testing.assert_array_equal(x.grad, [0.0, 0.0])
+        assert x.grad is None
 
 
 def _held_case(name: str, x: Tensor, leaf) -> Tensor:
@@ -743,7 +749,7 @@ class TestGraphHoldsOnlyWhatRulesRead:
             assert refs[0]() is None, "the dropped input is still alive"
             assert (refs[1]() is None) is not reads, "its array lives on" if not reads else "its array died"
         backward(loss)
-        return [p.grad for p in leaves]
+        return [np.zeros_like(p.data) if p.grad is None else p.grad for p in leaves]
 
     @pytest.mark.parametrize("name", list(HELD_CASES))
     def test_dropped_input_dies_and_gradients_stay(self, name):
@@ -1002,12 +1008,12 @@ class TestAdam:
         expected = x0 - lr * m_hat / (math.sqrt(v_hat) + eps)
 
         p = Parameter("p", np.array([x0]))
-        p.grad[:] = g0
+        p.grad = np.array([g0])
         state = AdamState(lr=lr, beta1=b1, beta2=b2, eps=eps)
         adam_step([p], state)
         np.testing.assert_allclose(p.data, [expected], rtol=0, atol=1e-15)
         assert state.step_count == 1
-        assert p.grad[0] == 0.0
+        assert p.grad is None
 
     def test_two_steps_match_hand_recurrences(self):
         lr, b1, b2, eps = 1e-3, 0.9, 0.999, 1e-8
@@ -1022,7 +1028,7 @@ class TestAdam:
         p = Parameter("p", np.array([1.0]))
         state = AdamState(lr=lr)
         for g in grads:
-            p.grad[:] = g
+            p.grad = np.array([g])
             adam_step([p], state)
         np.testing.assert_allclose(p.data, [x], rtol=0, atol=1e-15)
 
@@ -1039,7 +1045,7 @@ class TestAdam:
             bc1, bc2 = 1.0 - b1**t, 1.0 - b2**t
             for p in params:
                 g = rng.normal(size=p.shape).astype(np.float32)
-                p.grad[...] = g
+                p.grad = g
                 m, v = ref_m[p.name], ref_v[p.name]
                 m *= b1
                 m += (1.0 - b1) * g
@@ -1051,7 +1057,7 @@ class TestAdam:
                 assert p.data.tobytes() == ref[p.name].tobytes()
                 assert state.m[p.name].tobytes() == ref_m[p.name].tobytes()
                 assert state.v[p.name].tobytes() == ref_v[p.name].tobytes()
-                assert not p.grad.any()
+                assert p.grad is None
 
     @pytest.mark.parametrize("block_values", [None, 7])
     def test_blocked_update_matches_whole_array_expression_bit_for_bit(self, monkeypatch, block_values):
@@ -1070,7 +1076,7 @@ class TestAdam:
             bc1, bc2 = 1.0 - state.beta1**t, 1.0 - state.beta2**t
             for p in params:
                 g = rng.normal(size=p.shape).astype(np.float32)
-                p.grad[...] = g
+                p.grad = g.copy()  # the expression below uses g as scratch
                 # the unblocked in-place expression, over the whole array at once
                 m, v = whole_m[p.name], whole_v[p.name]
                 buf = np.multiply(g, 1.0 - state.beta1)
@@ -1091,12 +1097,12 @@ class TestAdam:
                 assert p.data.tobytes() == whole[p.name].tobytes()
                 assert state.m[p.name].tobytes() == whole_m[p.name].tobytes()
                 assert state.v[p.name].tobytes() == whole_v[p.name].tobytes()
-                assert not p.grad.any()
+                assert p.grad is None
 
     def test_non_contiguous_data_is_updated(self):
         data = np.arange(12, dtype=np.float32).reshape(3, 4).T  # a transposed view
         p = Parameter("p", data)
-        p.grad[...] = 1.0
+        p.grad = np.ones(data.shape, np.float32)
         adam_step([p], AdamState(lr=0.5))
         np.testing.assert_allclose(p.data, data - 0.5, rtol=0, atol=1e-6)
 
@@ -1106,6 +1112,26 @@ class TestAdam:
         adam_step([p], state)
         np.testing.assert_array_equal(p.data, [1.0, -2.0])
 
+    def test_parameter_without_gradient_is_left_alone(self):
+        rng = np.random.default_rng(23)
+        reached, skipped = (Parameter(n, rng.normal(size=(3, 4)).astype(np.float32)) for n in "rs")
+        state = AdamState(lr=1e-2)
+        data = skipped.data.tobytes()
+        reached.grad = rng.normal(size=(3, 4)).astype(np.float32)
+        adam_step([reached, skipped], state)
+        # the first step makes both zero moments of every parameter it is given
+        assert state.m["s"].tobytes() == state.v["s"].tobytes() == bytes(skipped.data.nbytes)
+        assert skipped.data.tobytes() == data and state.m["r"].any()
+        # after a step with a gradient, a step without one leaves data and moments alone
+        skipped.grad = rng.normal(size=(3, 4)).astype(np.float32)
+        adam_step([reached, skipped], state)
+        held = [a.tobytes() for a in (skipped.data, state.m["s"], state.v["s"])]
+        assert state.m["s"].any() and state.v["s"].any()
+        reached.grad = rng.normal(size=(3, 4)).astype(np.float32)
+        adam_step([reached, skipped], state)
+        assert [a.tobytes() for a in (skipped.data, state.m["s"], state.v["s"])] == held
+        assert state.step_count == 3 and reached.grad is None and skipped.grad is None
+
     def test_identical_models_stay_identical(self):
         rng_a = np.random.default_rng(1)
         pa = Parameter("p", rng_a.normal(size=(4, 4)))
@@ -1113,8 +1139,7 @@ class TestAdam:
         sa, sb = AdamState(lr=1e-2), AdamState(lr=1e-2)
         for step in range(5):
             g = np.random.default_rng(100 + step).normal(size=(4, 4))
-            pa.grad[:] = g
-            pb.grad[:] = g
+            pa.grad, pb.grad = g.copy(), g.copy()  # adam_step uses each as scratch
             adam_step([pa], sa)
             adam_step([pb], sb)
         np.testing.assert_array_equal(pa.data, pb.data)

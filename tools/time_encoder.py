@@ -127,8 +127,8 @@ def model3() -> None:
     """Build the model3 preset and time its pretraining step with Adam at B12 x T16.
 
     ``tracemalloc`` runs from before the build to the end of two untimed steps, so its counts
-    are of every array the process holds: after the first step (between steps) the parameters,
-    Adam's moments and any gradient buffer Adam leaves, and at the second step's peak also its
+    are of every array the process holds: after the first step (between steps) the parameters
+    and Adam's moments (Adam releases every gradient), and at the second step's peak also its
     graph and the gradients its backward makes. Tracing is stopped before the timed steps,
     which it slowed by about a quarter on a 2-CPU host.
     """
