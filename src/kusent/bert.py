@@ -26,13 +26,12 @@ from .checkpoint import (
 )
 from .optim import AdamState, adam_step
 # ``encode`` is unused here, but the traced benchmark patches ``bert.encode`` by name
-from .wordpiece import CLS, MASK, PAD, SEP, Vocab, encode, encode_batch  # noqa: F401
+from .wordpiece import CLS, MASK, PAD, SEP, SPECIAL_TOKENS, Vocab, encode, encode_batch  # noqa: F401
 
 logger = logging.getLogger(__name__)
 
 IGNORE_INDEX = -100
 INIT_STD = 0.02
-N_RESERVED_IDS = 5  # PAD, UNK, CLS, SEP, MASK
 
 # Aliases as the pretraining config tables spell them
 _CONFIG_ALIASES = {"Itrations": "iterations", "batch_szie": "batch_size"}
@@ -423,7 +422,7 @@ def mask_for_mlm(
     eligible = (attention_mask == 1) & ~np.isin(input_ids, (PAD, CLS, SEP))
     selected = eligible & (rng.random(input_ids.shape) < rate)
     action = rng.random(input_ids.shape)
-    random_ids = rng.integers(N_RESERVED_IDS, vocab_size, size=input_ids.shape)
+    random_ids = rng.integers(len(SPECIAL_TOKENS), vocab_size, size=input_ids.shape)
     masked = np.where(selected & (action < 0.8), MASK, input_ids)
     masked = np.where(selected & (action >= 0.8) & (action < 0.9), random_ids, masked)
     labels = np.where(selected, input_ids, IGNORE_INDEX)

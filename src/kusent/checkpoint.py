@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import math
 import os
 import tempfile
 import typing
@@ -49,8 +50,13 @@ def atomic_write_text(path: str, text: str) -> None:
     atomic_write_chunks(path, [text.encode("utf-8")])
 
 
+def json_text(obj) -> str:
+    """The one text form of every JSON file and report the package writes."""
+    return json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+
+
 def atomic_write_json(path: str, obj) -> None:
-    atomic_write_text(path, json.dumps(obj, ensure_ascii=False, sort_keys=True, indent=2) + "\n")
+    atomic_write_text(path, json_text(obj))
 
 
 def read_json(path: str):
@@ -58,7 +64,8 @@ def read_json(path: str):
     with open(path, encoding="utf-8") as fh:
         try:
             return json.load(fh)
-        except ValueError as exc:  # JSONDecodeError and UnicodeDecodeError
+        # JSONDecodeError and UnicodeDecodeError, and RecursionError for nesting too deep to parse
+        except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
 
 
@@ -183,8 +190,10 @@ def read_blob(bin_path: str, manifest_path: str) -> tuple[dict[str, np.ndarray],
             raise ValueError(f"{manifest_path}: tensor {name!r} is listed twice")
         shape = tuple(entry["shape"])
         start, length = entry["byte_offset"], entry["byte_length"]
-        n_values = int(np.prod(shape)) if shape else 1
-        if length != 4 * n_values:
+        if min(shape, default=0) < 0:
+            raise ValueError(f"{manifest_path}: tensor {name!r} has a negative dimension in shape {shape}")
+        # exact: numpy's product wraps at 2**63
+        if length != 4 * math.prod(shape):
             raise ValueError(
                 f"{manifest_path}: tensor {name!r} byte_length {length} does not match shape {shape}"
             )

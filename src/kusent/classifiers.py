@@ -76,6 +76,8 @@ class TrainConfig:
         for name in ("epochs", "batch_size"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1, got {getattr(self, name)}")
+        if self.seed < 0:
+            raise ValueError(f"seed must be >= 0, got {self.seed}")
         if not 0 < self.learning_rate < np.inf:
             raise ValueError(f"learning_rate must be > 0, got {self.learning_rate}")
         if self.num_classes not in (2, 3):
@@ -102,10 +104,14 @@ class SentimentModel:
     encoder: ModelParams
     head_kind: str
     head_params: list[Parameter]
-    labels: list[SentimentLabel]
     train_config: TrainConfig
     head_meta: dict = field(default_factory=dict)
     train_losses: list[float] = field(default_factory=list)
+
+    @property
+    def labels(self) -> list[SentimentLabel]:
+        """The classes of the head's outputs, in output order."""
+        return LABEL_ORDERS[self.train_config.num_classes]
 
     @property
     def head_by_name(self) -> dict[str, Parameter]:
@@ -165,7 +171,6 @@ def init_model(kind: str, encoder: ModelParams, config: TrainConfig, head_meta: 
         encoder=encoder,
         head_kind=kind,
         head_params=init_params(shapes, rng, encoder.params[0].data.dtype),
-        labels=LABEL_ORDERS[config.num_classes],
         train_config=config,
         head_meta=head_meta,
     )
@@ -265,23 +270,6 @@ def check_labels(dataset, labels) -> None:
             raise ValueError(f"label {ex.label.value!r} outside configured label set")
 
 
-def _check_inputs(dataset, labels, config: TrainConfig, encoder: ModelParams) -> None:
-    """A non-empty dataset with labels in ``labels`` and a ``max_len`` the encoder fits."""
-    if not dataset:
-        raise ValueError("cannot train on an empty dataset")
-    check_labels(dataset, labels)
-    if config.max_len > encoder.config.max_position:
-        raise ValueError(
-            f"max_len {config.max_len} exceeds encoder max_position "
-            f"{encoder.config.max_position}"
-        )
-
-
-def _label_indices(dataset, labels):
-    index = {label: i for i, label in enumerate(labels)}
-    return np.array([index[ex.label] for ex in dataset], dtype=np.int64)
-
-
 def _eval_reads(encoder, ids, masks, kind):
     """Yield ``(chunk, reads)`` for each ``EVAL_ROWS``-row chunk of the batch: its row slice
     and, as an array, the eval-mode encoder states at ``read_positions`` of its rows. The
@@ -307,22 +295,27 @@ def _frozen_features(encoder, ids, masks, kind):
     return features
 
 
-def _train_head(model, encoder, vocab, dataset, config):
+def _train_head(model, vocab, dataset):
     """One ``train_step`` per seeded batch. finetune runs the encoder on each batch and trains
     it with the head; bilstm and mlp train the head alone on frozen features computed once."""
-    _check_inputs(dataset, model.labels, config, encoder)
+    encoder, config = model.encoder, model.train_config
+    if not dataset:
+        raise ValueError("cannot train on an empty dataset")
+    check_labels(dataset, model.labels)
+    if config.max_len > encoder.config.max_position:
+        raise ValueError(f"max_len {config.max_len} exceeds encoder max_position "
+                         f"{encoder.config.max_position}")
     ids, masks = encode_batch([ex.text for ex in dataset], vocab, config.max_len)
-    targets = _label_indices(dataset, model.labels)
+    targets = np.array([model.labels.index(ex.label) for ex in dataset], dtype=np.int64)
     kind = model.head_kind
     joint = kind == "finetune"
     if joint:
         trainable = encoder.params + model.head_params
     else:
         trainable = model.head_params
-        features = _frozen_features(encoder, ids, masks, kind)
-        # row r's features are features[offsets[r] : offsets[r] + counts[r]]
+        # one view of the features per row: each row's reads follow the rows before it
         counts = np.bincount(read_positions(masks, kind) // ids.shape[1], minlength=len(ids))
-        offsets = np.cumsum(counts) - counts
+        row_features = np.split(_frozen_features(encoder, ids, masks, kind), np.cumsum(counts)[:-1])
     optimizer = AdamState(lr=config.learning_rate)
     batches = train_batches(len(dataset), config.batch_size, config.seed, 0,
                             config.epochs * -(-len(dataset) // config.batch_size))
@@ -331,10 +324,7 @@ def _train_head(model, encoder, vocab, dataset, config):
             reads = forward(encoder, ids[pick], masks[pick], drop_rng,
                             positions=read_positions(masks[pick], kind))
         else:
-            # the picked rows' features, row after row; starts: each row's first read in the batch
-            n = counts[pick]
-            starts = np.cumsum(n) - n
-            reads = Tensor(features[np.arange(n.sum()) + np.repeat(offsets[pick] - starts, n)])
+            reads = Tensor(np.concatenate([row_features[r] for r in pick]))
         loss = ad.cross_entropy(head_logits(model, reads, masks[pick], drop_rng), targets[pick])
         model.train_losses.append(train_step(loss, trainable, optimizer, epoch, step))
     return model
@@ -344,7 +334,7 @@ def train_finetune(
     encoder: ModelParams, vocab: Vocab, dataset: list[LabeledExample], config: TrainConfig
 ) -> SentimentModel:
     """Joint training of all encoder parameters plus a linear head on CLS."""
-    return _train_head(init_model("finetune", encoder, config, {}), encoder, vocab, dataset, config)
+    return _train_head(init_model("finetune", encoder, config, {}), vocab, dataset)
 
 
 def train_bilstm(
@@ -356,7 +346,7 @@ def train_bilstm(
     num_layers: int = 3,
 ) -> SentimentModel:
     model = init_model("bilstm", encoder, config, {"lstm_hidden": lstm_hidden, "num_layers": num_layers})
-    return _train_head(model, encoder, vocab, dataset, config)
+    return _train_head(model, vocab, dataset)
 
 
 def train_mlp(
@@ -367,7 +357,7 @@ def train_mlp(
     hidden_sizes: tuple[int, ...] = (256, 64),
 ) -> SentimentModel:
     model = init_model("mlp", encoder, config, {"hidden_sizes": list(hidden_sizes)})
-    return _train_head(model, encoder, vocab, dataset, config)
+    return _train_head(model, vocab, dataset)
 
 
 def predict_encoded(model: SentimentModel, ids: np.ndarray, masks: np.ndarray) -> np.ndarray:
@@ -430,10 +420,10 @@ def load_sentiment_model(directory: str) -> SentimentModel:
     head_meta = check_widths(check_fields(meta["head_meta"], head_types, where, head_types), where)
     train_config = from_dict(TrainConfig, meta["train_config"], f"{config_path}: train_config")
     # the head's outputs are LABEL_ORDERS' classes; labels.json repeats them for readers
-    labels = LABEL_ORDERS[train_config.num_classes]
+    labels = [label.value for label in LABEL_ORDERS[train_config.num_classes]]
     labels_path = os.path.join(directory, "labels.json")
-    if read_json(labels_path) != [label.value for label in labels]:
-        raise ValueError(f"{labels_path}: expected {[label.value for label in labels]}")
+    if read_json(labels_path) != labels:
+        raise ValueError(f"{labels_path}: expected {labels}")
     # save_sentiment_model embeds the encoder here; any other path would load one from elsewhere
     if meta["encoder_ref"] != "encoder":
         raise ValueError(f"{config_path}: encoder_ref must be 'encoder', got {meta['encoder_ref']!r}")
@@ -454,7 +444,6 @@ def load_sentiment_model(directory: str) -> SentimentModel:
         encoder=encoder,
         head_kind=meta["kind"],
         head_params=[Parameter(name, arrays[name]) for name in shapes],
-        labels=labels,
         train_config=train_config,
         head_meta=head_meta,
     )

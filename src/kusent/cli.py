@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import dataclasses
-import json
 import logging
 import sys
 
@@ -23,7 +22,7 @@ from . import FORMAT_VERSION, __version__
 from .bert import (
     BERT_CONFIG_TYPES, BertConfig, build_model, check_pretrain_values, load_checkpoint, pretrain,
 )
-from .checkpoint import atomic_write_text, check_fields, field_types, from_dict, read_json
+from .checkpoint import atomic_write_text, check_fields, field_types, from_dict, json_text, read_json
 from .classifiers import (
     HEAD_META_TYPES,
     TrainConfig,
@@ -57,14 +56,14 @@ _SECTION_TYPES = {
     "normalizer": {"rules": str | None, "final_heh_ae": bool},
     "tokenizer": {"vocab_size": int, "min_freq": int},
     "bert": BERT_CONFIG_TYPES,
-    # TrainConfig's fields plus the head_meta keys a config may set
-    "train": dict(
-        field_types(TrainConfig),
-        lstm_hidden=HEAD_META_TYPES["bilstm"]["lstm_hidden"],
-        hidden_sizes=HEAD_META_TYPES["mlp"]["hidden_sizes"],
-    ),
+    # TrainConfig's fields but seed (the top-level key sets it), plus the head_meta keys a config may set
+    "train": {key: hint for key, hint in field_types(TrainConfig).items() if key != "seed"} | {
+        "lstm_hidden": HEAD_META_TYPES["bilstm"]["lstm_hidden"],
+        "hidden_sizes": HEAD_META_TYPES["mlp"]["hidden_sizes"],
+    },
     "pretrain": {"max_len": int, "learning_rate": float, "mask_rate": float, "log_every": int},
-    "paths": dict.fromkeys(("corpus", "labeled", "vocab", "encoder", "model", "out"), str),
+    # pretrain writes the encoder that train reads, and train writes the model that evaluate reads
+    "paths": dict.fromkeys(("corpus", "labeled", "vocab", "encoder", "model"), str),
 }
 
 
@@ -108,8 +107,7 @@ def cmd_normalize(args, settings) -> int:
 
 def cmd_corpus_stats(args, settings) -> int:
     examples = load_labeled(args.infile, _rules_from(settings))
-    payload = compute_stats(examples).to_json_dict()
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    text = json_text(compute_stats(examples).to_json_dict())
     if args.out:
         atomic_write_text(args.out, text)
     else:
@@ -159,7 +157,7 @@ def cmd_pretrain(args, settings) -> int:
     bert_config = BertConfig.from_dict(settings["bert"], f"{args.config}: bert")
     corpus_path = _required(settings, "paths.corpus", "--corpus")
     vocab_path = _required(settings, "paths.vocab", "--vocab")
-    out_dir = _required(settings, "paths.out", "--out")
+    out_dir = _required(settings, "paths.encoder", "--out")
     # the section's keys are pretrain's arguments; checked before the build
     knobs = settings.get("pretrain", {})
     check_pretrain_values(**knobs)
@@ -185,7 +183,7 @@ def cmd_train(args, settings) -> int:
     section = settings.get("train", {})
     fields = {k: v for k, v in section.items() if k in field_types(TrainConfig)}
     fields.setdefault("epochs", default_epochs(args.task, bert_config.hidden_size))
-    fields.setdefault("seed", settings["seed"])
+    fields["seed"] = settings["seed"]
     train_config = from_dict(TrainConfig, fields, where)
     vocab = load_vocab(vocab_path)
     dataset = load_labeled(data_path, rules)
@@ -218,8 +216,7 @@ def cmd_evaluate(args, settings) -> int:
     label_values = [label.value for label in model.labels]
     cm = confusion([t.value for t in truths], [p.value for p in preds], label_values)
     rep = report(cm)
-    payload = rep.to_json_dict()
-    text = json.dumps(payload, ensure_ascii=False, sort_keys=True, indent=2) + "\n"
+    text = json_text(rep.to_json_dict())
     if args.out:
         atomic_write_text(args.out, text)
         print(f"accuracy {rep.accuracy:.4f} -> {args.out}")
@@ -297,7 +294,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = add("pretrain", cmd_pretrain, "masked-language-model pretraining", rules=False)
     p.add_argument("--corpus", dest="@paths.corpus")
     p.add_argument("--vocab", dest="@paths.vocab")
-    p.add_argument("--out", dest="@paths.out")
+    p.add_argument("--out", dest="@paths.encoder")
     p.add_argument("--seed", dest="@seed", type=int)
     p.add_argument("--max-len", dest="@pretrain.max_len", type=int)
     p.add_argument("--lr", dest="@pretrain.learning_rate", type=float)
@@ -311,7 +308,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out", dest="@paths.model")
     p.add_argument("--epochs", dest="@train.epochs", type=int)
     p.add_argument("--num-classes", dest="@train.num_classes", type=int, choices=(2, 3))
-    p.add_argument("--seed", dest="@train.seed", type=int)
+    p.add_argument("--seed", dest="@seed", type=int)
 
     p = add("evaluate", cmd_evaluate, "evaluate a model on a labeled TSV")
     p.add_argument("--model", dest="@paths.model")
@@ -338,6 +335,8 @@ def main(argv: list[str] | None = None) -> int:
             if dest.startswith("@") and value is not None:
                 section, _, key = dest[1:].rpartition(".")
                 (settings.setdefault(section, {}) if section else settings)[key] = value
+        if settings["seed"] < 0:
+            raise ValueError(f"seed must be >= 0, got {settings['seed']}")
         return args.fn(args, settings)
     except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

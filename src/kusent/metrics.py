@@ -9,7 +9,7 @@ in ``undefined_classes``.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from typing import Hashable, Sequence
 
 
@@ -47,20 +47,7 @@ class EvalReport:
     undefined_classes: tuple[str, ...] = field(default=())
 
     def to_json_dict(self) -> dict:
-        return {
-            "accuracy": self.accuracy,
-            "per_class": {
-                label: {
-                    "precision": m.precision,
-                    "recall": m.recall,
-                    "f1": m.f1,
-                    "support": m.support,
-                }
-                for label, m in self.per_class.items()
-            },
-            "weighted_f1": self.weighted_f1,
-            "micro_f1": self.micro_f1,
-        }
+        return {key: value for key, value in asdict(self).items() if key != "undefined_classes"}
 
     def to_table(self) -> str:
         width = max([len(label) for label in self.per_class] + [8])

@@ -28,7 +28,7 @@ from kusent.bert import (
     save_checkpoint,
     train_batches,
 )
-from kusent.checkpoint import check_fields, read_blob, write_blob
+from kusent.checkpoint import check_fields, read_blob, read_json, write_blob
 from kusent.optim import AdamState, adam_step
 from kusent.wordpiece import CLS, MASK, PAD, SEP, Vocab, SPECIAL_TOKENS, encode
 
@@ -1243,6 +1243,24 @@ class TestCheckpoint:
             np.testing.assert_array_equal(loaded[name], arr.astype(np.float32))
         loaded["a"] += 1  # the loaded tensors are writable
         assert loaded["a"][0, 0] == 1.0
+
+    @pytest.mark.parametrize("shape, byte_length, message", [
+        # numpy's int64 product of this shape wraps to 0
+        ([2**32, 2**32], 0, r"byte_length 0 does not match shape \(4294967296, 4294967296\)"),
+        # its product, 4, matches the blob's 16 bytes
+        ([-1, -4], 16, r"has a negative dimension in shape \(-1, -4\)"),
+    ])
+    def test_impossible_shape_rejected_naming_manifest(self, tmp_path, shape, byte_length, message):
+        (tmp_path / "x.bin").write_bytes(bytes(byte_length))
+        entry = {"name": "w", "shape": shape, "byte_offset": 0, "byte_length": byte_length}
+        (tmp_path / "x.json").write_text(json.dumps([entry]))
+        with pytest.raises(ValueError, match=f"x.json: tensor 'w' {message}"):
+            read_blob(str(tmp_path / "x.bin"), str(tmp_path / "x.json"))
+
+    def test_json_nested_too_deep_to_parse_is_invalid(self, tmp_path):
+        (tmp_path / "x.json").write_text("[" * 100_000)
+        with pytest.raises(ValueError, match="x.json: invalid JSON: "):
+            read_json(str(tmp_path / "x.json"))
 
     def test_tensors_out_of_blob_order_rejected(self, tmp_path):
         write_blob([("a", np.ones(2)), ("b", np.ones(3))], str(tmp_path / "x.bin"), str(tmp_path / "x.json"))

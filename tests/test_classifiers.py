@@ -375,6 +375,7 @@ class TestGradChecks:
 class TestTrainingContracts:
     @pytest.mark.parametrize("field, value, message", [
         ("batch_size", 0, "batch_size must be >= 1, got 0"),
+        ("seed", -1, "seed must be >= 0, got -1"),
         ("learning_rate", -1.0, "learning_rate must be > 0, got -1.0"),
         ("learning_rate", float("nan"), "learning_rate must be > 0, got nan"),
         ("learning_rate", float("inf"), "learning_rate must be > 0, got inf"),

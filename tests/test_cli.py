@@ -138,6 +138,17 @@ class TestErrors:
         assert "upbeat" in err
         assert "\n" not in err.strip()
 
+    @pytest.mark.parametrize("command, outs", [("split", ("--out-train", "--out-test")),
+                                               ("undersample", ("--out",))])
+    def test_negative_seed_flag_is_one_error_line(self, tmp_path, capsys, command, outs):
+        data = write_labeled(tmp_path / "data.tsv")
+        argv = [command, "--in", str(data), "--seed", "-3"]
+        for i, flag in enumerate(outs):
+            argv += [flag, str(tmp_path / f"out{i}.tsv")]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == "error: seed must be >= 0, got -3\n"
+        assert [p.name for p in tmp_path.iterdir()] == ["data.tsv"]
+
     def test_bad_config_key_rejected(self, tmp_path, capsys):
         cfg = tmp_path / "cfg.json"
         cfg.write_text(json.dumps({"tokenzier": {}}))
@@ -497,6 +508,10 @@ class TestPipeline:
             (["pretrain"], "cfg.json", "pretrain.mask_rate", 1.5),
             # an mlp head needs a hidden layer
             (["train", "--task", "mlp"], "cfg.json", "train.hidden_sizes", []),
+            # one key per setting: the seed is the top-level seed, the encoder paths.encoder
+            (["train", "--task", "mlp"], "cfg.json", "train.seed", 1),
+            (["pretrain"], "cfg.json", "paths.out", "elsewhere"),
+            (["split"], "cfg.json", "seed", -1),
         ],
     )
     def test_bad_input_value_is_one_error_line(
@@ -614,12 +629,12 @@ class TestPipeline:
         assert err.startswith(f"error: pretrain.{key} must be ") and err.count("\n") == 1
         assert not out.exists()
 
-    def test_seed_flag_beats_train_seed(self, pipeline, tmp_path):
-        raw = json.loads(pipeline["cfg"].read_text())
-        raw["train"]["seed"] = 1
-        (tmp_path / "cfg.json").write_text(json.dumps(raw))
+    def test_train_seed_flag_beats_seed_key(self, pipeline, tmp_path):
+        """train's --seed sets the one seed key, and head_config.json records what the head used."""
+        recorded = json.loads((pipeline["model"] / "head_config.json").read_text())
+        assert recorded["train_config"]["seed"] == json.loads(pipeline["cfg"].read_text())["seed"] == 11
         assert main([
-            "train", "--task", "mlp", "--config", str(tmp_path / "cfg.json"), "--seed", "7",
+            "train", "--task", "mlp", "--config", str(pipeline["cfg"]), "--seed", "7",
             "--encoder", str(pipeline["encoder"]), "--data", str(pipeline["labeled"]),
             "--vocab", str(pipeline["vocab"]), "--out", str(tmp_path / "model"), "--epochs", "1",
         ]) == 0
