@@ -253,24 +253,12 @@ def matmul(a: Tensor, b: Tensor, bias: Tensor | None = None) -> Tensor:
     if a.shape[-1] != b.shape[-2]:
         raise ValueError(f"matmul: incompatible shapes {a.shape} and {b.shape}")
     a_data, b_data = a.data, b.data
-    if a_data.ndim > 2 and b_data.ndim == 2:
-        # (..., K) @ (K, N) as one 2-D GEMM over all leading rows; the weight
-        # gradient is then a single a2.T @ g2 with no batch-sized temporary
-        a_shape = a.shape
-        a2 = a_data.reshape(-1, a_shape[-1])
-        data = (a2 @ b_data).reshape(a_shape[:-1] + (b.shape[1],))
+    data = a_data @ b_data
 
-        def backward(g):
-            g2 = g.reshape(-1, g.shape[-1])
-            return (g2 @ b_data.T).reshape(a_shape), a2.T @ g2
-
-    else:
-        data = a_data @ b_data
-
-        def backward(g):
-            ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape)
-            gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape)
-            return ga, gb
+    def backward(g):
+        ga = _unbroadcast(g @ np.swapaxes(b_data, -1, -2), a_data.shape)
+        gb = _unbroadcast(np.swapaxes(a_data, -1, -2) @ g, b_data.shape)
+        return ga, gb
 
     return _with_bias("matmul", data, (a, b), backward, bias)
 

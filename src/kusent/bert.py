@@ -361,19 +361,19 @@ def forward(
     return states, cls_state
 
 
-def mlm_logits(model: ModelParams, sequence_states: Tensor) -> Tensor:
-    """Vocabulary logits from sequence states, tied to the token embeddings."""
-    batch, seq_len, hidden = sequence_states.shape
-    h = ad.gelu(
-        ad.matmul(
-            sequence_states, model["mlm.transform.weight"], model["mlm.transform.bias"]
-        )
-    )
+def mlm_logits(model: ModelParams, states: Tensor) -> Tensor:
+    """Vocabulary logits (..., V) from (..., H) states, tied to the token embeddings.
+
+    The head runs on the states as (rows, H), as BERT's masked-LM head reads
+    its gathered rows.
+    """
+    lead = states.shape[:-1]
+    rows = ad.reshape(states, (-1, states.shape[-1]))
+    h = ad.gelu(ad.matmul(rows, model["mlm.transform.weight"], model["mlm.transform.bias"]))
     h = ad.layer_norm(h, model["mlm.norm.gain"], model["mlm.norm.bias"])
-    flat = ad.reshape(h, (batch * seq_len, hidden))
     # the tied decoder, x @ tableᵀ, takes its gradient in the table's own (V, H) layout
-    logits = ad.linear(flat, model["embeddings.token"], model["mlm.out_bias"])
-    return ad.reshape(logits, (batch, seq_len, model.config.vocab_size))
+    logits = ad.linear(h, model["embeddings.token"], model["mlm.out_bias"])
+    return ad.reshape(logits, lead + (model.config.vocab_size,))
 
 
 def masked_positions(labels: np.ndarray) -> np.ndarray:
@@ -394,8 +394,7 @@ def mlm_loss(model: ModelParams, masked_states: Tensor, labels: np.ndarray) -> T
     targets = np.asarray(labels).reshape(-1)[masked_positions(labels)]
     if masked_states.shape != (targets.size, model.config.hidden_size):
         raise ValueError(f"mlm_loss: states {masked_states.shape} are not the {targets.size} masked rows")
-    hidden = ad.reshape(masked_states, (1,) + masked_states.shape)
-    return ad.cross_entropy(mlm_logits(model, hidden), targets[None, :])
+    return ad.cross_entropy(mlm_logits(model, masked_states), targets)
 
 
 @dataclass
@@ -604,7 +603,6 @@ def check_pretrain_values(
 class PretrainResult:
     losses: list[float]
     steps: int
-    checkpoint_dir: str
 
 
 def pretrain(
@@ -734,4 +732,4 @@ def pretrain(
         if step % steps_per_epoch == 0 and step < total:
             save_checkpoint(checkpoint_dir, model, optimizer, state(step))
     save_checkpoint(checkpoint_dir, model, optimizer, state(total))
-    return PretrainResult(losses=losses, steps=total, checkpoint_dir=checkpoint_dir)
+    return PretrainResult(losses=losses, steps=total)

@@ -1,5 +1,5 @@
 """Binary tensor serialization: little-endian float32 blob plus JSON manifest,
-and the one checked reader of every JSON file the package loads.
+and the one checked reader of every JSON and text file the package loads.
 
 The manifest lists (name, shape, byte_offset, byte_length) per tensor, in
 blob order: the tensors follow one another from byte 0. Writes are atomic
@@ -67,6 +67,17 @@ def read_json(path: str):
         # JSONDecodeError and UnicodeDecodeError, and RecursionError for nesting too deep to parse
         except (ValueError, RecursionError) as exc:
             raise ValueError(f"{path}: invalid JSON: {exc}") from None
+
+
+def text_lines(path: str):
+    """Yield the lines of the UTF-8 text file at ``path``; bytes that are not UTF-8 are a
+    ValueError naming it."""
+    with open(path, encoding="utf-8") as fh:
+        try:
+            yield from fh
+        # the reason, not the position, which counts from the decoder's chunk and not the file's start
+        except UnicodeDecodeError as exc:
+            raise ValueError(f"{path}: not UTF-8 text ({exc.reason})") from None
 
 
 def _matches(value, hint) -> bool:

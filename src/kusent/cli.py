@@ -22,7 +22,9 @@ from . import FORMAT_VERSION, __version__
 from .bert import (
     BERT_CONFIG_TYPES, BertConfig, build_model, check_pretrain_values, load_checkpoint, pretrain,
 )
-from .checkpoint import atomic_write_text, check_fields, field_types, from_dict, json_text, read_json
+from .checkpoint import (
+    atomic_write_text, check_fields, field_types, from_dict, json_text, read_json, text_lines,
+)
 from .classifiers import (
     HEAD_META_TYPES,
     TrainConfig,
@@ -96,10 +98,7 @@ def _rules_from(settings: dict) -> NormalizationRules:
 
 def cmd_normalize(args, settings) -> int:
     rules = _rules_from(settings)
-    out_lines = []
-    with open(args.infile, encoding="utf-8") as fh:
-        for line in normalize_stream(fh, rules):
-            out_lines.append(line)
+    out_lines = list(normalize_stream(text_lines(args.infile), rules))
     atomic_write_text(args.out, "".join(line + "\n" for line in out_lines))
     print(f"normalized {len(out_lines)} lines -> {args.out}")
     return 0
@@ -142,8 +141,7 @@ def cmd_undersample(args, settings) -> int:
 
 def cmd_train_tokenizer(args, settings) -> int:
     _required(settings, "tokenizer.vocab_size", "--vocab-size")
-    with open(args.infile, encoding="utf-8") as fh:
-        lines = [line.rstrip("\n") for line in fh]
+    lines = [line.rstrip("\n") for line in text_lines(args.infile)]
     # the section's keys are train_wordpiece's vocab_size and min_freq
     vocab = train_wordpiece(lines, **settings["tokenizer"])
     save_vocab(vocab, args.out)
@@ -162,8 +160,7 @@ def cmd_pretrain(args, settings) -> int:
     knobs = settings.get("pretrain", {})
     check_pretrain_values(**knobs)
     vocab = load_vocab(vocab_path)
-    with open(corpus_path, encoding="utf-8") as fh:
-        corpus = [line.rstrip("\n") for line in fh if line.strip()]
+    corpus = [line.rstrip("\n") for line in text_lines(corpus_path) if line.strip()]
     model = build_model(bert_config, seed=settings["seed"])
     result = pretrain(model, corpus, vocab, bert_config, seed=settings["seed"], checkpoint_dir=out_dir,
                       resume=args.resume, **knobs)

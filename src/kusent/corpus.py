@@ -16,7 +16,7 @@ from typing import Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_text, text_lines
 from .normalize import NormalizationRules, default_rules, normalize_text
 
 
@@ -40,8 +40,6 @@ class LabeledExample:
 class DatasetSplit:
     train: list[LabeledExample]
     test: list[LabeledExample]
-    seed: int
-    ratio: float
 
 
 @dataclass(frozen=True)
@@ -79,27 +77,26 @@ def load_labeled(
     if rules is None:
         rules = default_rules()
     examples: list[LabeledExample] = []
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.rstrip("\n").rstrip("\r")
-            if not line:
-                continue
-            fields = line.split("\t")
-            if len(fields) < 2 or len(fields) > 3:
-                raise ValueError(
-                    f"malformed row at line {lineno}: expected 2 or 3 tab-separated "
-                    f"fields, got {len(fields)}"
-                )
-            text_raw, label_raw = fields[0], fields[1]
-            topic = fields[2] if len(fields) == 3 else None
-            try:
-                label = parse_label(label_raw)
-            except ValueError as exc:
-                raise ValueError(f"{exc} at line {lineno}") from None
-            text = normalize_text(text_raw, rules)
-            if not text:
-                raise ValueError(f"empty text after normalization at line {lineno}")
-            examples.append(LabeledExample(text=text, label=label, topic=topic))
+    for lineno, raw_line in enumerate(text_lines(path), start=1):
+        line = raw_line.rstrip("\n").rstrip("\r")
+        if not line:
+            continue
+        fields = line.split("\t")
+        if len(fields) < 2 or len(fields) > 3:
+            raise ValueError(
+                f"malformed row at line {lineno}: expected 2 or 3 tab-separated "
+                f"fields, got {len(fields)}"
+            )
+        text_raw, label_raw = fields[0], fields[1]
+        topic = fields[2] if len(fields) == 3 else None
+        try:
+            label = parse_label(label_raw)
+        except ValueError as exc:
+            raise ValueError(f"{exc} at line {lineno}") from None
+        text = normalize_text(text_raw, rules)
+        if not text:
+            raise ValueError(f"empty text after normalization at line {lineno}")
+        examples.append(LabeledExample(text=text, label=label, topic=topic))
     return examples
 
 
@@ -157,8 +154,6 @@ def split(
     return DatasetSplit(
         train=[examples[i] for i in sorted(train_idx)],
         test=[examples[i] for i in sorted(test_idx)],
-        seed=seed,
-        ratio=ratio,
     )
 
 

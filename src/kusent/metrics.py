@@ -94,16 +94,10 @@ def report(cm: ConfusionMatrix) -> EvalReport:
     total = cm.total()
     per_class: dict[str, ClassMetrics] = {}
     undefined: list[str] = []
-    pooled_tp = 0
-    pooled_fp = 0
-    pooled_fn = 0
     for i, label in enumerate(cm.labels):
         tp = cm.counts[i][i]
         fp = cm.col(i) - tp
         fn = cm.row(i) - tp
-        pooled_tp += tp
-        pooled_fp += fp
-        pooled_fn += fn
         if tp + fp == 0 or tp + fn == 0:
             undefined.append(label)
         precision = _ratio(tp, tp + fp)
@@ -117,9 +111,9 @@ def report(cm: ConfusionMatrix) -> EvalReport:
     weighted_f1 = sum(
         _ratio(m.support, total) * m.f1 for m in per_class.values()
     )
-    micro_p = _ratio(pooled_tp, pooled_tp + pooled_fp)
-    micro_r = _ratio(pooled_tp, pooled_tp + pooled_fn)
-    micro_f1 = _ratio(2 * micro_p * micro_r, micro_p + micro_r)
+    # single-label: pooled TP is the trace and pooled FP and FN are each total - trace,
+    # so micro precision and micro recall are both the accuracy
+    micro_f1 = _ratio(2 * accuracy * accuracy, accuracy + accuracy)
     return EvalReport(
         accuracy=accuracy,
         per_class=per_class,

@@ -17,7 +17,7 @@ import unicodedata
 from dataclasses import dataclass, field
 from typing import Iterable, Iterator
 
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_text, text_lines
 
 DIGIT_POLICIES = ("ascii", "arabic", "keep")
 
@@ -190,30 +190,29 @@ def load_rules(path: str) -> NormalizationRules:
     char_map: dict[str, str] = {}
     strip_set: set[str] = set()
     digit_policy = "ascii"
-    with open(path, encoding="utf-8") as fh:
-        for lineno, raw_line in enumerate(fh, start=1):
-            line = raw_line.strip()
-            if not line or line.startswith("#"):
-                continue
-            parts = line.split()
-            directive = parts[0]
-            try:
-                if directive == "map":
-                    if len(parts) < 3:
-                        raise ValueError("map needs a source and at least one target")
-                    char_map[_char(parts[1])] = "".join(_char(p) for p in parts[2:])
-                elif directive == "strip":
-                    if len(parts) != 2:
-                        raise ValueError("strip needs exactly one code point")
-                    strip_set.add(_char(parts[1]))
-                elif directive == "digits":
-                    if len(parts) != 2 or parts[1] not in DIGIT_POLICIES:
-                        raise ValueError(f"digits needs one of {DIGIT_POLICIES}")
-                    digit_policy = parts[1]
-                else:
-                    raise ValueError(f"unknown directive {directive!r}")
-            except ValueError as exc:
-                raise ValueError(f"{path}:{lineno}: {exc}") from exc
+    for lineno, raw_line in enumerate(text_lines(path), start=1):
+        line = raw_line.strip()
+        if not line or line.startswith("#"):
+            continue
+        parts = line.split()
+        directive = parts[0]
+        try:
+            if directive == "map":
+                if len(parts) < 3:
+                    raise ValueError("map needs a source and at least one target")
+                char_map[_char(parts[1])] = "".join(_char(p) for p in parts[2:])
+            elif directive == "strip":
+                if len(parts) != 2:
+                    raise ValueError("strip needs exactly one code point")
+                strip_set.add(_char(parts[1]))
+            elif directive == "digits":
+                if len(parts) != 2 or parts[1] not in DIGIT_POLICIES:
+                    raise ValueError(f"digits needs one of {DIGIT_POLICIES}")
+                digit_policy = parts[1]
+            else:
+                raise ValueError(f"unknown directive {directive!r}")
+        except ValueError as exc:
+            raise ValueError(f"{path}:{lineno}: {exc}") from exc
     return NormalizationRules(
         char_map=char_map, strip_set=strip_set, digit_policy=digit_policy
     )

@@ -40,7 +40,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .checkpoint import atomic_write_text
+from .checkpoint import atomic_write_text, text_lines
 
 # Recorded in the benchmark's run manifest (perfbench/worker.py); the
 # matcher below is the only one.
@@ -441,8 +441,7 @@ def save_vocab(vocab: Vocab, path: str) -> None:
 
 def load_vocab(path: str) -> Vocab:
     """Read the one-piece-per-line file ``save_vocab`` writes; line n holds id n - 1."""
-    with open(path, encoding="utf-8") as fh:
-        pieces = [line.rstrip("\n") for line in fh]
+    pieces = [line.rstrip("\n") for line in text_lines(path)]
     if not pieces:
         raise ValueError(f"vocabulary file {path} is empty")
     try:

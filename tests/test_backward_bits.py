@@ -75,14 +75,11 @@ def dense_embedding_lookup(table, ids):
     return ad._record(table.data[ids], (table,), rule)
 
 
-def transposed_mlm_logits(model, sequence_states):
-    """The MLM head with the tied decoder as a matmul by ``transpose(table)``."""
-    batch, seq_len, hidden = sequence_states.shape
-    h = ad.gelu(ad.matmul(sequence_states, model["mlm.transform.weight"], model["mlm.transform.bias"]))
+def transposed_mlm_logits(model, rows):
+    """The MLM head on (R, H) rows with the tied decoder as a matmul by ``transpose(table)``."""
+    h = ad.gelu(ad.matmul(rows, model["mlm.transform.weight"], model["mlm.transform.bias"]))
     h = ad.layer_norm(h, model["mlm.norm.gain"], model["mlm.norm.bias"])
-    flat = ad.reshape(h, (batch * seq_len, hidden))
-    logits = ad.matmul(flat, ad.transpose(model["embeddings.token"], (1, 0)), model["mlm.out_bias"])
-    return ad.reshape(logits, (batch, seq_len, model.config.vocab_size))
+    return ad.matmul(h, ad.transpose(model["embeddings.token"], (1, 0)), model["mlm.out_bias"])
 
 
 def ragged_batch(rng, vocab_size, batch, shortest, longest):

@@ -805,6 +805,15 @@ class TestMlmLoss:
         assert loss == 0.0
         assert not any(g.any() for g in grads.values())
 
+    def test_sequence_states_give_their_rows_logits(self):
+        # the head reads (B, T, H) states as their (B·T, H) rows, one float32 GEMM each
+        model = build_model(tiny_config(hidden_size=64, vocab_size=300), seed=20)
+        states = np.random.default_rng(21).standard_normal((3, 7, 64)).astype(np.float32)
+        logits = mlm_logits(model, Tensor(states)).data
+        rows = mlm_logits(model, Tensor(states.reshape(21, 64))).data
+        assert logits.shape == (3, 7, 300) and rows.shape == (21, 300)
+        np.testing.assert_array_equal(logits, rows.reshape(3, 7, 300))
+
     def test_states_that_are_not_the_masked_rows_rejected(self):
         model, ids, mask, labels = self._setup(0.4)
         seq, _ = forward(model, ids, mask)
@@ -1079,7 +1088,7 @@ class TestPretrain:
         result = pretrain(build_model(cfg, seed=16), lines, vocab, cfg, seed=6,
                           checkpoint_dir=str(tmp_path / "ck"), max_len=12)
         assert result.steps == len(head_shapes) == 8
-        assert head_shapes == [(1, n, cfg.hidden_size) for n in masked_counts]
+        assert head_shapes == [(n, cfg.hidden_size) for n in masked_counts]
 
     def test_non_finite_loss_stops_naming_epoch_and_step(self, tmp_path):
         vocab, lines = toy_vocab_corpus(n_lines=12)

@@ -1,9 +1,11 @@
+import atexit
 import dataclasses
 import errno
 import functools
 import hashlib
 import json
 import os
+import shutil
 import tempfile
 import weakref
 
@@ -111,6 +113,7 @@ def pretrained_encoder():
         )
         model = build_model(cfg, seed=8)
         _PRETRAIN_DIR = tempfile.mkdtemp(prefix="kusent-test-encoder-")
+        atexit.register(shutil.rmtree, _PRETRAIN_DIR, ignore_errors=True)
         pretrain(model, lines, vocab, cfg, seed=0, checkpoint_dir=_PRETRAIN_DIR,
                  max_len=10, learning_rate=1e-3)
     return load_checkpoint(_PRETRAIN_DIR)[0]

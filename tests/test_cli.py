@@ -481,6 +481,32 @@ class TestPipeline:
         assert err.startswith("error: ") and err.count("\n") == 1
         assert f"{named}: " in err
 
+    @pytest.mark.parametrize("command, broken", [
+        ("normalize", "--in"), ("normalize", "--rules"), ("corpus-stats", "--in"), ("train-tokenizer", "--in"),
+        ("pretrain", "--corpus"), ("pretrain", "--vocab"), ("train", "--data"),
+    ])
+    def test_text_that_is_not_utf8_names_its_file(self, pipeline, tmp_path, capsys, command, broken):
+        root = pipeline["root"]
+        rules = tmp_path / "my.rules"
+        rules.write_text("digits keep\n")
+        inputs, argv = {
+            "normalize": ({"--in": root / "corpus_raw.txt", "--rules": rules}, []),
+            "corpus-stats": ({"--in": pipeline["labeled"]}, []),
+            "train-tokenizer": ({"--in": root / "corpus.txt"}, ["--vocab-size", "60"]),
+            "pretrain": ({"--corpus": root / "corpus.txt", "--vocab": pipeline["vocab"]}, []),
+            "train": ({"--data": pipeline["labeled"], "--vocab": pipeline["vocab"]},
+                      ["--task", "mlp", "--encoder", str(pipeline["encoder"])]),
+        }[command]
+        good = inputs[broken].read_bytes()
+        inputs[broken] = bad = tmp_path / f"bad_{inputs[broken].name}"
+        bad.write_bytes(good[:4] + b"\xff" + good[4:])
+        argv = [command, *argv, "--config", str(pipeline["cfg"]), "--out", str(tmp_path / "out")]
+        for flag, path in inputs.items():
+            argv += [flag, str(path)]
+        assert main(argv) == 1
+        assert capsys.readouterr().err == f"error: {bad}: not UTF-8 text (invalid start byte)\n"
+        assert not (tmp_path / "out").exists()
+
     @pytest.mark.parametrize(
         "argv, rel, key, value",
         [
